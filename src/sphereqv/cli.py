@@ -425,6 +425,9 @@ def main(argv=None):
     except (OSError, json.JSONDecodeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
+    except MemoryError as exc:
+        sys.stderr.write(f"error: out of memory: {exc}\n")
+        return 1
     except (ValueError, ArithmeticError) as exc:
         sys.stderr.write(f"numeric error: {exc}\n")
         return 1

@@ -2,9 +2,9 @@
 
 Angular power spectra, the equispaced colatitude grid, exact covariance
 kernels of single-degree and truncated full fields, second differences of
-Legendre polynomials, the Gram matrix of grid increments, and the joint
-covariance of a sphere-valued fractional Brownian pair observed at two
-times.
+Legendre polynomials, the Gram matrix of grid increments with its low-rank
+increment factor, and the joint covariance of a sphere-valued fractional
+Brownian pair observed at two times.
 
 The increment Gram matrix is the workhorse: for a Gaussian field f observed
 at grid points θ_1 < ... < θ_{N+1}, entry (i, j) is E[Δ_i Δ_j] with
@@ -15,12 +15,12 @@ at grid points θ_1 < ... < θ_{N+1}, entry (i, j) is E[Δ_i Δ_j] with
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import toeplitz
 
-from .specfun import legendre_p
+from .specfun import harmonic_meridian_table, legendre_p
 
 __all__ = [
     "PowerSpectrum",
@@ -28,6 +28,7 @@ __all__ = [
     "IncrementGram",
     "FbmSpec",
     "kernel_fl",
+    "meridian_basis_fl",
     "second_difference_p",
     "increment_row_fl",
     "increment_gram_fl",
@@ -154,32 +155,66 @@ class LineGrid:
         return np.arange(1, self.n + 2) * (0.5 * math.pi / self.n)
 
 
-@dataclass(frozen=True)
 class IncrementGram:
     """Covariance matrix of grid increments, with the truncation tail.
 
     sigma[i, j] = E[Δ_i Δ_j], an N×N symmetric PSD Toeplitz matrix
-    (stationary on the line). ``tail_bound`` is an upper bound on the
-    entrywise error from spectrum truncation (0 for single-degree and
-    explicit spectra).
+    (stationary on the line), given whole or by its first ``row``; from a
+    row the matrix is built on first access of ``sigma`` only, so
+    ``first_row`` and :meth:`trace` never need it. ``tail_bound`` is an
+    upper bound on the entrywise error from spectrum truncation (0 for
+    single-degree and explicit spectra).
+
+    ``factor``, when present, is the increment factor F (R×N): the grid
+    increments are Δ = zᵀF for i.i.d. standard normal z, so Σ = FᵀF. For
+    one degree, R = l+1 and F is the column difference of the scaled
+    harmonic table of :func:`meridian_basis_fl`, the same table the sampler
+    draws from. Σ shares its nonzero eigenvalues with the smaller of the
+    Grams F Fᵀ and FᵀF, so every trace cumulant costs O(R²N) rather than
+    the O(N³) of the dense matrix, and the trace is ‖F‖²_F, free of the
+    cancellation in 1 − P_l(cos(π/2N)).
     """
 
-    n: int
-    sigma: np.ndarray = field(repr=False)
-    tail_bound: float = 0.0
+    def __init__(self, n, sigma=None, tail_bound=0.0, *, row=None, factor=None):
+        self.n = int(n)
+        self.tail_bound = float(tail_bound)
+        if (sigma is None) == (row is None):
+            raise ValueError("give exactly one of sigma and row")
+        if sigma is not None:
+            sigma = np.asarray(sigma, dtype=float)
+            if sigma.shape != (self.n, self.n):
+                raise ValueError("sigma must be N×N")
+        else:
+            row = np.asarray(row, dtype=float)
+            if row.shape != (self.n,):
+                raise ValueError("row must have length N")
+        if factor is not None:
+            factor = np.asarray(factor, dtype=float)
+            if factor.ndim != 2 or factor.shape[1] != self.n:
+                raise ValueError("factor must have N columns")
+        self._sigma, self._row, self.factor = sigma, row, factor
 
-    def __post_init__(self):
-        sig = np.asarray(self.sigma, dtype=float)
-        if sig.shape != (self.n, self.n):
-            raise ValueError("sigma must be N×N")
-        object.__setattr__(self, "sigma", sig)
+    def __repr__(self):
+        rank = None if self.factor is None else self.factor.shape[0]
+        return (f"IncrementGram(n={self.n}, tail_bound={self.tail_bound!r}, "
+                f"factor_rows={rank})")
+
+    @property
+    def sigma(self):
+        if self._sigma is None:
+            self._sigma = toeplitz(self._row)
+        return self._sigma
 
     @property
     def first_row(self):
-        return self.sigma[0].copy()
+        return (self._sigma[0] if self._row is None else self._row).copy()
 
     def trace(self):
-        return float(np.trace(self.sigma))
+        if self.factor is not None:
+            return float(np.sum(self.factor * self.factor))
+        if self._row is None:
+            return float(np.trace(self._sigma))
+        return self.n * float(self._row[0])
 
 
 @dataclass(frozen=True)
@@ -258,10 +293,32 @@ def increment_row_fl(ell, c_ell, grid):
     return row
 
 
+def meridian_basis_fl(ell, c_ell, grid):
+    """Scaled harmonic table B of the degree-l field, shape (l+1, N+1).
+
+    Row m is w_m λ_{lm}(θ_i) over the grid points, with w_0 = √c_l and
+    w_m = √(2 c_l) for m ≥ 1 (the two azimuthal channels of order m
+    collapse to one on the meridian). The field at the grid is zᵀB for
+    i.i.d. standard normal z, and its increments are zᵀF with F the column
+    difference of B; the addition theorem gives FᵀF = the increment Gram.
+    """
+    lam = harmonic_meridian_table(ell, grid.points)
+    w = np.full(ell + 1, math.sqrt(2.0 * c_ell))
+    w[0] = math.sqrt(c_ell)
+    return w[:, None] * lam
+
+
 def increment_gram_fl(ell, c_ell, grid):
-    """Increment Gram matrix of the degree-l field on the grid."""
+    """Increment Gram matrix of the degree-l field on the grid.
+
+    Carries the rank-(l+1) increment factor whenever l+1 < N, where its
+    Gram F Fᵀ is smaller than Σ. For l+1 ≥ N the smaller Gram FᵀF is Σ
+    itself, which the O(lN) row gives without the O(l²N) harmonic table.
+    """
     row = increment_row_fl(ell, c_ell, grid)
-    return IncrementGram(n=grid.n, sigma=toeplitz(row))
+    factor = (np.diff(meridian_basis_fl(ell, c_ell, grid), axis=1)
+              if ell + 1 < grid.n else None)
+    return IncrementGram(n=grid.n, row=row, factor=factor)
 
 
 def _kernel_row(weights, l_min, x):
@@ -307,8 +364,7 @@ def increment_row_f(spectrum, grid):
 
 def increment_gram_f(spectrum, grid):
     """Increment Gram matrix of the truncated full field, tail attached."""
-    row = increment_row_f(spectrum, grid)
-    return IncrementGram(n=grid.n, sigma=toeplitz(row),
+    return IncrementGram(n=grid.n, row=increment_row_f(spectrum, grid),
                          tail_bound=spectrum.tail_bound())
 
 

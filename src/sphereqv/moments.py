@@ -7,7 +7,9 @@ increment vector with covariance Σ, the quadratic variation V = Σ Δ_i² has
     κ_p(V − E V)    = 2^(p−1) (p−1)! · tr(Σ^p),      p ≥ 2,
 
 so the mean has a closed form, the variance is twice the squared Frobenius
-norm, and every higher cumulant is an eigenvalue power sum. Asymptotic
+norm, and every higher cumulant is an eigenvalue power sum. For one degree
+Σ = FᵀF with a rank-(l+1) increment factor F, so those power sums come from
+the (l+1)×(l+1) Gram F Fᵀ without the N×N matrix. Asymptotic
 formulas for the three degree-versus-grid growth regimes, the limiting
 cumulants of the fixed-degree (non-central) limit, the fourth-moment
 normality proxy, and exact estimator biases complete the module.
@@ -137,8 +139,32 @@ def _sigma_of(gram):
     return gram.sigma if hasattr(gram, "sigma") else np.asarray(gram, float)
 
 
+def _eigenvalues(gram):
+    """Eigenvalues whose power sums are tr(Σ^p).
+
+    A gram carrying the increment factor F (Σ = FᵀF) uses the smaller of
+    F Fᵀ and FᵀF, which share Σ's nonzero spectrum; anything else goes
+    through the dense N×N matrix.
+    """
+    f = getattr(gram, "factor", None)
+    if f is None:
+        return np.linalg.eigvalsh(_sigma_of(gram))
+    return np.linalg.eigvalsh(f @ f.T if f.shape[0] <= f.shape[1] else f.T @ f)
+
+
+def _power_cumulant(eig, p):
+    """κ_p = 2^(p−1)(p−1)! Σ μ^p over the eigenvalues μ of Σ."""
+    return 2.0 ** (p - 1) * math.factorial(p - 1) * float(np.sum(eig ** p))
+
+
 def exact_var_vnl(gram):
-    """Exact variance: 2 Σ_{ij} σ_ij², twice the squared Frobenius norm."""
+    """Exact variance 2 tr(Σ²).
+
+    Twice the squared Frobenius norm of a dense Σ; from the eigenvalues of
+    the small factor Gram when the gram carries its increment factor.
+    """
+    if getattr(gram, "factor", None) is not None:
+        return _power_cumulant(_eigenvalues(gram), 2)
     sig = _sigma_of(gram)
     return 2.0 * float(np.sum(sig * sig))
 
@@ -158,19 +184,16 @@ def exact_var_from_row(row):
 def trace_cumulant(gram, p):
     """Cumulant κ_p of the centered quadratic variation, 2 ≤ p ≤ 8.
 
-    2^(p−1)(p−1)! · tr(Σ^p). p = 2 reuses the Frobenius form exactly; higher
-    orders go through the symmetric eigendecomposition once, so requesting
-    several orders in sequence repeats the O(N³) work; batch via
-    moment_report when that matters.
+    2^(p−1)(p−1)! · tr(Σ^p). p = 2 is :func:`exact_var_vnl`; higher orders
+    are eigenvalue power sums, from the (l+1)-sized factor Gram when the
+    gram carries its increment factor and from the dense matrix otherwise.
     """
     if int(p) != p or not (2 <= p <= 8):
         raise ValueError("cumulant order must be an integer in [2, 8]")
     p = int(p)
     if p == 2:
         return exact_var_vnl(gram)
-    sig = _sigma_of(gram)
-    eig = np.linalg.eigvalsh(sig)
-    return 2.0 ** (p - 1) * math.factorial(p - 1) * float(np.sum(eig ** p))
+    return _power_cumulant(_eigenvalues(gram), p)
 
 
 def normalized_cumulant(gram, p):
@@ -414,9 +437,10 @@ def estimator_bias(variant, ell, n, regime):
 def moment_report(ell, c_ell, n, regime=None, p_max=4):
     """Exact mean, variance and standardized cumulants for one cell.
 
-    Builds the increment Gram matrix once and evaluates κ_p for
-    p = 2..p_max (2 ≤ p_max ≤ 8). The O(N³) eigendecomposition bounds the
-    practical grid size; keep N ≤ 4096 for cumulant work.
+    Builds the increment Gram once and evaluates κ_p for p = 2..p_max
+    (2 ≤ p_max ≤ 8) from one eigendecomposition. While l+1 < N that is the
+    (l+1)×(l+1) Gram of the increment factor, so the cost is O(l²N) time
+    and O(lN) memory at any grid size.
     """
     if not (2 <= p_max <= 8):
         raise ValueError("p_max must lie in [2, 8]")
@@ -428,10 +452,7 @@ def moment_report(ell, c_ell, n, regime=None, p_max=4):
     if p_max == 2:
         cums = (1.0,)
     else:
-        eig = np.linalg.eigvalsh(gram.sigma)
-        cums = tuple(
-            1.0 if p == 2 else
-            2.0 ** (p - 1) * math.factorial(p - 1) * float(np.sum(eig ** p))
-            / var ** (p / 2.0)
-            for p in range(2, p_max + 1))
+        eig = _eigenvalues(gram)
+        cums = tuple(1.0 if p == 2 else _power_cumulant(eig, p) / var ** (p / 2.0)
+                     for p in range(2, p_max + 1))
     return MomentReport(mean=mean, variance=var, cumulants=cums, regime=regime)

@@ -27,8 +27,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .covariance import FbmSpec, LineGrid, PowerSpectrum, rh_cross
-from .specfun import harmonic_meridian_stack, harmonic_meridian_table
+from .covariance import FbmSpec, LineGrid, PowerSpectrum, meridian_basis_fl, rh_cross
+from .specfun import harmonic_meridian_stack
 
 __all__ = [
     "SingleEll",
@@ -240,11 +240,8 @@ def sample_fl_line(ell, c_ell, grid, rng):
     ell = int(ell)
     if c_ell < 0:
         raise ValueError("c_ell must be non-negative")
-    lam = harmonic_meridian_table(ell, grid.points)
     z = rng.standard_normal(2 * ell + 1)
-    w = np.full(ell + 1, math.sqrt(2.0 * c_ell))
-    w[0] = math.sqrt(c_ell)
-    return PathSample(values=(w * z[:ell + 1]) @ lam)
+    return PathSample(values=z[:ell + 1] @ meridian_basis_fl(ell, c_ell, grid))
 
 
 def sample_f_line(spectrum, grid, rng):
@@ -288,11 +285,8 @@ def batch_quadratic_variation(spec, rep_start, rep_count):
     gens = [np.random.default_rng(rep_seed_sequence(spec, r)) for r in reps]
     target = spec.target
     if isinstance(target, SingleEll):
-        ell, c_ell = target.ell, target.c_ell
-        lam = harmonic_meridian_table(ell, spec.grid.points)
-        w = np.full(ell + 1, math.sqrt(2.0 * c_ell))
-        w[0] = math.sqrt(c_ell)
-        basis = w[:, None] * lam
+        ell = target.ell
+        basis = meridian_basis_fl(ell, target.c_ell, spec.grid)
         z = np.empty((len(gens), ell + 1))
         for i, g in enumerate(gens):
             z[i] = g.standard_normal(2 * ell + 1)[:ell + 1]

@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -58,6 +59,22 @@ def test_moments_regime_block(capsys):
     assert abs(table["mean_ratio"] - 1) < 0.01
     assert table["asymptotic_mean"] > 0
     assert "var_ratio" in table
+
+
+def test_moments_grid_of_a_million(capsys):
+    # out of reach of the dense N×N Gram; the (l+1)-row factor handles it
+    assert main(["moments", "--ell", "8", "--n", "1000000", "--cl", "0.5"]) == 0
+    table = _parse_table(capsys.readouterr().out)
+    assert all(math.isfinite(v) for v in table.values())
+    assert table["variance"] > 0 and table["normalized_k4"] > 0
+
+
+def test_moments_unallocatable_grid_is_one_line_error(capsys):
+    # the first O(N) array of a 10¹⁵-increment grid fails to allocate at once
+    assert main(["moments", "--ell", "8", "--n", "1000000000000000",
+                 "--cl", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_moments_comparable_needs_ratio():
@@ -283,17 +300,21 @@ def test_help_documents_units(capsys):
 
 
 def test_console_entry_point_runs(tmp_path):
-    # the installed script must behave like main(): golden row + exit codes
+    # the installed script must behave like main(): golden row + exit codes;
+    # the child process imports the same package as this test
+    src = os.path.dirname(os.path.dirname(sphereqv.moments.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
     spec = _write_spec(tmp_path)
     out = tmp_path / "cli.csv"
     run = subprocess.run(
         [sys.executable, "-m", "sphereqv.cli", "simulate",
          "--spec-file", spec, "--out", str(out)],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert run.returncode == 0
     assert out.read_text(encoding="utf-8").splitlines()[1].split(",")[2] == "9:0:3"
     bad = subprocess.run(
         [sys.executable, "-m", "sphereqv.cli", "moments", "--ell", "0",
          "--n", "4", "--cl", "1"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert bad.returncode == 2

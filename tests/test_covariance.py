@@ -20,6 +20,7 @@ from sphereqv.covariance import (
     increment_row_f,
     increment_row_fl,
     kernel_fl,
+    meridian_basis_fl,
     rh_cross,
     second_difference_p,
 )
@@ -240,6 +241,39 @@ def test_increment_gram_shape_validation():
     r = g.first_row
     r[0] = 99.0
     assert g.sigma[0, 0] == 1.0  # first_row hands out a copy
+    with pytest.raises(ValueError):
+        IncrementGram(n=2)
+    with pytest.raises(ValueError):
+        IncrementGram(n=2, sigma=np.eye(2), row=np.ones(2))
+    with pytest.raises(ValueError):
+        IncrementGram(n=3, row=np.ones(2))
+    with pytest.raises(ValueError):
+        IncrementGram(n=3, row=np.ones(3), factor=np.ones((2, 4)))
+
+
+def test_gram_from_row_is_bitwise_the_toeplitz_matrix():
+    for ell, n in ((4, 33), (9, 7)):
+        grid = LineGrid(n)
+        gram = increment_gram_fl(ell, 1.7, grid)
+        row = increment_row_fl(ell, 1.7, grid)
+        np.testing.assert_array_equal(gram.first_row, row)
+        np.testing.assert_array_equal(gram.sigma, toeplitz(row))
+
+
+def test_increment_factor_reproduces_gram():
+    # Σ = FᵀF for F the column difference of the scaled harmonic table;
+    # includes l ≥ N, where FᵀF is the smaller of the two Grams
+    for ell, n in ((1, 2), (3, 16), (6, 40), (11, 11), (20, 6)):
+        grid = LineGrid(n)
+        f = np.diff(meridian_basis_fl(ell, 0.9, grid), axis=1)
+        assert f.shape == (ell + 1, n)
+        gram = increment_gram_fl(ell, 0.9, grid)
+        assert_allclose(f.T @ f, gram.sigma, rtol=0, atol=1e-14 * gram.trace())
+        if ell + 1 < n:
+            np.testing.assert_array_equal(gram.factor, f)
+            assert_allclose(gram.trace(), n * gram.first_row[0], rtol=1e-12)
+        else:
+            assert gram.factor is None
 
 
 # ======================================================================

@@ -11,6 +11,7 @@ from sphereqv.covariance import (
     LineGrid,
     increment_gram_fl,
     increment_row_fl,
+    meridian_basis_fl,
 )
 from sphereqv.moments import (
     MomentReport,
@@ -96,7 +97,9 @@ def test_trace_cumulant_matches_matrix_powers():
 
 def test_trace_cumulant_accepts_gram_or_array():
     gram = increment_gram_fl(2, 1.0, LineGrid(8))
-    assert trace_cumulant(gram, 3) == trace_cumulant(gram.sigma, 3)
+    # the gram goes through its factor, the array through the dense matrix
+    assert_allclose(trace_cumulant(gram, 3), trace_cumulant(gram.sigma, 3),
+                    rtol=1e-12)
 
 
 def test_trace_cumulant_order_bounds():
@@ -125,6 +128,91 @@ def test_fourth_moment_bound_shrinks_along_matched_growth():
     b64 = fourth_moment_bound(increment_gram_fl(64, 1.0, LineGrid(64)))
     b256 = fourth_moment_bound(increment_gram_fl(256, 1.0, LineGrid(256)))
     assert b256 < b64 < math.sqrt(2)
+
+
+# ======================================================================
+# Factor path: power sums from the (l+1)-sized Gram of the increment factor
+# ======================================================================
+
+def _mp_toeplitz_cumulants(ell, c, n):
+    """Mean and κ2..κ4 of V from the dense Toeplitz Gram in 40-digit arithmetic."""
+    mp = pytest.importorskip("mpmath").mp
+    mp.dps = 40
+    h = mp.pi / (2 * n)
+    a = mp.mpf(c) * (2 * ell + 1) / (4 * mp.pi)
+    p = [mp.legendre(ell, mp.cos(k * h)) for k in range(n + 1)]
+    row = [2 * a * (p[0] - p[1])] + [a * (2 * p[k] - p[k - 1] - p[k + 1])
+                                     for k in range(1, n)]
+    sig = mp.matrix(n, n)
+    for i in range(n):
+        for j in range(n):
+            sig[i, j] = row[abs(i - j)]
+    sq = sig * sig
+    tr2 = sum(sq[i, i] for i in range(n))
+    tr3 = sum(sq[i, j] * sig[j, i] for i in range(n) for j in range(n))
+    tr4 = sum(sq[i, j] ** 2 for i in range(n) for j in range(n))
+    return float(n * row[0]), {2: float(2 * tr2), 3: float(8 * tr3),
+                               4: float(48 * tr4)}
+
+
+def test_factor_cumulants_match_high_precision():
+    mean, want = _mp_toeplitz_cumulants(3, 1.0, 64)
+    gram = increment_gram_fl(3, 1.0, LineGrid(64))
+    assert gram.factor.shape == (4, 64)
+    assert_allclose(exact_var_vnl(gram), want[2], rtol=1e-13)
+    for p in (2, 3, 4):
+        assert_allclose(trace_cumulant(gram, p), want[p], rtol=1e-13)
+    assert_allclose(gram.trace(), mean, rtol=1e-13)
+
+
+def _factor_gram(ell, c, grid):
+    """An increment Gram carrying its factor whatever the size of l."""
+    basis = meridian_basis_fl(ell, c, grid)
+    return IncrementGram(n=grid.n, row=increment_row_fl(ell, c, grid),
+                         factor=np.diff(basis, axis=1))
+
+
+def test_factor_path_matches_dense_on_random_cells():
+    rng = np.random.default_rng(51177)
+    cells = [(int(rng.integers(1, 25)), int(rng.integers(2, 97)))
+             for _ in range(10)] + [(12, 5), (30, 30), (7, 8)]  # l ≥ N, R = N
+    wide = 0
+    for ell, n in cells:
+        c = float(rng.uniform(0.2, 3.0))
+        gram = _factor_gram(ell, c, LineGrid(n))
+        wide += gram.factor.shape[0] > n  # FᵀF is the smaller Gram here
+        sig = gram.sigma
+        assert_allclose(exact_var_vnl(gram), exact_var_vnl(sig), rtol=1e-12)
+        for p in range(3, 9):
+            assert_allclose(trace_cumulant(gram, p), trace_cumulant(sig, p),
+                            rtol=1e-12)
+        assert_allclose(fourth_moment_bound(gram), fourth_moment_bound(sig),
+                        rtol=1e-12)
+    assert wide >= 2
+
+
+def test_moment_report_matches_dense_cumulants():
+    rep = moment_report(5, 0.7, 300, p_max=8)
+    sig = increment_gram_fl(5, 0.7, LineGrid(300)).sigma
+    var = exact_var_vnl(sig)
+    assert_allclose(rep.variance, var, rtol=1e-12)
+    for p in range(3, 9):
+        assert_allclose(rep.cumulants[p - 2],
+                        trace_cumulant(sig, p) / var ** (p / 2.0), rtol=1e-12)
+
+
+def test_factor_path_never_builds_dense_matrix(monkeypatch):
+    import sphereqv.covariance as cov
+
+    def refuse(*_):
+        raise AssertionError("dense N×N matrix built")
+
+    monkeypatch.setattr(cov, "toeplitz", refuse)
+    gram = increment_gram_fl(8, 0.5, LineGrid(20000))
+    gram.first_row, gram.trace()
+    exact_var_vnl(gram), normalized_cumulant(gram, 3), fourth_moment_bound(gram)
+    rep = moment_report(8, 0.5, 20000, p_max=6)
+    assert all(np.isfinite(rep.cumulants))
 
 
 # ======================================================================
