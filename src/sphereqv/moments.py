@@ -8,8 +8,9 @@ increment vector with covariance Σ, the quadratic variation V = Σ Δ_i² has
 
 so the mean has a closed form, the variance is twice the squared Frobenius
 norm, and every higher cumulant is an eigenvalue power sum. For one degree
-Σ = FᵀF with a rank-(l+1) increment factor F, so those power sums come from
-the (l+1)×(l+1) Gram F Fᵀ without the N×N matrix. Asymptotic
+Σ = FᵀF with a rank-(l+1) increment factor F, so while l+1 ≤ N/8 those
+power sums come from the (l+1)×(l+1) Gram F Fᵀ without the N×N matrix.
+Asymptotic
 formulas for the three degree-versus-grid growth regimes, the limiting
 cumulants of the fixed-degree (non-central) limit, the fourth-moment
 normality proxy, and exact estimator biases complete the module.
@@ -142,14 +143,14 @@ def _sigma_of(gram):
 def _eigenvalues(gram):
     """Eigenvalues whose power sums are tr(Σ^p).
 
-    A gram carrying the increment factor F (Σ = FᵀF) uses the smaller of
-    F Fᵀ and FᵀF, which share Σ's nonzero spectrum; anything else goes
+    A gram carrying the increment factor F (R×N, Σ = FᵀF) uses the R×R
+    Gram F Fᵀ, which shares Σ's nonzero spectrum; anything else goes
     through the dense N×N matrix.
     """
     f = getattr(gram, "factor", None)
     if f is None:
         return np.linalg.eigvalsh(_sigma_of(gram))
-    return np.linalg.eigvalsh(f @ f.T if f.shape[0] <= f.shape[1] else f.T @ f)
+    return np.linalg.eigvalsh(f @ f.T)
 
 
 def _power_cumulant(eig, p):
@@ -438,9 +439,10 @@ def moment_report(ell, c_ell, n, regime=None, p_max=4):
     """Exact mean, variance and standardized cumulants for one cell.
 
     Builds the increment Gram once and evaluates κ_p for p = 2..p_max
-    (2 ≤ p_max ≤ 8) from one eigendecomposition. While l+1 < N that is the
-    (l+1)×(l+1) Gram of the increment factor, so the cost is O(l²N) time
-    and O(lN) memory at any grid size.
+    (2 ≤ p_max ≤ 8) from one eigendecomposition. While l+1 ≤ N/8 that is
+    the (l+1)×(l+1) Gram of the increment factor, so the cost is O(l²N)
+    time and O(lN) memory at any grid size; larger degrees use the dense
+    N×N matrix.
     """
     if not (2 <= p_max <= 8):
         raise ValueError("p_max must lie in [2, 8]")

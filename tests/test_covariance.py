@@ -261,15 +261,15 @@ def test_gram_from_row_is_bitwise_the_toeplitz_matrix():
 
 
 def test_increment_factor_reproduces_gram():
-    # Σ = FᵀF for F the column difference of the scaled harmonic table;
-    # includes l ≥ N, where FᵀF is the smaller of the two Grams
-    for ell, n in ((1, 2), (3, 16), (6, 40), (11, 11), (20, 6)):
+    # Σ = FᵀF for F the column difference of the scaled harmonic table, at
+    # any l; the gram carries F only while l+1 ≤ N/8 (cells on both sides)
+    for ell, n in ((1, 2), (1, 16), (3, 31), (3, 32), (6, 56), (11, 11), (20, 6)):
         grid = LineGrid(n)
         f = np.diff(meridian_basis_fl(ell, 0.9, grid), axis=1)
         assert f.shape == (ell + 1, n)
         gram = increment_gram_fl(ell, 0.9, grid)
         assert_allclose(f.T @ f, gram.sigma, rtol=0, atol=1e-14 * gram.trace())
-        if ell + 1 < n:
+        if 8 * (ell + 1) <= n:
             np.testing.assert_array_equal(gram.factor, f)
             assert_allclose(gram.trace(), n * gram.first_row[0], rtol=1e-12)
         else:

@@ -11,7 +11,6 @@ from sphereqv.covariance import (
     LineGrid,
     increment_gram_fl,
     increment_row_fl,
-    meridian_basis_fl,
 )
 from sphereqv.moments import (
     MomentReport,
@@ -97,9 +96,7 @@ def test_trace_cumulant_matches_matrix_powers():
 
 def test_trace_cumulant_accepts_gram_or_array():
     gram = increment_gram_fl(2, 1.0, LineGrid(8))
-    # the gram goes through its factor, the array through the dense matrix
-    assert_allclose(trace_cumulant(gram, 3), trace_cumulant(gram.sigma, 3),
-                    rtol=1e-12)
+    assert trace_cumulant(gram, 3) == trace_cumulant(gram.sigma, 3)
 
 
 def test_trace_cumulant_order_bounds():
@@ -165,22 +162,14 @@ def test_factor_cumulants_match_high_precision():
     assert_allclose(gram.trace(), mean, rtol=1e-13)
 
 
-def _factor_gram(ell, c, grid):
-    """An increment Gram carrying its factor whatever the size of l."""
-    basis = meridian_basis_fl(ell, c, grid)
-    return IncrementGram(n=grid.n, row=increment_row_fl(ell, c, grid),
-                         factor=np.diff(basis, axis=1))
-
-
 def test_factor_path_matches_dense_on_random_cells():
     rng = np.random.default_rng(51177)
-    cells = [(int(rng.integers(1, 25)), int(rng.integers(2, 97)))
-             for _ in range(10)] + [(12, 5), (30, 30), (7, 8)]  # l ≥ N, R = N
-    wide = 0
+    cells = [(int(ell), int(rng.integers(8 * (ell + 1), 200)))
+             for ell in rng.integers(1, 20, size=10)] + [(1, 16), (7, 64)]
     for ell, n in cells:
         c = float(rng.uniform(0.2, 3.0))
-        gram = _factor_gram(ell, c, LineGrid(n))
-        wide += gram.factor.shape[0] > n  # FᵀF is the smaller Gram here
+        gram = increment_gram_fl(ell, c, LineGrid(n))
+        assert gram.factor.shape == (ell + 1, n)
         sig = gram.sigma
         assert_allclose(exact_var_vnl(gram), exact_var_vnl(sig), rtol=1e-12)
         for p in range(3, 9):
@@ -188,7 +177,6 @@ def test_factor_path_matches_dense_on_random_cells():
                             rtol=1e-12)
         assert_allclose(fourth_moment_bound(gram), fourth_moment_bound(sig),
                         rtol=1e-12)
-    assert wide >= 2
 
 
 def test_moment_report_matches_dense_cumulants():
