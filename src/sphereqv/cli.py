@@ -256,8 +256,9 @@ def _cmd_experiment(args):
 def _cmd_specfun_check(_args):
     from scipy.special import eval_legendre, jv
 
-    from .specfun import (bessel_j, harmonic_meridian_table, hilb_approx_p,
-                          legendre_p, legendre_p_deriv)
+    from .specfun import (bessel_j, harmonic_meridian_stack,
+                          harmonic_meridian_table, hilb_approx_p, legendre_p,
+                          legendre_p_deriv)
 
     rng = np.random.default_rng(20240801)
     checks = []
@@ -287,6 +288,16 @@ def _cmd_specfun_check(_args):
         rhs = (2 * l + 1) / (4 * math.pi) * legendre_p(l, math.cos(th1 - th2))
         add_err = max(add_err, abs(lhs - rhs))
     checks.append(("harmonic addition theorem", add_err, 1e-12))
+
+    # the stack packs one sweep's degree blocks; each must be bitwise the
+    # table of its degree (a sample of degrees: every table is its own sweep)
+    theta = LineGrid(1024).points
+    stack = harmonic_meridian_stack(0, 513, theta)
+    serr = max(float(np.max(np.abs(stack[l * (l + 1) // 2:(l + 1) * (l + 2) // 2]
+                                   - harmonic_meridian_table(l, theta))))
+               for l in (0, 1, 2, 3, 64, 255, 512))
+    checks.append(("harmonic stack vs per-degree tables, l_max=512, N=1024",
+                   serr, 0.0))
 
     xs = np.concatenate([np.linspace(0, 7.9, 300), np.linspace(8, 300, 500)])
     berr = max(float(np.max(np.abs(bessel_j(0, xs) - jv(0, xs)))),

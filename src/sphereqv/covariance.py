@@ -303,7 +303,10 @@ def meridian_basis_fl(ell, c_ell, grid):
 
     Left out of ``__all__`` on purpose: perfbench's tracer wraps exported
     functions only, and its ``simulate.batch_self_s`` subtracts the harmonic
-    table only as a direct child of the sampler's batch span.
+    table only as a direct child of the sampler's batch span. (The
+    single-degree sampler reaches the table through this helper; the
+    full-field and fractional samplers run the recurrence sweep directly,
+    so their harmonic work counts in the batch's self time.)
     """
     lam = harmonic_meridian_table(ell, grid.points)
     w = np.full(ell + 1, math.sqrt(2.0 * c_ell))
@@ -314,11 +317,16 @@ def meridian_basis_fl(ell, c_ell, grid):
 def increment_gram_fl(ell, c_ell, grid):
     """Increment Gram matrix of the degree-l field on the grid.
 
-    Carries the rank-(l+1) increment factor while l+1 ≤ N/8. Its harmonic
-    table takes ~l²/2 Python-level recurrence steps, which outgrow the dense
-    eigendecompositions of Σ near l+1 = N/5..N/4 (measured for N = 64..2048
-    on a 2-vCPU machine); the margin of 8 keeps the factor the cheaper path
-    where BLAS has more cores. Past the cutoff Σ comes from the O(lN) row.
+    Carries the rank-(l+1) increment factor while l+1 ≤ N/8. The factor's
+    harmonic table is one vectorized recurrence sweep, O(l) Python steps
+    but O(l²N) arithmetic, and its (l+1)×(l+1) Gram costs O(l²N) again;
+    with l a fixed fraction of N both grow like the O(N³) dense
+    eigendecompositions of Σ, with a larger constant. Measured on a 2-vCPU
+    machine for N = 256..2048, the factor path is about 4× faster at
+    l+1 = N/8, 1.1-1.6× faster at N/4 and 2-3× slower at N/2 (l = 511,
+    N = 2048: 1.3 s against 1.6 s dense); the margin of 8 keeps the factor
+    the cheaper path where BLAS has more cores. Past the cutoff Σ comes
+    from the O(lN) row.
     """
     row = increment_row_fl(ell, c_ell, grid)
     factor = (np.diff(meridian_basis_fl(ell, c_ell, grid), axis=1)

@@ -34,9 +34,11 @@ class EstimateResult:
 
     ``bias_exact`` is the closed-form relative bias E[value]/C_l − 1 of the
     chosen normalizer (0 for the exact and classical estimators).
+    ``value`` is an array when the estimator was given an array of
+    quadratic variations.
     """
 
-    value: float
+    value: float | np.ndarray
     normalizer: float
     variant: str
     bias_exact: float
@@ -55,16 +57,20 @@ class EstimateResult:
 
 
 def estimate_cl(v, ell, n):
-    """Exactly unbiased spectrum estimate from one quadratic variation.
+    """Exactly unbiased spectrum estimate from quadratic variations.
 
     Divides v by 2N(2l+1)/(4π)(1 − P_l(cos(π/2N))), the unit-spectrum
-    mean, so E[value] = C_l for every l ≥ 1, N ≥ 1.
+    mean, so E[value] = C_l for every l ≥ 1, N ≥ 1. ``v`` may be one value
+    or an array of them (one per replication); ``value`` then has its shape
+    and the normalizer is computed once.
     """
-    if v < 0:
+    if np.any(np.asarray(v) < 0):
         raise ValueError("quadratic variation must be non-negative")
     norm = exact_mean_vnl(ell, 1.0, n)
-    assert norm > 0, "exact normalizer degenerate"
-    return EstimateResult(value=v / norm, normalizer=norm,
+    if not norm > 0:
+        raise ValueError(f"exact normalizer degenerate ({norm!r}) at l={ell}, N={n}")
+    value = np.asarray(v, dtype=float) / norm if np.ndim(v) else v / norm
+    return EstimateResult(value=value, normalizer=norm,
                           variant="exact", bias_exact=0.0)
 
 

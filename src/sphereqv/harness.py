@@ -533,7 +533,7 @@ def _cell_rows(config, ell, n, samples, exact):
                 mom.fourth_moment_bound(dense_gram()), "fourth_moment_bound")
         elif stat == "estimator_error":
             c_ell = config.target["c_ell"]
-            ratios = np.array([estimate_cl(x, ell, n).value / c_ell for x in v])
+            ratios = estimate_cl(v, ell, n).value / c_ell
             se = float(np.std(ratios, ddof=1) / math.sqrt(ratios.size))
             add("estimator_mean", float(np.mean(ratios)), se, 1.0, "estimate_cl")
             kr = empirical_cumulants(ratios, p_max=2)

@@ -22,13 +22,14 @@ boundaries and let only the scheduling vary.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .covariance import FbmSpec, LineGrid, PowerSpectrum, meridian_basis_fl, rh_cross
-from .specfun import harmonic_meridian_stack
+from .specfun import _meridian_blocks
 
 __all__ = [
     "SingleEll",
@@ -153,23 +154,32 @@ def _degree_chunks(l_min, l_max):
     return chunks
 
 
-def _scaled_basis(l_lo, l_hi, theta, degree_scale):
-    """Harmonic stack with √2 order weights and per-degree scales folded in.
+def _scaled_chunks(spectrum, theta, degree_scale):
+    """Scaled harmonic basis of each degree chunk, from one recurrence sweep.
 
-    degree_scale(l) multiplies every row of degree l; orders m ≥ 1 carry an
-    extra √2 (the two azimuthal channels collapse to one on the meridian).
-    Row layout matches the coefficient draw order.
+    Yields one (Σ(l+1) × len(theta)) array per chunk of
+    :func:`_degree_chunks`, degree blocks in ascending l. degree_scale(l)
+    multiplies every row of degree l; orders m ≥ 1 carry an extra √2 (the
+    two azimuthal channels collapse to one on the meridian). Row layout
+    matches the coefficient draw order. The sweep keeps its state across
+    chunk boundaries, so each degree is evaluated once per call and written
+    scaled straight into its chunk. Every chunk is a leading slice of one
+    buffer, so a yielded chunk is overwritten by the next.
     """
-    stack = harmonic_meridian_stack(l_lo, l_hi, theta)
-    scale = np.empty(stack.shape[0])
-    pos = 0
-    for l in range(l_lo, l_hi):
-        s = degree_scale(l)
-        scale[pos] = s
-        scale[pos + 1:pos + l + 1] = s * math.sqrt(2.0)
-        pos += l + 1
-    stack *= scale[:, None]
-    return stack
+    chunks = _degree_chunks(spectrum.l_min, spectrum.l_max)
+    sizes = [(hi - lo) * (hi + lo + 1) // 2 for lo, hi in chunks]
+    buf = np.empty((max(sizes), theta.size))
+    blocks = itertools.islice(_meridian_blocks(spectrum.l_max, theta),
+                              spectrum.l_min, None)
+    for (lo, hi), size in zip(chunks, sizes):
+        basis = buf[:size]
+        pos = 0
+        for l, lam in zip(range(lo, hi), blocks):
+            s = degree_scale(l)
+            np.multiply(lam[0], s, out=basis[pos])
+            np.multiply(lam[1:], s * math.sqrt(2.0), out=basis[pos + 1:pos + l + 1])
+            pos += l + 1
+        yield basis
 
 
 def _field_paths_batch(spectrum, grid, gens):
@@ -181,9 +191,8 @@ def _field_paths_batch(spectrum, grid, gens):
     """
     theta = grid.points
     out = np.zeros((len(gens), theta.size))
-    for lo, hi in _degree_chunks(spectrum.l_min, spectrum.l_max):
-        basis = _scaled_basis(lo, hi, theta,
-                              lambda l: math.sqrt(spectrum.cl(l)))
+    for basis in _scaled_chunks(spectrum, theta,
+                                lambda l: math.sqrt(spectrum.cl(l))):
         rows = basis.shape[0]
         z = np.empty((len(gens), rows))
         for i, g in enumerate(gens):
@@ -212,9 +221,8 @@ def _fbm_paths_batch(spec, grid, gens):
     theta = grid.points
     out_t = np.zeros((len(gens), theta.size))
     out_s = np.zeros((len(gens), theta.size))
-    for lo, hi in _degree_chunks(spectrum.l_min, spectrum.l_max):
-        basis = _scaled_basis(lo, hi, theta,
-                              lambda l: math.sqrt(4.0 * math.pi * spectrum.cl(l)))
+    for basis in _scaled_chunks(
+            spectrum, theta, lambda l: math.sqrt(4.0 * math.pi * spectrum.cl(l))):
         rows = basis.shape[0]
         z = np.empty((len(gens), rows, 2))
         for i, g in enumerate(gens):

@@ -124,36 +124,67 @@ def legendre_p_deriv(ell, x):
 # Real normalized spherical harmonics on a meridian
 # ======================================================================
 
+# values per buffer of a table's sweep (8 MB)
+_TILE_VALUES = 1 << 20
+
+
+def _meridian_blocks(ell_max, theta):
+    """Yield the λ_{lm}(θ) block of each degree l = 0..ell_max in turn.
+
+    Block l has shape (l+1, len(theta)), row m = N_{lm} P_l^m(cos θ). The
+    sweep is degree-major: orders m ≤ l−2 of degree l come from the two
+    previous blocks at once through the three-term recurrence in l, with the
+    coefficients a_{lm}, b_{lm} as vectors over m; then the m = l−1 row and
+    the sectoral m = l row (∝ sin^l θ, underflowing harmlessly to 0 near the
+    poles for high degrees) follow from the last sectoral value. That is
+    O(ell_max) Python steps for O(ell_max²·len(theta)) arithmetic.
+
+    The normalization is folded into the coefficients, so no raw factorial
+    appears and degrees beyond ~150 do not overflow. Every value is formed
+    by the same floating-point operations, in the same order, as the
+    order-by-order recurrence, so the blocks are bitwise those of that
+    recurrence. Blocks live in three rotating buffers and are overwritten
+    as the sweep goes on: callers use or copy each block before advancing.
+    """
+    ct, st = np.cos(theta), np.sin(theta)
+    bufs = [np.empty((ell_max + 1, theta.size)) for _ in range(3)]
+    prev2, prev = None, bufs[0][:1]
+    prev[0] = 1.0 / np.sqrt(4.0 * np.pi)
+    yield prev
+    for l in range(1, ell_max + 1):
+        lam = bufs[l % 3][:l + 1]
+        if l >= 2:
+            m = np.arange(l - 1)
+            a = np.sqrt((2 * l - 1.0) * (2 * l + 1.0) / ((l - m) * (l + m)))
+            b = np.sqrt((2 * l + 1.0) * (l + m - 1) * (l - m - 1)
+                        / ((l - m) * (l + m) * (2 * l - 3.0)))
+            np.multiply(a[:, None], ct, out=lam[:l - 1])
+            lam[:l - 1] *= prev[:l - 1]
+            prev2 *= b[:, None]  # its buffer is the next block's
+            lam[:l - 1] -= prev2
+        lam[l - 1] = np.sqrt(2 * l + 1.0) * ct * prev[l - 1]
+        lam[l] = -np.sqrt((2 * l + 1) / (2.0 * l)) * st * prev[l - 1]
+        yield lam
+        prev2, prev = prev, lam
+
+
 def harmonic_meridian_table(ell, theta):
     """λ_{lm}(θ) for all orders m = 0..l at the given colatitudes.
 
     Returns an array of shape (l+1, len(theta)). Row m holds the fully
-    normalized associated-Legendre value N_{lm} P_l^m(cos θ).
-
-    The normalization is folded into the recurrence coefficients, so no raw
-    factorial ever appears and degrees beyond ~150 do not overflow. For each
-    order the sectoral value λ_{mm} is built first (∝ sin^m θ, underflowing
-    harmlessly to 0 near the poles for high degrees), then the degree is
-    raised to l.
+    normalized associated-Legendre value N_{lm} P_l^m(cos θ), from the last
+    block of the degree-major recurrence sweep. The sweep runs over column
+    tiles of at most _TILE_VALUES // (l+1) points, so its working buffers
+    stay small beside the table when len(theta) is large.
     """
     ell = _check_degree(ell)
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    ct, st = np.cos(theta), np.sin(theta)
     out = np.empty((ell + 1, theta.size))
-    lam_mm = np.full(theta.size, 1.0 / np.sqrt(4.0 * np.pi))
-    for m in range(ell + 1):
-        if m > 0:
-            lam_mm = -np.sqrt((2 * m + 1) / (2.0 * m)) * st * lam_mm
-        if m == ell:
-            out[m] = lam_mm
-            break
-        lm2, lm1 = lam_mm, np.sqrt(2 * m + 3.0) * ct * lam_mm
-        for l in range(m + 2, ell + 1):
-            a = np.sqrt((2 * l - 1.0) * (2 * l + 1.0) / ((l - m) * (l + m)))
-            b = np.sqrt((2 * l + 1.0) * (l + m - 1) * (l - m - 1)
-                        / ((l - m) * (l + m) * (2 * l - 3.0)))
-            lm2, lm1 = lm1, a * ct * lm1 - b * lm2
-        out[m] = lm1
+    step = max(1, _TILE_VALUES // (ell + 1))
+    for c in range(0, theta.size, step):
+        for lam in _meridian_blocks(ell, theta[c:c + step]):
+            pass
+        out[:, c:c + step] = lam
     return out
 
 
@@ -165,22 +196,8 @@ def real_harmonic_meridian(ell, m, theta):
     ell = _check_degree(ell)
     if int(m) != m or m < 0 or m > ell:
         raise ValueError(f"order m={m!r} outside [0, {ell}]")
-    m = int(m)
-    scalar = np.ndim(theta) == 0
-    theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    ct, st = np.cos(theta), np.sin(theta)
-    lam = np.full(theta.size, 1.0 / np.sqrt(4.0 * np.pi))
-    for mm in range(1, m + 1):
-        lam = -np.sqrt((2 * mm + 1) / (2.0 * mm)) * st * lam
-    if ell > m:
-        lm2, lm1 = lam, np.sqrt(2 * m + 3.0) * ct * lam
-        for l in range(m + 2, ell + 1):
-            a = np.sqrt((2 * l - 1.0) * (2 * l + 1.0) / ((l - m) * (l + m)))
-            b = np.sqrt((2 * l + 1.0) * (l + m - 1) * (l - m - 1)
-                        / ((l - m) * (l + m) * (2 * l - 3.0)))
-            lm2, lm1 = lm1, a * ct * lm1 - b * lm2
-        lam = lm1
-    return float(lam[0]) if scalar else lam
+    lam = harmonic_meridian_table(ell, theta)[int(m)]
+    return float(lam[0]) if np.ndim(theta) == 0 else lam
 
 
 def harmonic_meridian_stack(l_lo, l_hi, theta):
@@ -190,40 +207,21 @@ def harmonic_meridian_stack(l_lo, l_hi, theta):
     degree blocks in ascending l, block l holding rows m = 0..l. Row
     (l, m) sits at Σ_{j=l_lo}^{l−1}(j+1) + m.
 
-    All degrees share one pass of the order-major recurrences, so the cost
-    is O(l_hi² · len(theta)) regardless of l_lo; callers sampling truncated
-    full fields chunk the degree range to bound the (rows × points) memory.
+    One degree-major sweep from degree 0 fills the blocks, so the cost is
+    O(l_hi) Python steps and O(l_hi² · len(theta)) arithmetic regardless of
+    l_lo. The samplers do not call this per degree chunk: they run the sweep
+    once across all their chunks.
     """
     l_lo, l_hi = int(l_lo), int(l_hi)
     if l_lo < 0 or l_hi <= l_lo:
         raise ValueError("need 0 ≤ l_lo < l_hi")
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    ct, st = np.cos(theta), np.sin(theta)
-    sizes = np.arange(l_lo, l_hi) + 1
-    starts = np.concatenate([[0], np.cumsum(sizes)[:-1]])
-
-    def row_index(l, m):
-        return starts[l - l_lo] + m
-
-    out = np.empty((int(sizes.sum()), theta.size))
-    sec = np.full(theta.size, 1.0 / np.sqrt(4.0 * np.pi))
-    for m in range(l_hi):
-        if m > 0:
-            sec = -np.sqrt((2 * m + 1) / (2.0 * m)) * st * sec
-        lm1 = sec
-        if m >= l_lo:
-            out[row_index(m, m)] = lm1
-        if m + 1 < l_hi:
-            lm2, lm1 = lm1, np.sqrt(2 * m + 3.0) * ct * lm1
-            if m + 1 >= l_lo:
-                out[row_index(m + 1, m)] = lm1
-            for l in range(m + 2, l_hi):
-                a = np.sqrt((2 * l - 1.0) * (2 * l + 1.0) / ((l - m) * (l + m)))
-                b = np.sqrt((2 * l + 1.0) * (l + m - 1) * (l - m - 1)
-                            / ((l - m) * (l + m) * (2 * l - 3.0)))
-                lm2, lm1 = lm1, a * ct * lm1 - b * lm2
-                if l >= l_lo:
-                    out[row_index(l, m)] = lm1
+    out = np.empty(((l_hi - l_lo) * (l_hi + l_lo + 1) // 2, theta.size))
+    pos = 0
+    for l, lam in enumerate(_meridian_blocks(l_hi - 1, theta)):
+        if l >= l_lo:
+            out[pos:pos + l + 1] = lam
+            pos += l + 1
     return out
 
 

@@ -288,8 +288,9 @@ def test_experiment_error_exit_codes(tmp_path, capsys):
 def test_specfun_check_passes(capsys):
     assert main(["specfun-check"]) == 0
     out = capsys.readouterr().out
-    assert out.count("PASS") == 5
+    assert out.count("PASS") == 6
     assert "FAIL" not in out
+    assert "PASS  harmonic stack vs per-degree tables, l_max=512, N=1024: max error 0.000e+00" in out
 
 
 def test_help_documents_units(capsys):

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 from scipy import stats
 
 from sphereqv.estimators import (
@@ -44,6 +44,26 @@ def test_exact_estimator_inverts_the_mean():
 def test_exact_estimator_rejects_negative_v():
     with pytest.raises(ValueError):
         estimate_cl(-0.1, 2, 8)
+    with pytest.raises(ValueError):
+        estimate_cl(np.array([0.3, -0.1]), 2, 8)
+
+
+def test_exact_estimator_over_an_array_is_bitwise_per_value():
+    v = RNG.exponential(2.0, 257)
+    res = estimate_cl(v, 3, 16)
+    assert isinstance(res.value, np.ndarray) and res.value.shape == v.shape
+    c_ell = 0.7
+    want = np.array([estimate_cl(x, 3, 16).value / c_ell for x in v])
+    assert_array_equal((res.value / c_ell).view(np.uint64), want.view(np.uint64))
+    assert isinstance(estimate_cl(0.37, 3, 16).value, float)
+
+
+def test_exact_estimator_rejects_a_degenerate_normalizer():
+    # at N = 10⁹, cos(π/2N) rounds to 1, so 1 − P_l(cos(π/2N)) is 0; this is
+    # a raised ValueError, not an assert that python -O would strip
+    assert exact_mean_vnl(1, 1.0, 10 ** 9) == 0.0
+    with pytest.raises(ValueError, match="normalizer degenerate"):
+        estimate_cl(1.0, 1, 10 ** 9)
 
 
 # ======================================================================

@@ -7,6 +7,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy import stats
 
+from sphereqv import simulate
 from sphereqv.covariance import (
     FbmSpec,
     LineGrid,
@@ -14,6 +15,7 @@ from sphereqv.covariance import (
     fbm_spatial_row,
     increment_gram_fl,
     kernel_fl,
+    rh_cross,
 )
 from sphereqv.moments import exact_mean_vnl, exact_var_vnl, trace_cumulant
 from sphereqv.simulate import (
@@ -30,7 +32,7 @@ from sphereqv.simulate import (
     sample_fbm_pair,
     sample_fl_line,
 )
-from sphereqv.specfun import harmonic_meridian_table
+from sphereqv.specfun import harmonic_meridian_stack, harmonic_meridian_table
 
 
 def _spec(target, n=16, seed=123, reps=1):
@@ -95,6 +97,59 @@ def test_fbm_pair_matches_batch_value():
         pt, ps = sample_fbm_pair(fspec, spec.grid, rng)
         assert_allclose(quadratic_variation(pt), batch[rep, 0], rtol=1e-10)
         assert_allclose(quadratic_variation(ps), batch[rep, 1], rtol=1e-10)
+
+
+def _chunked_reference(spectrum, theta, degree_scale, gens, times):
+    # per-chunk harmonic stacks: the construction the single sweep replaced;
+    # times = None draws l+1 normals per degree, else (l00, l10, l11) pairs
+    outs = [np.zeros((len(gens), theta.size)) for _ in range(1 if times is None else 2)]
+    for lo, hi in simulate._degree_chunks(spectrum.l_min, spectrum.l_max):
+        basis = harmonic_meridian_stack(lo, hi, theta)
+        scale = np.concatenate([[degree_scale(l)] + [degree_scale(l) * math.sqrt(2.0)] * l
+                                for l in range(lo, hi)])
+        basis *= scale[:, None]
+        rows = basis.shape[0]
+        if times is None:
+            z = np.stack([g.standard_normal(rows) for g in gens])
+            outs[0] += z @ basis
+        else:
+            l00, l10, l11 = times
+            z = np.stack([g.standard_normal(2 * rows).reshape(rows, 2) for g in gens])
+            outs[0] += (l00 * z[:, :, 0]) @ basis
+            outs[1] += (l10 * z[:, :, 0] + l11 * z[:, :, 1]) @ basis
+    return outs
+
+
+def test_chunked_sweep_is_bitwise_the_per_chunk_stacks(monkeypatch):
+    # a small chunk size forces several chunk boundaries, across which the
+    # samplers carry one recurrence sweep instead of restarting it
+    monkeypatch.setattr(simulate, "_CHUNK_ROWS", 120)
+    grid = LineGrid(20)
+    theta = grid.points
+    sp = PowerSpectrum.power_law(0.9, 0.3, l_max=40)
+    assert len(simulate._degree_chunks(sp.l_min, sp.l_max)) >= 3
+
+    def gens():
+        return [np.random.default_rng(rep_seed_sequence(_spec(FullField(sp)), r))
+                for r in range(3)]
+
+    got = simulate._field_paths_batch(sp, grid, gens())
+    (want,) = _chunked_reference(sp, theta, lambda l: math.sqrt(sp.cl(l)), gens(), None)
+    assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    # a spectrum starting above degree 0 also skips the leading sweep blocks
+    fsp = PowerSpectrum.explicit(np.linspace(1.0, 0.1, 30), l_min=7)
+    fspec = FbmSpec(hurst=0.35, spectrum=fsp, times=(2.0, 1.0))
+    assert len(simulate._degree_chunks(fsp.l_min, fsp.l_max)) >= 3
+    gt, gs = simulate._fbm_paths_batch(fspec, grid, gens())
+    h = fspec.hurst
+    l00 = 2.0 ** h
+    l10 = rh_cross(h, 2.0, 1.0) / l00
+    l11 = math.sqrt(max(1.0 - l10 * l10, 0.0))
+    wt, ws = _chunked_reference(fsp, theta, lambda l: math.sqrt(4.0 * math.pi * fsp.cl(l)),
+                                gens(), (l00, l10, l11))
+    assert_array_equal(gt.view(np.uint64), wt.view(np.uint64))
+    assert_array_equal(gs.view(np.uint64), ws.view(np.uint64))
 
 
 def test_stream_ids():

@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy import special
 
+from sphereqv import specfun
 from sphereqv.specfun import (
     bessel_j,
     harmonic_meridian_stack,
@@ -136,6 +137,67 @@ def test_harmonic_stack_packs_per_degree_tables():
         row += ell + 1
     with pytest.raises(ValueError):
         harmonic_meridian_stack(4, 4, theta)
+
+
+def _order_major_table(ell, theta):
+    # the order-by-order recurrence the degree-major sweep replaced, frozen
+    # here as the reference the sweep must reproduce bit for bit
+    ct, st = np.cos(theta), np.sin(theta)
+    out = np.empty((ell + 1, theta.size))
+    lam_mm = np.full(theta.size, 1.0 / np.sqrt(4.0 * np.pi))
+    for m in range(ell + 1):
+        if m > 0:
+            lam_mm = -np.sqrt((2 * m + 1) / (2.0 * m)) * st * lam_mm
+        if m == ell:
+            out[m] = lam_mm
+            break
+        lm2, lm1 = lam_mm, np.sqrt(2 * m + 3.0) * ct * lam_mm
+        for l in range(m + 2, ell + 1):
+            a = np.sqrt((2 * l - 1.0) * (2 * l + 1.0) / ((l - m) * (l + m)))
+            b = np.sqrt((2 * l + 1.0) * (l + m - 1) * (l - m - 1)
+                        / ((l - m) * (l + m) * (2 * l - 3.0)))
+            lm2, lm1 = lm1, a * ct * lm1 - b * lm2
+        out[m] = lm1
+    return out
+
+
+def _assert_bitwise(got, want):
+    assert got.shape == want.shape
+    assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+# poles, near-pole points where high sectoral values underflow, interior
+POLAR_THETA = np.concatenate([[0.0, 1e-300, 1e-12, 1e-3, 0.02],
+                              np.linspace(0.05, np.pi - 0.05, 23),
+                              [np.pi - 1e-3, np.pi]])
+
+
+@pytest.mark.parametrize("ell", [0, 1, 2, 8, 60, 300])
+def test_sweep_is_bitwise_the_order_major_recurrence(ell):
+    want = _order_major_table(ell, POLAR_THETA)
+    _assert_bitwise(harmonic_meridian_table(ell, POLAR_THETA), want)
+    at_07 = _order_major_table(ell, np.array([0.7]))[:, 0]
+    for m in sorted({0, 1 % (ell + 1), ell // 2, max(ell - 1, 0), ell}):
+        _assert_bitwise(real_harmonic_meridian(ell, m, POLAR_THETA), want[m])
+        assert real_harmonic_meridian(ell, m, 0.7) == at_07[m]
+    lo = max(ell - 2, 0)
+    stack = harmonic_meridian_stack(lo, ell + 1, POLAR_THETA)
+    row = 0
+    for l in range(lo, ell + 1):
+        _assert_bitwise(stack[row:row + l + 1], _order_major_table(l, POLAR_THETA))
+        row += l + 1
+    assert row == stack.shape[0]
+    if ell == 300:  # the case covers sectoral underflow next to the pole
+        assert want[ell, 3] == 0.0 and want[ell, 4] == 0.0
+
+
+def test_table_column_tiles_are_bitwise_one_sweep(monkeypatch):
+    # large grids sweep in column tiles; 63 values per buffer at l = 8 make
+    # tiles of 7 points, the last one short
+    monkeypatch.setattr(specfun, "_TILE_VALUES", 63)
+    _assert_bitwise(harmonic_meridian_table(8, POLAR_THETA),
+                    _order_major_table(8, POLAR_THETA))
+    assert POLAR_THETA.size % 7
 
 
 # ======================================================================
