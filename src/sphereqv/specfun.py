@@ -131,23 +131,21 @@ _TILE_VALUES = 1 << 20
 def _meridian_blocks(ell_max, theta):
     """Yield the λ_{lm}(θ) block of each degree l = 0..ell_max in turn.
 
-    Block l has shape (l+1, len(theta)), row m = N_{lm} P_l^m(cos θ). The
-    sweep is degree-major: orders m ≤ l−2 of degree l come from the two
-    previous blocks at once through the three-term recurrence in l, with the
-    coefficients a_{lm}, b_{lm} as vectors over m; then the m = l−1 row and
-    the sectoral m = l row (∝ sin^l θ, underflowing harmlessly to 0 near the
-    poles for high degrees) follow from the last sectoral value. That is
-    O(ell_max) Python steps for O(ell_max²·len(theta)) arithmetic.
-
-    The normalization is folded into the coefficients, so no raw factorial
-    appears and degrees beyond ~150 do not overflow. Every value is formed
-    by the same floating-point operations, in the same order, as the
-    order-by-order recurrence, so the blocks are bitwise those of that
-    recurrence. Blocks live in three rotating buffers and are overwritten
-    as the sweep goes on: callers use or copy each block before advancing.
+    Block l has shape (l+1, len(theta)), row m = N_{lm} P_l^m(cos θ). Rows
+    m ≤ l−2 come from the two previous blocks at once (the three-term
+    recurrence in l, coefficients vectorized over m), then the m = l−1 and
+    sectoral m = l rows (∝ sin^l θ, underflowing harmlessly to 0 near the
+    poles) from the last sectoral value: O(ell_max) Python steps. The
+    normalization is folded into the coefficients, so no factorial
+    overflows. Each value is formed by the same operations, in the same
+    order, as the order-by-order recurrence, hence bitwise equal to it.
+    Blocks live in three rotating buffers: use or copy each before
+    advancing the sweep.
     """
     ct, st = np.cos(theta), np.sin(theta)
-    bufs = [np.empty((ell_max + 1, theta.size)) for _ in range(3)]
+    # one allocation: three separate ones were returned to the OS and
+    # page-faulted again on every small table (1.7× the time at l=8, N=4096)
+    bufs = np.empty((3, ell_max + 1, theta.size))
     prev2, prev = None, bufs[0][:1]
     prev[0] = 1.0 / np.sqrt(4.0 * np.pi)
     yield prev

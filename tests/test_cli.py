@@ -209,6 +209,10 @@ def test_estimate_numeric_error_exit(capsys):
     assert main(["estimate", "--mode", "cl", "--v", "-1.0",
                  "--ell", "3", "--n", "8"]) == 1
     assert "numeric error" in capsys.readouterr().err
+    # at N = 10⁹ the exact normalizer rounds to 0: an error, not a traceback
+    assert main(["estimate", "--mode", "cl", "--v", "1.0",
+                 "--ell", "1", "--n", "1000000000"]) == 1
+    assert "normalizer degenerate" in capsys.readouterr().err
 
 
 # ======================================================================
