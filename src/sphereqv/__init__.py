@@ -10,8 +10,9 @@ workflow.
 Modules
 -------
 specfun
-    Legendre polynomials, meridian spherical harmonics, Bessel J0/J2,
-    small-angle Legendre approximation.
+    Legendre polynomials (one recurrence sweep, also behind the full-field
+    kernel rows), meridian spherical harmonics, Bessel J0/J2 from
+    scipy.special, small-angle Legendre approximation.
 covariance
     Power spectra, meridian grids, increment covariance (Gram) matrices,
     fractional-Brownian time coupling.

@@ -14,13 +14,14 @@ at grid points θ_1 < ... < θ_{N+1}, entry (i, j) is E[Δ_i Δ_j] with
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import toeplitz
 
-from .specfun import harmonic_meridian_table, legendre_p
+from .specfun import _legendre_sweep, harmonic_meridian_table, legendre_p
 
 __all__ = [
     "PowerSpectrum",
@@ -272,6 +273,19 @@ def second_difference_p(ell, k, n):
 # Increment Gram matrices
 # ======================================================================
 
+def _second_difference(kern):
+    """Increment Gram row of a stationary kernel given on lags k = 0..N.
+
+    [2(k₀ − k₁), 2k_j − k_{j−1} − k_{j+1} for j = 1..N−1], length N: the
+    diagonal E[Δ_i²] and the lag-j covariances E[Δ_i Δ_{i+j}].
+    """
+    n = kern.size - 1
+    row = np.empty(n)
+    row[0] = 2.0 * (kern[0] - kern[1])
+    row[1:] = 2.0 * kern[1:n] - kern[0:n - 1] - kern[2:]
+    return row
+
+
 def increment_row_fl(ell, c_ell, grid):
     """First row of the degree-l increment Gram matrix (length N).
 
@@ -280,18 +294,12 @@ def increment_row_fl(ell, c_ell, grid):
     The full matrix is Toeplitz in this row; the row form is O(lN) and
     avoids the O(N²) matrix for large grids.
     """
-    n = grid.n
-    h = grid.spacing
     a = c_ell * (2 * ell + 1) / (4.0 * math.pi)
-    # P_l(cos(kh)) for k = 0..N in one recurrence sweep
-    p = legendre_p(ell, np.cos(np.arange(n + 1) * h))
-    row = np.empty(n)
-    row[0] = 2.0 * a * (p[0] - p[1])
-    if n > 1:
-        row[1:] = a * (2.0 * p[1:n] - p[0:n - 1] - p[2:n + 1])
-    return row
+    lags = np.cos(np.arange(grid.n + 1) * grid.spacing)
+    return a * _second_difference(legendre_p(ell, lags))
 
 
+@functools.lru_cache(maxsize=1)
 def meridian_basis_fl(ell, c_ell, grid):
     """Scaled harmonic table B of the degree-l field, shape (l+1, N+1).
 
@@ -300,6 +308,10 @@ def meridian_basis_fl(ell, c_ell, grid):
     collapse to one on the meridian). The field at the grid is zᵀB for
     i.i.d. standard normal z, and its increments are zᵀF with F the column
     difference of B; the addition theorem gives FᵀF = the increment Gram.
+
+    The last (l, c_l, grid) is cached, so the sampler's batches of one cell
+    share one table instead of building it per batch; the shared array is
+    read-only.
 
     Left out of ``__all__`` on purpose: perfbench's tracer wraps exported
     functions only, and its ``simulate.batch_self_s`` subtracts the harmonic
@@ -311,7 +323,9 @@ def meridian_basis_fl(ell, c_ell, grid):
     lam = harmonic_meridian_table(ell, grid.points)
     w = np.full(ell + 1, math.sqrt(2.0 * c_ell))
     w[0] = math.sqrt(c_ell)
-    return w[:, None] * lam
+    basis = w[:, None] * lam
+    basis.flags.writeable = False
+    return basis
 
 
 def increment_gram_fl(ell, c_ell, grid):
@@ -338,22 +352,22 @@ def _kernel_row(weights, l_min, x):
     """Σ_l w_l P_l(x) accumulated degree by degree.
 
     weights[i] is the coefficient of degree l_min+i; x is an array of
-    cosines. One upward recurrence sweep, O(l_max·len(x)) time and O(len(x))
+    cosines. One Legendre sweep, O(l_max·len(x)) time and O(len(x))
     memory, so full-field rows never materialize a (degree × point) table.
     """
-    x = np.asarray(x, dtype=float)
     acc = np.zeros_like(x)
-    pm1 = np.ones_like(x)   # P_0
-    p = x.copy()            # P_1
-    if l_min <= 0:
-        acc += weights[0 - l_min] * pm1
-    l_max = l_min + len(weights) - 1
-    for l in range(1, l_max + 1):
-        if l >= 2:
-            pm1, p = p, ((2 * l - 1) * x * p - (l - 1) * pm1) / l
+    for l, p in enumerate(_legendre_sweep(l_min + len(weights) - 1, x)):
         if l >= l_min:
             acc += weights[l - l_min] * p
     return acc
+
+
+def _spectrum_row(spectrum, grid, divisor):
+    """Increment Gram row of the kernel Σ_l C_l (2l+1)/divisor · P_l(cos d)."""
+    ells = spectrum.degrees()
+    w = spectrum.cl(ells) * (2.0 * ells + 1.0) / divisor
+    lags = np.cos(np.arange(grid.n + 1) * grid.spacing)
+    return _second_difference(_kernel_row(w, spectrum.l_min, lags))
 
 
 def increment_row_f(spectrum, grid):
@@ -363,16 +377,7 @@ def increment_row_f(spectrum, grid):
     C_l(2l+1)/(4π); by linearity the Gram row is the weighted sum of the
     per-degree rows. Returns a length-N array.
     """
-    n = grid.n
-    h = grid.spacing
-    ells = spectrum.degrees().astype(float)
-    w = spectrum.cl(spectrum.degrees()) * (2.0 * ells + 1.0) / (4.0 * math.pi)
-    kern = _kernel_row(w, spectrum.l_min, np.cos(np.arange(n + 2) * h))
-    row = np.empty(n)
-    row[0] = 2.0 * (kern[0] - kern[1])
-    if n > 1:
-        row[1:] = 2.0 * kern[1:n] - kern[0:n - 1] - kern[2:n + 1]
-    return row
+    return _spectrum_row(spectrum, grid, 4.0 * math.pi)
 
 
 def increment_gram_f(spectrum, grid):
@@ -397,16 +402,7 @@ def fbm_spatial_row(spectrum, grid):
     Kernel Σ_l A_l (2l+1) P_l(cos d); note the absence of 1/(4π) relative
     to the fixed-time field convention.
     """
-    n = grid.n
-    h = grid.spacing
-    ells = spectrum.degrees().astype(float)
-    w = spectrum.cl(spectrum.degrees()) * (2.0 * ells + 1.0)
-    kern = _kernel_row(w, spectrum.l_min, np.cos(np.arange(n + 2) * h))
-    row = np.empty(n)
-    row[0] = 2.0 * (kern[0] - kern[1])
-    if n > 1:
-        row[1:] = 2.0 * kern[1:n] - kern[0:n - 1] - kern[2:n + 1]
-    return row
+    return _spectrum_row(spectrum, grid, 1.0)
 
 
 def fbm_joint_gram(spec, grid):

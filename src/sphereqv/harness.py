@@ -18,18 +18,18 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import toeplitz
 from scipy.special import ndtr
 
 from . import moments as mom
-from .covariance import (FbmSpec, LineGrid, PowerSpectrum, fbm_spatial_row,
-                         increment_row_f, increment_row_fl)
+from .covariance import (FbmSpec, IncrementGram, LineGrid, PowerSpectrum,
+                         fbm_spatial_row, increment_row_f, increment_row_fl)
 from .estimators import estimate_cl, estimate_hurst
 from .moments import RegimeTag
 from .simulate import (FbmTarget, FullField, SampleSpec, SingleEll,
@@ -98,6 +98,42 @@ def _parse_regime(obj):
         raise ConfigError(str(exc)) from exc
 
 
+_TARGET_KEYS = {"single_ell": {"kind", "c_ell"},
+                "full_field": {"kind", "spectrum"},
+                "fbm": {"kind", "hurst", "times", "spectrum"}}
+
+
+def _parse_target(obj):
+    """Validated target dict: single_ell {c_ell}, full_field {spectrum}, fbm {spec}.
+
+    A single_ell target's degree comes from each cell, not from here.
+    """
+    if not isinstance(obj, dict) or "kind" not in obj:
+        raise ConfigError("target must be an object with a 'kind'")
+    kind = obj["kind"]
+    allowed = _TARGET_KEYS.get(kind) if isinstance(kind, str) else None
+    if allowed is None:
+        raise ConfigError(f"unknown target kind {kind!r}")
+    if set(obj) - allowed:
+        raise ConfigError(f"unknown target keys {sorted(set(obj) - allowed)}")
+    if kind == "single_ell":
+        c_ell = obj.get("c_ell", 1.0)
+        if (isinstance(c_ell, bool) or not isinstance(c_ell, numbers.Real)
+                or not (0.0 <= c_ell < math.inf)):
+            raise ConfigError(
+                f"c_ell must be a finite non-negative number, got {c_ell!r}")
+        return {"kind": kind, "c_ell": float(c_ell)}
+    if kind == "full_field":
+        return {"kind": kind, "spectrum": _parse_spectrum(obj.get("spectrum"))}
+    try:
+        spec = FbmSpec(hurst=float(obj["hurst"]),
+                       spectrum=_parse_spectrum(obj.get("spectrum")),
+                       times=tuple(obj["times"]))
+    except (KeyError, ValueError) as exc:
+        raise ConfigError(f"bad fbm target: {exc}") from exc
+    return {"kind": kind, "spec": spec}
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Validated experiment description.
@@ -143,37 +179,8 @@ class ExperimentConfig:
         if bad:
             raise ConfigError(f"unknown statistics {bad}")
 
-        target_raw = raw["target"]
-        if not isinstance(target_raw, dict) or "kind" not in target_raw:
-            raise ConfigError("target must be an object with a 'kind'")
-        kind = target_raw["kind"]
-        if kind == "single_ell":
-            allowed_t = {"kind", "c_ell"}
-            if set(target_raw) - allowed_t:
-                raise ConfigError(
-                    f"unknown target keys {sorted(set(target_raw) - allowed_t)}")
-            target = {"kind": kind, "c_ell": float(target_raw.get("c_ell", 1.0))}
-        elif kind == "full_field":
-            allowed_t = {"kind", "spectrum"}
-            if set(target_raw) - allowed_t:
-                raise ConfigError(
-                    f"unknown target keys {sorted(set(target_raw) - allowed_t)}")
-            target = {"kind": kind,
-                      "spectrum": _parse_spectrum(target_raw.get("spectrum"))}
-        elif kind == "fbm":
-            allowed_t = {"kind", "hurst", "times", "spectrum"}
-            if set(target_raw) - allowed_t:
-                raise ConfigError(
-                    f"unknown target keys {sorted(set(target_raw) - allowed_t)}")
-            try:
-                spec = FbmSpec(hurst=float(target_raw["hurst"]),
-                               spectrum=_parse_spectrum(target_raw.get("spectrum")),
-                               times=tuple(target_raw["times"]))
-            except (KeyError, ValueError) as exc:
-                raise ConfigError(f"bad fbm target: {exc}") from exc
-            target = {"kind": kind, "spec": spec}
-        else:
-            raise ConfigError(f"unknown target kind {kind!r}")
+        target = _parse_target(raw["target"])
+        kind = target["kind"]
 
         cells = []
         for cell in raw["cells"]:
@@ -441,21 +448,18 @@ def _resolve_threads(threads):
     return os.cpu_count() or 1
 
 
-def _cell_sample_spec(config, ell, n):
-    kind = config.target["kind"]
-    grid = LineGrid(n)
+def _sampler_target(target, ell):
+    """The sampler's target for a parsed target dict; ell is single_ell's degree."""
+    kind = target["kind"]
     if kind == "single_ell":
-        target = SingleEll(ell=ell, c_ell=config.target["c_ell"])
-    elif kind == "full_field":
-        target = FullField(spectrum=config.target["spectrum"])
-    else:
-        target = FbmTarget(spec=config.target["spec"])
-    return SampleSpec(target=target, grid=grid, seed=config.seed,
-                      replications=config.replications)
+        return SingleEll(ell=ell, c_ell=target["c_ell"])
+    if kind == "full_field":
+        return FullField(spectrum=target["spectrum"])
+    return FbmTarget(spec=target["spec"])
 
 
 def _cell_exact(config, ell, n):
-    """Exact mean/variance (cheap, from the Gram row) plus a lazy dense Gram."""
+    """Exact Gram row, mean and variance of one cell (O(N), no dense Gram)."""
     kind = config.target["kind"]
     grid = LineGrid(n)
     if kind == "single_ell":
@@ -463,18 +467,14 @@ def _cell_exact(config, ell, n):
         row = increment_row_fl(ell, c_ell, grid)
         mean = mom.exact_mean_vnl(ell, c_ell, n)
         mean_src = "exact_mean_vnl"
-        scale = 1.0
     elif kind == "full_field":
         row = increment_row_f(config.target["spectrum"], grid)
         mean = n * row[0]
         mean_src = "increment_gram_f.trace"
-        scale = 1.0
     else:
         spec = config.target["spec"]
-        t = spec.times[0]
-        row = fbm_spatial_row(spec.spectrum, grid)
-        scale = t ** (2.0 * spec.hurst)
-        row = scale * row
+        # V at the first time t: the spatial row scaled by t^{2H}
+        row = spec.times[0] ** (2.0 * spec.hurst) * fbm_spatial_row(spec.spectrum, grid)
         mean = n * row[0]
         mean_src = "fbm_joint_gram.trace"
     var = mom.exact_var_from_row(row)
@@ -488,17 +488,9 @@ def _cell_rows(config, ell, n, samples, exact):
         regime_str = f"ell_comparable(c={config.regime.c:g})"
     seed = config.seed
     stats = config.statistics
-    kind = config.target["kind"]
     v = samples[:, 0] if samples.ndim == 2 else samples
 
-    gram = None
-
-    def dense_gram():
-        nonlocal gram
-        if gram is None:
-            gram = toeplitz(exact["row"])
-        return gram
-
+    gram = IncrementGram(n, row=exact["row"])  # dense matrix built on first use
     kmax = 4 if "k4" in stats else (3 if "k3" in stats else 2)
     kstats = None
     if {"var", "k3", "k4"} & set(stats):
@@ -521,16 +513,16 @@ def _cell_rows(config, ell, n, samples, exact):
                 "exact_var_from_row")
         elif stat == "k3":
             add("k3", kstats[1][0], kstats[1][1],
-                mom.trace_cumulant(dense_gram(), 3), "trace_cumulant")
+                mom.trace_cumulant(gram, 3), "trace_cumulant")
         elif stat == "k4":
             add("k4", kstats[2][0], kstats[2][1],
-                mom.trace_cumulant(dense_gram(), 4), "trace_cumulant")
+                mom.trace_cumulant(gram, 4), "trace_cumulant")
         elif stat == "ks_normal":
             f = (v - exact["mean"]) / math.sqrt(exact["var"])
             ks = ks_normal(f)
             se = _jackknife_se(f, ks_normal) if f.size >= 200 else float("nan")
             add("ks_normal", ks, se,
-                mom.fourth_moment_bound(dense_gram()), "fourth_moment_bound")
+                mom.fourth_moment_bound(gram), "fourth_moment_bound")
         elif stat == "estimator_error":
             c_ell = config.target["c_ell"]
             ratios = estimate_cl(v, ell, n).value / c_ell
@@ -591,7 +583,9 @@ def run_experiment(config, threads=None, partial_flush=None):
     all_rows = []
     try:
         for ell, n in config.cells:
-            spec = _cell_sample_spec(config, ell, n)
+            spec = SampleSpec(target=_sampler_target(config.target, ell),
+                              grid=LineGrid(n), seed=config.seed,
+                              replications=config.replications)
             reps = config.replications
             starts = list(range(0, reps, config.batch_size))
             with ThreadPoolExecutor(max_workers=n_threads) as pool:

@@ -157,6 +157,25 @@ def test_simulate_error_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("target", [
+    {"kind": "single_ell"},
+    {"kind": "single_ell", "ell": 0},
+    {"kind": "single_ell", "ell": 2.5},
+    {"kind": "single_ell", "ell": "3"},
+    {"kind": "single_ell", "ell": 3, "c_ell": "x"},
+    {"kind": "single_ell", "ell": 3, "c_ell": -1.0},
+    {"kind": "single_ell", "ell": 3, "c_ell": float("nan")},
+    {"kind": "single_ell", "ell": 3, "extra": 1},
+])
+def test_simulate_bad_target_is_a_config_error(tmp_path, capsys, target):
+    spec = _write_spec(tmp_path, target=target)
+    assert main(["simulate", "--spec-file", spec,
+                 "--out", str(tmp_path / "x.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert not (tmp_path / "x.csv").exists()
+
+
 # ======================================================================
 # estimate
 # ======================================================================
@@ -285,6 +304,15 @@ def test_experiment_error_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("c_ell", [-1.0, float("nan"), float("inf"), "x", True])
+def test_experiment_bad_c_ell_is_a_config_error(tmp_path, capsys, c_ell):
+    cfg = _write_config(tmp_path, target={"kind": "single_ell", "c_ell": c_ell})
+    assert main(["experiment", "--config", cfg,
+                 "--out", str(tmp_path / "r")]) == 2
+    assert "config error: c_ell must be" in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
+
+
 # ======================================================================
 # specfun-check and help
 # ======================================================================
@@ -292,7 +320,8 @@ def test_experiment_error_exit_codes(tmp_path, capsys):
 def test_specfun_check_passes(capsys):
     assert main(["specfun-check"]) == 0
     out = capsys.readouterr().out
-    assert out.count("PASS") == 6
+    assert out.count("PASS") == 5
+    assert "bessel" not in out
     assert "FAIL" not in out
     assert "PASS  harmonic stack vs per-degree tables, l_max=512, N=1024: max error 0.000e+00" in out
 

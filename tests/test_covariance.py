@@ -8,6 +8,7 @@ from numpy.testing import assert_allclose
 from scipy import special
 from scipy.linalg import toeplitz
 
+from sphereqv import covariance as cov
 from sphereqv.covariance import (
     FbmSpec,
     IncrementGram,
@@ -274,6 +275,81 @@ def test_increment_factor_reproduces_gram():
             assert_allclose(gram.trace(), n * gram.first_row[0], rtol=1e-12)
         else:
             assert gram.factor is None
+
+
+# the kernel sweep and the three row bodies that now share one Legendre
+# sweep and one second-difference helper, frozen as bitwise references
+
+def _frozen_kernel_row(weights, l_min, x):
+    acc = np.zeros_like(x)
+    pm1 = np.ones_like(x)
+    p = x.copy()
+    if l_min <= 0:
+        acc += weights[0 - l_min] * pm1
+    for l in range(1, l_min + len(weights)):
+        if l >= 2:
+            pm1, p = p, ((2 * l - 1) * x * p - (l - 1) * pm1) / l
+        if l >= l_min:
+            acc += weights[l - l_min] * p
+    return acc
+
+
+def _frozen_row_fl(ell, c_ell, grid):
+    n, h = grid.n, grid.spacing
+    a = c_ell * (2 * ell + 1) / (4.0 * math.pi)
+    xv = np.cos(np.arange(n + 1) * h)
+    pm1, p = np.ones_like(xv), xv.copy()
+    for l in range(1, ell):
+        pm1, p = p, ((2 * l + 1) * xv * p - l * pm1) / (l + 1)
+    row = np.empty(n)
+    row[0] = 2.0 * a * (p[0] - p[1])
+    if n > 1:
+        row[1:] = a * (2.0 * p[1:n] - p[0:n - 1] - p[2:n + 1])
+    return row
+
+
+def _frozen_spectrum_row(spectrum, grid, four_pi):
+    n, h = grid.n, grid.spacing
+    ells = spectrum.degrees().astype(float)
+    w = spectrum.cl(spectrum.degrees()) * (2.0 * ells + 1.0)
+    if four_pi:
+        w = w / (4.0 * math.pi)
+    kern = _frozen_kernel_row(w, spectrum.l_min, np.cos(np.arange(n + 2) * h))
+    row = np.empty(n)
+    row[0] = 2.0 * (kern[0] - kern[1])
+    if n > 1:
+        row[1:] = 2.0 * kern[1:n] - kern[0:n - 1] - kern[2:n + 1]
+    return row
+
+
+def _assert_bitwise(got, want):
+    assert got.shape == want.shape
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+ROW_SPECTRA = (PowerSpectrum.power_law(1.3, 0.5, 64),
+               PowerSpectrum.explicit([0.5, 1.0, 0.2, 0.03], l_min=0),
+               PowerSpectrum.explicit([0.0, 0.7], l_min=0),
+               PowerSpectrum.explicit(RNG.uniform(0, 1, 20), l_min=1),
+               PowerSpectrum.explicit([2.0, 0.1], l_min=5))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 16, 257, 4097])
+def test_rows_are_bitwise_the_frozen_loops(n):
+    grid = LineGrid(n)
+    for ell in (1, 2, 3, 8, 50):
+        _assert_bitwise(increment_row_fl(ell, 0.7, grid),
+                        _frozen_row_fl(ell, 0.7, grid))
+    for sp in ROW_SPECTRA:
+        _assert_bitwise(increment_row_f(sp, grid), _frozen_spectrum_row(sp, grid, True))
+        _assert_bitwise(fbm_spatial_row(sp, grid), _frozen_spectrum_row(sp, grid, False))
+
+
+def test_kernel_row_is_bitwise_the_frozen_loop():
+    x = np.concatenate([[-1.0, 0.0, 1.0], RNG.uniform(-1, 1, 50)])
+    for l_min, l_max in ((0, 1), (0, 6), (1, 1), (1, 40), (4, 9), (0, 300)):
+        w = RNG.uniform(0, 2, l_max - l_min + 1)
+        _assert_bitwise(cov._kernel_row(w, l_min, x), _frozen_kernel_row(w, l_min, x))
 
 
 # ======================================================================

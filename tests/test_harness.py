@@ -2,6 +2,7 @@
 
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -272,6 +273,25 @@ def test_experiment_output_is_worker_count_invariant():
     a, b = _small_run(threads=1), _small_run(threads=4)
     assert a.to_csv() == b.to_csv()
     assert a.to_json() == b.to_json()
+
+
+def test_shared_cell_basis_survives_thread_stress():
+    # a cell's batches share one cached read-only basis across the worker
+    # threads; with more workers than cores and a short switch interval the
+    # report stays byte-identical to one worker's
+    cfg = ExperimentConfig.from_dict({
+        "seed": 5, "replications": 640, "statistics": ["mean", "var", "k3"],
+        "target": {"kind": "single_ell", "c_ell": 0.9},
+        "cells": [[4, 16], [4, 24], [4, 16]], "batch_size": 32,
+    })
+    want = run_experiment(cfg, threads=1).to_json()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = run_experiment(cfg, threads=8).to_json()
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == want
 
 
 def test_csv_shape_and_float_roundtrip():

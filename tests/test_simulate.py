@@ -152,6 +152,30 @@ def test_chunked_sweep_is_bitwise_the_per_chunk_stacks(monkeypatch):
     assert_array_equal(gs.view(np.uint64), ws.view(np.uint64))
 
 
+def test_single_degree_cell_builds_its_basis_once(monkeypatch):
+    # a cell's batches share one read-only basis; values are those of a
+    # basis built afresh for every batch
+    from sphereqv import covariance
+    spec = _spec(SingleEll(ell=5, c_ell=0.8), n=24, reps=90)
+    fresh = covariance.meridian_basis_fl.__wrapped__(5, 0.8, spec.grid)
+    calls = []
+    table = covariance.harmonic_meridian_table
+    monkeypatch.setattr(covariance, "harmonic_meridian_table",
+                        lambda *a: calls.append(a) or table(*a))
+    covariance.meridian_basis_fl.cache_clear()
+    got = np.concatenate([batch_quadratic_variation(spec, s, 30) for s in (0, 30, 60)])
+    assert len(calls) == 1
+    basis = covariance.meridian_basis_fl(5, 0.8, spec.grid)
+    assert not basis.flags.writeable
+    assert_array_equal(basis.view(np.uint64), fresh.view(np.uint64))
+    z = np.array([np.random.default_rng(rep_seed_sequence(spec, r)).standard_normal(11)[:6]
+                  for r in range(30)])
+    d = np.diff(z @ fresh, axis=1)
+    assert_array_equal(got[:30], np.einsum("ij,ij->i", d, d))
+    batch_quadratic_variation(_spec(SingleEll(ell=5, c_ell=0.8), n=25), 0, 2)
+    assert len(calls) == 2  # a new grid is a new cell
+
+
 def test_stream_ids():
     s1 = _spec(SingleEll(5, 1.0), seed=42)
     assert rep_stream_id(s1, 3) == "42:3:5"

@@ -1,5 +1,6 @@
-"""Special-function layer checked against scipy.special references."""
+"""Special-function layer checked against scipy.special and mpmath references."""
 
+import mpmath
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -70,6 +71,70 @@ def test_legendre_domain_errors():
         legendre_p(2.5, 0.5)
     with pytest.raises(ValueError):
         legendre_p_deriv(3, [-1.0001])
+
+
+# the three loops the one Legendre sweep replaced, frozen here as references
+# the thin users of the sweep must reproduce bit for bit
+
+def _frozen_legendre_p(ell, xv):
+    pm1 = np.ones_like(xv)
+    if ell == 0:
+        return pm1
+    p = xv.copy()
+    for l in range(1, ell):
+        pm1, p = p, ((2 * l + 1) * xv * p - l * pm1) / (l + 1)
+    return p
+
+
+def _frozen_legendre_p_all(ell_max, xv):
+    out = np.empty((ell_max + 1,) + xv.shape)
+    out[0] = 1.0
+    if ell_max >= 1:
+        out[1] = xv
+    for l in range(1, ell_max):
+        out[l + 1] = ((2 * l + 1) * xv * out[l] - l * out[l - 1]) / (l + 1)
+    return out
+
+
+def _frozen_legendre_p_deriv(ell, xv):
+    if ell == 0:
+        return np.zeros_like(xv)
+    out = np.empty_like(xv)
+    edge = np.abs(xv) == 1.0
+    out[edge] = np.sign(xv[edge]) ** (ell + 1) * ell * (ell + 1) / 2.0
+    xi = xv[~edge]
+    pm1 = np.ones_like(xi)
+    p = xi.copy()
+    for l in range(1, ell):
+        pm1, p = p, ((2 * l + 1) * xi * p - l * pm1) / (l + 1)
+    out[~edge] = ell * (pm1 - xi * p) / (1.0 - xi * xi)
+    return out
+
+
+SWEEP_X = np.concatenate([[-1.0, 0.0, 1.0, -0.5, 0.5, 1e-300],
+                          RNG.uniform(-1, 1, 64),
+                          np.cos(np.linspace(0, np.pi, 33))])
+
+
+@pytest.mark.parametrize("ell", [0, 1, 2, 3, 8, 64, 255, 513])
+def test_legendre_functions_are_bitwise_the_frozen_loops(ell):
+    _assert_bitwise(legendre_p(ell, SWEEP_X), _frozen_legendre_p(ell, SWEEP_X))
+    _assert_bitwise(legendre_p_all(ell, SWEEP_X),
+                    _frozen_legendre_p_all(ell, SWEEP_X))
+    _assert_bitwise(legendre_p_deriv(ell, SWEEP_X),
+                    _frozen_legendre_p_deriv(ell, SWEEP_X))
+    for x in (-1.0, 0.0, 1.0, 0.3):
+        xv = np.array([x])
+        assert legendre_p(ell, x) == _frozen_legendre_p(ell, xv)[0]
+        assert legendre_p_deriv(ell, x) == _frozen_legendre_p_deriv(ell, xv)[0]
+    _assert_bitwise(legendre_p_all(ell, 0.3),
+                    _frozen_legendre_p_all(ell, np.array([0.3]))[:, 0])
+
+
+def test_legendre_p_does_not_alias_its_argument():
+    x = np.array([0.1, 0.2])
+    legendre_p(1, x)[0] = 5.0
+    assert x[0] == 0.1
 
 
 # ======================================================================
@@ -205,11 +270,14 @@ def test_table_column_tiles_are_bitwise_one_sweep(monkeypatch):
 # ======================================================================
 
 def test_bessel_matches_reference_both_branches():
+    # small and large arguments against 40-digit mpmath at the exact binary x
     x = np.concatenate([np.linspace(0.0, 7.999, 400),
                         np.linspace(8.0, 300.0, 600),
                         [1e4, 3e5, 1e6]])
-    assert_allclose(bessel_j(0, x), special.j0(x), rtol=0, atol=1e-12)
-    assert_allclose(bessel_j(2, x), special.jv(2, x), rtol=0, atol=1e-12)
+    with mpmath.workdps(40):
+        for order in (0, 2):
+            want = [float(mpmath.besselj(order, mpmath.mpf(float(v)))) for v in x]
+            assert_allclose(bessel_j(order, x), want, rtol=0, atol=1e-14)
 
 
 def test_bessel_scalar_and_errors():
