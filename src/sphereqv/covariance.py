@@ -66,6 +66,8 @@ class PowerSpectrum:
     def __post_init__(self):
         if self.kind not in ("explicit", "power_law"):
             raise ValueError(f"unknown spectrum kind {self.kind!r}")
+        if self.l_min < 0:
+            raise ValueError("l_min must be ≥ 0")
         if self.l_max < 1 or self.l_max < self.l_min:
             raise ValueError("l_max must be ≥ 1 and ≥ l_min")
         if self.kind == "explicit":

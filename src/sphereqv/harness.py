@@ -49,6 +49,11 @@ __all__ = [
 
 _STATISTICS = ("mean", "var", "k3", "k4", "ks_normal", "estimator_error", "hurst")
 
+# fewest replications each statistic accepts: 10·p for the k-statistics up
+# to order p, 20 for the estimator ratios' variance, 100 for the KS distance
+_MIN_REPLICATIONS = {"var": 20, "k3": 30, "k4": 40, "estimator_error": 20,
+                     "ks_normal": 100}
+
 # statistics whose "exact" column is a paired diagnostic, not an oracle value
 _NON_ORACLE_STATS = frozenset({"ks_normal", "fourth_moment_bound"})
 
@@ -85,6 +90,17 @@ def _parse_spectrum(obj):
         except (KeyError, ValueError) as exc:
             raise ConfigError(f"bad explicit spectrum: {exc}") from exc
     raise ConfigError("spectrum.kind must be 'power_law' or 'explicit'")
+
+
+def _config_int(value, message, lo=1, hi=math.inf):
+    """value as an int in [lo, hi), else ConfigError(message). Integral floats
+    (3.0) pass; bools, strings, None and fractional or non-finite numbers do not."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or not lo <= value < hi):
+        raise ConfigError(message)
+    return int(value)
 
 
 def _parse_regime(obj):
@@ -165,31 +181,34 @@ class ExperimentConfig:
             if key not in raw:
                 raise ConfigError(f"missing config key '{key}'")
 
-        seed = raw["seed"]
-        if int(seed) != seed or not (0 <= seed < 2 ** 64):
-            raise ConfigError("seed must be an unsigned 64-bit integer")
-        reps = raw["replications"]
-        if int(reps) != reps or reps < 1:
-            raise ConfigError("replications must be a positive integer")
+        seed = _config_int(raw["seed"], "seed must be an unsigned 64-bit integer",
+                           0, 2 ** 64)
+        reps = _config_int(raw["replications"], "replications must be a positive integer")
 
-        stats = tuple(raw["statistics"])
-        if not stats:
-            raise ConfigError("statistics must be nonempty")
+        stats = raw["statistics"]
+        if not isinstance(stats, list) or not stats:
+            raise ConfigError("statistics must be a nonempty list of names")
+        stats = tuple(stats)
         bad = [s for s in stats if s not in _STATISTICS]
         if bad:
             raise ConfigError(f"unknown statistics {bad}")
+        need = max(_MIN_REPLICATIONS.get(s, 1) for s in stats)
+        if reps < need:
+            raise ConfigError(f"statistics {list(stats)} need at least {need} "
+                              f"replications, got {reps}")
 
         target = _parse_target(raw["target"])
         kind = target["kind"]
 
+        if not isinstance(raw["cells"], list) or not raw["cells"]:
+            raise ConfigError("cells must be a nonempty list of [ell, n] pairs")
         cells = []
         for cell in raw["cells"]:
-            ell, n = cell
-            if int(ell) != ell or int(n) != n or n < 1 or (ell < 1 and kind != "fbm"):
-                raise ConfigError(f"bad cell {cell!r}")
-            cells.append((int(ell), int(n)))
-        if not cells:
-            raise ConfigError("cells must be nonempty")
+            msg = f"bad cell {cell!r}"
+            if not isinstance(cell, list) or len(cell) != 2:
+                raise ConfigError(msg)
+            cells.append((_config_int(cell[0], msg, -math.inf if kind == "fbm" else 1),
+                          _config_int(cell[1], msg, 1, 2 ** 63)))  # int64 grid sizes
 
         regime = _parse_regime(raw.get("regime"))
         _check_coupling(regime, cells, kind)
@@ -201,17 +220,16 @@ class ExperimentConfig:
         if kind == "fbm" and {"k3", "k4", "estimator_error"} & set(stats):
             raise ConfigError("fbm targets support mean/var/ks_normal/hurst")
 
-        batch = raw.get("batch_size", 1024)
-        if int(batch) != batch or batch < 1:
-            raise ConfigError("batch_size must be a positive integer")
+        batch = _config_int(raw.get("batch_size", 1024),
+                            "batch_size must be a positive integer")
 
         output = raw.get("output")
         if output is not None and not isinstance(output, str):
             raise ConfigError("output must be a path string")
 
-        return cls(seed=int(seed), replications=int(reps), statistics=stats,
+        return cls(seed=seed, replications=reps, statistics=stats,
                    target=target, cells=tuple(cells), regime=regime,
-                   output=output, batch_size=int(batch))
+                   output=output, batch_size=batch)
 
 
 def _check_coupling(regime, cells, target_kind):
@@ -224,7 +242,7 @@ def _check_coupling(regime, cells, target_kind):
             raise ConfigError("fixed_ell sweep must keep the degree constant")
     elif kind == mom.ELL_COMPARABLE:
         for ell, n in cells:
-            if ell != int(round(regime.c * n)):
+            if not (math.isfinite(regime.c * n) and ell == round(regime.c * n)):
                 raise ConfigError(
                     f"cell ({ell},{n}) violates coupling l = round(c·N), c={regime.c}")
     elif kind == mom.ELL_FASTER:

@@ -22,6 +22,8 @@ F = (V − E V)/√Var V, whose second cumulant is 1 by construction.
 from __future__ import annotations
 
 import math
+import numbers
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -71,8 +73,10 @@ class RegimeTag:
         if self.kind not in _REGIMES:
             raise ValueError(f"unknown regime {self.kind!r}")
         if self.kind == ELL_COMPARABLE:
-            if self.c is None or self.c <= 0:
-                raise ValueError("ell_comparable requires c > 0")
+            if (isinstance(self.c, bool) or not isinstance(self.c, numbers.Real)
+                    or not 0 < self.c <= sys.float_info.max):
+                raise ValueError("ell_comparable requires a finite c > 0")
+            object.__setattr__(self, "c", float(self.c))
         elif self.c is not None:
             raise ValueError(f"regime {self.kind} carries no ratio c")
 

@@ -7,7 +7,8 @@ C_l (2l+1)/(4π) P_l(cos|θ−θ'|) through the addition theorem. No matrix
 factorization is involved, so the (rank-deficient) grid covariance never
 has to be decomposed. Truncated full fields sum independent degrees;
 the two-time fractional pair couples each coefficient channel through the
-2×2 time covariance.
+2×2 time covariance. All three draw through one body, ``_paths_batch``
+(the single-path samplers run it on one stream), in the layout below.
 
 Determinism contract: every replication owns one random stream derived as
 SeedSequence([seed, rep, l]) for single-degree targets and
@@ -83,6 +84,10 @@ class FbmTarget:
 
     spec: FbmSpec
 
+    def __post_init__(self):
+        if not isinstance(self.spec, FbmSpec):
+            raise TypeError("spec must be an FbmSpec")
+
 
 @dataclass(frozen=True)
 class SampleSpec:
@@ -122,18 +127,22 @@ class PathSample:
         return self.values.size
 
 
+def _rep_entropy(spec, rep):
+    """A replication's stream entropy: [seed, rep], plus l for a single degree."""
+    entropy = [spec.seed, int(rep)]
+    if isinstance(spec.target, SingleEll):
+        entropy.append(spec.target.ell)
+    return entropy
+
+
 def rep_seed_sequence(spec, rep):
     """The per-replication seed sequence defined by the determinism contract."""
-    if isinstance(spec.target, SingleEll):
-        return np.random.SeedSequence([spec.seed, int(rep), spec.target.ell])
-    return np.random.SeedSequence([spec.seed, int(rep)])
+    return np.random.SeedSequence(_rep_entropy(spec, rep))
 
 
 def rep_stream_id(spec, rep):
     """Human-readable identifier of a replication's stream."""
-    if isinstance(spec.target, SingleEll):
-        return f"{spec.seed}:{int(rep)}:{spec.target.ell}"
-    return f"{spec.seed}:{int(rep)}"
+    return ":".join(map(str, _rep_entropy(spec, rep)))
 
 
 # ======================================================================
@@ -154,13 +163,13 @@ def _degree_chunks(l_min, l_max):
     return chunks
 
 
-def _scaled_chunks(spectrum, theta, degree_scale):
+def _scaled_chunks(spectrum, theta, factor):
     """Scaled harmonic basis of each degree chunk, from one recurrence sweep.
 
     Yields one (Σ(l+1) × len(theta)) array per chunk of
-    :func:`_degree_chunks`, degree blocks in ascending l. degree_scale(l)
-    multiplies every row of degree l; orders m ≥ 1 carry an extra √2 (the
-    two azimuthal channels collapse to one on the meridian). Row layout
+    :func:`_degree_chunks`, degree blocks in ascending l. Every row of
+    degree l is multiplied by √(factor·C_l); orders m ≥ 1 carry an extra √2
+    (the two azimuthal channels collapse to one on the meridian). Row layout
     matches the coefficient draw order. The sweep keeps its state across
     chunk boundaries, so each degree is evaluated once per call and written
     scaled straight into its chunk. Every chunk is a leading slice of one
@@ -175,61 +184,54 @@ def _scaled_chunks(spectrum, theta, degree_scale):
         basis = buf[:size]
         pos = 0
         for l, lam in zip(range(lo, hi), blocks):
-            s = degree_scale(l)
+            s = math.sqrt(factor * spectrum.cl(l))
             np.multiply(lam[0], s, out=basis[pos])
             np.multiply(lam[1:], s * math.sqrt(2.0), out=basis[pos + 1:pos + l + 1])
             pos += l + 1
         yield basis
 
 
-def _field_paths_batch(spectrum, grid, gens):
-    """Truncated-field paths for a batch of generators, shape (B, N+1).
+def _paths_batch(target, grid, gens):
+    """Meridian paths of a batch of generators, shape (times, B, N+1).
 
-    Each generator is consumed in ascending-degree order, l_min..l_max,
-    with l+1 standard normals per degree (the meridian needs only the
-    cosine channels; the draw layout is part of the determinism contract).
+    A single degree (times = 1) draws its full 2l+1 coefficients and keeps
+    the leading l+1: the l sine channels multiply sin(mφ) = 0 on the
+    meridian. A full field (times = 1) draws l+1 normals per degree,
+    l_min..l_max ascending; the draw layout is part of the determinism
+    contract. The fractional pair (times = 2) draws two normals per
+    coefficient channel (l, m) and maps them through the lower Cholesky
+    factor of [[t^{2H}, r], [r, s^{2H}]] with r = ½(t^{2H}+s^{2H}−|t−s|^{2H}),
+    the channel's exact joint law at the two times. Its spatial convention
+    Σ A_l (2l+1) P_l (no 1/(4π)) makes the per-degree scale √(4π A_l)
+    against the normalized harmonics.
     """
-    theta = grid.points
-    out = np.zeros((len(gens), theta.size))
-    for basis in _scaled_chunks(spectrum, theta,
-                                lambda l: math.sqrt(spectrum.cl(l))):
-        rows = basis.shape[0]
-        z = np.empty((len(gens), rows))
+    if isinstance(target, SingleEll):
+        ell = target.ell
+        z = np.empty((len(gens), ell + 1))
         for i, g in enumerate(gens):
-            z[i] = g.standard_normal(rows)
-        out += z @ basis
+            z[i] = g.standard_normal(2 * ell + 1)[:ell + 1]
+        return (z @ meridian_basis_fl(ell, target.c_ell, grid))[None]
+    if isinstance(target, FullField):
+        spectrum, factor, times = target.spectrum, 1.0, 1
+    else:
+        spec = target.spec
+        t, s = spec.times
+        l00 = t ** spec.hurst
+        l10 = rh_cross(spec.hurst, t, s) / l00
+        l11 = math.sqrt(max(s ** (2.0 * spec.hurst) - l10 * l10, 0.0))
+        spectrum, factor, times = spec.spectrum, 4.0 * math.pi, 2
+    out = np.zeros((times, len(gens), grid.n + 1))
+    for basis in _scaled_chunks(spectrum, grid.points, factor):
+        rows = basis.shape[0]
+        z = np.empty((len(gens), rows, times))
+        for i, g in enumerate(gens):
+            z[i] = g.standard_normal(times * rows).reshape(rows, times)
+        if times == 1:
+            out[0] += z[:, :, 0] @ basis
+        else:
+            out[0] += (l00 * z[:, :, 0]) @ basis
+            out[1] += (l10 * z[:, :, 0] + l11 * z[:, :, 1]) @ basis
     return out
-
-
-def _fbm_paths_batch(spec, grid, gens):
-    """Fractional-pair paths for a batch of generators: (B_t, B_s) arrays.
-
-    Per coefficient channel (l, m), two standard normals are mapped through
-    the lower Cholesky factor of [[t^{2H}, r], [r, s^{2H}]] with
-    r = ½(t^{2H}+s^{2H}−|t−s|^{2H}), giving the exact joint law of the
-    channel at the two times. The spatial convention Σ A_l (2l+1) P_l
-    (no 1/(4π)) makes the per-degree scale √(4π A_l) against the
-    normalized harmonics.
-    """
-    t, s = spec.times
-    h2 = 2.0 * spec.hurst
-    r = rh_cross(spec.hurst, t, s)
-    l00 = t ** spec.hurst
-    l10 = r / l00
-    l11 = math.sqrt(max(s ** h2 - l10 * l10, 0.0))
-    spectrum = spec.spectrum
-    theta = grid.points
-    out_t = np.zeros((len(gens), theta.size))
-    out_s = np.zeros((len(gens), theta.size))
-    for basis in _scaled_chunks(
-            spectrum, theta, lambda l: math.sqrt(4.0 * math.pi * spectrum.cl(l))):
-        rows = basis.shape[0]
-        z = np.empty((len(gens), rows, 2))
-        for i, g in enumerate(gens):
-            z[i] = g.standard_normal(2 * rows).reshape(rows, 2)
-        out_t += (l00 * z[:, :, 0]) @ basis
-        out_s += (l10 * z[:, :, 0] + l11 * z[:, :, 1]) @ basis
-    return out_t, out_s
 
 
 # ======================================================================
@@ -237,32 +239,19 @@ def _fbm_paths_batch(spec, grid, gens):
 # ======================================================================
 
 def sample_fl_line(ell, c_ell, grid, rng):
-    """One exact path of the degree-l field at the grid points.
-
-    Draws 2l+1 independent standard normals (the full coefficient set);
-    the l sine-channel coefficients multiply sin(mφ) = 0 on the meridian,
-    so only the leading l+1 enter the values.
-    """
-    if int(ell) != ell or ell < 1:
-        raise ValueError("degree must be an integer ≥ 1")
-    ell = int(ell)
-    if c_ell < 0:
-        raise ValueError("c_ell must be non-negative")
-    z = rng.standard_normal(2 * ell + 1)
-    return PathSample(values=z[:ell + 1] @ meridian_basis_fl(ell, c_ell, grid))
+    """One exact path of the degree-l field: 2l+1 normals drawn, l+1 used."""
+    return PathSample(values=_paths_batch(SingleEll(ell, c_ell), grid, [rng])[0, 0])
 
 
 def sample_f_line(spectrum, grid, rng):
     """One exact path of the truncated full field (degrees l_min..l_max)."""
-    return PathSample(values=_field_paths_batch(spectrum, grid, [rng])[0])
+    return PathSample(values=_paths_batch(FullField(spectrum), grid, [rng])[0, 0])
 
 
 def sample_fbm_pair(spec, grid, rng):
     """One exact joint draw of the fractional pair: (path at t, path at s)."""
-    if not isinstance(spec, FbmSpec):
-        raise TypeError("spec must be an FbmSpec")
-    vt, vs = _fbm_paths_batch(spec, grid, [rng])
-    return PathSample(values=vt[0]), PathSample(values=vs[0])
+    vt, vs = _paths_batch(FbmTarget(spec), grid, [rng])[:, 0]
+    return PathSample(values=vt), PathSample(values=vs)
 
 
 # ======================================================================
@@ -291,22 +280,6 @@ def batch_quadratic_variation(spec, rep_start, rep_count):
         raise ValueError("rep_count must be positive")
     reps = range(int(rep_start), int(rep_start) + int(rep_count))
     gens = [np.random.default_rng(rep_seed_sequence(spec, r)) for r in reps]
-    target = spec.target
-    if isinstance(target, SingleEll):
-        ell = target.ell
-        basis = meridian_basis_fl(ell, target.c_ell, spec.grid)
-        z = np.empty((len(gens), ell + 1))
-        for i, g in enumerate(gens):
-            z[i] = g.standard_normal(2 * ell + 1)[:ell + 1]
-        paths = z @ basis
-        d = np.diff(paths, axis=1)
-        return np.einsum("ij,ij->i", d, d)
-    if isinstance(target, FullField):
-        paths = _field_paths_batch(target.spectrum, spec.grid, gens)
-        d = np.diff(paths, axis=1)
-        return np.einsum("ij,ij->i", d, d)
-    vt, vs = _fbm_paths_batch(target.spec, spec.grid, gens)
-    dt = np.diff(vt, axis=1)
-    ds = np.diff(vs, axis=1)
-    return np.stack([np.einsum("ij,ij->i", dt, dt),
-                     np.einsum("ij,ij->i", ds, ds)], axis=1)
+    v = [np.einsum("ij,ij->i", d, d)
+         for d in np.diff(_paths_batch(spec.target, spec.grid, gens), axis=2)]
+    return v[0] if len(v) == 1 else np.stack(v, axis=1)

@@ -313,6 +313,48 @@ def test_experiment_bad_c_ell_is_a_config_error(tmp_path, capsys, c_ell):
     assert not (tmp_path / "r.json").exists()
 
 
+@pytest.mark.parametrize("over", [
+    {"target": {"kind": "full_field",
+                "spectrum": {"kind": "explicit", "values": [1, 1, 1, 1], "l_min": -2}}},
+    {"cells": [5]},
+    {"cells": [[None, 16]]},
+    {"cells": [[5]]},
+    {"cells": "ab"},
+    {"replications": None},
+    {"regime": {"kind": "ell_comparable", "c": "x"}},
+    {"regime": {"kind": "ell_comparable", "c": float("nan")}},
+    {"regime": {"kind": "ell_comparable", "c": float("inf")}},
+    {"regime": {"kind": "ell_comparable", "c": 1e308}},
+    {"cells": [[2, 10 ** 400]], "regime": {"kind": "ell_comparable", "c": 0.125}},
+    {"seed": "abc"},
+    {"seed": True},
+    {"batch_size": "x"},
+    {"statistics": 5},
+    {"replications": 10, "statistics": ["mean", "var"]},
+    {"replications": 10, "statistics": ["estimator_error"]},
+    {"replications": 50, "statistics": ["ks_normal"]},
+], ids=["negative_l_min", "cell_not_a_pair", "cell_null_degree", "cell_of_one",
+        "cells_string", "replications_null", "regime_c_string", "regime_c_nan",
+        "regime_c_inf", "regime_c_overflows", "cell_n_overflows", "seed_string",
+        "seed_bool", "batch_string", "statistics_number", "too_few_for_var",
+        "too_few_for_estimator", "too_few_for_ks"])
+def test_experiment_bad_config_exits_2_before_sampling(tmp_path, capsys, over):
+    cfg = _write_config(tmp_path, **over)
+    assert main(["experiment", "--config", cfg,
+                 "--out", str(tmp_path / "r")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_experiment_reps_override_is_checked_against_statistics(tmp_path, capsys):
+    cfg = _write_config(tmp_path, statistics=["ks_normal"])
+    assert main(["experiment", "--config", cfg, "--reps", "99",
+                 "--out", str(tmp_path / "r")]) == 2
+    assert "need at least 100 replications, got 99" in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
+
+
 # ======================================================================
 # specfun-check and help
 # ======================================================================

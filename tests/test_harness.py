@@ -6,6 +6,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy import special, stats
 
@@ -239,6 +241,40 @@ def test_config_statistic_target_coupling():
             statistics=["k3"],
             target={"kind": "fbm", "hurst": 0.5, "times": [2.0, 1.0],
                     "spectrum": {"kind": "explicit", "values": [1.0]}}))
+
+
+# JSON values leaning towards the names and edge numbers a config uses, and
+# config-shaped values that reach the checks behind each key's type test
+_NAMES = st.sampled_from(["mean", "var", "k4", "ks_normal", "estimator_error",
+                          "hurst", "kind", "c", "fixed_ell", "ell_comparable"])
+_LEAF = (st.none() | st.booleans() | st.integers() | st.floats() | st.text() | _NAMES
+         | st.sampled_from([2 ** 63, 2 ** 64, 10 ** 400, 1.7e308, -0.0]))
+_JSON = st.recursive(
+    _LEAF, lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(_NAMES | st.text(), inner, max_size=3), max_leaves=12)
+_SHAPED = {
+    "cells": st.lists(st.lists(_LEAF, max_size=3), max_size=3),
+    "statistics": st.lists(_LEAF, max_size=3),
+    "regime": st.fixed_dictionaries(
+        {"kind": st.sampled_from(["fixed_ell", "ell_comparable", "ell_faster",
+                                  "ell_slower"])},
+        optional={"c": _LEAF}),
+}
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.sampled_from(["seed", "replications", "batch_size", "cells",
+                        "statistics", "regime"]),
+       st.booleans(), st.booleans(), st.data())
+def test_any_json_value_is_a_config_or_a_config_error(key, comparable, shaped, data):
+    raw = _base_config()
+    if comparable:  # cells (3, 16) under l = round(c·N)
+        raw["regime"] = {"kind": "ell_comparable", "c": 3 / 16}
+    raw[key] = data.draw(_SHAPED.get(key, _LEAF) if shaped else _JSON)
+    try:
+        ExperimentConfig.from_dict(raw)
+    except ConfigError:
+        pass
 
 
 # ======================================================================

@@ -279,6 +279,18 @@ def test_regime_tag_validation():
         asymptotic_mean("fixed_ell", 2, 1.0, 8)
 
 
+@pytest.mark.parametrize("c", [float("nan"), float("inf"), 10 ** 400, "x", True, None])
+def test_comparable_regime_needs_a_finite_positive_ratio(c):
+    # an int above the float range would overflow c·N in the coupling check
+    with pytest.raises(ValueError, match="finite c > 0"):
+        RegimeTag("ell_comparable", c)
+
+
+def test_comparable_regime_stores_its_ratio_as_a_float():
+    c = RegimeTag("ell_comparable", 3).c
+    assert c == 3.0 and isinstance(c, float)
+
+
 def test_fixed_degree_mean_ratio_converges():
     reg = RegimeTag.fixed_ell()
     gaps = [abs(exact_mean_vnl(8, 1.0, n) / asymptotic_mean(reg, 8, 1.0, n) - 1)

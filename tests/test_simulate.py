@@ -15,6 +15,7 @@ from sphereqv.covariance import (
     fbm_spatial_row,
     increment_gram_fl,
     kernel_fl,
+    meridian_basis_fl,
     rh_cross,
 )
 from sphereqv.moments import exact_mean_vnl, exact_var_vnl, trace_cumulant
@@ -133,7 +134,7 @@ def test_chunked_sweep_is_bitwise_the_per_chunk_stacks(monkeypatch):
         return [np.random.default_rng(rep_seed_sequence(_spec(FullField(sp)), r))
                 for r in range(3)]
 
-    got = simulate._field_paths_batch(sp, grid, gens())
+    (got,) = simulate._paths_batch(FullField(sp), grid, gens())
     (want,) = _chunked_reference(sp, theta, lambda l: math.sqrt(sp.cl(l)), gens(), None)
     assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
@@ -141,7 +142,7 @@ def test_chunked_sweep_is_bitwise_the_per_chunk_stacks(monkeypatch):
     fsp = PowerSpectrum.explicit(np.linspace(1.0, 0.1, 30), l_min=7)
     fspec = FbmSpec(hurst=0.35, spectrum=fsp, times=(2.0, 1.0))
     assert len(simulate._degree_chunks(fsp.l_min, fsp.l_max)) >= 3
-    gt, gs = simulate._fbm_paths_batch(fspec, grid, gens())
+    gt, gs = simulate._paths_batch(FbmTarget(fspec), grid, gens())
     h = fspec.hurst
     l00 = 2.0 ** h
     l10 = rh_cross(h, 2.0, 1.0) / l00
@@ -174,6 +175,66 @@ def test_single_degree_cell_builds_its_basis_once(monkeypatch):
     assert_array_equal(got[:30], np.einsum("ij,ij->i", d, d))
     batch_quadratic_variation(_spec(SingleEll(ell=5, c_ell=0.8), n=25), 0, 2)
     assert len(calls) == 2  # a new grid is a new cell
+
+
+def _frozen_single_degree_v(spec, rep_start, rep_count):
+    # the single-degree branch of batch_quadratic_variation as it stood
+    # before the three targets shared one sampler body
+    ell = spec.target.ell
+    basis = meridian_basis_fl(ell, spec.target.c_ell, spec.grid)
+    gens = [np.random.default_rng(rep_seed_sequence(spec, r))
+            for r in range(rep_start, rep_start + rep_count)]
+    z = np.empty((len(gens), ell + 1))
+    for i, g in enumerate(gens):
+        z[i] = g.standard_normal(2 * ell + 1)[:ell + 1]
+    paths = z @ basis
+    d = np.diff(paths, axis=1)
+    return np.einsum("ij,ij->i", d, d)
+
+
+def _frozen_fl_line(ell, c_ell, grid, rng):
+    # sample_fl_line's body before it became a wrapper over the batch body
+    z = rng.standard_normal(2 * ell + 1)
+    return z[:ell + 1] @ meridian_basis_fl(ell, c_ell, grid)
+
+
+@pytest.mark.parametrize("ell, n", [(1, 1), (3, 16), (9, 64), (40, 33)])
+def test_single_degree_is_bitwise_the_frozen_bodies(ell, n):
+    spec = _spec(SingleEll(ell, 0.8), n=n, seed=2 ** 32 + 5, reps=60)
+    for start, count in ((0, 60), (7, 1), (13, 20)):
+        got = batch_quadratic_variation(spec, start, count)
+        want = _frozen_single_degree_v(spec, start, count)
+        assert got.shape == (count,)
+        assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+    for seed in range(5):
+        got = sample_fl_line(ell, 0.8, spec.grid, np.random.default_rng(seed)).values
+        want = _frozen_fl_line(ell, 0.8, spec.grid, np.random.default_rng(seed))
+        assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("seed, rep, single_id, multi_id", [
+    (0, 0, "0:0:5", "0:0"),
+    (0, 4294967296, "0:4294967296:5", "0:4294967296"),
+    (4294967295, 0, "4294967295:0:5", "4294967295:0"),
+    (4294967295, 4294967296, "4294967295:4294967296:5", "4294967295:4294967296"),
+    (4294967296, 0, "4294967296:0:5", "4294967296:0"),
+    (4294967296, 4294967296, "4294967296:4294967296:5", "4294967296:4294967296"),
+    (18446744073709551615, 0, "18446744073709551615:0:5", "18446744073709551615:0"),
+    (18446744073709551615, 4294967296,
+     "18446744073709551615:4294967296:5", "18446744073709551615:4294967296"),
+])
+def test_stream_entropy_is_frozen(seed, rep, single_id, multi_id):
+    # the determinism contract: [seed, rep, l] for one degree, [seed, rep]
+    # for the full field and the fractional pair
+    sp = PowerSpectrum.explicit([1.0, 0.5], l_min=1)
+    single = _spec(SingleEll(5, 1.0), seed=seed)
+    assert rep_stream_id(single, rep) == single_id
+    assert rep_seed_sequence(single, rep).entropy == [seed, rep, 5]
+    for target in (FullField(sp), FbmTarget(FbmSpec(hurst=0.4, spectrum=sp,
+                                                    times=(2.0, 1.0)))):
+        multi = _spec(target, seed=seed)
+        assert rep_stream_id(multi, rep) == multi_id
+        assert rep_seed_sequence(multi, rep).entropy == [seed, rep]
 
 
 def test_stream_ids():
@@ -256,8 +317,7 @@ def test_full_field_pointwise_variance_law():
     spec = _spec(FullField(sp), n=16, seed=3030, reps=1)
     b = 30000
     gens = [np.random.default_rng(rep_seed_sequence(spec, r)) for r in range(b)]
-    from sphereqv.simulate import _field_paths_batch
-    paths = _field_paths_batch(sp, spec.grid, gens)
+    (paths,) = simulate._paths_batch(FullField(sp), spec.grid, gens)
     ells = sp.degrees()
     want = float(np.sum(sp.cl(ells) * (2 * ells + 1) / (4 * math.pi)))
     emp = paths.var(axis=0, ddof=1)
