@@ -131,8 +131,10 @@ def _cmd_simulate(args):
     # precedence: explicit flags > spec file > defaults
     seed = args.seed if args.seed is not None else raw.get("seed", 0)
     reps = args.reps if args.reps is not None else raw.get("replications", 1)
-    spec = SampleSpec(target=target, grid=LineGrid(int(raw["n"])),
-                      seed=seed, replications=reps)
+    n = harness._config_int(raw["n"], "n must be a positive integer", 1, 2 ** 63)
+    seed = harness._config_int(seed, "seed must be an unsigned 64-bit integer", 0, 2 ** 64)
+    reps = harness._config_int(reps, "replications must be a positive integer")
+    spec = SampleSpec(target=target, grid=LineGrid(n), seed=seed, replications=reps)
     batch = 1024
     chunks = []
     for start in range(0, spec.replications, batch):

@@ -73,11 +73,11 @@ class PowerSpectrum:
         if self.kind == "explicit":
             if len(self.values) != self.l_max - self.l_min + 1:
                 raise ValueError("values length must match degree range")
-            if any(v < 0 for v in self.values):
-                raise ValueError("spectrum values must be non-negative")
+            if not all(0 <= v < math.inf for v in self.values):
+                raise ValueError("spectrum values must be finite and non-negative")
         else:
-            if self.c0 <= 0 or self.epsilon <= 0:
-                raise ValueError("power law needs c0 > 0 and epsilon > 0")
+            if not (0 < self.c0 < math.inf and 0 < self.epsilon < math.inf):
+                raise ValueError("power law needs finite c0 > 0 and epsilon > 0")
 
     @classmethod
     def explicit(cls, values, l_min=1):
@@ -237,8 +237,8 @@ class FbmSpec:
         if not (0.0 < self.hurst < 1.0):
             raise ValueError("hurst must lie in (0, 1)")
         t, s = self.times
-        if t <= 0 or s <= 0 or t == s:
-            raise ValueError("times must be distinct positives")
+        if not (0 < t < math.inf and 0 < s < math.inf) or t == s:
+            raise ValueError("times must be distinct finite positives")
         object.__setattr__(self, "times", (float(t), float(s)))
 
 

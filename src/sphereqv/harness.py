@@ -20,6 +20,7 @@ import json
 import math
 import numbers
 import os
+import sys
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -69,6 +70,11 @@ class ConfigError(ValueError):
 # Configuration
 # ======================================================================
 
+# what a missing, null, mistyped or out-of-range target field raises on its
+# way through float(), int() and the spectrum and FbmSpec constructors
+_BAD_FIELD = (KeyError, TypeError, ValueError, OverflowError)
+
+
 def _parse_spectrum(obj):
     if not isinstance(obj, dict):
         raise ConfigError("spectrum must be an object")
@@ -79,7 +85,7 @@ def _parse_spectrum(obj):
             raise ConfigError(f"unknown spectrum keys {sorted(set(obj) - allowed)}")
         try:
             return PowerSpectrum.power_law(obj["c0"], obj["epsilon"], obj["l_max"])
-        except (KeyError, ValueError) as exc:
+        except _BAD_FIELD as exc:
             raise ConfigError(f"bad power_law spectrum: {exc}") from exc
     if kind == "explicit":
         allowed = {"kind", "values", "l_min"}
@@ -87,7 +93,7 @@ def _parse_spectrum(obj):
             raise ConfigError(f"unknown spectrum keys {sorted(set(obj) - allowed)}")
         try:
             return PowerSpectrum.explicit(obj["values"], obj.get("l_min", 1))
-        except (KeyError, ValueError) as exc:
+        except _BAD_FIELD as exc:
             raise ConfigError(f"bad explicit spectrum: {exc}") from exc
     raise ConfigError("spectrum.kind must be 'power_law' or 'explicit'")
 
@@ -135,7 +141,7 @@ def _parse_target(obj):
     if kind == "single_ell":
         c_ell = obj.get("c_ell", 1.0)
         if (isinstance(c_ell, bool) or not isinstance(c_ell, numbers.Real)
-                or not (0.0 <= c_ell < math.inf)):
+                or not 0.0 <= c_ell <= sys.float_info.max):
             raise ConfigError(
                 f"c_ell must be a finite non-negative number, got {c_ell!r}")
         return {"kind": kind, "c_ell": float(c_ell)}
@@ -145,7 +151,7 @@ def _parse_target(obj):
         spec = FbmSpec(hurst=float(obj["hurst"]),
                        spectrum=_parse_spectrum(obj.get("spectrum")),
                        times=tuple(obj["times"]))
-    except (KeyError, ValueError) as exc:
+    except _BAD_FIELD as exc:
         raise ConfigError(f"bad fbm target: {exc}") from exc
     return {"kind": kind, "spec": spec}
 

@@ -10,10 +10,14 @@ the two-time fractional pair couples each coefficient channel through the
 2×2 time covariance. All three draw through one body, ``_paths_batch``
 (the single-path samplers run it on one stream), in the layout below.
 
-Determinism contract: every replication owns one random stream derived as
-SeedSequence([seed, rep, l]) for single-degree targets and
-SeedSequence([seed, rep]) for multi-degree targets (full field, fractional
-pair), whose draws follow a fixed degree-ascending layout. The coefficients
+Determinism contract: every replication owns one random stream,
+default_rng of SeedSequence([seed, rep, l]) for single-degree targets and
+of SeedSequence([seed, rep]) for multi-degree targets (full field,
+fractional pair), whose draws follow a fixed degree-ascending layout.
+``rep_seed_sequence`` is that definition. The batch sampler builds no
+SeedSequence: it derives the identical PCG64 seed words for a whole batch
+by one vectorized pass of numpy's SeedSequence hash, so its streams are
+bitwise those of default_rng(rep_seed_sequence(spec, rep)). The coefficients
 of a replication are therefore a pure function of (spec, rep). Evaluated
 paths are bitwise reproducible for a fixed batch partition (different
 partitions can move the last ulp through BLAS reduction order), which is
@@ -143,6 +147,91 @@ def rep_seed_sequence(spec, rep):
 def rep_stream_id(spec, rep):
     """Human-readable identifier of a replication's stream."""
     return ":".join(map(str, _rep_entropy(spec, rep)))
+
+
+# numpy's SeedSequence hash (O'Neill's seed_seq_fe over a pool of four
+# uint32 words): hashmix constants, mix multipliers, output constants
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_POOL = 4
+
+
+def _u32_words(n):
+    """A non-negative int as numpy's entropy words: little-endian uint32, 0 → [0]."""
+    return [n >> s & 0xFFFFFFFF for s in range(0, max(n.bit_length(), 1), 32)]
+
+
+def _seed_words(entropy):
+    """SeedSequence(entropy).generate_state(4, np.uint64) for a batch at once.
+
+    ``entropy`` is a list of uint32 word arrays of one length B, in numpy's
+    word order; returns the (B, 4) uint64 seed words, bitwise numpy's.
+    """
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = hash_const * _MULT_A & 0xFFFFFFFF
+        value = value * hash_const
+        return value ^ (value >> 16)
+
+    def mix(x, y):
+        r = _MIX_L * x - _MIX_R * y
+        return r ^ (r >> 16)
+
+    zero = np.zeros_like(entropy[0])
+    pool = [hashmix(entropy[i] if i < len(entropy) else zero) for i in range(_POOL)]
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL:]:
+        for dst in range(_POOL):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    hash_const = _INIT_B
+    state = np.empty((zero.size, 8), "<u4")
+    for i in range(8):
+        value = pool[i % _POOL] ^ hash_const
+        hash_const = hash_const * _MULT_B & 0xFFFFFFFF
+        value = value * hash_const
+        state[:, i] = value ^ (value >> 16)
+    return state.view("<u8").astype(np.uint64)
+
+
+def _rep_seed_words(spec, rep_start, rep_count):
+    """Each replication's PCG64 seed words, shape (rep_count, 4) uint64.
+
+    Row i equals rep_seed_sequence(spec, rep_start + i).generate_state(4,
+    np.uint64). Within a run of reps between multiples of 2³² only the low
+    word of rep changes, so each run is hashed as one batch.
+    """
+    out = []
+    rep, stop = int(rep_start), int(rep_start) + int(rep_count)
+    while rep < stop:
+        end = min(stop, ((rep >> 32) + 1) << 32)
+        low = (rep & 0xFFFFFFFF) + np.arange(end - rep, dtype=np.uint32)
+        entropy = []
+        for i, value in enumerate(_rep_entropy(spec, rep)):
+            words = [np.full(low.size, w, np.uint32) for w in _u32_words(value)]
+            if i == 1:
+                words[0] = low
+            entropy += words
+        out.append(_seed_words(entropy))
+        rep = end
+    return np.concatenate(out)
+
+
+class _SeedWords(np.random.bit_generator.ISeedSequence):
+    """A seed sequence that hands PCG64 its precomputed state words."""
+
+    def __init__(self, words):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        assert n_words == 4 and np.dtype(dtype) == np.uint64
+        return self.words
 
 
 # ======================================================================
@@ -278,8 +367,8 @@ def batch_quadratic_variation(spec, rep_start, rep_count):
     """
     if rep_count < 1:
         raise ValueError("rep_count must be positive")
-    reps = range(int(rep_start), int(rep_start) + int(rep_count))
-    gens = [np.random.default_rng(rep_seed_sequence(spec, r)) for r in reps]
+    gens = [np.random.Generator(np.random.PCG64(_SeedWords(w)))
+            for w in _rep_seed_words(spec, rep_start, rep_count)]
     v = [np.einsum("ij,ij->i", d, d)
          for d in np.diff(_paths_batch(spec.target, spec.grid, gens), axis=2)]
     return v[0] if len(v) == 1 else np.stack(v, axis=1)

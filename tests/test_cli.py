@@ -176,6 +176,30 @@ def test_simulate_bad_target_is_a_config_error(tmp_path, capsys, target):
     assert not (tmp_path / "x.csv").exists()
 
 
+@pytest.mark.parametrize("over", [
+    {"n": None}, {"n": "abc"}, {"n": 0}, {"n": 2.5}, {"n": 2 ** 63},
+    {"seed": "x"}, {"seed": True}, {"seed": -1}, {"seed": 2 ** 64},
+    {"replications": None}, {"replications": 0}, {"replications": "5"},
+], ids=repr)
+def test_simulate_bad_number_is_a_config_error(tmp_path, capsys, over):
+    spec = _write_spec(tmp_path, **over)
+    assert main(["simulate", "--spec-file", spec,
+                 "--out", str(tmp_path / "x.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_simulate_integral_float_numbers_run(tmp_path, capsys):
+    # JSON 32.0 and 9.0 are the integers they spell, as in an experiment config
+    spec = _write_spec(tmp_path, n=32.0, seed=9.0, replications=5.0)
+    out, ref = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert main(["simulate", "--spec-file", spec, "--out", str(out)]) == 0
+    assert main(["simulate", "--spec-file", _write_spec(tmp_path), "--out", str(ref)]) == 0
+    capsys.readouterr()
+    assert out.read_bytes() == ref.read_bytes()
+
+
 # ======================================================================
 # estimate
 # ======================================================================
@@ -333,11 +357,28 @@ def test_experiment_bad_c_ell_is_a_config_error(tmp_path, capsys, c_ell):
     {"replications": 10, "statistics": ["mean", "var"]},
     {"replications": 10, "statistics": ["estimator_error"]},
     {"replications": 50, "statistics": ["ks_normal"]},
+    {"target": {"kind": "fbm", "hurst": None, "times": [2.0, 1.0],
+                "spectrum": {"kind": "explicit", "values": [1.0]}}},
+    {"target": {"kind": "fbm", "hurst": 10 ** 400, "times": [2.0, 1.0],
+                "spectrum": {"kind": "explicit", "values": [1.0]}}},
+    {"target": {"kind": "full_field",
+                "spectrum": {"kind": "explicit", "values": [1.0], "l_min": None}}},
+    {"target": {"kind": "full_field",
+                "spectrum": {"kind": "power_law", "c0": 1.0, "epsilon": 0.5, "l_max": None}}},
+    {"target": {"kind": "single_ell", "c_ell": 10 ** 400}},
+    {"target": {"kind": "full_field",
+                "spectrum": {"kind": "power_law", "c0": 1.0, "epsilon": float("nan"), "l_max": 8}}},
+    {"target": {"kind": "full_field",
+                "spectrum": {"kind": "explicit", "values": [1.0, float("nan")]}}},
+    {"target": {"kind": "fbm", "hurst": 0.5, "times": [float("nan"), 1.0],
+                "spectrum": {"kind": "explicit", "values": [1.0]}}},
 ], ids=["negative_l_min", "cell_not_a_pair", "cell_null_degree", "cell_of_one",
         "cells_string", "replications_null", "regime_c_string", "regime_c_nan",
         "regime_c_inf", "regime_c_overflows", "cell_n_overflows", "seed_string",
         "seed_bool", "batch_string", "statistics_number", "too_few_for_var",
-        "too_few_for_estimator", "too_few_for_ks"])
+        "too_few_for_estimator", "too_few_for_ks", "hurst_null", "hurst_overflows",
+        "l_min_null", "l_max_null", "c_ell_overflows", "epsilon_nan", "value_nan",
+        "time_nan"])
 def test_experiment_bad_config_exits_2_before_sampling(tmp_path, capsys, over):
     cfg = _write_config(tmp_path, **over)
     assert main(["experiment", "--config", cfg,

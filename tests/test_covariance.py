@@ -73,6 +73,12 @@ def test_spectrum_validation():
         PowerSpectrum.power_law(0.0, 0.5, l_max=10)
     with pytest.raises(ValueError):
         PowerSpectrum.power_law(1.0, -0.2, l_max=10)
+    for c0, eps in ((math.nan, 0.5), (math.inf, 0.5), (1.0, math.nan), (1.0, math.inf)):
+        with pytest.raises(ValueError):
+            PowerSpectrum.power_law(c0, eps, l_max=10)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            PowerSpectrum.explicit([1.0, bad])
     with pytest.raises(ValueError):
         PowerSpectrum(kind="weird", l_min=1, l_max=2)
     with pytest.raises(ValueError):
@@ -369,6 +375,9 @@ def test_fbm_spec_validation():
         FbmSpec(hurst=0.5, spectrum=sp, times=(1.0, 1.0))
     with pytest.raises(ValueError):
         FbmSpec(hurst=0.5, spectrum=sp, times=(-1.0, 2.0))
+    for times in ((math.nan, 1.0), (2.0, math.nan), (math.inf, 1.0)):
+        with pytest.raises(ValueError):
+            FbmSpec(hurst=0.5, spectrum=sp, times=times)
 
 
 def test_fbm_spatial_row_is_unnormalized_field_row():

@@ -252,6 +252,11 @@ _LEAF = (st.none() | st.booleans() | st.integers() | st.floats() | st.text() | _
 _JSON = st.recursive(
     _LEAF, lambda inner: st.lists(inner, max_size=4)
     | st.dictionaries(_NAMES | st.text(), inner, max_size=3), max_leaves=12)
+_SPECTRUM = (st.fixed_dictionaries({"kind": st.just("power_law"), "c0": _LEAF,
+                                     "epsilon": _LEAF, "l_max": _LEAF})
+             | st.fixed_dictionaries({"kind": st.just("explicit"),
+                                      "values": st.lists(_LEAF, max_size=3)},
+                                     optional={"l_min": _LEAF}))
 _SHAPED = {
     "cells": st.lists(st.lists(_LEAF, max_size=3), max_size=3),
     "statistics": st.lists(_LEAF, max_size=3),
@@ -259,12 +264,17 @@ _SHAPED = {
         {"kind": st.sampled_from(["fixed_ell", "ell_comparable", "ell_faster",
                                   "ell_slower"])},
         optional={"c": _LEAF}),
+    "target": st.fixed_dictionaries({"kind": st.just("single_ell")},
+                                    optional={"c_ell": _LEAF})
+    | st.fixed_dictionaries({"kind": st.just("full_field"), "spectrum": _SPECTRUM})
+    | st.fixed_dictionaries({"kind": st.just("fbm"), "hurst": _LEAF, "spectrum": _SPECTRUM,
+                             "times": st.lists(_LEAF, max_size=3)}),
 }
 
 
 @settings(max_examples=600, deadline=None)
 @given(st.sampled_from(["seed", "replications", "batch_size", "cells",
-                        "statistics", "regime"]),
+                        "statistics", "regime", "target"]),
        st.booleans(), st.booleans(), st.data())
 def test_any_json_value_is_a_config_or_a_config_error(key, comparable, shaped, data):
     raw = _base_config()

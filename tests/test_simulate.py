@@ -237,6 +237,51 @@ def test_stream_entropy_is_frozen(seed, rep, single_id, multi_id):
         assert rep_seed_sequence(multi, rep).entropy == [seed, rep]
 
 
+_SEED_EDGES = [0, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1]
+
+
+@pytest.mark.parametrize("seed", _SEED_EDGES)
+@pytest.mark.parametrize("ell", [5, 2 ** 32 + 1, None])
+def test_seed_words_are_numpys_seed_sequence(seed, ell):
+    # up to 6 entropy words ([2⁶⁴−1, 2³², 2³²+1]), so the mixing loop past
+    # the 4-word pool runs; the straddling batch changes rep's word count
+    target = FullField(PowerSpectrum.single(2, 1.0)) if ell is None else SingleEll(ell, 1.0)
+    spec = _spec(target, seed=seed)
+    for start, count in ((0, 3), (2 ** 32 - 2, 4), (2 ** 64 - 1, 2)):
+        got = simulate._rep_seed_words(spec, start, count)
+        want = np.array([rep_seed_sequence(spec, r).generate_state(4, np.uint64)
+                         for r in range(start, start + count)])
+        assert got.dtype == np.uint64 and got.shape == (count, 4)
+        assert_array_equal(got, want)
+
+
+def _default_rng_v(spec, rep_start, rep_count):
+    # V from numpy's own per-replication streams, the construction the
+    # batch's vectorized seed hash replaced
+    gens = [np.random.default_rng(rep_seed_sequence(spec, r))
+            for r in range(rep_start, rep_start + rep_count)]
+    paths = simulate._paths_batch(spec.target, spec.grid, gens)
+    v = [np.einsum("ij,ij->i", d, d) for d in np.diff(paths, axis=2)]
+    return v[0] if len(v) == 1 else np.stack(v, axis=1)
+
+
+@pytest.mark.parametrize("seed", _SEED_EDGES)
+def test_batch_streams_are_bitwise_default_rng(seed, monkeypatch):
+    # several chunks for the full field and the fractional pair; one batch
+    # straddles rep 2³², where rep's entropy grows from one word to two
+    monkeypatch.setattr(simulate, "_CHUNK_ROWS", 120)
+    sp = PowerSpectrum.power_law(0.9, 0.3, l_max=40)
+    assert len(simulate._degree_chunks(sp.l_min, sp.l_max)) >= 3
+    targets = [SingleEll(4, 1.3), FullField(sp),
+               FbmTarget(FbmSpec(hurst=0.35, spectrum=sp, times=(2.0, 1.0)))]
+    for target in targets:
+        spec = _spec(target, n=12, seed=seed)
+        for start, count in ((0, 4), (2 ** 32 - 2, 5)):
+            got = batch_quadratic_variation(spec, start, count)
+            want = _default_rng_v(spec, start, count)
+            assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 def test_stream_ids():
     s1 = _spec(SingleEll(5, 1.0), seed=42)
     assert rep_stream_id(s1, 3) == "42:3:5"
