@@ -12,7 +12,7 @@ Modules
 specfun
     Legendre polynomials (one recurrence sweep, also behind the full-field
     kernel rows), meridian spherical harmonics, Bessel J0/J2 from
-    scipy.special, small-angle Legendre approximation.
+    scipy.special (loaded on first call), small-angle Legendre approximation.
 covariance
     Power spectra, meridian grids, increment covariance (Gram) matrices,
     fractional-Brownian time coupling.

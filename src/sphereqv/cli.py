@@ -108,11 +108,8 @@ def _sample_target(obj):
     if isinstance(obj, dict) and obj.get("kind") == "single_ell":
         obj = dict(obj)
         ell = obj.pop("ell", None)
-        whole = ((isinstance(ell, int) and not isinstance(ell, bool))
-                 or (isinstance(ell, float) and ell.is_integer()))
-        if not whole or ell < 1:
-            raise ConfigError(
-                f"single_ell target needs an integer 'ell' ≥ 1, got {ell!r}")
+        ell = harness._config_int(
+            ell, f"single_ell target needs an integer 'ell' ≥ 1, got {ell!r}")
     return harness._sampler_target(harness._parse_target(obj), ell)
 
 

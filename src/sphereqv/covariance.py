@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import toeplitz
 
 from .specfun import _legendre_sweep, harmonic_meridian_table, legendre_p
 
@@ -274,6 +273,12 @@ def second_difference_p(ell, k, n):
 # ======================================================================
 # Increment Gram matrices
 # ======================================================================
+
+def toeplitz(row):
+    """Symmetric Toeplitz matrix of ``row``, bitwise ``scipy.linalg.toeplitz(row)``."""
+    wide = np.concatenate((row[:0:-1], row))
+    return np.lib.stride_tricks.sliding_window_view(wide, len(row))[::-1].copy()
+
 
 def _second_difference(kern):
     """Increment Gram row of a stationary kernel given on lags k = 0..N.

@@ -26,7 +26,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtr
 
 from . import moments as mom
 from .covariance import (FbmSpec, IncrementGram, LineGrid, PowerSpectrum,
@@ -70,32 +69,35 @@ class ConfigError(ValueError):
 # Configuration
 # ======================================================================
 
-# what a missing, null, mistyped or out-of-range target field raises on its
-# way through float(), int() and the spectrum and FbmSpec constructors
-_BAD_FIELD = (KeyError, TypeError, ValueError, OverflowError)
+_SPECTRUM_KEYS = {"power_law": {"kind", "c0", "epsilon", "l_max"},
+                  "explicit": {"kind", "values", "l_min"}}
 
 
 def _parse_spectrum(obj):
     if not isinstance(obj, dict):
         raise ConfigError("spectrum must be an object")
     kind = obj.get("kind")
+    allowed = _SPECTRUM_KEYS.get(kind) if isinstance(kind, str) else None
+    if allowed is None:
+        raise ConfigError("spectrum.kind must be 'power_law' or 'explicit'")
+    if set(obj) - allowed:
+        raise ConfigError(f"unknown spectrum keys {sorted(set(obj) - allowed)}")
     if kind == "power_law":
-        allowed = {"kind", "c0", "epsilon", "l_max"}
-        if set(obj) - allowed:
-            raise ConfigError(f"unknown spectrum keys {sorted(set(obj) - allowed)}")
-        try:
-            return PowerSpectrum.power_law(obj["c0"], obj["epsilon"], obj["l_max"])
-        except _BAD_FIELD as exc:
-            raise ConfigError(f"bad power_law spectrum: {exc}") from exc
-    if kind == "explicit":
-        allowed = {"kind", "values", "l_min"}
-        if set(obj) - allowed:
-            raise ConfigError(f"unknown spectrum keys {sorted(set(obj) - allowed)}")
-        try:
-            return PowerSpectrum.explicit(obj["values"], obj.get("l_min", 1))
-        except _BAD_FIELD as exc:
-            raise ConfigError(f"bad explicit spectrum: {exc}") from exc
-    raise ConfigError("spectrum.kind must be 'power_law' or 'explicit'")
+        make, args = PowerSpectrum.power_law, (
+            _config_real(obj.get("c0"), "power_law c0 must be a finite number"),
+            _config_real(obj.get("epsilon"), "power_law epsilon must be a finite number"),
+            _config_int(obj.get("l_max"), "power_law l_max must be an integer ≥ 1", 1, 2 ** 63))
+    else:
+        make, values = PowerSpectrum.explicit, obj.get("values")
+        if not isinstance(values, list):
+            raise ConfigError("explicit values must be a list of numbers")
+        args = ([_config_real(v, "explicit values must be finite numbers") for v in values],
+                _config_int(obj.get("l_min", 1), "explicit l_min must be an integer ≥ 0",
+                            0, 2 ** 63))
+    try:
+        return make(*args)
+    except ValueError as exc:
+        raise ConfigError(f"bad {kind} spectrum: {exc}") from exc
 
 
 def _config_int(value, message, lo=1, hi=math.inf):
@@ -107,6 +109,15 @@ def _config_int(value, message, lo=1, hi=math.inf):
             or not lo <= value < hi):
         raise ConfigError(message)
     return int(value)
+
+
+def _config_real(value, message, lo=-sys.float_info.max):
+    """value as a finite float ≥ lo, else ConfigError(message). Ints pass;
+    bools, strings, None, NaN, infinities and ints beyond the float range do not."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not lo <= value <= sys.float_info.max):
+        raise ConfigError(message)
+    return float(value)
 
 
 def _parse_regime(obj):
@@ -140,18 +151,19 @@ def _parse_target(obj):
         raise ConfigError(f"unknown target keys {sorted(set(obj) - allowed)}")
     if kind == "single_ell":
         c_ell = obj.get("c_ell", 1.0)
-        if (isinstance(c_ell, bool) or not isinstance(c_ell, numbers.Real)
-                or not 0.0 <= c_ell <= sys.float_info.max):
-            raise ConfigError(
-                f"c_ell must be a finite non-negative number, got {c_ell!r}")
-        return {"kind": kind, "c_ell": float(c_ell)}
+        return {"kind": kind, "c_ell": _config_real(
+            c_ell, f"c_ell must be a finite non-negative number, got {c_ell!r}", 0.0)}
     if kind == "full_field":
         return {"kind": kind, "spectrum": _parse_spectrum(obj.get("spectrum"))}
+    times = obj.get("times")
+    if not isinstance(times, list):
+        raise ConfigError("fbm times must be a list of two numbers")
+    hurst = _config_real(obj.get("hurst"), "fbm hurst must be a finite number")
+    times = tuple(_config_real(t, "fbm times must be finite numbers") for t in times)
+    spectrum = _parse_spectrum(obj.get("spectrum"))
     try:
-        spec = FbmSpec(hurst=float(obj["hurst"]),
-                       spectrum=_parse_spectrum(obj.get("spectrum")),
-                       times=tuple(obj["times"]))
-    except _BAD_FIELD as exc:
+        spec = FbmSpec(hurst=hurst, spectrum=spectrum, times=times)
+    except ValueError as exc:
         raise ConfigError(f"bad fbm target: {exc}") from exc
     return {"kind": kind, "spec": spec}
 
@@ -421,6 +433,7 @@ def ks_normal(samples):
     n = x.size
     if n < 100:
         raise ValueError(f"need at least 100 samples, got {n}")
+    from scipy.special import ndtr  # at first use, as in specfun.bessel_j
     phi = ndtr(np.sort(x))
     i = np.arange(1, n + 1, dtype=float)
     return float(max(np.max(i / n - phi), np.max(phi - (i - 1.0) / n)))

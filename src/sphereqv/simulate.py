@@ -70,8 +70,8 @@ class SingleEll:
     def __post_init__(self):
         if int(self.ell) != self.ell or self.ell < 1:
             raise ValueError("degree must be an integer ≥ 1")
-        if self.c_ell < 0:
-            raise ValueError("c_ell must be non-negative")
+        if not 0 <= self.c_ell < math.inf:
+            raise ValueError("c_ell must be finite and non-negative")
         object.__setattr__(self, "ell", int(self.ell))
 
 

@@ -22,6 +22,13 @@ def _parse_table(out):
     return pairs
 
 
+def _child_env():
+    """Environment for a child interpreter that imports the same package as this test."""
+    src = os.path.dirname(os.path.dirname(sphereqv.moments.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def _write_spec(tmp_path, **over):
     raw = {"target": {"kind": "single_ell", "ell": 3, "c_ell": 1.0},
            "n": 32, "seed": 9, "replications": 5}
@@ -372,13 +379,23 @@ def test_experiment_bad_c_ell_is_a_config_error(tmp_path, capsys, c_ell):
                 "spectrum": {"kind": "explicit", "values": [1.0, float("nan")]}}},
     {"target": {"kind": "fbm", "hurst": 0.5, "times": [float("nan"), 1.0],
                 "spectrum": {"kind": "explicit", "values": [1.0]}}},
+    {"target": {"kind": "fbm", "hurst": "0.5", "times": [2.0, 1.0],
+                "spectrum": {"kind": "explicit", "values": [1.0]}}},
+    {"target": {"kind": "full_field",
+                "spectrum": {"kind": "power_law", "c0": "1", "epsilon": 0.5, "l_max": 8}}},
+    {"target": {"kind": "full_field",
+                "spectrum": {"kind": "power_law", "c0": 1.0, "epsilon": 0.5, "l_max": 12.7}}},
+    {"target": {"kind": "full_field", "spectrum": {"kind": "explicit", "values": "7"}}},
+    {"target": {"kind": "full_field",
+                "spectrum": {"kind": "explicit", "values": [1.0], "l_min": True}}},
 ], ids=["negative_l_min", "cell_not_a_pair", "cell_null_degree", "cell_of_one",
         "cells_string", "replications_null", "regime_c_string", "regime_c_nan",
         "regime_c_inf", "regime_c_overflows", "cell_n_overflows", "seed_string",
         "seed_bool", "batch_string", "statistics_number", "too_few_for_var",
         "too_few_for_estimator", "too_few_for_ks", "hurst_null", "hurst_overflows",
         "l_min_null", "l_max_null", "c_ell_overflows", "epsilon_nan", "value_nan",
-        "time_nan"])
+        "time_nan", "hurst_string", "c0_string", "l_max_fractional", "values_string",
+        "l_min_bool"])
 def test_experiment_bad_config_exits_2_before_sampling(tmp_path, capsys, over):
     cfg = _write_config(tmp_path, **over)
     assert main(["experiment", "--config", cfg,
@@ -417,11 +434,8 @@ def test_help_documents_units(capsys):
 
 
 def test_console_entry_point_runs(tmp_path):
-    # the installed script must behave like main(): golden row + exit codes;
-    # the child process imports the same package as this test
-    src = os.path.dirname(os.path.dirname(sphereqv.moments.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    # the installed script must behave like main(): golden row + exit codes
+    env = _child_env()
     spec = _write_spec(tmp_path)
     out = tmp_path / "cli.csv"
     run = subprocess.run(
@@ -435,3 +449,17 @@ def test_console_entry_point_runs(tmp_path):
          "--n", "4", "--cl", "1"],
         capture_output=True, text=True, env=env)
     assert bad.returncode == 2
+
+
+def test_import_loads_no_scipy_until_a_call_needs_it():
+    # in a fresh interpreter, importing the package loads neither scipy.linalg
+    # nor scipy.special, and a whole moments call loads no scipy submodule
+    code = ("import sys\n"
+            "import sphereqv.cli as cli\n"
+            "assert not {'scipy.linalg', 'scipy.special'} & set(sys.modules)\n"
+            "assert cli.main(['moments', '--ell', '8', '--n', '64', '--cl', '1']) == 0\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.')))\n")
+    run = subprocess.run([sys.executable, "-c", code],
+                         capture_output=True, text=True, env=_child_env())
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == "[]"

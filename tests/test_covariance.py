@@ -267,6 +267,27 @@ def test_gram_from_row_is_bitwise_the_toeplitz_matrix():
         np.testing.assert_array_equal(gram.sigma, toeplitz(row))
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 17, 1024])
+def test_numpy_toeplitz_is_bitwise_scipys(n):
+    rng = np.random.default_rng(n)
+    row = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+    assert cov.toeplitz(row).flags.c_contiguous
+    np.testing.assert_array_equal(cov.toeplitz(row).view(np.uint64),
+                                  toeplitz(row).view(np.uint64))
+
+
+def test_fbm_joint_gram_is_bitwise_the_scipy_toeplitz_kron():
+    grid = LineGrid(40)
+    spec = FbmSpec(hurst=0.3, spectrum=PowerSpectrum.power_law(1.0, 0.2, 64),
+                   times=(2.0, 1.0))
+    (t, s), h2 = spec.times, 2.0 * spec.hurst
+    r = rh_cross(spec.hurst, t, s)
+    want = np.kron(np.array([[t ** h2, r], [r, s ** h2]]),
+                   toeplitz(fbm_spatial_row(spec.spectrum, grid)))
+    np.testing.assert_array_equal(fbm_joint_gram(spec, grid).view(np.uint64),
+                                  want.view(np.uint64))
+
+
 def test_increment_factor_reproduces_gram():
     # Σ = FᵀF for F the column difference of the scaled harmonic table, at
     # any l; the gram carries F only while l+1 ≤ N/8 (cells on both sides)

@@ -434,6 +434,12 @@ def test_sample_spec_validation():
         SingleEll(2, -1.0)
 
 
+@pytest.mark.parametrize("c_ell", [float("nan"), float("inf"), -float("inf")])
+def test_single_ell_needs_a_finite_c_ell(c_ell):
+    with pytest.raises(ValueError, match="finite"):
+        SingleEll(3, c_ell)
+
+
 def test_batch_rejects_empty_range():
     spec = _spec(SingleEll(1, 1.0))
     with pytest.raises(ValueError):
