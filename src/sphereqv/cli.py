@@ -27,7 +27,7 @@ from importlib import resources
 import numpy as np
 
 from . import harness, moments as mom
-from .covariance import LineGrid, increment_gram_fl
+from .covariance import LineGrid, _carries_factor, increment_gram_fl
 from .estimators import (estimate_cl, estimate_cl_classical,
                          estimate_cl_variant, estimate_hurst)
 from .harness import ConfigError, ExperimentConfig, check_oracle_agreement, run_experiment
@@ -63,7 +63,28 @@ def _emit_json(obj):
 # moments
 # ======================================================================
 
+def _physical_memory():
+    """Bytes of physical memory, or None where os.sysconf cannot tell."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return None
+
+
 def _cmd_moments(args):
+    # the largest array of the chosen path, the (l+1)×(N+1) harmonic table
+    # of the increment factor or else the dense N×N Gram, must fit in memory
+    # (the run holds about two of it); checked before anything is allocated
+    if _carries_factor(args.ell, args.n):
+        need, what = 8 * (args.ell + 1) * (args.n + 1), "increment factor"
+    else:
+        need, what = 8 * args.n * args.n, "dense Gram"
+    have = _physical_memory()
+    if have is not None and need > have:
+        sys.stderr.write(f"error: l={args.ell}, N={args.n} needs {need / 2 ** 30:,.1f} GiB "
+                         f"for its {what}, more than the {have / 2 ** 30:,.1f} GiB "
+                         f"of physical memory\n")
+        return 2
     gram = increment_gram_fl(args.ell, args.cl, LineGrid(args.n))
     mean = mom.exact_mean_vnl(args.ell, args.cl, args.n)
     var = mom.exact_var_vnl(gram)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import functools
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -173,7 +174,7 @@ class IncrementGram:
     draws from. Σ shares its nonzero eigenvalues with the R×R Gram F Fᵀ,
     so every trace cumulant costs O(R²N) rather than the O(N³) of the
     dense matrix, and the trace is ‖F‖²_F, free of the cancellation in
-    1 − P_l(cos(π/2N)).
+    1 − P_l(cos(π/2N)). :meth:`eigenvalues` decomposes once per gram.
     """
 
     def __init__(self, n, sigma=None, tail_bound=0.0, *, row=None, factor=None):
@@ -194,6 +195,7 @@ class IncrementGram:
             if factor.ndim != 2 or factor.shape[1] != self.n:
                 raise ValueError("factor must have N columns")
         self._sigma, self._row, self.factor = sigma, row, factor
+        self._eig = None
 
     def __repr__(self):
         rank = None if self.factor is None else self.factor.shape[0]
@@ -209,6 +211,21 @@ class IncrementGram:
     @property
     def first_row(self):
         return (self._sigma[0] if self._row is None else self._row).copy()
+
+    def eigenvalues(self):
+        """Eigenvalues whose power sums are tr(Σ^p), computed on first call.
+
+        With the increment factor F they are those of the R×R Gram F Fᵀ,
+        which shares Σ's nonzero spectrum; otherwise those of the dense
+        N×N matrix. The read-only array is kept, so every cumulant of one
+        gram shares one decomposition.
+        """
+        if self._eig is None:
+            f = self.factor
+            eig = np.linalg.eigvalsh(self.sigma if f is None else f @ f.T)
+            eig.flags.writeable = False
+            self._eig = eig
+        return self._eig
 
     def trace(self):
         if self.factor is not None:
@@ -306,7 +323,28 @@ def increment_row_fl(ell, c_ell, grid):
     return a * _second_difference(legendre_p(ell, lags))
 
 
-@functools.lru_cache(maxsize=1)
+def _single_flight_last(fn):
+    """Cache ``fn``'s last call; a caller of a key being built waits for it.
+
+    One ``lru_cache(maxsize=1)`` entry behind one lock: a worker that asks
+    while another builds the same key blocks until the build is done and
+    then reads the cached value, so concurrent misses build it once. A new
+    key evicts the old one. ``__wrapped__`` is ``fn`` and ``cache_clear``
+    empties the entry.
+    """
+    cached = functools.lru_cache(maxsize=1)(fn)
+    lock = threading.Lock()
+
+    @functools.wraps(fn)
+    def single_flight(*args):
+        with lock:
+            return cached(*args)
+
+    single_flight.cache_clear = cached.cache_clear
+    return single_flight
+
+
+@_single_flight_last
 def meridian_basis_fl(ell, c_ell, grid):
     """Scaled harmonic table B of the degree-l field, shape (l+1, N+1).
 
@@ -316,9 +354,11 @@ def meridian_basis_fl(ell, c_ell, grid):
     i.i.d. standard normal z, and its increments are zᵀF with F the column
     difference of B; the addition theorem gives FᵀF = the increment Gram.
 
-    The last (l, c_l, grid) is cached, so the sampler's batches of one cell
-    share one table instead of building it per batch; the shared array is
-    read-only.
+    Single-flight with one entry: the last (l, c_l, grid) is cached, and a
+    worker that asks for it while another worker builds it waits for that
+    build instead of starting its own, so the sampler's batches of one cell
+    share one table however many threads run them. The next key replaces
+    it, so no table outlives its cell. The shared array is read-only.
 
     Left out of ``__all__`` on purpose: perfbench's tracer wraps exported
     functions only, and its ``simulate.batch_self_s`` subtracts the harmonic
@@ -351,8 +391,13 @@ def increment_gram_fl(ell, c_ell, grid):
     """
     row = increment_row_fl(ell, c_ell, grid)
     factor = (np.diff(meridian_basis_fl(ell, c_ell, grid), axis=1)
-              if 8 * (ell + 1) <= grid.n else None)
+              if _carries_factor(ell, grid.n) else None)
     return IncrementGram(n=grid.n, row=row, factor=factor)
+
+
+def _carries_factor(ell, n):
+    """Whether :func:`increment_gram_fl` attaches the factor: l+1 ≤ N/8."""
+    return 8 * (ell + 1) <= n
 
 
 def _kernel_row(weights, l_min, x):

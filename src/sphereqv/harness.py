@@ -345,6 +345,11 @@ class ExperimentReport:
 # Statistics
 # ======================================================================
 
+def _jackknife_groups(n):
+    """Delete-block jackknife block count for n samples."""
+    return 50 if n >= 500 else max(2, n // 10)
+
+
 def _block_bounds(n, groups):
     edges = np.linspace(0, n, groups + 1).astype(int)
     return list(zip(edges[:-1], edges[1:]))
@@ -370,7 +375,7 @@ def empirical_cumulants(samples, p_max=4):
     if n < 10 * p_max:
         raise ValueError(f"need at least {10 * p_max} samples, got {n}")
 
-    groups = 50 if n >= 500 else max(2, n // 10)
+    groups = _jackknife_groups(n)
     bounds = _block_bounds(n, groups)
     powers = np.empty((4, groups))
     for b, (lo, hi) in enumerate(bounds):
@@ -409,18 +414,48 @@ def empirical_cumulants(samples, p_max=4):
     return [(float(full[p - 2]), float(se[p - 2])) for p in range(2, p_max + 1)]
 
 
-def _jackknife_se(samples, statistic, groups=None):
+def _jackknife_spread(vals):
+    """Jackknife SE from the G leave-one-block-out values of a statistic."""
+    vals = np.asarray(vals, dtype=float)
+    g = float(vals.size)
+    return float(np.sqrt((g - 1.0) / g * np.sum((vals - vals.mean()) ** 2)))
+
+
+def _jackknife_se(samples, statistic):
     """Delete-block jackknife SE of an arbitrary statistic (generic, O(G·n))."""
     x = np.asarray(samples, dtype=float)
     n = x.shape[0]
-    g = groups if groups else (50 if n >= 500 else max(2, n // 10))
-    if g < 2:
-        return float("nan")
-    vals = []
-    for lo, hi in _block_bounds(n, g):
-        vals.append(statistic(np.concatenate([x[:lo], x[hi:]])))
-    vals = np.asarray(vals, dtype=float)
-    return float(np.sqrt((g - 1.0) / g * np.sum((vals - vals.mean()) ** 2)))
+    return _jackknife_spread([statistic(np.concatenate([x[:lo], x[hi:]]))
+                              for lo, hi in _block_bounds(n, _jackknife_groups(n))])
+
+
+def _ks_sorted(phi):
+    """KS distance of a sample given as Φ of its sorted values."""
+    n = phi.size
+    i = np.arange(1, n + 1, dtype=float)
+    return float(max(np.max(i / n - phi), np.max(phi - (i - 1.0) / n)))
+
+
+def _ks_jackknife_se(samples):
+    """Bitwise ``_jackknife_se(samples, ks_normal)``, from one sort.
+
+    Sorts once and evaluates Φ once; each leave-one-block-out distance then
+    drops that block's members from the sorted Φ by mask. Equal values
+    give equal Φ, so every distance sees the same sorted array as a fresh
+    sort of its subsample, and goes through the same elementwise ops.
+    """
+    from scipy.special import ndtr  # at first use, as in specfun.bessel_j
+    x = np.asarray(samples, dtype=float).ravel()
+    bounds = _block_bounds(x.size, _jackknife_groups(x.size))
+    # block labels of the sorted sample; ≤ 50 blocks fit in one byte each
+    block = np.repeat(np.arange(len(bounds), dtype=np.uint8), [hi - lo for lo, hi in bounds])
+    # the loop below is the row's memory peak: Φ overwrites the sorted copy
+    # and the permutation is dropped first, keeping it near the generic one's
+    order = np.argsort(x)
+    phi, block = x[order], block[order]
+    del order
+    ndtr(phi, out=phi)
+    return _jackknife_spread([_ks_sorted(phi[block != b]) for b in range(len(bounds))])
 
 
 def ks_normal(samples):
@@ -434,9 +469,7 @@ def ks_normal(samples):
     if n < 100:
         raise ValueError(f"need at least 100 samples, got {n}")
     from scipy.special import ndtr  # at first use, as in specfun.bessel_j
-    phi = ndtr(np.sort(x))
-    i = np.arange(1, n + 1, dtype=float)
-    return float(max(np.max(i / n - phi), np.max(phi - (i - 1.0) / n)))
+    return _ks_sorted(ndtr(np.sort(x)))
 
 
 def loglog_slope(xs, ys, log_correction=None):
@@ -557,7 +590,7 @@ def _cell_rows(config, ell, n, samples, exact):
         elif stat == "ks_normal":
             f = (v - exact["mean"]) / math.sqrt(exact["var"])
             ks = ks_normal(f)
-            se = _jackknife_se(f, ks_normal) if f.size >= 200 else float("nan")
+            se = _ks_jackknife_se(f) if f.size >= 200 else float("nan")
             add("ks_normal", ks, se,
                 mom.fourth_moment_bound(gram), "fourth_moment_bound")
         elif stat == "estimator_error":
@@ -612,29 +645,29 @@ def run_experiment(config, threads=None, partial_flush=None):
     """Execute an experiment; deterministic for (config, seed), any workers.
 
     Replications are drawn in fixed batches of ``config.batch_size`` mapped
-    over a thread pool and reduced in submission order. On KeyboardInterrupt
+    over a thread pool and reduced in submission order. One pool serves
+    every cell: a pool per cell started new worker threads for each cell,
+    and threads starting before the last ones had exited made the C
+    allocator open fresh per-thread arenas, a few MB of resident memory
+    each, at random. On KeyboardInterrupt
     the rows finished so far are flushed through ``partial_flush`` (if
     given) before the interrupt propagates.
     """
     n_threads = _resolve_threads(threads)
     all_rows = []
     try:
-        for ell, n in config.cells:
-            spec = SampleSpec(target=_sampler_target(config.target, ell),
-                              grid=LineGrid(n), seed=config.seed,
-                              replications=config.replications)
-            reps = config.replications
-            starts = list(range(0, reps, config.batch_size))
-            with ThreadPoolExecutor(max_workers=n_threads) as pool:
-                futures = [
-                    pool.submit(batch_quadratic_variation, spec, s,
-                                min(config.batch_size, reps - s))
-                    for s in starts
-                ]
-                parts = [f.result() for f in futures]
-            samples = np.concatenate(parts, axis=0)
-            exact = _cell_exact(config, ell, n)
-            all_rows.extend(_cell_rows(config, ell, n, samples, exact))
+        with ThreadPoolExecutor(max_workers=n_threads) as pool:
+            for ell, n in config.cells:
+                spec = SampleSpec(target=_sampler_target(config.target, ell),
+                                  grid=LineGrid(n), seed=config.seed,
+                                  replications=config.replications)
+                reps = config.replications
+                futures = [pool.submit(batch_quadratic_variation, spec, s,
+                                       min(config.batch_size, reps - s))
+                           for s in range(0, reps, config.batch_size)]
+                samples = np.concatenate([f.result() for f in futures], axis=0)
+                exact = _cell_exact(config, ell, n)
+                all_rows.extend(_cell_rows(config, ell, n, samples, exact))
     except KeyboardInterrupt:
         if partial_flush is not None:
             partial_flush(ExperimentReport(rows=tuple(all_rows), slopes={},

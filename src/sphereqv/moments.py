@@ -147,14 +147,13 @@ def _sigma_of(gram):
 def _eigenvalues(gram):
     """Eigenvalues whose power sums are tr(Σ^p).
 
-    A gram carrying the increment factor F (R×N, Σ = FᵀF) uses the R×R
-    Gram F Fᵀ, which shares Σ's nonzero spectrum; anything else goes
-    through the dense N×N matrix.
+    An :class:`~sphereqv.covariance.IncrementGram` decomposes once and keeps
+    the result (from the R×R Gram F Fᵀ when it carries the increment
+    factor); a plain matrix is decomposed on every call.
     """
-    f = getattr(gram, "factor", None)
-    if f is None:
-        return np.linalg.eigvalsh(_sigma_of(gram))
-    return np.linalg.eigvalsh(f @ f.T)
+    if isinstance(gram, cov.IncrementGram):
+        return gram.eigenvalues()
+    return np.linalg.eigvalsh(np.asarray(gram, float))
 
 
 def _power_cumulant(eig, p):

@@ -252,6 +252,11 @@ def _degree_chunks(l_min, l_max):
     return chunks
 
 
+def _chunk_rows(lo, hi):
+    """Coefficient rows Σ(l+1) of the degree chunk [lo, hi)."""
+    return (hi - lo) * (hi + lo + 1) // 2
+
+
 def _scaled_chunks(spectrum, theta, factor):
     """Scaled harmonic basis of each degree chunk, from one recurrence sweep.
 
@@ -262,10 +267,12 @@ def _scaled_chunks(spectrum, theta, factor):
     matches the coefficient draw order. The sweep keeps its state across
     chunk boundaries, so each degree is evaluated once per call and written
     scaled straight into its chunk. Every chunk is a leading slice of one
-    buffer, so a yielded chunk is overwritten by the next.
+    buffer sized for the largest chunk (one degree with l+1 > _CHUNK_ROWS
+    is a chunk of its own, larger than that), so a yielded chunk is
+    overwritten by the next.
     """
     chunks = _degree_chunks(spectrum.l_min, spectrum.l_max)
-    sizes = [(hi - lo) * (hi + lo + 1) // 2 for lo, hi in chunks]
+    sizes = [_chunk_rows(lo, hi) for lo, hi in chunks]
     buf = np.empty((max(sizes), theta.size))
     blocks = itertools.islice(_meridian_blocks(spectrum.l_max, theta),
                               spectrum.l_min, None)
@@ -293,6 +300,14 @@ def _paths_batch(target, grid, gens):
     the channel's exact joint law at the two times. Its spatial convention
     Σ A_l (2l+1) P_l (no 1/(4π)) makes the per-degree scale √(4π A_l)
     against the normalized harmonics.
+
+    The multi-degree draws go through buffers allocated once per batch and
+    sized for the largest degree chunk: each replication's times·rows
+    normals of a chunk land in one reused vector (for a full field, straight
+    in its row of the coefficient matrix), and the pair writes l00·z0 and
+    l10·z0 + l11·z1 into two B × rows matrices, each a contiguous leading
+    slice of its buffer, with every value rounded as by the whole-array
+    expressions.
     """
     if isinstance(target, SingleEll):
         ell = target.ell
@@ -309,17 +324,27 @@ def _paths_batch(target, grid, gens):
         l10 = rh_cross(spec.hurst, t, s) / l00
         l11 = math.sqrt(max(s ** (2.0 * spec.hurst) - l10 * l10, 0.0))
         spectrum, factor, times = spec.spectrum, 4.0 * math.pi, 2
-    out = np.zeros((times, len(gens), grid.n + 1))
+    b = len(gens)
+    rows_max = max(_chunk_rows(lo, hi)
+                   for lo, hi in _degree_chunks(spectrum.l_min, spectrum.l_max))
+    coef = [np.empty(b * rows_max) for _ in range(times)]
+    draw = np.empty(2 * rows_max) if times == 2 else None
+    out = np.zeros((times, b, grid.n + 1))
     for basis in _scaled_chunks(spectrum, grid.points, factor):
         rows = basis.shape[0]
-        z = np.empty((len(gens), rows, times))
+        z = [c[:b * rows].reshape(b, rows) for c in coef]
         for i, g in enumerate(gens):
-            z[i] = g.standard_normal(times * rows).reshape(rows, times)
-        if times == 1:
-            out[0] += z[:, :, 0] @ basis
-        else:
-            out[0] += (l00 * z[:, :, 0]) @ basis
-            out[1] += (l10 * z[:, :, 0] + l11 * z[:, :, 1]) @ basis
+            if times == 1:
+                g.standard_normal(out=z[0][i])
+            else:
+                zi = draw[:2 * rows]
+                g.standard_normal(out=zi)
+                np.multiply(l11, zi[1::2], out=z[1][i])
+                np.multiply(l10, zi[0::2], out=z[0][i])
+                z[1][i] += z[0][i]  # l10·z0 + l11·z1, rounded as one expression
+                np.multiply(l00, zi[0::2], out=z[0][i])
+        for k in range(times):
+            out[k] += z[k] @ basis
     return out
 
 

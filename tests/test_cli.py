@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import sphereqv.moments
+from sphereqv import cli
 from sphereqv.cli import main
 from sphereqv.moments import exact_mean_vnl
 
@@ -77,11 +78,34 @@ def test_moments_grid_of_a_million(capsys):
 
 
 def test_moments_unallocatable_grid_is_one_line_error(capsys):
-    # the first O(N) array of a 10¹⁵-increment grid fails to allocate at once
+    # a 10¹⁵-increment grid is refused by the memory estimate up front
     assert main(["moments", "--ell", "8", "--n", "1000000000000000",
-                 "--cl", "1"]) == 1
+                 "--cl", "1"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_moments_beyond_physical_memory_exits_2_before_allocating(monkeypatch, capsys):
+    # N = 10¹² needs a 67 TiB factor table (7.3 TiB for its first O(N) array)
+    monkeypatch.setattr(cli, "increment_gram_fl",
+                        lambda *a: pytest.fail("allocated past the estimate"))
+    assert main(["moments", "--ell", "8", "--n", "1000000000000", "--cl", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith("error: l=8, N=1000000000000 needs ")
+    assert "increment factor" in err and "physical memory" in err
+
+
+def test_moments_memory_estimate_follows_the_chosen_path(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "_physical_memory", lambda: 2 ** 20)
+    # l+1 > N/8: the dense 512×512 Gram is 2 MiB
+    assert main(["moments", "--ell", "200", "--n", "512", "--cl", "1"]) == 2
+    assert "dense Gram" in capsys.readouterr().err
+    # l+1 ≤ N/8: the 9×4097 factor table is 288 KiB and fits
+    assert main(["moments", "--ell", "8", "--n", "4096", "--cl", "1"]) == 0
+    assert capsys.readouterr().err == ""
+    monkeypatch.setattr(cli, "_physical_memory", lambda: None)  # unknown: no check
+    assert main(["moments", "--ell", "200", "--n", "512", "--cl", "1"]) == 0
 
 
 def test_moments_comparable_needs_ratio():

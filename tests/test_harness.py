@@ -3,6 +3,7 @@
 import json
 import math
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy import special, stats
 
+from sphereqv import covariance, harness
 from sphereqv.harness import (
     CellStat,
     ConfigError,
@@ -94,6 +96,18 @@ def test_ks_normal_degenerate_sample():
 def test_ks_normal_matches_reference():
     x = RNG.standard_normal(5000)
     assert_allclose(ks_normal(x), stats.kstest(x, "norm").statistic, rtol=1e-9)
+
+
+@pytest.mark.parametrize("sample", [
+    # one decimal: hundreds of ties, some of them across block boundaries
+    np.round(np.random.default_rng(3).standard_normal(1000), 1),
+    np.random.default_rng(4).standard_normal(50_000),
+    np.random.default_rng(5).standard_normal(237) * 2.0 + 0.3,
+], ids=["ties", "fifty_thousand", "uneven_blocks"])
+def test_ks_jackknife_from_one_sort_is_bitwise_the_generic_one(sample):
+    want = harness._jackknife_se(sample, ks_normal)
+    got = harness._ks_jackknife_se(sample)
+    assert np.float64(got).view(np.uint64) == np.float64(want).view(np.uint64)
 
 
 def test_ks_normal_needs_enough_samples():
@@ -337,6 +351,54 @@ def test_shared_cell_basis_survives_thread_stress():
         got = run_experiment(cfg, threads=8).to_json()
     finally:
         sys.setswitchinterval(interval)
+    assert got == want
+
+
+@pytest.mark.parametrize("threads", [2, 8])
+def test_concurrent_batches_build_each_cell_table_once(monkeypatch, threads):
+    # every batch of a cell asks for the same basis at once; the table build
+    # is slowed so that, without single flight, a second worker would miss
+    # the cache while the first is still building and build it again
+    cfg = ExperimentConfig.from_dict({
+        "seed": 11, "replications": 320, "statistics": ["mean", "var"],
+        "target": {"kind": "single_ell", "c_ell": 1.3},
+        "cells": [[6, 16], [6, 24], [6, 16]], "batch_size": 40,
+    })
+    want = run_experiment(cfg, threads=1).to_json()
+    calls = []
+    table = covariance.harmonic_meridian_table
+
+    def slow_table(*args):
+        calls.append(args[0])
+        time.sleep(0.02)
+        return table(*args)
+
+    monkeypatch.setattr(covariance, "harmonic_meridian_table", slow_table)
+    covariance.meridian_basis_fl.cache_clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = run_experiment(cfg, threads=threads).to_json()
+    finally:
+        sys.setswitchinterval(interval)
+    assert calls == [6, 6, 6]  # once per cell, each cell rebuilds its own
+    assert got == want
+
+
+def test_each_cell_decomposes_its_gram_once(monkeypatch):
+    # k3, k4 and the fourth-moment bound share one eigendecomposition
+    cfg = ExperimentConfig.from_dict({
+        "seed": 21, "replications": 400,
+        "statistics": ["mean", "var", "k3", "k4", "ks_normal"],
+        "target": {"kind": "single_ell", "c_ell": 0.7},
+        "cells": [[3, 12], [3, 20]], "batch_size": 200,
+    })
+    want = run_experiment(cfg, threads=1).to_json()
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or eigvalsh(a))
+    got = run_experiment(cfg, threads=1).to_json()
+    assert calls == [(12, 12), (20, 20)]
     assert got == want
 
 

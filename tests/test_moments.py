@@ -99,6 +99,27 @@ def test_trace_cumulant_accepts_gram_or_array():
     assert trace_cumulant(gram, 3) == trace_cumulant(gram.sigma, 3)
 
 
+def test_gram_decomposes_once_and_arrays_every_call(monkeypatch):
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or eigvalsh(a))
+
+    def cumulants(make):
+        return [trace_cumulant(make(), p) for p in (3, 4, 5)] + [fourth_moment_bound(make())]
+
+    for ell, n, rank in ((3, 64, 4), (6, 16, 16)):  # factor path, then dense
+        fresh = cumulants(lambda: increment_gram_fl(ell, 1.1, LineGrid(n)))  # a gram per value
+        gram = increment_gram_fl(ell, 1.1, LineGrid(n))
+        calls.clear()
+        assert cumulants(lambda: gram) == fresh and cumulants(lambda: gram) == fresh
+        assert calls == [(rank, rank)]
+        assert not gram.eigenvalues().flags.writeable
+    sigma = increment_gram_fl(6, 1.1, LineGrid(16)).sigma
+    calls.clear()
+    assert trace_cumulant(sigma, 3) == trace_cumulant(sigma, 3)
+    assert calls == [(16, 16), (16, 16)]
+
+
 def test_trace_cumulant_order_bounds():
     sig = np.eye(3)
     for bad in (1, 9, 2.5):

@@ -153,6 +153,45 @@ def test_chunked_sweep_is_bitwise_the_per_chunk_stacks(monkeypatch):
     assert_array_equal(gs.view(np.uint64), ws.view(np.uint64))
 
 
+@pytest.mark.parametrize("chunk_rows, spectrum", [
+    # degrees 20..30 exceed the chunk size: one oversize chunk each
+    (20, PowerSpectrum.power_law(0.9, 0.3, l_max=30)),
+    # the last chunk (15 rows) is shorter than the first (39 rows)
+    (40, PowerSpectrum.explicit(np.linspace(1.0, 0.2, 12), l_min=3)),
+], ids=["oversize", "short_last"])
+def test_reused_draw_buffers_are_bitwise_the_per_chunk_draws(monkeypatch, chunk_rows,
+                                                             spectrum):
+    # the multi-degree draws reuse buffers sized for the largest chunk; both
+    # targets must give the bits of fresh per-chunk arrays
+    monkeypatch.setattr(simulate, "_CHUNK_ROWS", chunk_rows)
+    sizes = [simulate._chunk_rows(lo, hi)
+             for lo, hi in simulate._degree_chunks(spectrum.l_min, spectrum.l_max)]
+    assert len(sizes) >= 3
+    assert max(sizes) > chunk_rows or sizes[-1] < max(sizes)
+    grid = LineGrid(20)
+    theta = grid.points
+
+    def gens():
+        return [np.random.default_rng(rep_seed_sequence(_spec(FullField(spectrum)), r))
+                for r in range(4)]
+
+    (got,) = simulate._paths_batch(FullField(spectrum), grid, gens())
+    (want,) = _chunked_reference(spectrum, theta, lambda l: math.sqrt(spectrum.cl(l)),
+                                 gens(), None)
+    assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    fspec = FbmSpec(hurst=0.7, spectrum=spectrum, times=(0.5, 3.0))
+    gt, gs = simulate._paths_batch(FbmTarget(fspec), grid, gens())
+    l00 = 0.5 ** 0.7
+    l10 = rh_cross(0.7, 0.5, 3.0) / l00
+    l11 = math.sqrt(max(3.0 ** 1.4 - l10 * l10, 0.0))
+    wt, ws = _chunked_reference(spectrum, theta,
+                                lambda l: math.sqrt(4.0 * math.pi * spectrum.cl(l)),
+                                gens(), (l00, l10, l11))
+    assert_array_equal(gt.view(np.uint64), wt.view(np.uint64))
+    assert_array_equal(gs.view(np.uint64), ws.view(np.uint64))
+
+
 def test_single_degree_cell_builds_its_basis_once(monkeypatch):
     # a cell's batches share one read-only basis; values are those of a
     # basis built afresh for every batch
