@@ -71,19 +71,32 @@ def _physical_memory():
         return None
 
 
+def _memory_error(have, need, what, where):
+    """One-line exit-2 message when ``need`` bytes exceed physical memory
+    ``have`` (None: unknown, no check); None when they fit."""
+    if have is None or need <= have:
+        return None
+    return (f"error: {where} needs {need / 2 ** 30:,.1f} GiB for its {what}, "
+            f"more than the {have / 2 ** 30:,.1f} GiB of physical memory\n")
+
+
 def _cmd_moments(args):
-    # the largest array of the chosen path, the (l+1)×(N+1) harmonic table
-    # of the increment factor or else the dense N×N Gram, must fit in memory
-    # (the run holds about two of it); checked before anything is allocated
+    # the chosen path's peak must fit in memory; checked before anything is
+    # allocated. At its peak the factor path holds the (l+1)×(N+1) harmonic
+    # table, its differenced (l+1)×N factor and the length-N Gram row,
+    # 8(N+1)(2l+3) bytes; the dense path holds the N×N Gram and eigvalsh's
+    # copy of it, 16N² bytes. tracemalloc over the whole command read
+    # 1.000-1.013 of these at (l, N) = (1, 8·10⁶), (3, 4·10⁶), (8, 10⁶),
+    # (16, 10⁶), (64, 2¹⁸), (200, 512) and (1000, 2048). Small tables peak
+    # instead while the recurrence's column tiles (a few 2²⁰-value buffers,
+    # tens of MB) are live: 2.2 of the estimate at (1, 2²⁰).
     if _carries_factor(args.ell, args.n):
-        need, what = 8 * (args.ell + 1) * (args.n + 1), "increment factor"
+        need, what = 8 * (args.n + 1) * (2 * args.ell + 3), "increment factor"
     else:
-        need, what = 8 * args.n * args.n, "dense Gram"
-    have = _physical_memory()
-    if have is not None and need > have:
-        sys.stderr.write(f"error: l={args.ell}, N={args.n} needs {need / 2 ** 30:,.1f} GiB "
-                         f"for its {what}, more than the {have / 2 ** 30:,.1f} GiB "
-                         f"of physical memory\n")
+        need, what = 16 * args.n * args.n, "dense Gram"
+    error = _memory_error(_physical_memory(), need, what, f"l={args.ell}, N={args.n}")
+    if error:
+        sys.stderr.write(error)
         return 2
     gram = increment_gram_fl(args.ell, args.cl, LineGrid(args.n))
     mean = mom.exact_mean_vnl(args.ell, args.cl, args.n)
@@ -231,6 +244,14 @@ def _cmd_experiment(args):
     if args.reps is not None:
         raw["replications"] = args.reps
     config = ExperimentConfig.from_dict(raw)
+    have = _physical_memory()
+    for ell, n in config.cells:
+        # a cell's largest array, checked for every cell before any draw
+        error = _memory_error(have, *max(harness._cell_arrays(config, ell, n)),
+                              f"cell (l={ell}, N={n})")
+        if error:
+            sys.stderr.write(error)
+            return 2
     base = args.out or config.output or "experiment_report"
     report = run_experiment(config, threads=args.threads,
                             partial_flush=lambda rep: rep.write(base))

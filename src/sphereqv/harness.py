@@ -32,8 +32,8 @@ from .covariance import (FbmSpec, IncrementGram, LineGrid, PowerSpectrum,
                          fbm_spatial_row, increment_row_f, increment_row_fl)
 from .estimators import estimate_cl, estimate_hurst
 from .moments import RegimeTag
-from .simulate import (FbmTarget, FullField, SampleSpec, SingleEll,
-                       batch_quadratic_variation)
+from .simulate import (_CHUNK_ROWS, FbmTarget, FullField, SampleSpec, SingleEll,
+                       _chunk_rows, batch_quadratic_variation)
 
 __all__ = [
     "ConfigError",
@@ -429,11 +429,17 @@ def _jackknife_se(samples, statistic):
                               for lo, hi in _block_bounds(n, _jackknife_groups(n))])
 
 
-def _ks_sorted(phi):
-    """KS distance of a sample given as Φ of its sorted values."""
-    n = phi.size
+def _ks_grid(n):
+    """The empirical CDF's steps (i/n, (i−1)/n), i = 1..n, of an n-sample."""
     i = np.arange(1, n + 1, dtype=float)
-    return float(max(np.max(i / n - phi), np.max(phi - (i - 1.0) / n)))
+    return i / n, (i - 1.0) / n
+
+
+def _ks_sorted(phi, grid):
+    """KS distance of a sample given as Φ of its sorted values and their
+    ``_ks_grid(phi.size)``."""
+    upper, lower = grid
+    return float(max(np.max(upper - phi), np.max(phi - lower)))
 
 
 def _ks_jackknife_se(samples):
@@ -442,7 +448,9 @@ def _ks_jackknife_se(samples):
     Sorts once and evaluates Φ once; each leave-one-block-out distance then
     drops that block's members from the sorted Φ by mask. Equal values
     give equal Φ, so every distance sees the same sorted array as a fresh
-    sort of its subsample, and goes through the same elementwise ops.
+    sort of its subsample, and goes through the same elementwise ops. The
+    blocks differ in size by at most one, so the leave-one-out samples
+    have at most two sizes, and each size's rank grid is built once.
     """
     from scipy.special import ndtr  # at first use, as in specfun.bessel_j
     x = np.asarray(samples, dtype=float).ravel()
@@ -455,7 +463,10 @@ def _ks_jackknife_se(samples):
     phi, block = x[order], block[order]
     del order
     ndtr(phi, out=phi)
-    return _jackknife_spread([_ks_sorted(phi[block != b]) for b in range(len(bounds))])
+    sizes = [x.size - (hi - lo) for lo, hi in bounds]
+    grids = {m: _ks_grid(m) for m in set(sizes)}
+    return _jackknife_spread([_ks_sorted(phi[block != b], grids[m])
+                              for b, m in enumerate(sizes)])
 
 
 def ks_normal(samples):
@@ -469,7 +480,7 @@ def ks_normal(samples):
     if n < 100:
         raise ValueError(f"need at least 100 samples, got {n}")
     from scipy.special import ndtr  # at first use, as in specfun.bessel_j
-    return _ks_sorted(ndtr(np.sort(x)))
+    return _ks_sorted(ndtr(np.sort(x)), _ks_grid(n))
 
 
 def loglog_slope(xs, ys, log_correction=None):
@@ -614,6 +625,32 @@ def _cell_rows(config, ell, n, samples, exact):
             se = _jackknife_se(h, np.median)
             add("hurst_median", med, se, spec.hurst, "estimate_hurst")
     return rows
+
+
+def _cell_arrays(config, ell, n):
+    """(bytes, name) of each large array one cell of ``config`` allocates.
+
+    The batch paths are (times, B, N+1) with B the batch size. The
+    sampler's basis, one degree's (l+1)×(N+1) table or the largest
+    multi-degree chunk of ``simulate._degree_chunks`` (at most _CHUNK_ROWS
+    rows, or one degree of more), sits beside its times·B·rows coefficient
+    buffers. The cell's values are times·R. After sampling, the k3, k4 and
+    ks_normal rows decompose the dense N×N Gram.
+    """
+    kind = config.target["kind"]
+    times = 2 if kind == "fbm" else 1
+    batch = min(config.batch_size, config.replications)
+    if kind == "single_ell":
+        rows = ell + 1
+    else:
+        sp = config.target["spec"].spectrum if kind == "fbm" else config.target["spectrum"]
+        rows = max(sp.l_max + 1, min(_CHUNK_ROWS, _chunk_rows(sp.l_min, sp.l_max + 1)))
+    arrays = [(8 * times * batch * (n + 1), "batch paths"),
+              (8 * rows * (n + 1 + times * batch), "sampler basis and coefficients"),
+              (8 * times * config.replications, "sampled values")]
+    if {"k3", "k4", "ks_normal"} & set(config.statistics):
+        arrays.append((8 * n * n, "dense Gram"))
+    return arrays
 
 
 def _fit_slopes(config, rows):

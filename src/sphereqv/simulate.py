@@ -224,13 +224,19 @@ def _rep_seed_words(spec, rep_start, rep_count):
 
 
 class _SeedWords(np.random.bit_generator.ISeedSequence):
-    """A seed sequence that hands PCG64 its precomputed state words."""
+    """A seed sequence that hands PCG64 its precomputed state words.
+
+    PCG64 asks for exactly generate_state(4, np.uint64), the shape of a row
+    of ``_rep_seed_words``; a test pins that request, so no replication
+    pays for checking it.
+    """
+
+    __slots__ = ("words",)
 
     def __init__(self, words):
         self.words = words
 
     def generate_state(self, n_words, dtype=np.uint32):
-        assert n_words == 4 and np.dtype(dtype) == np.uint64
         return self.words
 
 
@@ -290,11 +296,14 @@ def _scaled_chunks(spectrum, theta, factor):
 def _paths_batch(target, grid, gens):
     """Meridian paths of a batch of generators, shape (times, B, N+1).
 
-    A single degree (times = 1) draws its full 2l+1 coefficients and keeps
-    the leading l+1: the l sine channels multiply sin(mφ) = 0 on the
-    meridian. A full field (times = 1) draws l+1 normals per degree,
-    l_min..l_max ascending; the draw layout is part of the determinism
-    contract. The fractional pair (times = 2) draws two normals per
+    A single degree (times = 1) draws only its l+1 cosine-channel normals
+    per replication stream, straight into that replication's row of the
+    coefficient matrix: the l sine channels multiply sin(mφ) = 0 on the
+    meridian, and as they come last in the stream's 2l+1 draws, which the
+    ziggurat consumes in order with no buffered state, the l+1 drawn are
+    bitwise the leading l+1 of a full draw. A full field (times = 1) draws
+    l+1 normals per degree, l_min..l_max ascending; the draw layout is part
+    of the determinism contract. The fractional pair (times = 2) draws two normals per
     coefficient channel (l, m) and maps them through the lower Cholesky
     factor of [[t^{2H}, r], [r, s^{2H}]] with r = ½(t^{2H}+s^{2H}−|t−s|^{2H}),
     the channel's exact joint law at the two times. Its spatial convention
@@ -312,8 +321,8 @@ def _paths_batch(target, grid, gens):
     if isinstance(target, SingleEll):
         ell = target.ell
         z = np.empty((len(gens), ell + 1))
-        for i, g in enumerate(gens):
-            z[i] = g.standard_normal(2 * ell + 1)[:ell + 1]
+        for row, g in zip(z, gens):
+            g.standard_normal(out=row)
         return (z @ meridian_basis_fl(ell, target.c_ell, grid))[None]
     if isinstance(target, FullField):
         spectrum, factor, times = target.spectrum, 1.0, 1
@@ -353,8 +362,16 @@ def _paths_batch(target, grid, gens):
 # ======================================================================
 
 def sample_fl_line(ell, c_ell, grid, rng):
-    """One exact path of the degree-l field: 2l+1 normals drawn, l+1 used."""
-    return PathSample(values=_paths_batch(SingleEll(ell, c_ell), grid, [rng])[0, 0])
+    """One exact path of the degree-l field: 2l+1 normals drawn, l+1 used.
+
+    The batch body draws the l+1 cosine-channel normals; the l sine-channel
+    ones after them are then drawn and dropped, so ``rng`` ends where 2l+1
+    draws leave it and the caller's later draws are unchanged.
+    """
+    target = SingleEll(ell, c_ell)
+    values = _paths_batch(target, grid, [rng])[0, 0]
+    rng.standard_normal(target.ell)
+    return PathSample(values=values)
 
 
 def sample_f_line(spectrum, grid, rng):

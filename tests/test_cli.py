@@ -108,6 +108,22 @@ def test_moments_memory_estimate_follows_the_chosen_path(monkeypatch, capsys):
     assert main(["moments", "--ell", "200", "--n", "512", "--cl", "1"]) == 0
 
 
+@pytest.mark.parametrize("ell, n, old_need", [
+    (8, 10 ** 6, 8 * 9 * (10 ** 6 + 1)),  # factor path: the table alone
+    (200, 512, 8 * 512 * 512),            # dense path: one N×N Gram
+])
+def test_moments_estimate_counts_the_peak_not_one_array(monkeypatch, capsys, ell, n, old_need):
+    # the run peaks near twice its largest array: memory between one and
+    # two of it passed a one-array estimate and then ran out
+    monkeypatch.setattr(cli, "_physical_memory", lambda: 3 * old_need // 2)
+    monkeypatch.setattr(cli, "increment_gram_fl",
+                        lambda *a: pytest.fail("allocated past the estimate"))
+    assert main(["moments", "--ell", str(ell), "--n", str(n), "--cl", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith(f"error: l={ell}, N={n} needs ")
+
+
 def test_moments_comparable_needs_ratio():
     with pytest.raises(SystemExit) as exc:
         main(["moments", "--ell", "8", "--n", "8", "--cl", "1",
@@ -426,6 +442,30 @@ def test_experiment_bad_config_exits_2_before_sampling(tmp_path, capsys, over):
                  "--out", str(tmp_path / "r")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1
+    assert not (tmp_path / "r.json").exists()
+
+
+_POWER_LAW = {"kind": "power_law", "c0": 1.0, "epsilon": 0.5, "l_max": 200}
+
+
+@pytest.mark.parametrize("over, what", [
+    ({"cells": [[2, 4096]]}, "batch paths"),
+    ({"target": {"kind": "full_field", "spectrum": _POWER_LAW}, "cells": [[1, 2048]],
+      "regime": {"kind": "ell_slower"}}, "sampler basis and coefficients"),
+    ({"target": {"kind": "fbm", "hurst": 0.3, "times": [2.0, 1.0],
+                 "spectrum": {"kind": "explicit", "values": [1.0]}},
+      "cells": [[0, 1024]], "statistics": ["mean", "ks_normal"]}, "dense Gram"),
+    ({"replications": 10 ** 6}, "sampled values"),
+], ids=["batch_paths", "basis_chunk", "dense_gram", "values"])
+def test_experiment_cell_beyond_physical_memory_exits_2_before_sampling(
+        tmp_path, capsys, monkeypatch, over, what):
+    monkeypatch.setattr(cli, "_physical_memory", lambda: 2 ** 20)
+    monkeypatch.setattr(cli, "run_experiment", lambda *a, **k: pytest.fail("sampled"))
+    cfg = _write_config(tmp_path, **over)
+    assert main(["experiment", "--config", cfg, "--out", str(tmp_path / "r")]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith("error: cell (l=") and f"for its {what}, more than" in err
     assert not (tmp_path / "r.json").exists()
 
 

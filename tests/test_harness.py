@@ -103,7 +103,9 @@ def test_ks_normal_matches_reference():
     np.round(np.random.default_rng(3).standard_normal(1000), 1),
     np.random.default_rng(4).standard_normal(50_000),
     np.random.default_rng(5).standard_normal(237) * 2.0 + 0.3,
-], ids=["ties", "fifty_thousand", "uneven_blocks"])
+    # 50 blocks of 246 and 247: two leave-one-out sizes share their rank grids
+    np.random.default_rng(6).standard_normal(12_345),
+], ids=["ties", "fifty_thousand", "uneven_blocks", "fifty_uneven_blocks"])
 def test_ks_jackknife_from_one_sort_is_bitwise_the_generic_one(sample):
     want = harness._jackknife_se(sample, ks_normal)
     got = harness._ks_jackknife_se(sample)

@@ -237,7 +237,8 @@ def _frozen_fl_line(ell, c_ell, grid, rng):
     return z[:ell + 1] @ meridian_basis_fl(ell, c_ell, grid)
 
 
-@pytest.mark.parametrize("ell, n", [(1, 1), (3, 16), (9, 64), (40, 33)])
+@pytest.mark.parametrize("ell, n", [(1, 1), (3, 16), (9, 64), (40, 33),
+                                   (64, 64), (128, 128), (256, 256)])  # bundled regime_sweep
 def test_single_degree_is_bitwise_the_frozen_bodies(ell, n):
     spec = _spec(SingleEll(ell, 0.8), n=n, seed=2 ** 32 + 5, reps=60)
     for start, count in ((0, 60), (7, 1), (13, 20)):
@@ -249,6 +250,28 @@ def test_single_degree_is_bitwise_the_frozen_bodies(ell, n):
         got = sample_fl_line(ell, 0.8, spec.grid, np.random.default_rng(seed)).values
         want = _frozen_fl_line(ell, 0.8, spec.grid, np.random.default_rng(seed))
         assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("ell", [1, 3, 40, 256])
+def test_single_path_draws_2l_plus_1_normals(ell):
+    # l+1 normals reach the path; the generator still ends where 2l+1 leave it
+    rng, twin = np.random.default_rng(ell), np.random.default_rng(ell)
+    sample_fl_line(ell, 0.8, LineGrid(8), rng)
+    twin.standard_normal(2 * ell + 1)
+    assert rng.bit_generator.state == twin.bit_generator.state
+
+
+def test_pcg64_asks_seed_words_for_four_uint64(monkeypatch):
+    requests = []
+
+    class Recording(simulate._SeedWords):
+        def generate_state(self, n_words, dtype=np.uint32):
+            requests.append((n_words, np.dtype(dtype)))
+            return super().generate_state(n_words, dtype)
+
+    monkeypatch.setattr(simulate, "_SeedWords", Recording)
+    batch_quadratic_variation(_spec(SingleEll(3, 1.0)), 0, 3)
+    assert requests == [(4, np.dtype(np.uint64))] * 3
 
 
 @pytest.mark.parametrize("seed, rep, single_id, multi_id", [
