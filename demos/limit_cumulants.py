@@ -1,8 +1,9 @@
 """Normalized cumulants of the quadratic variation converge as the grid refines.
 
 At fixed degree the centered, scaled statistic has nonvanishing third and
-fourth cumulants in the fine-grid limit; the limits come from quadrature
-over the increment correlation profile. The table shows the finite-N
+fourth cumulants in the fine-grid limit; the limits are eigenvalue power
+sums of the limit operator, whose kernel is the increment correlation
+profile, from one Nyström eigenproblem. The table shows the finite-N
 values closing in. Each row comes from the rank-(l+1) increment factor, so
 the sweep runs to N = 65536, far past the grids an N×N Gram could hold.
 """

@@ -11,8 +11,8 @@ Subcommands wrap the library layers one-to-one:
 Units: degrees l are dimensionless integers ≥ 1, angles are radians, seeds
 are unsigned 64-bit integers. Exit codes: 0 success, 1 numeric or I/O
 failure, 2 flag/config validation error, 3 oracle-agreement failure under
-``experiment --strict``. Worker count: --threads, else SPHEREQV_THREADS,
-else machine parallelism; outputs are byte-identical for any worker count.
+``experiment --strict``. Worker count: --threads, else machine
+parallelism; outputs are byte-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -71,13 +71,17 @@ def _physical_memory():
         return None
 
 
-def _memory_error(have, need, what, where):
-    """One-line exit-2 message when ``need`` bytes exceed physical memory
-    ``have`` (None: unknown, no check); None when they fit."""
+def _memory_error(arrays, where):
+    """True, after writing the one-line exit-2 message, when the largest of
+    ``arrays``, (bytes, name) pairs, exceeds physical memory; False when it
+    fits or physical memory is unknown."""
+    have = _physical_memory()
+    need, what = max(arrays)
     if have is None or need <= have:
-        return None
-    return (f"error: {where} needs {need / 2 ** 30:,.1f} GiB for its {what}, "
-            f"more than the {have / 2 ** 30:,.1f} GiB of physical memory\n")
+        return False
+    sys.stderr.write(f"error: {where} needs {need / 2 ** 30:,.1f} GiB for its {what}, "
+                     f"more than the {have / 2 ** 30:,.1f} GiB of physical memory\n")
+    return True
 
 
 def _cmd_moments(args):
@@ -94,9 +98,7 @@ def _cmd_moments(args):
         need, what = 8 * (args.n + 1) * (2 * args.ell + 3), "increment factor"
     else:
         need, what = 16 * args.n * args.n, "dense Gram"
-    error = _memory_error(_physical_memory(), need, what, f"l={args.ell}, N={args.n}")
-    if error:
-        sys.stderr.write(error)
+    if _memory_error([(need, what)], f"l={args.ell}, N={args.n}"):
         return 2
     gram = increment_gram_fl(args.ell, args.cl, LineGrid(args.n))
     mean = mom.exact_mean_vnl(args.ell, args.cl, args.n)
@@ -165,8 +167,11 @@ def _cmd_simulate(args):
     n = harness._config_int(raw["n"], "n must be a positive integer", 1, 2 ** 63)
     seed = harness._config_int(seed, "seed must be an unsigned 64-bit integer", 0, 2 ** 64)
     reps = harness._config_int(reps, "replications must be a positive integer")
-    spec = SampleSpec(target=target, grid=LineGrid(n), seed=seed, replications=reps)
     batch = 1024
+    arrays = harness._cell_arrays(target, n, batch, reps, dense_gram=False)
+    if _memory_error(arrays, f"sample spec (N={n}, replications={reps})"):
+        return 2
+    spec = SampleSpec(target=target, grid=LineGrid(n), seed=seed, replications=reps)
     chunks = []
     for start in range(0, spec.replications, batch):
         count = min(batch, spec.replications - start)
@@ -244,13 +249,12 @@ def _cmd_experiment(args):
     if args.reps is not None:
         raw["replications"] = args.reps
     config = ExperimentConfig.from_dict(raw)
-    have = _physical_memory()
+    dense_gram = bool(harness._DENSE_GRAM_STATS & set(config.statistics))
     for ell, n in config.cells:
         # a cell's largest array, checked for every cell before any draw
-        error = _memory_error(have, *max(harness._cell_arrays(config, ell, n)),
-                              f"cell (l={ell}, N={n})")
-        if error:
-            sys.stderr.write(error)
+        arrays = harness._cell_arrays(harness._sampler_target(config.target, ell), n,
+                                      config.batch_size, config.replications, dense_gram)
+        if _memory_error(arrays, f"cell (l={ell}, N={n})"):
             return 2
     base = args.out or config.output or "experiment_report"
     report = run_experiment(config, threads=args.threads,
@@ -418,7 +422,7 @@ def _build_parser():
     p_exp.add_argument("--reps", type=_positive_int, default=None,
                        help="replication count override")
     p_exp.add_argument("--threads", type=_positive_int, default=None,
-                       help="worker threads (default: SPHEREQV_THREADS or all cores)")
+                       help="worker threads (default: all cores)")
     p_exp.add_argument("--strict", action="store_true",
                        help="exit 3 unless ≥95%% of oracle pairs agree within 4 SE")
 

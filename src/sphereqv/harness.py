@@ -54,6 +54,9 @@ _STATISTICS = ("mean", "var", "k3", "k4", "ks_normal", "estimator_error", "hurst
 _MIN_REPLICATIONS = {"var": 20, "k3": 30, "k4": 40, "estimator_error": 20,
                      "ks_normal": 100}
 
+# statistics whose exact side decomposes the dense N×N Gram
+_DENSE_GRAM_STATS = frozenset({"k3", "k4", "ks_normal"})
+
 # statistics whose "exact" column is a paired diagnostic, not an oracle value
 _NON_ORACLE_STATS = frozenset({"ks_normal", "fourth_moment_bound"})
 
@@ -523,9 +526,6 @@ def loglog_slope(xs, ys, log_correction=None):
 def _resolve_threads(threads):
     if threads is not None:
         return max(1, int(threads))
-    env = os.environ.get("SPHEREQV_THREADS")
-    if env:
-        return max(1, int(env))
     return os.cpu_count() or 1
 
 
@@ -627,28 +627,28 @@ def _cell_rows(config, ell, n, samples, exact):
     return rows
 
 
-def _cell_arrays(config, ell, n):
-    """(bytes, name) of each large array one cell of ``config`` allocates.
+def _cell_arrays(target, n, batch, replications, dense_gram):
+    """(bytes, name) of each large array sampling ``target`` allocates.
 
-    The batch paths are (times, B, N+1) with B the batch size. The
-    sampler's basis, one degree's (l+1)×(N+1) table or the largest
-    multi-degree chunk of ``simulate._degree_chunks`` (at most _CHUNK_ROWS
-    rows, or one degree of more), sits beside its times·B·rows coefficient
-    buffers. The cell's values are times·R. After sampling, the k3, k4 and
-    ks_normal rows decompose the dense N×N Gram.
+    ``target`` is a sampler target on an N-increment grid, drawn for
+    ``replications`` in batches of ``batch``. The batch paths are
+    (times, B, N+1). The sampler's basis, one degree's (l+1)×(N+1) table or
+    the largest multi-degree chunk of ``simulate._degree_chunks`` (at most
+    _CHUNK_ROWS rows, or one degree of more), sits beside its times·B·rows
+    coefficient buffers. The values are times·R. With ``dense_gram`` the
+    dense N×N Gram is decomposed after sampling.
     """
-    kind = config.target["kind"]
-    times = 2 if kind == "fbm" else 1
-    batch = min(config.batch_size, config.replications)
-    if kind == "single_ell":
-        rows = ell + 1
+    times = 2 if isinstance(target, FbmTarget) else 1
+    batch = min(batch, replications)
+    if isinstance(target, SingleEll):
+        rows = target.ell + 1
     else:
-        sp = config.target["spec"].spectrum if kind == "fbm" else config.target["spectrum"]
+        sp = target.spec.spectrum if times == 2 else target.spectrum
         rows = max(sp.l_max + 1, min(_CHUNK_ROWS, _chunk_rows(sp.l_min, sp.l_max + 1)))
     arrays = [(8 * times * batch * (n + 1), "batch paths"),
               (8 * rows * (n + 1 + times * batch), "sampler basis and coefficients"),
-              (8 * times * config.replications, "sampled values")]
-    if {"k3", "k4", "ks_normal"} & set(config.statistics):
+              (8 * times * replications, "sampled values")]
+    if dense_gram:
         arrays.append((8 * n * n, "dense Gram"))
     return arrays
 

@@ -10,10 +10,16 @@ so the mean has a closed form, the variance is twice the squared Frobenius
 norm, and every higher cumulant is an eigenvalue power sum. For one degree
 Σ = FᵀF with a rank-(l+1) increment factor F, so while l+1 ≤ N/8 those
 power sums come from the (l+1)×(l+1) Gram F Fᵀ without the N×N matrix.
-Asymptotic
-formulas for the three degree-versus-grid growth regimes, the limiting
-cumulants of the fixed-degree (non-central) limit, the fourth-moment
-normality proxy, and exact estimator biases complete the module.
+
+The fixed-degree (non-central) limit has the same structure: a
+second-chaos variable whose cumulants are eigenvalue power sums of the
+integral operator with kernel g(|x−y|) on [0, 1]. One Nyström
+eigenproblem on Gauss–Legendre nodes gives those eigenvalues, so every
+order costs one O(nodes³) decomposition; g is even, so the kernel has no
+kink on the diagonal and the quadrature converges spectrally. Asymptotic
+formulas for the three degree-versus-grid growth regimes, the
+fourth-moment normality proxy, and exact estimator biases complete the
+module.
 
 Normalization convention: the standardized statistic is
 F = (V − E V)/√Var V, whose second cumulant is 1 by construction.
@@ -157,7 +163,7 @@ def _eigenvalues(gram):
 
 
 def _power_cumulant(eig, p):
-    """κ_p = 2^(p−1)(p−1)! Σ μ^p over the eigenvalues μ of Σ."""
+    """κ_p = 2^(p−1)(p−1)! Σ μ^p of the chaos variable Σ μ_i(Z_i² − 1)."""
     return 2.0 ** (p - 1) * math.factorial(p - 1) * float(np.sum(eig ** p))
 
 
@@ -219,10 +225,18 @@ def fourth_moment_bound(gram):
 
 
 # ======================================================================
-# The degree profile g and its quadrature integrals
+# The degree profile g: its quadrature integrals and limit operator
 # ======================================================================
 
-def _gauss01(nodes):
+def _profile_nodes(ell, nodes):
+    """Gauss–Legendre nodes and weights on [0, 1] for integrals of g.
+
+    Warns below 10·l nodes: g oscillates about l times on [0, 1].
+    """
+    if nodes < 10 * ell:
+        warnings.warn(
+            f"quad_nodes={nodes} below 10·l={10 * ell}; the integrand "
+            f"oscillates ~l times and may be under-resolved", stacklevel=3)
     x, w = leggauss(int(nodes))
     return 0.5 * (x + 1.0), 0.5 * w
 
@@ -250,11 +264,7 @@ def k_ell_constant(ell, quad_nodes, lag_weighted=False):
     the two differ by a degree-dependent factor in [1, 1.5].
     """
     ell, _ = _check_ell_n(ell, 1)
-    if quad_nodes < 10 * ell:
-        warnings.warn(
-            f"quad_nodes={quad_nodes} below 10·l={10 * ell}; the integrand "
-            f"oscillates ~l times and may be under-resolved", stacklevel=2)
-    x, w = _gauss01(quad_nodes)
+    x, w = _profile_nodes(ell, quad_nodes)
     g2 = _g_profile(ell, x) ** 2
     integral = 2.0 * float(np.sum(w * (1.0 - x) * g2)) if lag_weighted \
         else float(np.sum(w * g2))
@@ -264,67 +274,29 @@ def k_ell_constant(ell, quad_nodes, lag_weighted=False):
 def nclt_limit_cumulant(ell, p, quad_nodes):
     """Limiting cumulant κ_p of the standardized quadratic variation, fixed degree.
 
-    As the grid is refined with the degree held fixed, F converges to a
-    non-Gaussian second-chaos variable whose cumulants are cyclic integrals
-    of g: with J_p = ∫_{[0,1]^p} g(|x₁−x₂|) g(|x₂−x₃|) ··· g(|x_p−x₁|) dx,
+    As the grid is refined with the degree held fixed, F converges to the
+    second-chaos variable Σ ν_i (Z_i² − 1), standardized, where ν are the
+    eigenvalues of the integral operator K with kernel g(|x−y|) on [0, 1].
+    With J_p = tr(K^p) = Σ ν^p,
 
         κ_p = 2^(p−1) (p−1)! · J_p / (2 J₂)^(p/2),
 
-    normalized so that κ₂ = 1. Only p ∈ {3, 4} are supported (tensor
-    quadrature cost grows as nodes^p). quad_nodes is the per-axis
-    Gauss–Legendre count; ≥ 10·l resolves the oscillation.
+    normalized so that κ₂ = 1. ν come from one Nyström eigenproblem: the
+    symmetric matrix √w_i g(|x_i−x_j|) √w_j on quad_nodes Gauss–Legendre
+    nodes. g is a function of cos(πx/2), so it is even and the kernel
+    g(x−y) is smooth; the quadrature, and so every power sum, converges
+    spectrally in quad_nodes (≥ 10·l resolves the oscillation). One
+    O(quad_nodes³) decomposition serves every order; p ∈ {3, 4} are the
+    orders accepted.
     """
     ell, _ = _check_ell_n(ell, 1)
     if p not in (3, 4):
         raise ValueError("limit cumulants implemented for p in {3, 4} only")
-    if quad_nodes < 10 * ell:
-        warnings.warn(
-            f"quad_nodes={quad_nodes} below 10·l={10 * ell} per axis",
-            stacklevel=2)
-    x, w = _gauss01(quad_nodes)
-
-    def g(arr):
-        return _g_profile(ell, arr)
-
-    # J2 over the square reduces to gap form: 2 ∫₀¹ (1−u) g(u)² du
-    j2 = 2.0 * float(np.sum(w * (1.0 - x) * g(x) ** 2))
-
-    if p == 3:
-        # Order the three points; gaps (u, v) with u+v ≤ 1 appear 3! times,
-        # each giving the same cycle product g(u)g(v)g(u+v); base point
-        # integrates to (1−u−v). Map the simplex to the unit square by
-        # u = a, v = (1−a)b with Jacobian (1−a).
-        a = x[:, None]
-        b = x[None, :]
-        wa = w[:, None]
-        wb = w[None, :]
-        u = a
-        v = (1.0 - a) * b
-        integrand = (6.0 * (1.0 - a) ** 2 * (1.0 - b)
-                     * g(np.broadcast_to(u, v.shape)) * g(v) * g(u + v))
-        jp = float(np.sum(wa * wb * integrand))
-    else:
-        # Four ordered points with gaps (u, v, t), u+v+t ≤ 1. The 4! rank
-        # assignments fall into three dihedral classes of 8, with cycle
-        # products over gap sums as below; base point gives (1−u−v−t).
-        # Simplex → cube: u = a, v = (1−a)b, t = (1−a)(1−b)c,
-        # Jacobian (1−a)²(1−b).
-        a = x[:, None, None]
-        b = x[None, :, None]
-        c = x[None, None, :]
-        wa = w[:, None, None]
-        wb = w[None, :, None]
-        wc = w[None, None, :]
-        u = np.broadcast_to(a, (x.size,) * 3)
-        v = np.broadcast_to((1.0 - a) * b, u.shape)
-        t = (1.0 - a) * (1.0 - b) * c
-        gu, gv, gt = g(u), g(v), g(t)
-        guv, gvt, guvt = g(u + v), g(v + t), g(u + v + t)
-        cycles = gu * gv * gt * guvt + gu * gvt * gt * guv + guv * gv * gvt * guvt
-        weight = 8.0 * (1.0 - a) ** 3 * (1.0 - b) ** 2 * (1.0 - c)
-        jp = float(np.sum(wa * wb * wc * weight * cycles))
-
-    return 2.0 ** (p - 1) * math.factorial(p - 1) * jp / (2.0 * j2) ** (p / 2.0)
+    x, w = _profile_nodes(ell, quad_nodes)
+    sw = np.sqrt(w)
+    nu = np.linalg.eigvalsh(sw[:, None] * _g_profile(ell, np.abs(x[:, None] - x))
+                            * sw)
+    return _power_cumulant(nu, p) / _power_cumulant(nu, 2) ** (p / 2.0)
 
 
 # ======================================================================

@@ -247,6 +247,27 @@ def test_simulate_integral_float_numbers_run(tmp_path, capsys):
     assert out.read_bytes() == ref.read_bytes()
 
 
+def test_simulate_beyond_physical_memory_exits_2_before_sampling(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "batch_quadratic_variation",
+                        lambda *a: pytest.fail("sampled"))
+    out = tmp_path / "x.csv"
+    # N = 10¹² asks for a 7.3 TiB path even for one replication
+    spec = _write_spec(tmp_path, n=10 ** 12, replications=1)
+    assert main(["simulate", "--spec-file", spec, "--out", str(out)]) == 2
+    stdout, err = capsys.readouterr()
+    assert stdout == "" and err.count("\n") == 1
+    assert err.startswith("error: sample spec (N=1000000000000, replications=1) needs ")
+    # 1024 replications of a 1024-increment path are an 8 MiB batch
+    monkeypatch.setattr(cli, "_physical_memory", lambda: 2 ** 20)
+    spec = _write_spec(tmp_path, n=1024, replications=4096)
+    assert main(["simulate", "--spec-file", spec, "--out", str(out)]) == 2
+    stdout, err = capsys.readouterr()
+    assert stdout == "" and err.count("\n") == 1
+    assert err.startswith("error: sample spec (N=1024, replications=4096) needs ")
+    assert "for its batch paths, more than" in err
+    assert not out.exists()
+
+
 # ======================================================================
 # estimate
 # ======================================================================
@@ -341,6 +362,14 @@ def test_experiment_worker_invariance(tmp_path, capsys):
     capsys.readouterr()
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
     assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+
+def test_experiment_worker_count_comes_from_flags_alone(tmp_path, capsys, monkeypatch):
+    # the retired SPHEREQV_THREADS variable is ignored, malformed or not
+    monkeypatch.setenv("SPHEREQV_THREADS", "abc")
+    cfg = _write_config(tmp_path)
+    assert main(["experiment", "--config", cfg, "--out", str(tmp_path / "r")]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_experiment_bundled_config_runs(tmp_path, capsys):

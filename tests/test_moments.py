@@ -274,6 +274,67 @@ def test_limit_cumulant_rejects_other_orders():
         nclt_limit_cumulant(8, 3, 20)
 
 
+def _tensor_limit_cumulant(ell, p, nodes):
+    """Frozen reference: κ_p from tensor Gauss–Legendre quadrature of the
+    cyclic integrals J_p over [0,1]^p (p ∈ {3, 4}), the method the
+    eigenproblem replaced. The profile g is built from numpy's Legendre
+    series, independent of sphereqv.specfun."""
+    leg = np.polynomial.legendre.Legendre.basis(ell)
+    dleg = leg.deriv()
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    x, w = 0.5 * (x + 1.0), 0.5 * w
+
+    def g(arr):
+        u = np.cos(0.5 * math.pi * arr)
+        return ell * (ell + 1) * leg(u) - dleg(u) * u
+
+    # J2 over the square in gap form: 2 ∫₀¹ (1−u) g(u)² du
+    j2 = 2.0 * float(np.sum(w * (1.0 - x) * g(x) ** 2))
+    if p == 3:
+        # ordered gaps (u, v), u+v ≤ 1, 3! orderings; simplex → square by
+        # u = a, v = (1−a)b with Jacobian (1−a); base point gives (1−u−v)
+        a, b = x[:, None], x[None, :]
+        v = (1.0 - a) * b
+        integrand = (6.0 * (1.0 - a) ** 2 * (1.0 - b)
+                     * g(np.broadcast_to(a, v.shape)) * g(v) * g(a + v))
+        jp = float(np.sum(w[:, None] * w[None, :] * integrand))
+    else:
+        # ordered gaps (u, v, t), three dihedral classes of 8 cycles;
+        # simplex → cube by u = a, v = (1−a)b, t = (1−a)(1−b)c
+        a, b, c = x[:, None, None], x[None, :, None], x[None, None, :]
+        u = np.broadcast_to(a, (x.size,) * 3)
+        v = np.broadcast_to((1.0 - a) * b, u.shape)
+        t = (1.0 - a) * (1.0 - b) * c
+        gu, gv, gt = g(u), g(v), g(t)
+        guv, gvt, guvt = g(u + v), g(v + t), g(u + v + t)
+        cycles = gu * gv * gt * guvt + gu * gvt * gt * guv + guv * gv * gvt * guvt
+        weight = 8.0 * (1.0 - a) ** 3 * (1.0 - b) ** 2 * (1.0 - c)
+        jp = float(np.sum(w[:, None, None] * w[None, :, None] * w[None, None, :]
+                          * weight * cycles))
+    return 2.0 ** (p - 1) * math.factorial(p - 1) * jp / (2.0 * j2) ** (p / 2.0)
+
+
+@pytest.mark.parametrize("ell, p", [(1, 3), (2, 3), (4, 3), (8, 3),
+                                    (1, 4), (2, 4), (4, 4)])
+def test_limit_cumulant_matches_tensor_quadrature(ell, p):
+    # the tensor's p = 4 cost grows as nodes³, so l = 8 is left out there
+    nodes = max(64, 10 * ell)
+    assert_allclose(nclt_limit_cumulant(ell, p, nodes),
+                    _tensor_limit_cumulant(ell, p, nodes), rtol=1e-10)
+
+
+def test_limit_cumulants_degree_two_are_chi_square_two():
+    # g is rank two at l = 2 with equal eigenvalues: the limit is a
+    # standardized χ²₂, κ₃ = 2 and κ₄ = 6
+    assert_allclose(nclt_limit_cumulant(2, 3, 64), 2.0, rtol=1e-13)
+    assert_allclose(nclt_limit_cumulant(2, 4, 64), 6.0, rtol=1e-13)
+
+
+@pytest.mark.parametrize("p", [3, 4])
+def test_limit_cumulant_converged_in_nodes(p):
+    assert abs(nclt_limit_cumulant(8, p, 80) - nclt_limit_cumulant(8, p, 160)) <= 1e-12
+
+
 def test_finite_grids_approach_limit_cumulant():
     lim = nclt_limit_cumulant(1, 3, 48)
     gaps = []
