@@ -4,8 +4,9 @@ At fixed degree the centered, scaled statistic has nonvanishing third and
 fourth cumulants in the fine-grid limit; the limits are eigenvalue power
 sums of the limit operator, whose kernel is the increment correlation
 profile, from one Nyström eigenproblem. The table shows the finite-N
-values closing in. Each row comes from the rank-(l+1) increment factor, so
-the sweep runs to N = 65536, far past the grids an N×N Gram could hold.
+values closing in. Each row comes from the (l+1)×(l+1) circle core of the
+increment Gram, which shares its nonzero spectrum, so the sweep runs to
+N = 65536, far past the grids an N×N Gram could hold.
 """
 
 from sphereqv.covariance import LineGrid, increment_gram_fl

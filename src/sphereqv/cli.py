@@ -27,7 +27,7 @@ from importlib import resources
 import numpy as np
 
 from . import harness, moments as mom
-from .covariance import LineGrid, _carries_factor, increment_gram_fl
+from .covariance import LineGrid, increment_gram_fl
 from .estimators import (estimate_cl, estimate_cl_classical,
                          estimate_cl_variant, estimate_hurst)
 from .harness import ConfigError, ExperimentConfig, check_oracle_agreement, run_experiment
@@ -41,6 +41,18 @@ def _positive_int(text):
     val = int(text)
     if val < 1:
         raise argparse.ArgumentTypeError(f"must be ≥ 1, got {val}")
+    return val
+
+
+def _finite(text, low=-math.inf):
+    """float(text) when it is finite and > low; else exit 2 at the flag."""
+    try:
+        val = float(text)
+    except ValueError:
+        val = math.nan
+    if not (math.isfinite(val) and val > low):
+        bound = "" if low == -math.inf else f" > {low:g}"
+        raise argparse.ArgumentTypeError(f"must be a finite number{bound}, got {text!r}")
     return val
 
 
@@ -84,29 +96,27 @@ def _memory_error(arrays, where):
     return True
 
 
-def _cmd_moments(args):
-    # the chosen path's peak must fit in memory; checked before anything is
-    # allocated. At its peak the factor path holds the (l+1)×(N+1) harmonic
-    # table, its differenced (l+1)×N factor and the length-N Gram row,
-    # 8(N+1)(2l+3) bytes; the dense path holds the N×N Gram and eigvalsh's
-    # copy of it, 16N² bytes. tracemalloc over the whole command read
-    # 1.000-1.013 of these at (l, N) = (1, 8·10⁶), (3, 4·10⁶), (8, 10⁶),
-    # (16, 10⁶), (64, 2¹⁸), (200, 512) and (1000, 2048). Small tables peak
-    # instead while the recurrence's column tiles (a few 2²⁰-value buffers,
-    # tens of MB) are live: 2.2 of the estimate at (1, 2²⁰).
-    if _carries_factor(args.ell, args.n):
-        need, what = 8 * (args.n + 1) * (2 * args.ell + 3), "increment factor"
+def _moments_need(ell, n):
+    """(bytes, name) of the moments command's peak: the core path's Gram-row
+    sweep, 5·8(N+1) bytes, and its five (l+1)×(l+1) arrays, or the dense N×N
+    Gram and eigvalsh's copy; plus 256 KiB for the interpreter. tracemalloc
+    read 0.54-0.99 of this at (l, N) = (1, 2²⁰), (8, 4096), (8, 10⁶),
+    (255, 512), (600, 512) and (1023, 4096)."""
+    if ell < n:
+        need, what = 40 * (n + 1) + 40 * (ell + 1) ** 2, "Gram row and core"
     else:
-        need, what = 16 * args.n * args.n, "dense Gram"
-    if _memory_error([(need, what)], f"l={args.ell}, N={args.n}"):
+        need, what = 16 * n * n, "dense Gram"
+    return need + 2 ** 18, what
+
+
+def _cmd_moments(args):
+    # the chosen path's peak must fit in memory, checked before allocating
+    if _memory_error([_moments_need(args.ell, args.n)], f"l={args.ell}, N={args.n}"):
         return 2
     gram = increment_gram_fl(args.ell, args.cl, LineGrid(args.n))
     mean = mom.exact_mean_vnl(args.ell, args.cl, args.n)
     var = mom.exact_var_vnl(gram)
-    lines = [
-        ("mean", mean),
-        ("variance", var),
-    ]
+    lines = [("mean", mean), ("variance", var)]
     for p in range(3, args.p_max + 1):
         lines.append((f"normalized_k{p}", mom.normalized_cumulant(gram, p)))
     lines.append(("fourth_moment_bound", mom.fourth_moment_bound(gram)))
@@ -116,12 +126,8 @@ def _cmd_moments(args):
                   else RegimeTag(args.regime))
         a_mean = mom.asymptotic_mean(regime, args.ell, args.cl, args.n)
         a_var = mom.asymptotic_var(regime, args.ell, args.cl, args.n)
-        lines += [
-            ("asymptotic_mean", a_mean),
-            ("mean_ratio", mean / a_mean),
-            ("asymptotic_var", a_var),
-            ("var_ratio", var / a_var),
-        ]
+        lines += [("asymptotic_mean", a_mean), ("mean_ratio", mean / a_mean),
+                  ("asymptotic_var", a_var), ("var_ratio", var / a_var)]
     width = max(len(k) for k, _ in lines)
     for key, val in lines:
         sys.stdout.write(f"{key.ljust(width)}  {_fmt(val)}\n")
@@ -212,8 +218,7 @@ def _cmd_estimate(args, parser):
         _emit_json(res.as_dict())
     elif mode == "classical":
         _require(parser, args, ["coeffs", "ell"])
-        coeffs = [float(tok) for tok in args.coeffs.split(",") if tok.strip()]
-        res = estimate_cl_classical(coeffs, args.ell)
+        res = estimate_cl_classical(args.coeffs, args.ell)
         _emit_json(res.as_dict())
     else:  # hurst
         _require(parser, args, ["vt", "vs", "t", "s"])
@@ -362,13 +367,13 @@ def _build_parser():
                        help="degree l (dimensionless integer ≥ 1)")
     p_mom.add_argument("--n", type=_positive_int, required=True,
                        help="number of grid increments N")
-    p_mom.add_argument("--cl", type=float, required=True,
+    p_mom.add_argument("--cl", type=lambda t: _finite(t, 0.0), required=True,
                        help="spectrum value C_l at the degree")
     p_mom.add_argument("--regime",
                        choices=["fixed_ell", "ell_faster", "ell_comparable",
                                 "ell_slower"],
                        help="also print asymptotic counterparts for this regime")
-    p_mom.add_argument("--regime-c", type=float, default=None,
+    p_mom.add_argument("--regime-c", type=lambda t: _finite(t, 0.0), default=None,
                        help="ratio c for ell_comparable")
     p_mom.add_argument("--p-max", type=int, default=4, choices=range(2, 9),
                        metavar="P", help="highest cumulant order (2..8)")
@@ -397,16 +402,17 @@ def _build_parser():
                     "units, any).")
     p_est.add_argument("--mode", required=True,
                        choices=["cl", "cl1", "cl2", "cl3", "classical", "hurst"])
-    p_est.add_argument("--v", type=float, help="observed quadratic variation")
+    p_est.add_argument("--v", type=_finite, help="observed quadratic variation")
     p_est.add_argument("--ell", type=_positive_int, help="degree l (integer ≥ 1)")
     p_est.add_argument("--n", type=_positive_int, help="grid increments N")
-    p_est.add_argument("--c", type=float, help="degree/grid ratio for cl2")
-    p_est.add_argument("--coeffs",
+    p_est.add_argument("--c", type=_finite, help="degree/grid ratio for cl2")
+    p_est.add_argument("--coeffs", type=lambda text: [
+                           _finite(tok) for tok in text.split(",") if tok.strip()],
                        help="comma-separated 2l+1 harmonic coefficients")
-    p_est.add_argument("--vt", type=float, help="quadratic variation at time t")
-    p_est.add_argument("--vs", type=float, help="quadratic variation at time s")
-    p_est.add_argument("--t", type=float, help="first observation time")
-    p_est.add_argument("--s", type=float, help="second observation time")
+    p_est.add_argument("--vt", type=_finite, help="quadratic variation at time t")
+    p_est.add_argument("--vs", type=_finite, help="quadratic variation at time s")
+    p_est.add_argument("--t", type=_finite, help="first observation time")
+    p_est.add_argument("--s", type=_finite, help="second observation time")
 
     p_exp = sub.add_parser(
         "experiment",

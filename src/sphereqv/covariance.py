@@ -2,9 +2,9 @@
 
 Angular power spectra, the equispaced colatitude grid, exact covariance
 kernels of single-degree and truncated full fields, second differences of
-Legendre polynomials, the Gram matrix of grid increments with its low-rank
-increment factor, and the joint covariance of a sphere-valued fractional
-Brownian pair observed at two times.
+Legendre polynomials, the Gram matrix of grid increments with the
+(l+1)×(l+1) circle core of one degree, and the joint covariance of a
+sphere-valued fractional Brownian pair observed at two times.
 
 The increment Gram matrix is the workhorse: for a Gaussian field f observed
 at grid points θ_1 < ... < θ_{N+1}, entry (i, j) is E[Δ_i Δ_j] with
@@ -167,17 +167,13 @@ class IncrementGram:
     upper bound on the entrywise error from spectrum truncation (0 for
     single-degree and explicit spectra).
 
-    ``factor``, when present, is the increment factor F (R×N): the grid
-    increments are Δ = zᵀF for i.i.d. standard normal z, so Σ = FᵀF. For
-    one degree, R = l+1 and F is the column difference of the scaled
-    harmonic table of :func:`meridian_basis_fl`, the same table the sampler
-    draws from. Σ shares its nonzero eigenvalues with the R×R Gram F Fᵀ,
-    so every trace cumulant costs O(R²N) rather than the O(N³) of the
-    dense matrix, and the trace is ‖F‖²_F, free of the cancellation in
-    1 − P_l(cos(π/2N)). :meth:`eigenvalues` decomposes once per gram.
+    ``core``, when present, is a symmetric R×R matrix with Σ's nonzero
+    eigenvalues (one degree's (l+1)×(l+1) circle core), so tr(Σ^p) =
+    tr(core^p) for every p ≥ 1 at O(R³) rather than O(N³), and the trace
+    sums positive terms. :meth:`eigenvalues` decomposes once per gram.
     """
 
-    def __init__(self, n, sigma=None, tail_bound=0.0, *, row=None, factor=None):
+    def __init__(self, n, sigma=None, tail_bound=0.0, *, row=None, core=None):
         self.n = int(n)
         self.tail_bound = float(tail_bound)
         if (sigma is None) == (row is None):
@@ -190,17 +186,17 @@ class IncrementGram:
             row = np.asarray(row, dtype=float)
             if row.shape != (self.n,):
                 raise ValueError("row must have length N")
-        if factor is not None:
-            factor = np.asarray(factor, dtype=float)
-            if factor.ndim != 2 or factor.shape[1] != self.n:
-                raise ValueError("factor must have N columns")
-        self._sigma, self._row, self.factor = sigma, row, factor
+        if core is not None:
+            core = np.asarray(core, dtype=float)
+            if core.ndim != 2 or core.shape[0] != core.shape[1]:
+                raise ValueError("core must be square")
+        self._sigma, self._row, self.core = sigma, row, core
         self._eig = None
 
     def __repr__(self):
-        rank = None if self.factor is None else self.factor.shape[0]
+        size = None if self.core is None else self.core.shape[0]
         return (f"IncrementGram(n={self.n}, tail_bound={self.tail_bound!r}, "
-                f"factor_rows={rank})")
+                f"core_size={size})")
 
     @property
     def sigma(self):
@@ -215,21 +211,19 @@ class IncrementGram:
     def eigenvalues(self):
         """Eigenvalues whose power sums are tr(Σ^p), computed on first call.
 
-        With the increment factor F they are those of the R×R Gram F Fᵀ,
-        which shares Σ's nonzero spectrum; otherwise those of the dense
-        N×N matrix. The read-only array is kept, so every cumulant of one
-        gram shares one decomposition.
+        Those of the core when the gram carries one, otherwise those of the
+        dense N×N matrix. The read-only array is kept, so every cumulant of
+        one gram shares one decomposition.
         """
         if self._eig is None:
-            f = self.factor
-            eig = np.linalg.eigvalsh(self.sigma if f is None else f @ f.T)
+            eig = np.linalg.eigvalsh(self.sigma if self.core is None else self.core)
             eig.flags.writeable = False
             self._eig = eig
         return self._eig
 
     def trace(self):
-        if self.factor is not None:
-            return float(np.sum(self.factor * self.factor))
+        if self.core is not None:
+            return float(np.trace(self.core))
         if self._row is None:
             return float(np.trace(self._sigma))
         return self.n * float(self._row[0])
@@ -255,6 +249,10 @@ class FbmSpec:
         t, s = self.times
         if not (0 < t < math.inf and 0 < s < math.inf) or t == s:
             raise ValueError("times must be distinct finite positives")
+        try:
+            max(t, s) ** (2 * self.hurst)
+        except OverflowError:
+            raise ValueError("times^(2·hurst) overflows a float") from None
         object.__setattr__(self, "times", (float(t), float(s)))
 
 
@@ -353,6 +351,7 @@ def meridian_basis_fl(ell, c_ell, grid):
     collapse to one on the meridian). The field at the grid is zᵀB for
     i.i.d. standard normal z, and its increments are zᵀF with F the column
     difference of B; the addition theorem gives FᵀF = the increment Gram.
+    Only the sampler builds it; the exact side uses :func:`_circle_core`.
 
     Single-flight with one entry: the last (l, c_l, grid) is cached, and a
     worker that asks for it while another worker builds it waits for that
@@ -375,29 +374,40 @@ def meridian_basis_fl(ell, c_ell, grid):
     return basis
 
 
+def _circle_core(ell, c_ell, n):
+    """(l+1)×(l+1) symmetric matrix with the degree-l Gram's nonzero spectrum.
+
+    The spacing π/(2N) closes the great circle in M = 4N points, so Σ is an
+    N×N section of a circulant. Szegő's P_l(cos φ) = Σ_m a_m a_{l−m} cos(j_m φ),
+    j_m = l−2m, a_m = C(2m, m)/4^m, gives Σ = E diag(μ) E^H, E[i, m] = e^{i j_m θ_i},
+    μ_m = 4 sin²(π j_m/M) c_l (2l+1)/(4π) a_m a_{l−m}: Σ shares its nonzero
+    spectrum with √μ E^H E √μ, and E^H E is, up to a diagonal unitary
+    similarity, the Dirichlet kernel sin(πd/4)/sin(πd/M) at d = j_m − j_k (N at
+    d = 0). d is even, so sin(πd/4) is exact from (d/2) mod 4, and |d| ≤ 2l < M.
+    a_m is built by its ratio (2m−1)/(2m): 4.0**m overflows at m ≥ 512.
+    """
+    m = np.arange(1, ell + 1)
+    a = np.concatenate(([1.0], np.cumprod((2.0 * m - 1.0) / (2.0 * m))))
+    j = ell - 2 * np.arange(ell + 1)
+    r = np.abs(np.sin(math.pi * j / (4 * n))) * np.sqrt(
+        c_ell * (2 * ell + 1) / math.pi * a * a[::-1])
+    d = j[:, None] - j
+    sin_quarter = np.array([0.0, 1.0, 0.0, -1.0])[(d // 2) % 4]  # sin(πd/4), d even
+    with np.errstate(divide="ignore", invalid="ignore"):
+        kernel = np.where(d == 0, float(n), sin_quarter / np.sin(math.pi * d / (4 * n)))
+    return r[:, None] * kernel * r
+
+
 def increment_gram_fl(ell, c_ell, grid):
     """Increment Gram matrix of the degree-l field on the grid.
 
-    Carries the rank-(l+1) increment factor while l+1 ≤ N/8. The factor's
-    harmonic table is one vectorized recurrence sweep, O(l) Python steps
-    but O(l²N) arithmetic, and its (l+1)×(l+1) Gram costs O(l²N) again;
-    with l a fixed fraction of N both grow like the O(N³) dense
-    eigendecompositions of Σ, with a larger constant. Measured on a 2-vCPU
-    machine for N = 256..2048, the factor path is about 4× faster at
-    l+1 = N/8, 1.1-1.6× faster at N/4 and 2-3× slower at N/2 (l = 511,
-    N = 2048: 1.3 s against 1.6 s dense); the margin of 8 keeps the factor
-    the cheaper path where BLAS has more cores. Past the cutoff Σ comes
-    from the O(lN) row.
+    Carries the (l+1)×(l+1) circle core of :func:`_circle_core` while
+    l+1 ≤ N, where it is no larger than Σ, so every trace cumulant costs
+    O(l³) at any grid size; Σ comes from the O(lN) row on first use.
     """
     row = increment_row_fl(ell, c_ell, grid)
-    factor = (np.diff(meridian_basis_fl(ell, c_ell, grid), axis=1)
-              if _carries_factor(ell, grid.n) else None)
-    return IncrementGram(n=grid.n, row=row, factor=factor)
-
-
-def _carries_factor(ell, n):
-    """Whether :func:`increment_gram_fl` attaches the factor: l+1 ≤ N/8."""
-    return 8 * (ell + 1) <= n
+    core = _circle_core(ell, c_ell, grid.n) if ell < grid.n else None
+    return IncrementGram(n=grid.n, row=row, core=core)
 
 
 def _kernel_row(weights, l_min, x):

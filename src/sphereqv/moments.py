@@ -8,8 +8,8 @@ increment vector with covariance Σ, the quadratic variation V = Σ Δ_i² has
 
 so the mean has a closed form, the variance is twice the squared Frobenius
 norm, and every higher cumulant is an eigenvalue power sum. For one degree
-Σ = FᵀF with a rank-(l+1) increment factor F, so while l+1 ≤ N/8 those
-power sums come from the (l+1)×(l+1) Gram F Fᵀ without the N×N matrix.
+with l+1 ≤ N all three come from the (l+1)×(l+1) circle core, which shares
+Σ's nonzero spectrum, without the N×N matrix.
 
 The fixed-degree (non-central) limit has the same structure: a
 second-chaos variable whose cumulants are eigenvalue power sums of the
@@ -146,17 +146,9 @@ def exact_mean_vnl(ell, c_ell, n):
             * (1.0 - legendre_p(ell, math.cos(0.5 * math.pi / n))))
 
 
-def _sigma_of(gram):
-    return gram.sigma if hasattr(gram, "sigma") else np.asarray(gram, float)
-
-
 def _eigenvalues(gram):
-    """Eigenvalues whose power sums are tr(Σ^p).
-
-    An :class:`~sphereqv.covariance.IncrementGram` decomposes once and keeps
-    the result (from the R×R Gram F Fᵀ when it carries the increment
-    factor); a plain matrix is decomposed on every call.
-    """
+    """Eigenvalues whose power sums are tr(Σ^p): an IncrementGram's, kept from
+    one decomposition (of its core when it carries one), or a plain matrix's."""
     if isinstance(gram, cov.IncrementGram):
         return gram.eigenvalues()
     return np.linalg.eigvalsh(np.asarray(gram, float))
@@ -168,15 +160,11 @@ def _power_cumulant(eig, p):
 
 
 def exact_var_vnl(gram):
-    """Exact variance 2 tr(Σ²).
-
-    Twice the squared Frobenius norm of a dense Σ; from the eigenvalues of
-    the small factor Gram when the gram carries its increment factor.
-    """
-    if getattr(gram, "factor", None) is not None:
-        return _power_cumulant(_eigenvalues(gram), 2)
-    sig = _sigma_of(gram)
-    return 2.0 * float(np.sum(sig * sig))
+    """Exact variance 2 tr(Σ²): twice the squared Frobenius norm of the
+    gram's core when it carries one, else of Σ; no eigendecomposition."""
+    if isinstance(gram, cov.IncrementGram):
+        gram = gram.sigma if gram.core is None else gram.core
+    return 2.0 * float(np.sum(np.square(gram, dtype=float)))
 
 
 def exact_var_from_row(row):
@@ -195,8 +183,8 @@ def trace_cumulant(gram, p):
     """Cumulant κ_p of the centered quadratic variation, 2 ≤ p ≤ 8.
 
     2^(p−1)(p−1)! · tr(Σ^p). p = 2 is :func:`exact_var_vnl`; higher orders
-    are eigenvalue power sums, from the (l+1)-sized factor Gram when the
-    gram carries its increment factor and from the dense matrix otherwise.
+    are eigenvalue power sums, from the gram's (l+1)×(l+1) core when it
+    carries one and from the dense matrix otherwise.
     """
     if int(p) != p or not (2 <= p <= 8):
         raise ValueError("cumulant order must be an integer in [2, 8]")
@@ -414,10 +402,9 @@ def moment_report(ell, c_ell, n, regime=None, p_max=4):
     """Exact mean, variance and standardized cumulants for one cell.
 
     Builds the increment Gram once and evaluates κ_p for p = 2..p_max
-    (2 ≤ p_max ≤ 8) from one eigendecomposition. While l+1 ≤ N/8 that is
-    the (l+1)×(l+1) Gram of the increment factor, so the cost is O(l²N)
-    time and O(lN) memory at any grid size; larger degrees use the dense
-    N×N matrix.
+    (2 ≤ p_max ≤ 8) from one eigendecomposition: of the (l+1)×(l+1) circle
+    core while l+1 ≤ N, O(l³) past the O(lN) Gram row at any grid size, and
+    of the dense N×N matrix for larger degrees.
     """
     if not (2 <= p_max <= 8):
         raise ValueError("p_max must lie in [2, 8]")
@@ -426,10 +413,5 @@ def moment_report(ell, c_ell, n, regime=None, p_max=4):
     gram = cov.increment_gram_fl(ell, c_ell, cov.LineGrid(n))
     mean = exact_mean_vnl(ell, c_ell, n)
     var = exact_var_vnl(gram)
-    if p_max == 2:
-        cums = (1.0,)
-    else:
-        eig = _eigenvalues(gram)
-        cums = tuple(1.0 if p == 2 else _power_cumulant(eig, p) / var ** (p / 2.0)
-                     for p in range(2, p_max + 1))
+    cums = (1.0,) + tuple(normalized_cumulant(gram, p) for p in range(3, p_max + 1))
     return MomentReport(mean=mean, variance=var, cumulants=cums, regime=regime)

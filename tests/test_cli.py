@@ -1,13 +1,19 @@
 """Command line interface: outputs, exit codes, determinism."""
 
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sphereqv.moments
 from sphereqv import cli
@@ -70,7 +76,7 @@ def test_moments_regime_block(capsys):
 
 
 def test_moments_grid_of_a_million(capsys):
-    # out of reach of the dense N×N Gram; the (l+1)-row factor handles it
+    # out of reach of the dense N×N Gram; the (l+1)×(l+1) core handles it
     assert main(["moments", "--ell", "8", "--n", "1000000", "--cl", "0.5"]) == 0
     table = _parse_table(capsys.readouterr().out)
     assert all(math.isfinite(v) for v in table.values())
@@ -86,31 +92,31 @@ def test_moments_unallocatable_grid_is_one_line_error(capsys):
 
 
 def test_moments_beyond_physical_memory_exits_2_before_allocating(monkeypatch, capsys):
-    # N = 10¹² needs a 67 TiB factor table (7.3 TiB for its first O(N) array)
+    # N = 10¹² needs 36 TiB for the Gram row's Legendre sweep
     monkeypatch.setattr(cli, "increment_gram_fl",
                         lambda *a: pytest.fail("allocated past the estimate"))
     assert main(["moments", "--ell", "8", "--n", "1000000000000", "--cl", "1"]) == 2
     out, err = capsys.readouterr()
     assert out == "" and err.count("\n") == 1
     assert err.startswith("error: l=8, N=1000000000000 needs ")
-    assert "increment factor" in err and "physical memory" in err
+    assert "Gram row and core" in err and "physical memory" in err
 
 
 def test_moments_memory_estimate_follows_the_chosen_path(monkeypatch, capsys):
     monkeypatch.setattr(cli, "_physical_memory", lambda: 2 ** 20)
-    # l+1 > N/8: the dense 512×512 Gram is 2 MiB
-    assert main(["moments", "--ell", "200", "--n", "512", "--cl", "1"]) == 2
+    # l+1 > N: the dense 512×512 Gram is 2 MiB
+    assert main(["moments", "--ell", "600", "--n", "512", "--cl", "1"]) == 2
     assert "dense Gram" in capsys.readouterr().err
-    # l+1 ≤ N/8: the 9×4097 factor table is 288 KiB and fits
+    # l+1 ≤ N: the Gram row's sweep and the 9×9 core fit
     assert main(["moments", "--ell", "8", "--n", "4096", "--cl", "1"]) == 0
     assert capsys.readouterr().err == ""
     monkeypatch.setattr(cli, "_physical_memory", lambda: None)  # unknown: no check
-    assert main(["moments", "--ell", "200", "--n", "512", "--cl", "1"]) == 0
+    assert main(["moments", "--ell", "600", "--n", "512", "--cl", "1"]) == 0
 
 
 @pytest.mark.parametrize("ell, n, old_need", [
-    (8, 10 ** 6, 8 * 9 * (10 ** 6 + 1)),  # factor path: the table alone
-    (200, 512, 8 * 512 * 512),            # dense path: one N×N Gram
+    (8, 10 ** 6, 8 * (10 ** 6 + 1)),  # core path: the Gram row alone
+    (600, 512, 8 * 512 * 512),        # dense path: one N×N Gram
 ])
 def test_moments_estimate_counts_the_peak_not_one_array(monkeypatch, capsys, ell, n, old_need):
     # the run peaks near twice its largest array: memory between one and
@@ -122,6 +128,35 @@ def test_moments_estimate_counts_the_peak_not_one_array(monkeypatch, capsys, ell
     out, err = capsys.readouterr()
     assert out == "" and err.count("\n") == 1
     assert err.startswith(f"error: l={ell}, N={n} needs ")
+
+
+@pytest.mark.parametrize("ell, n", [
+    (1, 2 ** 20), (8, 4096), (8, 10 ** 6), (255, 512), (600, 512)])
+def test_moments_estimate_covers_the_measured_peak(capsys, ell, n):
+    # both paths: the Gram row's sweep, the (l+1)×(l+1) core, the dense N×N
+    need, _ = cli._moments_need(ell, n)
+    tracemalloc.start()
+    try:
+        assert main(["moments", "--ell", str(ell), "--n", str(n), "--cl", "1"]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert peak <= need
+
+
+@pytest.mark.parametrize("flags", [
+    ["--cl", "nan"], ["--cl", "inf"], ["--cl", "-1"], ["--cl", "0"], ["--cl", "x"],
+    ["--cl", "1", "--regime", "ell_comparable", "--regime-c", "nan"],
+    ["--cl", "1", "--regime", "ell_comparable", "--regime-c=-inf"],
+    ["--cl", "1", "--regime", "ell_comparable", "--regime-c", "0"],
+], ids=" ".join)
+def test_moments_non_finite_or_non_positive_numbers_exit_2(capsys, flags):
+    with pytest.raises(SystemExit) as exc:
+        main(["moments", "--ell", "3", "--n", "16", *flags])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "must be a finite number" in err
 
 
 def test_moments_comparable_needs_ratio():
@@ -213,6 +248,8 @@ def test_simulate_error_exit_codes(tmp_path, capsys):
     {"kind": "single_ell", "ell": 3, "c_ell": -1.0},
     {"kind": "single_ell", "ell": 3, "c_ell": float("nan")},
     {"kind": "single_ell", "ell": 3, "extra": 1},
+    {"kind": "fbm", "hurst": 0.7, "times": [1.7e308, 1.0],
+     "spectrum": {"kind": "explicit", "values": [1.0]}},
 ])
 def test_simulate_bad_target_is_a_config_error(tmp_path, capsys, target):
     spec = _write_spec(tmp_path, target=target)
@@ -268,6 +305,65 @@ def test_simulate_beyond_physical_memory_exits_2_before_sampling(tmp_path, capsy
     assert not out.exists()
 
 
+# Sample specs with every size capped: n ≤ 64, replications ≤ 4, degrees
+# and l_max ≤ 8. Each value is a valid one three draws in four and else any
+# JSON value (a size only at or below its cap), so about one spec in five
+# samples, in milliseconds, and the rest probe one check or a few
+def _mostly(valid, junk):
+    return st.integers(0, 3).flatmap(lambda k: junk if k == 0 else valid)
+
+
+def _size(cap):
+    return _mostly(st.integers(1, cap), st.integers(max_value=cap) | st.floats(max_value=cap)
+                   | st.sampled_from([None, True, "3", 2.5, float("nan"), float("inf")]))
+
+
+_ANY = (st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
+        | st.sampled_from([2 ** 63, 2 ** 64, 1.7e308, 1e-300, -0.0]))
+_POSITIVE = _mostly(st.floats(0.1, 10.0), _ANY)
+_SPECTRUM = _mostly(
+    st.fixed_dictionaries({"kind": st.just("power_law"), "c0": _POSITIVE,
+                           "epsilon": _POSITIVE, "l_max": _size(8)})
+    | st.fixed_dictionaries({"kind": st.just("explicit"),
+                             "values": st.lists(_POSITIVE, min_size=1, max_size=3)},
+                            optional={"l_min": _mostly(st.integers(1, 6), _size(6))}),
+    _ANY)
+_TARGET = _mostly(
+    st.fixed_dictionaries({"kind": st.just("single_ell"), "ell": _size(8),
+                           "c_ell": _POSITIVE})
+    | st.fixed_dictionaries({"kind": st.just("full_field"), "spectrum": _SPECTRUM})
+    | st.fixed_dictionaries({"kind": st.just("fbm"),
+                             "hurst": _mostly(st.floats(0.05, 0.95), _ANY),
+                             "spectrum": _SPECTRUM,
+                             "times": _mostly(st.lists(_POSITIVE, min_size=2, max_size=2),
+                                              st.lists(_ANY, max_size=3))}),
+    _ANY)
+_SAMPLE_SPEC = _mostly(
+    st.fixed_dictionaries({"target": _TARGET, "n": _size(64)},
+                          optional={"seed": _mostly(st.integers(0, 2 ** 64 - 1), _ANY),
+                                    "replications": _size(4)}),
+    _ANY | st.fixed_dictionaries({}, optional={"target": _TARGET, "n": _size(64),
+                                               "extra": _ANY}))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_SAMPLE_SPEC)
+def test_any_sample_spec_samples_or_exits_2(raw):
+    with tempfile.TemporaryDirectory() as tmp:
+        spec, out = os.path.join(tmp, "spec.json"), os.path.join(tmp, "x.csv")
+        with open(spec, "w", encoding="utf-8") as fh:
+            json.dump(raw, fh)
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            rc = main(["simulate", "--spec-file", spec, "--out", out])
+        if rc == 0:
+            assert os.path.exists(out)
+        else:
+            assert rc == 2, stderr.getvalue()
+            assert stderr.getvalue().count("\n") == 1 and stdout.getvalue() == ""
+            assert not os.path.exists(out)
+
+
 # ======================================================================
 # estimate
 # ======================================================================
@@ -314,6 +410,26 @@ def test_estimate_classical(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["value"] == pytest.approx(4.0, rel=1e-15)
     assert payload["normalizer"] == 7.0
+
+
+@pytest.mark.parametrize("argv", [
+    ["--mode", "cl", "--v", "nan", "--ell", "3", "--n", "8"],
+    ["--mode", "cl", "--v", "inf", "--ell", "3", "--n", "8"],
+    ["--mode", "cl2", "--v", "1", "--ell", "3", "--n", "8", "--c", "nan"],
+    ["--mode", "classical", "--coeffs", "1,nan,2", "--ell", "1"],
+    ["--mode", "classical", "--coeffs", "1,a,2", "--ell", "1"],
+    ["--mode", "hurst", "--vt", "inf", "--vs", "1", "--t", "2", "--s", "1"],
+    ["--mode", "hurst", "--vt", "1", "--vs=-inf", "--t", "2", "--s", "1"],
+    ["--mode", "hurst", "--vt", "2", "--vs", "1", "--t", "nan", "--s", "1"],
+    ["--mode", "hurst", "--vt", "2", "--vs", "1", "--t", "2", "--s", "1e999"],
+], ids=" ".join)
+def test_estimate_non_finite_numbers_exit_2(capsys, argv):
+    # rejected at the flag, before a NaN or Infinity could reach the JSON
+    with pytest.raises(SystemExit) as exc:
+        main(["estimate", *argv])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "must be a finite number" in err
 
 
 def test_estimate_numeric_error_exit(capsys):

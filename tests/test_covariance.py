@@ -255,7 +255,7 @@ def test_increment_gram_shape_validation():
     with pytest.raises(ValueError):
         IncrementGram(n=3, row=np.ones(2))
     with pytest.raises(ValueError):
-        IncrementGram(n=3, row=np.ones(3), factor=np.ones((2, 4)))
+        IncrementGram(n=3, row=np.ones(3), core=np.ones((2, 3)))
 
 
 def test_gram_from_row_is_bitwise_the_toeplitz_matrix():
@@ -289,19 +289,22 @@ def test_fbm_joint_gram_is_bitwise_the_scipy_toeplitz_kron():
 
 
 def test_increment_factor_reproduces_gram():
-    # Σ = FᵀF for F the column difference of the scaled harmonic table, at
-    # any l; the gram carries F only while l+1 ≤ N/8 (cells on both sides)
-    for ell, n in ((1, 2), (1, 16), (3, 31), (3, 32), (6, 56), (11, 11), (20, 6)):
+    # Σ = FᵀF for F the column difference of the sampler's scaled harmonic
+    # table, at any l; the gram carries its (l+1)×(l+1) core exactly while
+    # l+1 ≤ N (cells on both sides)
+    for ell, n in ((1, 1), (1, 2), (1, 16), (3, 31), (3, 32), (6, 56), (10, 11),
+                   (11, 11), (20, 6)):
         grid = LineGrid(n)
         f = np.diff(meridian_basis_fl(ell, 0.9, grid), axis=1)
         assert f.shape == (ell + 1, n)
         gram = increment_gram_fl(ell, 0.9, grid)
         assert_allclose(f.T @ f, gram.sigma, rtol=0, atol=1e-14 * gram.trace())
-        if 8 * (ell + 1) <= n:
-            np.testing.assert_array_equal(gram.factor, f)
+        if ell + 1 <= n:
+            assert gram.core.shape == (ell + 1, ell + 1)
+            assert_allclose(gram.core, gram.core.T, rtol=1e-15, atol=0)
             assert_allclose(gram.trace(), n * gram.first_row[0], rtol=1e-12)
         else:
-            assert gram.factor is None
+            assert gram.core is None
 
 
 # the kernel sweep and the three row bodies that now share one Legendre

@@ -95,7 +95,7 @@ def test_trace_cumulant_matches_matrix_powers():
 
 
 def test_trace_cumulant_accepts_gram_or_array():
-    gram = increment_gram_fl(2, 1.0, LineGrid(8))
+    gram = increment_gram_fl(9, 1.0, LineGrid(8))  # l+1 > N: dense Σ
     assert trace_cumulant(gram, 3) == trace_cumulant(gram.sigma, 3)
 
 
@@ -107,14 +107,14 @@ def test_gram_decomposes_once_and_arrays_every_call(monkeypatch):
     def cumulants(make):
         return [trace_cumulant(make(), p) for p in (3, 4, 5)] + [fourth_moment_bound(make())]
 
-    for ell, n, rank in ((3, 64, 4), (6, 16, 16)):  # factor path, then dense
+    for ell, n, rank in ((3, 64, 4), (20, 16, 16)):  # core path, then dense
         fresh = cumulants(lambda: increment_gram_fl(ell, 1.1, LineGrid(n)))  # a gram per value
         gram = increment_gram_fl(ell, 1.1, LineGrid(n))
         calls.clear()
         assert cumulants(lambda: gram) == fresh and cumulants(lambda: gram) == fresh
         assert calls == [(rank, rank)]
         assert not gram.eigenvalues().flags.writeable
-    sigma = increment_gram_fl(6, 1.1, LineGrid(16)).sigma
+    sigma = increment_gram_fl(20, 1.1, LineGrid(16)).sigma
     calls.clear()
     assert trace_cumulant(sigma, 3) == trace_cumulant(sigma, 3)
     assert calls == [(16, 16), (16, 16)]
@@ -149,7 +149,8 @@ def test_fourth_moment_bound_shrinks_along_matched_growth():
 
 
 # ======================================================================
-# Factor path: power sums from the (l+1)-sized Gram of the increment factor
+# Core path: power sums from the (l+1)×(l+1) circle core (the test_factor_*
+# names are kept from the increment factor this path replaced)
 # ======================================================================
 
 def _mp_toeplitz_cumulants(ell, c, n):
@@ -174,23 +175,26 @@ def _mp_toeplitz_cumulants(ell, c, n):
 
 
 def test_factor_cumulants_match_high_precision():
-    mean, want = _mp_toeplitz_cumulants(3, 1.0, 64)
-    gram = increment_gram_fl(3, 1.0, LineGrid(64))
-    assert gram.factor.shape == (4, 64)
-    assert_allclose(exact_var_vnl(gram), want[2], rtol=1e-13)
-    for p in (2, 3, 4):
-        assert_allclose(trace_cumulant(gram, p), want[p], rtol=1e-13)
-    assert_allclose(gram.trace(), mean, rtol=1e-13)
+    for ell, n in ((3, 64), (1, 16), (7, 40), (15, 16)):
+        mean, want = _mp_toeplitz_cumulants(ell, 1.0, n)
+        gram = increment_gram_fl(ell, 1.0, LineGrid(n))
+        assert gram.core.shape == (ell + 1, ell + 1)
+        assert_allclose(exact_var_vnl(gram), want[2], rtol=1e-13)
+        for p in (2, 3, 4):
+            assert_allclose(trace_cumulant(gram, p), want[p], rtol=1e-13)
+        # tr(core) sums positive terms: no 1 − P_l cancellation
+        assert_allclose(gram.trace(), mean, rtol=1e-15)
 
 
 def test_factor_path_matches_dense_on_random_cells():
     rng = np.random.default_rng(51177)
-    cells = [(int(ell), int(rng.integers(8 * (ell + 1), 200)))
-             for ell in rng.integers(1, 20, size=10)] + [(1, 16), (7, 64)]
+    cells = [(int(ell), int(rng.integers(ell + 1, 200)))
+             for ell in rng.integers(1, 20, size=10)] + [(1, 16), (7, 64), (63, 512),
+                                                         (255, 512)]
     for ell, n in cells:
         c = float(rng.uniform(0.2, 3.0))
         gram = increment_gram_fl(ell, c, LineGrid(n))
-        assert gram.factor.shape == (ell + 1, n)
+        assert gram.core.shape == (ell + 1, ell + 1)
         sig = gram.sigma
         assert_allclose(exact_var_vnl(gram), exact_var_vnl(sig), rtol=1e-12)
         for p in range(3, 9):
@@ -222,6 +226,22 @@ def test_factor_path_never_builds_dense_matrix(monkeypatch):
     exact_var_vnl(gram), normalized_cumulant(gram, 3), fourth_moment_bound(gram)
     rep = moment_report(8, 0.5, 20000, p_max=6)
     assert all(np.isfinite(rep.cumulants))
+
+
+def test_core_path_builds_no_harmonic_table(monkeypatch):
+    import sphereqv.covariance as cov
+    import sphereqv.specfun as specfun
+
+    def refuse(*_):
+        raise AssertionError("harmonic table built")
+
+    for owner, name in ((cov, "meridian_basis_fl"), (cov, "harmonic_meridian_table"),
+                        (specfun, "harmonic_meridian_table")):
+        monkeypatch.setattr(owner, name, refuse)
+    for ell, n in ((1, 2), (8, 4096), (255, 256), (1023, 4096)):
+        gram = increment_gram_fl(ell, 1.0, LineGrid(n))
+        assert gram.core.shape == (ell + 1, ell + 1)
+        trace_cumulant(gram, 4)
 
 
 # ======================================================================
