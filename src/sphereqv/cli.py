@@ -96,22 +96,33 @@ def _memory_error(arrays, where):
     return True
 
 
-def _moments_need(ell, n):
+def _moments_need(ell, n, regime=None):
     """(bytes, name) of the moments command's peak: the core path's Gram-row
     sweep, 5·8(N+1) bytes, and its five (l+1)×(l+1) arrays, or the dense N×N
     Gram and eigvalsh's copy; plus 256 KiB for the interpreter. tracemalloc
     read 0.54-0.99 of this at (l, N) = (1, 2²⁰), (8, 4096), (8, 10⁶),
-    (255, 512), (600, 512) and (1023, 4096)."""
+    (255, 512), (600, 512) and (1023, 4096).
+
+    The fixed_ell regime adds K_l's Gauss–Legendre rule: ``leggauss`` solves
+    a nodes×nodes companion matrix, 8·nodes² bytes plus 80 per node
+    (tracemalloc read 8.08 and 8.04 bytes per node² for it alone, 8.21 and
+    8.13 for the whole command at (l, N) = (100, 512) and (200, 512)), so
+    the sum covers that peak wherever it falls."""
     if ell < n:
         need, what = 40 * (n + 1) + 40 * (ell + 1) ** 2, "Gram row and core"
     else:
         need, what = 16 * n * n, "dense Gram"
+    if regime == "fixed_ell":
+        nodes = mom._fixed_ell_nodes(ell)
+        need += 8 * nodes ** 2 + 80 * nodes
+        what += ", plus the fixed_ell quadrature"
     return need + 2 ** 18, what
 
 
 def _cmd_moments(args):
     # the chosen path's peak must fit in memory, checked before allocating
-    if _memory_error([_moments_need(args.ell, args.n)], f"l={args.ell}, N={args.n}"):
+    if _memory_error([_moments_need(args.ell, args.n, args.regime)],
+                     f"l={args.ell}, N={args.n}"):
         return 2
     gram = increment_gram_fl(args.ell, args.cl, LineGrid(args.n))
     mean = mom.exact_mean_vnl(args.ell, args.cl, args.n)

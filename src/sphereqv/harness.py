@@ -233,6 +233,8 @@ class ExperimentConfig:
 
         regime = _parse_regime(raw.get("regime"))
         _check_coupling(regime, cells, kind)
+        for ell, _ in cells:
+            _sampler_target(target, ell)
 
         if "estimator_error" in stats and kind != "single_ell":
             raise ConfigError("estimator_error requires a single_ell target")
@@ -530,13 +532,19 @@ def _resolve_threads(threads):
 
 
 def _sampler_target(target, ell):
-    """The sampler's target for a parsed target dict; ell is single_ell's degree."""
+    """The sampler's target for a parsed target dict; ell is single_ell's degree.
+
+    ConfigError when the sampler cannot hold the target's spectrum scale.
+    """
     kind = target["kind"]
-    if kind == "single_ell":
-        return SingleEll(ell=ell, c_ell=target["c_ell"])
-    if kind == "full_field":
-        return FullField(spectrum=target["spectrum"])
-    return FbmTarget(spec=target["spec"])
+    try:
+        if kind == "single_ell":
+            return SingleEll(ell=ell, c_ell=target["c_ell"])
+        if kind == "full_field":
+            return FullField(spectrum=target["spectrum"])
+        return FbmTarget(spec=target["spec"])
+    except ValueError as exc:
+        raise ConfigError(f"bad {kind} target: {exc}") from exc
 
 
 def _cell_exact(config, ell, n):
@@ -635,8 +643,10 @@ def _cell_arrays(target, n, batch, replications, dense_gram):
     (times, B, N+1). The sampler's basis, one degree's (l+1)×(N+1) table or
     the largest multi-degree chunk of ``simulate._degree_chunks`` (at most
     _CHUNK_ROWS rows, or one degree of more), sits beside its times·B·rows
-    coefficient buffers. The values are times·R. With ``dense_gram`` the
-    dense N×N Gram is decomposed after sampling.
+    coefficient buffers and, for a fractional pair, the two 2·rows draw
+    vectors of the batch thread and the draw helper. The values are
+    times·R. With ``dense_gram`` the dense N×N Gram is decomposed after
+    sampling.
     """
     times = 2 if isinstance(target, FbmTarget) else 1
     batch = min(batch, replications)
@@ -645,8 +655,9 @@ def _cell_arrays(target, n, batch, replications, dense_gram):
     else:
         sp = target.spec.spectrum if times == 2 else target.spectrum
         rows = max(sp.l_max + 1, min(_CHUNK_ROWS, _chunk_rows(sp.l_min, sp.l_max + 1)))
+    draws = 4 if times == 2 else 0
     arrays = [(8 * times * batch * (n + 1), "batch paths"),
-              (8 * rows * (n + 1 + times * batch), "sampler basis and coefficients"),
+              (8 * rows * (n + 1 + times * batch + draws), "sampler basis and coefficients"),
               (8 * times * replications, "sampled values")]
     if dense_gram:
         arrays.append((8 * n * n, "dense Gram"))

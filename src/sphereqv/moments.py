@@ -322,6 +322,11 @@ def asymptotic_mean(regime, ell, c_ell, n):
     return lead * (math.pi ** 2 / 16.0) * ell ** 2 / n ** 2
 
 
+def _fixed_ell_nodes(ell):
+    """Gauss–Legendre nodes ``asymptotic_var`` gives K_l by default: ≥ 10·l."""
+    return max(64, 10 * ell)
+
+
 def asymptotic_var(regime, ell, c_ell, n, quad_nodes=None):
     """Leading-order variance of the quadratic variation in the given regime.
 
@@ -332,7 +337,7 @@ def asymptotic_var(regime, ell, c_ell, n, quad_nodes=None):
     regime = _check_regime(regime)
     ell, n = _check_ell_n(ell, n)
     if regime.kind == FIXED_ELL:
-        nodes = quad_nodes if quad_nodes is not None else max(64, 10 * ell)
+        nodes = quad_nodes if quad_nodes is not None else _fixed_ell_nodes(ell)
         return 2.0 * k_ell_constant(ell, nodes) * c_ell ** 2 / n ** 2
     if regime.kind in (ELL_FASTER, ELL_COMPARABLE):
         return 2.0 / math.pi ** 4 * c_ell ** 2 * ell * n ** 2 * math.log(n)

@@ -23,12 +23,19 @@ paths are bitwise reproducible for a fixed batch partition (different
 partitions can move the last ulp through BLAS reduction order), which is
 why consumers that promise byte-identical output pin their batch
 boundaries and let only the scheduling vary.
+
+Threads: a multi-degree batch draws each degree chunk's normals on two
+threads while the chunk's harmonic sweep runs, the batch's own and one
+draw helper that every batch of the process shares; a batch that finds the
+helper busy with another batch draws everything itself. Which thread draws
+a replication never changes its values (see ``_paths_batch``).
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -55,6 +62,12 @@ __all__ = [
 # bounds the basis block at ~16k rows × (N+1) points
 _CHUNK_ROWS = 16384
 
+# the one thread that draws a degree chunk's normals while the batch thread
+# runs the chunk's harmonic sweep, shared by every batch of the process; the
+# executor starts it on the first submit and keeps it, as threads that start
+# and exit make the C allocator open fresh per-thread arenas
+_DRAW_HELPER = ThreadPoolExecutor(max_workers=1, thread_name_prefix="sphereqv-draw")
+
 
 # ======================================================================
 # Targets and sample specification
@@ -70,8 +83,10 @@ class SingleEll:
     def __post_init__(self):
         if int(self.ell) != self.ell or self.ell < 1:
             raise ValueError("degree must be an integer ≥ 1")
-        if not 0 <= self.c_ell < math.inf:
-            raise ValueError("c_ell must be finite and non-negative")
+        # the sampler's basis holds √(2·c_ell), so 2·c_ell must be finite
+        if not 0 <= 2.0 * self.c_ell < math.inf:
+            raise ValueError("c_ell must be non-negative with 2·c_ell finite, "
+                             f"got {self.c_ell!r}")
         object.__setattr__(self, "ell", int(self.ell))
 
 
@@ -91,6 +106,11 @@ class FbmTarget:
     def __post_init__(self):
         if not isinstance(self.spec, FbmSpec):
             raise TypeError("spec must be an FbmSpec")
+        # the sampler's basis holds √(4π·A_l); a power law peaks at A_1 = c0
+        sp = self.spec.spectrum
+        peak = max(sp.values) if sp.kind == "explicit" else sp.c0
+        if not 4.0 * math.pi * peak < math.inf:
+            raise ValueError(f"spectrum peak {peak!r} makes 4π·A_l overflow a float")
 
 
 @dataclass(frozen=True)
@@ -312,11 +332,23 @@ def _paths_batch(target, grid, gens):
 
     The multi-degree draws go through buffers allocated once per batch and
     sized for the largest degree chunk: each replication's times·rows
-    normals of a chunk land in one reused vector (for a full field, straight
-    in its row of the coefficient matrix), and the pair writes l00·z0 and
-    l10·z0 + l11·z1 into two B × rows matrices, each a contiguous leading
-    slice of its buffer, with every value rounded as by the whole-array
-    expressions.
+    normals of a chunk land in a reused scratch vector (for a full field,
+    straight in its row of the coefficient matrix), and the pair writes
+    l00·z0 and l10·z0 + l11·z1 into two B × rows matrices, each a contiguous
+    leading slice of its buffer, with every value rounded as by the
+    whole-array expressions.
+
+    Two threads fill a chunk's coefficients while one advances its sweep.
+    The draws do not depend on the basis, so each chunk hands the module's
+    draw helper a task that pulls replication indices from a source it
+    shares with the batch thread; the batch thread runs the chunk's harmonic
+    sweep, then pulls the indices left, each thread drawing into its own
+    scratch vector. Before the gemms the batch thread waits for the helper,
+    or cancels its task if another batch still holds the helper, and has
+    then drawn every replication itself. Bits cannot move: each replication
+    is drawn by exactly one thread, with the same operations; its stream
+    advances chunk by chunk in ascending order, as no chunk starts before
+    the last one's draws are done; and the gemms are unchanged.
     """
     if isinstance(target, SingleEll):
         ell = target.ell
@@ -333,25 +365,40 @@ def _paths_batch(target, grid, gens):
         l10 = rh_cross(spec.hurst, t, s) / l00
         l11 = math.sqrt(max(s ** (2.0 * spec.hurst) - l10 * l10, 0.0))
         spectrum, factor, times = spec.spectrum, 4.0 * math.pi, 2
-    b = len(gens)
-    rows_max = max(_chunk_rows(lo, hi)
-                   for lo, hi in _degree_chunks(spectrum.l_min, spectrum.l_max))
-    coef = [np.empty(b * rows_max) for _ in range(times)]
-    draw = np.empty(2 * rows_max) if times == 2 else None
-    out = np.zeros((times, b, grid.n + 1))
-    for basis in _scaled_chunks(spectrum, grid.points, factor):
-        rows = basis.shape[0]
-        z = [c[:b * rows].reshape(b, rows) for c in coef]
-        for i, g in enumerate(gens):
+
+    def fill(pending, z, zi):
+        # draw (and couple) every replication left in ``pending`` into z
+        for i in pending:
             if times == 1:
-                g.standard_normal(out=z[0][i])
+                gens[i].standard_normal(out=z[0][i])
             else:
-                zi = draw[:2 * rows]
-                g.standard_normal(out=zi)
+                gens[i].standard_normal(out=zi)
                 np.multiply(l11, zi[1::2], out=z[1][i])
                 np.multiply(l10, zi[0::2], out=z[0][i])
                 z[1][i] += z[0][i]  # l10·z0 + l11·z1, rounded as one expression
                 np.multiply(l00, zi[0::2], out=z[0][i])
+
+    b = len(gens)
+    chunks = _degree_chunks(spectrum.l_min, spectrum.l_max)
+    rows_max = max(_chunk_rows(lo, hi) for lo, hi in chunks)
+    coef = [np.empty(b * rows_max) for _ in range(times)]
+    draws = [np.empty(2 * rows_max) for _ in range(2)] if times == 2 else None
+    out = np.zeros((times, b, grid.n + 1))
+    sweep = _scaled_chunks(spectrum, grid.points, factor)
+    for lo, hi in chunks:
+        rows = _chunk_rows(lo, hi)
+        z = [c[:b * rows].reshape(b, rows) for c in coef]
+        zi = [d[:2 * rows] for d in draws] if draws else [None, None]
+        # next() on a range iterator runs in C under the GIL, so the two
+        # threads pulling from it each take a replication the other never sees
+        pending = iter(range(b))
+        task = _DRAW_HELPER.submit(fill, pending, z, zi[0])
+        try:
+            basis = next(sweep)
+            fill(pending, z, zi[1])
+        finally:
+            if not task.cancel():
+                task.result()
         for k in range(times):
             out[k] += z[k] @ basis
     return out

@@ -145,6 +145,37 @@ def test_moments_estimate_covers_the_measured_peak(capsys, ell, n):
     assert peak <= need
 
 
+@pytest.mark.parametrize("ell", [100, 200])
+def test_moments_fixed_ell_estimate_covers_the_quadrature_peak(capsys, ell):
+    # K_l's Gauss–Legendre rule of 10·l nodes outweighs the core path here
+    argv = ["moments", "--ell", str(ell), "--n", "512", "--cl", "1"]
+    need, what = cli._moments_need(ell, 512, "fixed_ell")
+    tracemalloc.start()
+    try:
+        assert main([*argv, "--regime", "fixed_ell"]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert cli._moments_need(ell, 512)[0] < peak <= need
+    assert what.endswith("fixed_ell quadrature")
+
+
+def test_moments_fixed_ell_quadrature_beyond_physical_memory_exits_2(monkeypatch, capsys):
+    # (1023, 4096) needs 42 MB on the core path but 840 MB with the regime's
+    # 10230-node rule: memory between the two must refuse it before allocating
+    core_need, _ = cli._moments_need(1023, 4096)
+    monkeypatch.setattr(cli, "_physical_memory", lambda: 2 * core_need)
+    monkeypatch.setattr(cli, "increment_gram_fl",
+                        lambda *a: pytest.fail("allocated past the estimate"))
+    assert main(["moments", "--ell", "1023", "--n", "4096", "--cl", "1",
+                 "--regime", "fixed_ell"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith("error: l=1023, N=4096 needs ")
+    assert "fixed_ell quadrature" in err
+
+
 @pytest.mark.parametrize("flags", [
     ["--cl", "nan"], ["--cl", "inf"], ["--cl", "-1"], ["--cl", "0"], ["--cl", "x"],
     ["--cl", "1", "--regime", "ell_comparable", "--regime-c", "nan"],
@@ -250,6 +281,12 @@ def test_simulate_error_exit_codes(tmp_path, capsys):
     {"kind": "single_ell", "ell": 3, "extra": 1},
     {"kind": "fbm", "hurst": 0.7, "times": [1.7e308, 1.0],
      "spectrum": {"kind": "explicit", "values": [1.0]}},
+    # finite spectrum scales whose sampler basis √(2·c_l), √(4π·A_l) overflows
+    {"kind": "single_ell", "ell": 3, "c_ell": 1.7e308},
+    {"kind": "fbm", "hurst": 0.3, "times": [2.0, 1.0],
+     "spectrum": {"kind": "power_law", "c0": 1.7e308, "epsilon": 0.2, "l_max": 8}},
+    {"kind": "fbm", "hurst": 0.3, "times": [2.0, 1.0],
+     "spectrum": {"kind": "explicit", "values": [1.0, 1.5e307], "l_min": 2}},
 ])
 def test_simulate_bad_target_is_a_config_error(tmp_path, capsys, target):
     spec = _write_spec(tmp_path, target=target)
@@ -480,6 +517,23 @@ def test_experiment_worker_invariance(tmp_path, capsys):
     assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
 
+def test_fbm_experiment_reports_are_worker_invariant(tmp_path, capsys, monkeypatch):
+    # four fractional-pair batches of several degree chunks each: every
+    # batch shares the one draw helper with the others at --threads 2
+    from sphereqv import simulate
+    monkeypatch.setattr(simulate, "_CHUNK_ROWS", 200)
+    target = {"kind": "fbm", "hurst": 0.3, "times": [2.0, 1.0],
+              "spectrum": {"kind": "power_law", "c0": 1.0, "epsilon": 0.2, "l_max": 40}}
+    cfg = _write_config(tmp_path, replications=100, batch_size=25, target=target,
+                        statistics=["mean", "var", "ks_normal", "hurst"], cells=[[1, 32]])
+    for threads in ("1", "2"):
+        assert main(["experiment", "--config", cfg, "--out", str(tmp_path / threads),
+                     "--threads", threads]) == 0
+    capsys.readouterr()
+    assert (tmp_path / "1.csv").read_bytes() == (tmp_path / "2.csv").read_bytes()
+    assert (tmp_path / "1.json").read_bytes() == (tmp_path / "2.json").read_bytes()
+
+
 def test_experiment_worker_count_comes_from_flags_alone(tmp_path, capsys, monkeypatch):
     # the retired SPHEREQV_THREADS variable is ignored, malformed or not
     monkeypatch.setenv("SPHEREQV_THREADS", "abc")
@@ -573,6 +627,10 @@ def test_experiment_bad_c_ell_is_a_config_error(tmp_path, capsys, c_ell):
     {"target": {"kind": "full_field", "spectrum": {"kind": "explicit", "values": "7"}}},
     {"target": {"kind": "full_field",
                 "spectrum": {"kind": "explicit", "values": [1.0], "l_min": True}}},
+    {"target": {"kind": "single_ell", "c_ell": 1.7e308}},
+    {"target": {"kind": "fbm", "hurst": 0.3, "times": [2.0, 1.0],
+                "spectrum": {"kind": "power_law", "c0": 1.7e308, "epsilon": 0.2,
+                             "l_max": 8}}},
 ], ids=["negative_l_min", "cell_not_a_pair", "cell_null_degree", "cell_of_one",
         "cells_string", "replications_null", "regime_c_string", "regime_c_nan",
         "regime_c_inf", "regime_c_overflows", "cell_n_overflows", "seed_string",
@@ -580,7 +638,7 @@ def test_experiment_bad_c_ell_is_a_config_error(tmp_path, capsys, c_ell):
         "too_few_for_estimator", "too_few_for_ks", "hurst_null", "hurst_overflows",
         "l_min_null", "l_max_null", "c_ell_overflows", "epsilon_nan", "value_nan",
         "time_nan", "hurst_string", "c0_string", "l_max_fractional", "values_string",
-        "l_min_bool"])
+        "l_min_bool", "c_ell_basis_overflows", "fbm_basis_overflows"])
 def test_experiment_bad_config_exits_2_before_sampling(tmp_path, capsys, over):
     cfg = _write_config(tmp_path, **over)
     assert main(["experiment", "--config", cfg,

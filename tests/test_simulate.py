@@ -1,6 +1,8 @@
 """Sampler laws and the determinism contract."""
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -190,6 +192,126 @@ def test_reused_draw_buffers_are_bitwise_the_per_chunk_draws(monkeypatch, chunk_
                                 gens(), (l00, l10, l11))
     assert_array_equal(gt.view(np.uint64), wt.view(np.uint64))
     assert_array_equal(gs.view(np.uint64), ws.view(np.uint64))
+
+
+def _frozen_sequential_v(spec, rep_start, rep_count):
+    # batch_quadratic_variation's multi-degree branch before a chunk's draws
+    # ran beside its sweep: one thread advances the sweep, then draws and
+    # couples every replication, then runs the chunk's gemms
+    gens = [np.random.default_rng(rep_seed_sequence(spec, r))
+            for r in range(rep_start, rep_start + rep_count)]
+    grid = spec.grid
+    if isinstance(spec.target, FullField):
+        spectrum, factor, times = spec.target.spectrum, 1.0, 1
+    else:
+        fspec = spec.target.spec
+        t, s = fspec.times
+        l00 = t ** fspec.hurst
+        l10 = rh_cross(fspec.hurst, t, s) / l00
+        l11 = math.sqrt(max(s ** (2.0 * fspec.hurst) - l10 * l10, 0.0))
+        spectrum, factor, times = fspec.spectrum, 4.0 * math.pi, 2
+    b = len(gens)
+    rows_max = max(simulate._chunk_rows(lo, hi)
+                   for lo, hi in simulate._degree_chunks(spectrum.l_min, spectrum.l_max))
+    coef = [np.empty(b * rows_max) for _ in range(times)]
+    draw = np.empty(2 * rows_max) if times == 2 else None
+    out = np.zeros((times, b, grid.n + 1))
+    for basis in simulate._scaled_chunks(spectrum, grid.points, factor):
+        rows = basis.shape[0]
+        z = [c[:b * rows].reshape(b, rows) for c in coef]
+        for i, g in enumerate(gens):
+            if times == 1:
+                g.standard_normal(out=z[0][i])
+            else:
+                zi = draw[:2 * rows]
+                g.standard_normal(out=zi)
+                np.multiply(l11, zi[1::2], out=z[1][i])
+                np.multiply(l10, zi[0::2], out=z[0][i])
+                z[1][i] += z[0][i]
+                np.multiply(l00, zi[0::2], out=z[0][i])
+        for k in range(times):
+            out[k] += z[k] @ basis
+    v = [np.einsum("ij,ij->i", d, d) for d in np.diff(out, axis=2)]
+    return v[0] if times == 1 else np.stack(v, axis=1)
+
+
+def _multi_degree_specs(reps=7):
+    sp = PowerSpectrum(kind="power_law", l_min=2, l_max=40, c0=1.0, epsilon=0.2)
+    return [_spec(FullField(sp), n=50, seed=2 ** 33 + 1, reps=reps),
+            _spec(FbmTarget(FbmSpec(hurst=0.3, spectrum=sp, times=(2.0, 1.0))),
+                  n=50, seed=2 ** 33 + 1, reps=reps)]
+
+
+@pytest.mark.parametrize("count", [1, 2, 7])
+@pytest.mark.parametrize("chunk_rows", [60, 300])
+@pytest.mark.parametrize("kind", ["full_field", "fbm"])
+def test_overlapped_draws_are_bitwise_the_sequential_loop(monkeypatch, kind, chunk_rows,
+                                                         count):
+    # the draw helper and the batch thread share each chunk's draws; the
+    # values must be the bits of one thread drawing after the sweep
+    monkeypatch.setattr(simulate, "_CHUNK_ROWS", chunk_rows)
+    spec = _multi_degree_specs()[kind == "fbm"]
+    assert len(simulate._degree_chunks(2, 40)) >= 3
+    got = batch_quadratic_variation(spec, 3, count)
+    want = _frozen_sequential_v(spec, 3, count)
+    assert got.shape == want.shape
+    assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_batch_draws_alone_while_the_helper_is_busy(monkeypatch):
+    # a batch whose draw tasks queue behind another task cancels them and
+    # draws every replication itself: same bits, no wait on the helper
+    monkeypatch.setattr(simulate, "_CHUNK_ROWS", 60)
+    specs = _multi_degree_specs()
+    want = [batch_quadratic_variation(spec, 0, 7) for spec in specs]
+    started, release = threading.Event(), threading.Event()
+    blocker = simulate._DRAW_HELPER.submit(lambda: started.set() or release.wait(30))
+    got = []
+    worker = threading.Thread(
+        target=lambda: got.extend(batch_quadratic_variation(spec, 0, 7) for spec in specs))
+    try:
+        assert started.wait(10)
+        worker.start()
+        worker.join(30)
+        finished = not worker.is_alive()
+    finally:
+        release.set()
+    worker.join(30)
+    assert blocker.result(timeout=10)
+    assert finished
+    for g, w in zip(got, want):
+        assert_array_equal(g.view(np.uint64), w.view(np.uint64))
+
+
+def test_concurrent_batches_share_the_draw_helper(monkeypatch):
+    # more batch threads than cores race for the one helper with a short
+    # switch interval; a replication drawn twice or never would move bits
+    monkeypatch.setattr(simulate, "_CHUNK_ROWS", 60)
+    specs = _multi_degree_specs(reps=24)
+    want = [[batch_quadratic_variation(spec, start, 6) for start in range(0, 24, 6)]
+            for spec in specs]
+    results = {}
+
+    def run(key):
+        spec, start = specs[key[0]], key[1]
+        results[key] = batch_quadratic_variation(spec, start, 6)
+
+    threads = [threading.Thread(target=run, args=((k, start),))
+               for k in range(2) for start in range(0, 24, 6)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for k in range(2):
+        for j, start in enumerate(range(0, 24, 6)):
+            assert_array_equal(results[k, start].view(np.uint64),
+                               want[k][j].view(np.uint64))
 
 
 def test_single_degree_cell_builds_its_basis_once(monkeypatch):
@@ -496,10 +618,27 @@ def test_sample_spec_validation():
         SingleEll(2, -1.0)
 
 
-@pytest.mark.parametrize("c_ell", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("c_ell", [float("nan"), float("inf"), -float("inf"), 1.7e308])
 def test_single_ell_needs_a_finite_c_ell(c_ell):
     with pytest.raises(ValueError, match="finite"):
         SingleEll(3, c_ell)
+
+
+def test_sampler_targets_need_a_finite_basis_scale():
+    # the basis holds √(2·c_l) for one degree and √(4π·A_l) for the pair
+    SingleEll(3, sys.float_info.max / 2)
+    with pytest.raises(ValueError):
+        SingleEll(3, math.nextafter(sys.float_info.max / 2, math.inf))
+    peak = sys.float_info.max / (4.0 * math.pi)
+    for sp, ok in ((PowerSpectrum.power_law(peak, 0.2, l_max=8), True),
+                   (PowerSpectrum.power_law(2.0 * peak, 0.2, l_max=8), False),
+                   (PowerSpectrum.explicit([1.0, 2.0 * peak], l_min=3), False)):
+        spec = FbmSpec(hurst=0.3, spectrum=sp, times=(2.0, 1.0))
+        if ok:
+            FbmTarget(spec)
+        else:
+            with pytest.raises(ValueError, match="overflow"):
+                FbmTarget(spec)
 
 
 def test_batch_rejects_empty_range():
