@@ -3,18 +3,19 @@
 At fixed degree the centered, scaled statistic has nonvanishing third and
 fourth cumulants in the fine-grid limit; the limits are eigenvalue power
 sums of the limit operator, whose kernel is the increment correlation
-profile, from one Nyström eigenproblem. The table shows the finite-N
-values closing in. Each row comes from the (l+1)×(l+1) circle core of the
-increment Gram, which shares its nonzero spectrum, so the sweep runs to
-N = 65536, far past the grids an N×N Gram could hold.
+profile, exact from its (l+1)×(l+1) limit core. The table shows the
+finite-N values closing in as N⁻². Each row comes from the (l+1)×(l+1)
+circle core of the increment Gram, which shares its nonzero spectrum and
+tends to the limit core, so the sweep runs to N = 65536, far past the
+grids an N×N Gram could hold.
 """
 
 from sphereqv.covariance import LineGrid, increment_gram_fl
 from sphereqv.moments import nclt_limit_cumulant, normalized_cumulant
 
 ELL = 1
-lim3 = nclt_limit_cumulant(ELL, 3, 48)
-lim4 = nclt_limit_cumulant(ELL, 4, 40)
+lim3 = nclt_limit_cumulant(ELL, 3)
+lim4 = nclt_limit_cumulant(ELL, 4)
 print(f"degree l = {ELL}")
 print(f"limit kappa3 = {lim3:.9f}")
 print(f"limit kappa4 = {lim4:.9f}")

@@ -96,32 +96,23 @@ def _memory_error(arrays, where):
     return True
 
 
-def _moments_need(ell, n, regime=None):
+def _moments_need(ell, n):
     """(bytes, name) of the moments command's peak: the core path's Gram-row
     sweep, 5·8(N+1) bytes, and its five (l+1)×(l+1) arrays, or the dense N×N
     Gram and eigvalsh's copy; plus 256 KiB for the interpreter. tracemalloc
     read 0.54-0.99 of this at (l, N) = (1, 2²⁰), (8, 4096), (8, 10⁶),
-    (255, 512), (600, 512) and (1023, 4096).
-
-    The fixed_ell regime adds K_l's Gauss–Legendre rule: ``leggauss`` solves
-    a nodes×nodes companion matrix, 8·nodes² bytes plus 80 per node
-    (tracemalloc read 8.08 and 8.04 bytes per node² for it alone, 8.21 and
-    8.13 for the whole command at (l, N) = (100, 512) and (200, 512)), so
-    the sum covers that peak wherever it falls."""
+    (255, 512), (600, 512) and (1023, 4096). Every regime's asymptotic
+    counterpart is O(l) on top."""
     if ell < n:
         need, what = 40 * (n + 1) + 40 * (ell + 1) ** 2, "Gram row and core"
     else:
         need, what = 16 * n * n, "dense Gram"
-    if regime == "fixed_ell":
-        nodes = mom._fixed_ell_nodes(ell)
-        need += 8 * nodes ** 2 + 80 * nodes
-        what += ", plus the fixed_ell quadrature"
     return need + 2 ** 18, what
 
 
 def _cmd_moments(args):
     # the chosen path's peak must fit in memory, checked before allocating
-    if _memory_error([_moments_need(args.ell, args.n, args.regime)],
+    if _memory_error([_moments_need(args.ell, args.n)],
                      f"l={args.ell}, N={args.n}"):
         return 2
     gram = increment_gram_fl(args.ell, args.cl, LineGrid(args.n))
@@ -132,9 +123,7 @@ def _cmd_moments(args):
         lines.append((f"normalized_k{p}", mom.normalized_cumulant(gram, p)))
     lines.append(("fourth_moment_bound", mom.fourth_moment_bound(gram)))
     if args.regime:
-        regime = (RegimeTag.ell_comparable(args.regime_c)
-                  if args.regime == "ell_comparable"
-                  else RegimeTag(args.regime))
+        regime = RegimeTag(args.regime, args.regime_c if args.regime == "ell_comparable" else None)
         a_mean = mom.asymptotic_mean(regime, args.ell, args.cl, args.n)
         a_var = mom.asymptotic_var(regime, args.ell, args.cl, args.n)
         lines += [("asymptotic_mean", a_mean), ("mean_ratio", mean / a_mean),
@@ -184,6 +173,7 @@ def _cmd_simulate(args):
     n = harness._config_int(raw["n"], "n must be a positive integer", 1, 2 ** 63)
     seed = harness._config_int(seed, "seed must be an unsigned 64-bit integer", 0, 2 ** 64)
     reps = harness._config_int(reps, "replications must be a positive integer")
+    harness._check_scale(target, n)
     batch = 1024
     arrays = harness._cell_arrays(target, n, batch, reps, dense_gram=False)
     if _memory_error(arrays, f"sample spec (N={n}, replications={reps})"):
@@ -460,6 +450,9 @@ def main(argv=None):
         if args.command == "moments":
             if args.regime == "ell_comparable" and args.regime_c is None:
                 parser.error("--regime ell_comparable requires --regime-c")
+            if args.regime not in (None, "fixed_ell") and args.n == 1:
+                parser.error(f"--regime {args.regime} requires --n ≥ 2: its "
+                             "asymptotic variance carries ln N")
             return _cmd_moments(args)
         if args.command == "simulate":
             return _cmd_simulate(args)

@@ -3,8 +3,8 @@
 Angular power spectra, the equispaced colatitude grid, exact covariance
 kernels of single-degree and truncated full fields, second differences of
 Legendre polynomials, the Gram matrix of grid increments with the
-(l+1)×(l+1) circle core of one degree, and the joint covariance of a
-sphere-valued fractional Brownian pair observed at two times.
+(l+1)×(l+1) circle core of one degree and its N → ∞ limit core, and the
+joint covariance of a sphere-valued fractional Brownian pair at two times.
 
 The increment Gram matrix is the workhorse: for a Gaussian field f observed
 at grid points θ_1 < ... < θ_{N+1}, entry (i, j) is E[Δ_i Δ_j] with
@@ -374,28 +374,48 @@ def meridian_basis_fl(ell, c_ell, grid):
     return basis
 
 
+def _szego(ell):
+    """(w, j) of Szegő's P_l(cos φ) = Σ_m w_m cos(j_m φ), m = 0..l: j_m = l−2m,
+    w_m = a_m a_{l−m}, a_m = C(2m, m)/4^m by its ratio (4.0**m overflows)."""
+    m = np.arange(1, ell + 1)
+    a = np.concatenate(([1.0], np.cumprod((2.0 * m - 1.0) / (2.0 * m))))
+    return a * a[::-1], ell - 2 * np.arange(ell + 1)
+
+
 def _circle_core(ell, c_ell, n):
     """(l+1)×(l+1) symmetric matrix with the degree-l Gram's nonzero spectrum.
 
     The spacing π/(2N) closes the great circle in M = 4N points, so Σ is an
-    N×N section of a circulant. Szegő's P_l(cos φ) = Σ_m a_m a_{l−m} cos(j_m φ),
-    j_m = l−2m, a_m = C(2m, m)/4^m, gives Σ = E diag(μ) E^H, E[i, m] = e^{i j_m θ_i},
-    μ_m = 4 sin²(π j_m/M) c_l (2l+1)/(4π) a_m a_{l−m}: Σ shares its nonzero
-    spectrum with √μ E^H E √μ, and E^H E is, up to a diagonal unitary
-    similarity, the Dirichlet kernel sin(πd/4)/sin(πd/M) at d = j_m − j_k (N at
-    d = 0). d is even, so sin(πd/4) is exact from (d/2) mod 4, and |d| ≤ 2l < M.
-    a_m is built by its ratio (2m−1)/(2m): 4.0**m overflows at m ≥ 512.
+    N×N section of a circulant. Szegő's expansion (:func:`_szego`) gives
+    Σ = E diag(μ) E^H, E[i, m] = e^{i j_m θ_i}, μ_m = 4 sin²(π j_m/M) c_l (2l+1)/(4π) w_m,
+    so Σ shares its nonzero spectrum with √μ E^H E √μ; E^H E is, up to a
+    diagonal unitary similarity, sin(πd/4)/sin(πd/M) at d = j_m − j_k (N at
+    d = 0; |d| ≤ 2l < M). d is even: sin(πd/4) is exact from (d/2) mod 4. The
+    core tends to c_l (2l+1)π/(16N) times :func:`_limit_core` as N → ∞.
     """
-    m = np.arange(1, ell + 1)
-    a = np.concatenate(([1.0], np.cumprod((2.0 * m - 1.0) / (2.0 * m))))
-    j = ell - 2 * np.arange(ell + 1)
-    r = np.abs(np.sin(math.pi * j / (4 * n))) * np.sqrt(
-        c_ell * (2 * ell + 1) / math.pi * a * a[::-1])
+    w, j = _szego(ell)
+    r = np.abs(np.sin(math.pi * j / (4 * n))) * np.sqrt(c_ell * (2 * ell + 1) / math.pi * w)
     d = j[:, None] - j
-    sin_quarter = np.array([0.0, 1.0, 0.0, -1.0])[(d // 2) % 4]  # sin(πd/4), d even
+    sin_quarter = np.array([0.0, 1.0, 0.0, -1.0])[(d // 2) % 4]
     with np.errstate(divide="ignore", invalid="ignore"):
         kernel = np.where(d == 0, float(n), sin_quarter / np.sin(math.pi * d / (4 * n)))
     return r[:, None] * kernel * r
+
+
+def _limit_core(ell):
+    """(l+1)×(l+1) matrix with the nonzero eigenvalues of the operator with
+    kernel g(|x−y|) on [0, 1]. g(x) = −d²/dθ² P_l(cos θ) at θ = πx/2 is
+    Σ_m b_m cos(j_m θ), b_m = w_m j_m² (:func:`_szego`), so the operator is
+    E diag(b) E^H, E[x, m] = e^{i j_m πx/2}, with √b E^H E √b's nonzero spectrum;
+    E^H E is, up to a diagonal unitary similarity, sin(πd/4)/(πd/4) at
+    d = j_m − j_k (1 at d = 0), its sine exact as in :func:`_circle_core`."""
+    w, j = _szego(ell)
+    rb = np.abs(j) * np.sqrt(w)
+    d = j[:, None] - j
+    sin_quarter = np.array([0.0, 1.0, 0.0, -1.0])[(d // 2) % 4]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sinc = np.where(d == 0, 1.0, sin_quarter / (0.25 * math.pi * d))
+    return rb[:, None] * sinc * rb
 
 
 def increment_gram_fl(ell, c_ell, grid):

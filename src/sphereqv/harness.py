@@ -233,8 +233,8 @@ class ExperimentConfig:
 
         regime = _parse_regime(raw.get("regime"))
         _check_coupling(regime, cells, kind)
-        for ell, _ in cells:
-            _sampler_target(target, ell)
+        for ell, n in cells:
+            _check_scale(_sampler_target(target, ell), n)
 
         if "estimator_error" in stats and kind != "single_ell":
             raise ConfigError("estimator_error requires a single_ell target")
@@ -545,6 +545,36 @@ def _sampler_target(target, ell):
         return FbmTarget(spec=target["spec"])
     except ValueError as exc:
         raise ConfigError(f"bad {kind} target: {exc}") from exc
+
+
+def _weight_sum(spectrum):
+    """Σ C_l (2l+1) over the spectrum's degrees. Past degree 2^16 a power law
+    adds its integral c0 ∫ (2x+1) x^(−2−ε) dx instead, within 1e-5 above."""
+    if spectrum.kind == "explicit":
+        ells = spectrum.l_min + np.arange(len(spectrum.values), dtype=float)
+        with np.errstate(over="ignore"):
+            return float(np.sum(np.array(spectrum.values) * (2.0 * ells + 1.0)))
+    eps, x0, x1 = spectrum.epsilon, float(min(spectrum.l_max, 2 ** 16)), float(spectrum.l_max)
+    ells = np.arange(1.0, x0 + 1.0)
+    rest = (-2.0 * x0 ** -eps * math.expm1(-eps * math.log(x1 / x0)) / eps
+            + (x0 ** (-1.0 - eps) - x1 ** (-1.0 - eps)) / (1.0 + eps))
+    return spectrum.c0 * (float(np.sum((2.0 * ells + 1.0) * ells ** (-2.0 - eps))) + rest)
+
+
+def _check_scale(target, n):
+    """ConfigError when 4N·σ², σ² the sampler target's pointwise variance,
+    exceeds float max/2^64: E[V] ≤ 4N·σ², so a V that passes overflows only
+    beyond 1.8e19 times its mean."""
+    if isinstance(target, FbmTarget):
+        t, s = target.spec.times
+        var = max(t, s) ** (2.0 * target.spec.hurst) * _weight_sum(target.spec.spectrum)
+    else:
+        sp = target.spectrum if isinstance(target, FullField) else PowerSpectrum.single(
+            target.ell, target.c_ell)
+        var = _weight_sum(sp) / (4.0 * math.pi)
+    if not 4.0 * n * var <= sys.float_info.max / 2 ** 64:
+        raise ConfigError(f"4N times the pointwise variance is {4.0 * n * var:.3g} at "
+                          f"N={n}, above float max/2^64: V could overflow")
 
 
 def _cell_exact(config, ell, n):

@@ -13,13 +13,12 @@ with l+1 ≤ N all three come from the (l+1)×(l+1) circle core, which shares
 
 The fixed-degree (non-central) limit has the same structure: a
 second-chaos variable whose cumulants are eigenvalue power sums of the
-integral operator with kernel g(|x−y|) on [0, 1]. One Nyström
-eigenproblem on Gauss–Legendre nodes gives those eigenvalues, so every
-order costs one O(nodes³) decomposition; g is even, so the kernel has no
-kink on the diagonal and the quadrature converges spectrally. Asymptotic
-formulas for the three degree-versus-grid growth regimes, the
-fourth-moment normality proxy, and exact estimator biases complete the
-module.
+integral operator with kernel g(|x−y|) on [0, 1]. Szegő's expansion makes
+g a sum of l+1 cosines, so those eigenvalues are the spectrum of an
+(l+1)×(l+1) limit core, the N → ∞ limit of the circle core, and the
+variance constant K_l is a sum of l+1 squares. Asymptotic formulas for the
+three degree-versus-grid growth regimes, the fourth-moment normality
+proxy, and exact estimator biases complete the module.
 
 Normalization convention: the standardized statistic is
 F = (V − E V)/√Var V, whose second cumulant is 1 by construction.
@@ -30,14 +29,12 @@ from __future__ import annotations
 import math
 import numbers
 import sys
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from . import covariance as cov
-from .specfun import bessel_j, legendre_p, legendre_p_deriv
+from .specfun import bessel_j, legendre_p
 
 __all__ = [
     "RegimeTag",
@@ -146,14 +143,6 @@ def exact_mean_vnl(ell, c_ell, n):
             * (1.0 - legendre_p(ell, math.cos(0.5 * math.pi / n))))
 
 
-def _eigenvalues(gram):
-    """Eigenvalues whose power sums are tr(Σ^p): an IncrementGram's, kept from
-    one decomposition (of its core when it carries one), or a plain matrix's."""
-    if isinstance(gram, cov.IncrementGram):
-        return gram.eigenvalues()
-    return np.linalg.eigvalsh(np.asarray(gram, float))
-
-
 def _power_cumulant(eig, p):
     """κ_p = 2^(p−1)(p−1)! Σ μ^p of the chaos variable Σ μ_i(Z_i² − 1)."""
     return 2.0 ** (p - 1) * math.factorial(p - 1) * float(np.sum(eig ** p))
@@ -191,7 +180,9 @@ def trace_cumulant(gram, p):
     p = int(p)
     if p == 2:
         return exact_var_vnl(gram)
-    return _power_cumulant(_eigenvalues(gram), p)
+    eig = (gram.eigenvalues() if isinstance(gram, cov.IncrementGram)
+           else np.linalg.eigvalsh(np.asarray(gram, float)))
+    return _power_cumulant(eig, p)
 
 
 def normalized_cumulant(gram, p):
@@ -213,53 +204,30 @@ def fourth_moment_bound(gram):
 
 
 # ======================================================================
-# The degree profile g: its quadrature integrals and limit operator
+# The degree profile g and its limit operator
 # ======================================================================
 
-def _profile_nodes(ell, nodes):
-    """Gauss–Legendre nodes and weights on [0, 1] for integrals of g.
-
-    Warns below 10·l nodes: g oscillates about l times on [0, 1].
-    """
-    if nodes < 10 * ell:
-        warnings.warn(
-            f"quad_nodes={nodes} below 10·l={10 * ell}; the integrand "
-            f"oscillates ~l times and may be under-resolved", stacklevel=3)
-    x, w = leggauss(int(nodes))
-    return 0.5 * (x + 1.0), 0.5 * w
-
-
-def _g_profile(ell, x):
-    """g(x) = l(l+1) P_l(u) − P'_l(u)·u at u = cos(xπ/2), x ∈ [0, 1].
-
-    The limiting shape of N²-scaled second differences of P_l over the
-    grid: uniformly in k, N·(lag k second difference) ≈ (π²/(4N)) g(k/N).
-    g(0) = l(l+1)/2.
-    """
-    x = np.asarray(x, dtype=float)
-    u = np.cos(0.5 * math.pi * x)
-    return ell * (ell + 1) * legendre_p(ell, u) - legendre_p_deriv(ell, u) * u
-
-
-def k_ell_constant(ell, quad_nodes, lag_weighted=False):
+def k_ell_constant(ell, quad_nodes=None, lag_weighted=False):
     """Variance-scale constant of the fixed-degree regime.
 
-    ((2l+1)/(4π))² (π⁴/16) · I with I = ∫₀¹ g(x)² dx by default. With
-    ``lag_weighted=True``, I = 2∫₀¹ (1−x) g(x)² dx instead, which carries
-    the (N−k) lag multiplicity of the Toeplitz variance sum; only the
-    weighted form satisfies N² Var/(2 c_l²) → K_l. The unweighted form is
-    kept as the named constant (it gives K₁ = 9π²/512 in closed form) and
-    the two differ by a degree-dependent factor in [1, 1.5].
+    ((2l+1)/(4π))² (π⁴/16) · I, where g(x) = −d²/dθ² P_l(cos θ) at θ = πx/2,
+    the N²-scaled lag-k second difference at x = k/N, is Σ_m b_m cos(j_m θ)
+    with b_m = w_m j_m² (Szegő). By default I = ∫₀¹ g² = Σ b_m², O(l): the
+    cosines are orthogonal on [0, 1] but for the pairs j, −j. With
+    ``lag_weighted=True``, I = 2∫₀¹ (1−x) g² = tr K², the squared Frobenius
+    norm of the limit core, which carries the (N−k) lag multiplicity of the
+    Toeplitz variance sum; only this form satisfies N² Var/(2 c_l²) → K_l.
+    The unweighted form is the named constant (K₁ = 9π²/512); the two differ
+    by a degree-dependent factor in [1, 1.5]. ``quad_nodes`` is ignored,
+    kept for old callers.
     """
     ell, _ = _check_ell_n(ell, 1)
-    x, w = _profile_nodes(ell, quad_nodes)
-    g2 = _g_profile(ell, x) ** 2
-    integral = 2.0 * float(np.sum(w * (1.0 - x) * g2)) if lag_weighted \
-        else float(np.sum(w * g2))
+    w, j = cov._szego(ell)
+    integral = float(np.sum(np.square(cov._limit_core(ell) if lag_weighted else w * j * j)))
     return ((2 * ell + 1) / (4.0 * math.pi)) ** 2 * (math.pi ** 4 / 16.0) * integral
 
 
-def nclt_limit_cumulant(ell, p, quad_nodes):
+def nclt_limit_cumulant(ell, p, quad_nodes=None):
     """Limiting cumulant κ_p of the standardized quadratic variation, fixed degree.
 
     As the grid is refined with the degree held fixed, F converges to the
@@ -269,21 +237,15 @@ def nclt_limit_cumulant(ell, p, quad_nodes):
 
         κ_p = 2^(p−1) (p−1)! · J_p / (2 J₂)^(p/2),
 
-    normalized so that κ₂ = 1. ν come from one Nyström eigenproblem: the
-    symmetric matrix √w_i g(|x_i−x_j|) √w_j on quad_nodes Gauss–Legendre
-    nodes. g is a function of cos(πx/2), so it is even and the kernel
-    g(x−y) is smooth; the quadrature, and so every power sum, converges
-    spectrally in quad_nodes (≥ 10·l resolves the oscillation). One
-    O(quad_nodes³) decomposition serves every order; p ∈ {3, 4} are the
-    orders accepted.
+    normalized so that κ₂ = 1. ν are the eigenvalues of the (l+1)×(l+1)
+    limit core (``covariance._limit_core``); the circle core's κ_p approach
+    these as N⁻². p ∈ {3, 4} are the orders accepted. ``quad_nodes`` is
+    ignored, kept for old callers.
     """
     ell, _ = _check_ell_n(ell, 1)
     if p not in (3, 4):
         raise ValueError("limit cumulants implemented for p in {3, 4} only")
-    x, w = _profile_nodes(ell, quad_nodes)
-    sw = np.sqrt(w)
-    nu = np.linalg.eigvalsh(sw[:, None] * _g_profile(ell, np.abs(x[:, None] - x))
-                            * sw)
+    nu = np.linalg.eigvalsh(cov._limit_core(ell))
     return _power_cumulant(nu, p) / _power_cumulant(nu, 2) ** (p / 2.0)
 
 
@@ -322,23 +284,17 @@ def asymptotic_mean(regime, ell, c_ell, n):
     return lead * (math.pi ** 2 / 16.0) * ell ** 2 / n ** 2
 
 
-def _fixed_ell_nodes(ell):
-    """Gauss–Legendre nodes ``asymptotic_var`` gives K_l by default: ≥ 10·l."""
-    return max(64, 10 * ell)
-
-
-def asymptotic_var(regime, ell, c_ell, n, quad_nodes=None):
+def asymptotic_var(regime, ell, c_ell, n):
     """Leading-order variance of the quadratic variation in the given regime.
 
-    fixed_ell:                  2 K_l c_l² / N²   (K_l from quadrature)
+    fixed_ell:                  2 K_l c_l² / N²   (K_l of :func:`k_ell_constant`, O(l))
     ell_faster, ell_comparable: (2/π⁴) c_l² l N² ln N
     ell_slower:                 (π/128) c_l² l⁵ ln N / N²
     """
     regime = _check_regime(regime)
     ell, n = _check_ell_n(ell, n)
     if regime.kind == FIXED_ELL:
-        nodes = quad_nodes if quad_nodes is not None else _fixed_ell_nodes(ell)
-        return 2.0 * k_ell_constant(ell, nodes) * c_ell ** 2 / n ** 2
+        return 2.0 * k_ell_constant(ell) * c_ell ** 2 / n ** 2
     if regime.kind in (ELL_FASTER, ELL_COMPARABLE):
         return 2.0 / math.pi ** 4 * c_ell ** 2 * ell * n ** 2 * math.log(n)
     return math.pi / 128.0 * c_ell ** 2 * ell ** 5 * math.log(n) / n ** 2

@@ -145,35 +145,32 @@ def test_moments_estimate_covers_the_measured_peak(capsys, ell, n):
     assert peak <= need
 
 
-@pytest.mark.parametrize("ell", [100, 200])
-def test_moments_fixed_ell_estimate_covers_the_quadrature_peak(capsys, ell):
-    # K_l's Gauss–Legendre rule of 10·l nodes outweighs the core path here
-    argv = ["moments", "--ell", str(ell), "--n", "512", "--cl", "1"]
-    need, what = cli._moments_need(ell, 512, "fixed_ell")
+def test_moments_fixed_ell_regime_adds_no_quadrature(capsys):
+    # K_l is a sum of l+1 squares: the regime block stays within the core
+    # path's estimate at (1023, 4096), and a degree far past the grid runs
+    argv = ["moments", "--ell", "1023", "--n", "4096", "--cl", "1", "--regime", "fixed_ell"]
     tracemalloc.start()
     try:
-        assert main([*argv, "--regime", "fixed_ell"]) == 0
+        assert main(argv) == 0
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    capsys.readouterr()
-    assert cli._moments_need(ell, 512)[0] < peak <= need
-    assert what.endswith("fixed_ell quadrature")
+    assert peak <= cli._moments_need(1023, 4096)[0]
+    assert main(["moments", "--ell", "100000", "--n", "10", "--cl", "1",
+                 "--regime", "fixed_ell"]) == 0
+    table = _parse_table(capsys.readouterr().out)
+    assert table["asymptotic_var"] > 0 and math.isfinite(table["var_ratio"])
 
 
-def test_moments_fixed_ell_quadrature_beyond_physical_memory_exits_2(monkeypatch, capsys):
-    # (1023, 4096) needs 42 MB on the core path but 840 MB with the regime's
-    # 10230-node rule: memory between the two must refuse it before allocating
-    core_need, _ = cli._moments_need(1023, 4096)
-    monkeypatch.setattr(cli, "_physical_memory", lambda: 2 * core_need)
-    monkeypatch.setattr(cli, "increment_gram_fl",
-                        lambda *a: pytest.fail("allocated past the estimate"))
-    assert main(["moments", "--ell", "1023", "--n", "4096", "--cl", "1",
-                 "--regime", "fixed_ell"]) == 2
+@pytest.mark.parametrize("regime", [
+    ["ell_faster"], ["ell_slower"], ["ell_comparable", "--regime-c", "1"]], ids=" ".join)
+def test_moments_log_regime_on_one_increment_exits_2(capsys, regime):
+    # ln N = 0 at N = 1 leaves these regimes no asymptotic variance to divide by
+    with pytest.raises(SystemExit) as exc:
+        main(["moments", "--ell", "3", "--n", "1", "--cl", "1", "--regime", *regime])
+    assert exc.value.code == 2
     out, err = capsys.readouterr()
-    assert out == "" and err.count("\n") == 1
-    assert err.startswith("error: l=1023, N=4096 needs ")
-    assert "fixed_ell quadrature" in err
+    assert out == "" and "requires --n ≥ 2" in err
 
 
 @pytest.mark.parametrize("flags", [
@@ -670,6 +667,35 @@ def test_experiment_cell_beyond_physical_memory_exits_2_before_sampling(
     assert out == "" and err.count("\n") == 1
     assert err.startswith("error: cell (l=") and f"for its {what}, more than" in err
     assert not (tmp_path / "r.json").exists()
+
+
+# finite spectrum scales whose V could overflow at N = 16: 4N·σ² is beyond
+# float max/2^64 for one degree, a power-law full field and a fractional pair
+_OVERFLOWING_TARGETS = [
+    {"kind": "single_ell", "c_ell": 8e307},
+    {"kind": "full_field",
+     "spectrum": {"kind": "power_law", "c0": 1.7e308, "epsilon": 0.2, "l_max": 8}},
+    {"kind": "fbm", "hurst": 0.5, "times": [2.0, 1.0],
+     "spectrum": {"kind": "explicit", "values": [1e300]}},
+]
+
+
+@pytest.mark.parametrize("target", _OVERFLOWING_TARGETS,
+                         ids=["single_ell", "full_field", "fbm"])
+def test_overflowing_quadratic_variation_exits_2_before_sampling(
+        tmp_path, capsys, monkeypatch, target):
+    monkeypatch.setattr(cli, "batch_quadratic_variation", lambda *a: pytest.fail("sampled"))
+    monkeypatch.setattr(cli, "run_experiment", lambda *a, **k: pytest.fail("sampled"))
+    sample_target = dict(target, ell=3) if target["kind"] == "single_ell" else target
+    spec = _write_spec(tmp_path, target=sample_target, n=16, replications=200)
+    cfg = _write_config(tmp_path, target=target, cells=[[2, 8], [2, 16]])
+    for argv, out in ((["simulate", "--spec-file", spec], tmp_path / "x.csv"),
+                      (["experiment", "--config", cfg], tmp_path / "r.json")):
+        assert main([*argv, "--out", str(out).removesuffix(".json")]) == 2
+        stdout, err = capsys.readouterr()
+        assert stdout == "" and err.count("\n") == 1
+        assert err.startswith("config error: ") and "V could overflow" in err
+        assert not out.exists()
 
 
 def test_experiment_reps_override_is_checked_against_statistics(tmp_path, capsys):

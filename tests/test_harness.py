@@ -170,6 +170,27 @@ def _base_config(**over):
     return raw
 
 
+def test_scale_check_bounds_four_n_times_the_pointwise_variance():
+    # 4N·c_l(2l+1)/(4π) at l = 3, N = 16 is 112·c_l/π
+    c = sys.float_info.max / 2 ** 64 * math.pi / 112
+    harness._check_scale(harness.SingleEll(3, 0.99 * c), 16)
+    with pytest.raises(ConfigError, match="overflow"):
+        harness._check_scale(harness.SingleEll(3, 1.01 * c), 16)
+    ExperimentConfig.from_dict(_base_config(target={"kind": "single_ell", "c_ell": 0.99 * c}))
+    with pytest.raises(ConfigError, match="overflow"):
+        ExperimentConfig.from_dict(_base_config(
+            target={"kind": "single_ell", "c_ell": 1.01 * c}))
+
+
+@pytest.mark.parametrize("l_max", [8, 2 ** 16 + 5, 10 ** 6])
+def test_weight_sum_of_a_power_law(l_max):
+    # past degree 2^16 the remainder is its integral: an upper bound within 1e-5
+    ells = np.arange(1, l_max + 1, dtype=float)
+    want = math.fsum((2 * ells + 1) * 3.0 * ells ** -2.01)
+    got = harness._weight_sum(covariance.PowerSpectrum.power_law(3.0, 0.01, l_max))
+    assert want * (1 - 1e-14) <= got <= want * (1 + 1e-5)
+
+
 def test_config_minimal_roundtrip():
     cfg = ExperimentConfig.from_dict(_base_config())
     assert cfg.seed == 11 and cfg.replications == 200

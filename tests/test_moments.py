@@ -255,13 +255,42 @@ def test_k_constant_degree_one_closed_forms():
     assert_allclose(k_ell_constant(1, 64, lag_weighted=True), want, rtol=1e-12)
 
 
-def test_k_constant_quadrature_converged():
-    assert_allclose(k_ell_constant(4, 64), k_ell_constant(4, 128), rtol=1e-11)
+def _mp_k_constants(ell):
+    """Both K_l forms in 40-digit arithmetic from g = −d²/dθ² P_l(cos θ) at
+    θ = πx/2, by the chain rule on P_l's exact power series, with no use of
+    Szegő's expansion: (unweighted ∫₀¹g², lag-weighted 2∫₀¹(1−x)g²)."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        # P_l(u) = 2^−l Σ_k (−1)^k C(l, k) C(2l−2k, l) u^(l−2k), ascending powers
+        c = [mp.mpf(0)] * (ell + 1)
+        for k in range(ell // 2 + 1):
+            c[ell - 2 * k] = ((-1) ** k * mp.binomial(ell, k)
+                              * mp.binomial(2 * ell - 2 * k, ell) / mp.mpf(2) ** ell)
+        d1 = [i * c[i] for i in range(1, ell + 1)]
+        d2 = [i * d1[i] for i in range(1, ell)]
+
+        def g(x):  # −d²/dθ² P_l(cos θ) = cos θ P'_l(cos θ) − sin²θ P''_l(cos θ)
+            t = mp.pi * x / 2
+            u = mp.cos(t)
+            return (u * mp.polyval(d1[::-1], u)
+                    - mp.sin(t) ** 2 * (mp.polyval(d2[::-1], u) if d2 else 0))
+
+        pts = mp.linspace(0, 1, ell + 2)
+        scale = ((2 * ell + 1) / (4 * mp.pi)) ** 2 * mp.pi ** 4 / 16
+        return (float(scale * mp.quad(lambda x: g(x) ** 2, pts)),
+                float(scale * 2 * mp.quad(lambda x: (1 - x) * g(x) ** 2, pts)))
 
 
-def test_k_constant_warns_on_sparse_nodes():
-    with pytest.warns(UserWarning):
-        k_ell_constant(12, 40)
+@pytest.mark.parametrize("ell", [1, 3, 8, 20])
+def test_k_constant_matches_high_precision(ell):
+    plain, weighted = _mp_k_constants(ell)
+    assert_allclose(k_ell_constant(ell), plain, rtol=1e-14)
+    assert_allclose(k_ell_constant(ell, lag_weighted=True), weighted, rtol=1e-14)
+
+
+def test_k_constant_ignores_quad_nodes():
+    assert k_ell_constant(12, 40) == k_ell_constant(12)
+    assert k_ell_constant(4, 64, True) == k_ell_constant(4, lag_weighted=True)
 
 
 def test_weighted_k_constant_is_variance_limit():
@@ -290,8 +319,6 @@ def test_limit_cumulant_rejects_other_orders():
         nclt_limit_cumulant(1, 2, 32)
     with pytest.raises(ValueError):
         nclt_limit_cumulant(1, 5, 32)
-    with pytest.warns(UserWarning):
-        nclt_limit_cumulant(8, 3, 20)
 
 
 def _tensor_limit_cumulant(ell, p, nodes):
@@ -351,8 +378,13 @@ def test_limit_cumulants_degree_two_are_chi_square_two():
 
 
 @pytest.mark.parametrize("p", [3, 4])
-def test_limit_cumulant_converged_in_nodes(p):
-    assert abs(nclt_limit_cumulant(8, p, 80) - nclt_limit_cumulant(8, p, 160)) <= 1e-12
+def test_core_cumulants_approach_the_limit_as_n_squared(p):
+    # the circle core tends to the limit core as N → ∞, its κ_p as N⁻²:
+    # 16² = 256 times closer from N = 4096 to 65536
+    lim = nclt_limit_cumulant(8, p)
+    gaps = [abs(normalized_cumulant(increment_gram_fl(8, 1.0, LineGrid(n)), p) - lim)
+            for n in (4096, 65536)]
+    assert gaps[1] * 100 <= gaps[0]
 
 
 def test_finite_grids_approach_limit_cumulant():
