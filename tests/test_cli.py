@@ -145,6 +145,41 @@ def test_moments_estimate_covers_the_measured_peak(capsys, ell, n):
     assert peak <= need
 
 
+@pytest.mark.parametrize("ell", [100, 200])
+def test_moments_fixed_ell_estimate_covers_the_quadrature_peak(capsys, ell):
+    # K_l's Gauss–Legendre rule of 10·l nodes once outweighed the core path
+    # here; with the closed form the regime's run fits the core path's estimate
+    argv = ["moments", "--ell", str(ell), "--n", "512", "--cl", "1"]
+    need, what = cli._moments_need(ell, 512)
+    tracemalloc.start()
+    try:
+        assert main([*argv, "--regime", "fixed_ell"]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert peak <= need
+    assert "quadrature" not in what
+
+
+def test_moments_fixed_ell_quadrature_beyond_physical_memory_exits_2(monkeypatch, capsys):
+    # (1023, 4096) needed 840 MB with the regime's old 10230-node rule; twice
+    # the core path's 42 MB now runs it, and less than that is still refused
+    core_need, _ = cli._moments_need(1023, 4096)
+    argv = ["moments", "--ell", "1023", "--n", "4096", "--cl", "1", "--regime", "fixed_ell"]
+    monkeypatch.setattr(cli, "_physical_memory", lambda: 2 * core_need)
+    assert main(argv) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(cli, "_physical_memory", lambda: core_need // 2)
+    monkeypatch.setattr(cli, "increment_gram_fl",
+                        lambda *a: pytest.fail("allocated past the estimate"))
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith("error: l=1023, N=4096 needs ")
+    assert "quadrature" not in err
+
+
 def test_moments_fixed_ell_regime_adds_no_quadrature(capsys):
     # K_l is a sum of l+1 squares: the regime block stays within the core
     # path's estimate at (1023, 4096), and a degree far past the grid runs
