@@ -79,7 +79,6 @@ from .specfun import (
     legendre_p,
     legendre_p_all,
     legendre_p_deriv,
-    real_harmonic_meridian,
 )
 
 __version__ = "0.1.0"
@@ -124,6 +123,5 @@ __all__ = [
     "legendre_p",
     "legendre_p_all",
     "legendre_p_deriv",
-    "real_harmonic_meridian",
     "__version__",
 ]

@@ -9,19 +9,18 @@ joint covariance of a sphere-valued fractional Brownian pair at two times.
 The increment Gram matrix is the workhorse: for a Gaussian field f observed
 at grid points θ_1 < ... < θ_{N+1}, entry (i, j) is E[Δ_i Δ_j] with
 Δ_i = f(θ_{i+1}) − f(θ_i). Every exact moment of the quadratic variation
-Σ Δ_i² is a trace functional of this matrix.
+Σ Δ_i² is a trace functional of this matrix. This is the exact side alone:
+no harmonic table, which only the sampler (``simulate``) builds.
 """
 
 from __future__ import annotations
 
-import functools
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 
-from .specfun import _legendre_sweep, harmonic_meridian_table, legendre_p
+from .specfun import _legendre_sweep, legendre_p
 
 __all__ = [
     "PowerSpectrum",
@@ -161,11 +160,11 @@ class IncrementGram:
     """Covariance matrix of grid increments, with the truncation tail.
 
     sigma[i, j] = E[Δ_i Δ_j], an N×N symmetric PSD Toeplitz matrix
-    (stationary on the line), given whole or by its first ``row``; from a
-    row the matrix is built on first access of ``sigma`` only, so
-    ``first_row`` and :meth:`trace` never need it. ``tail_bound`` is an
-    upper bound on the entrywise error from spectrum truncation (0 for
-    single-degree and explicit spectra).
+    (stationary on the line), given by its first ``row``; the matrix is
+    built on first access of ``sigma`` only, so ``first_row`` and
+    :meth:`trace` never need it. ``tail_bound`` is an upper bound on the
+    entrywise error from spectrum truncation (0 for single-degree and
+    explicit spectra).
 
     ``core``, when present, is a symmetric R×R matrix with Σ's nonzero
     eigenvalues (one degree's (l+1)×(l+1) circle core), so tr(Σ^p) =
@@ -173,24 +172,17 @@ class IncrementGram:
     sums positive terms. :meth:`eigenvalues` decomposes once per gram.
     """
 
-    def __init__(self, n, sigma=None, tail_bound=0.0, *, row=None, core=None):
+    def __init__(self, n, row, tail_bound=0.0, *, core=None):
         self.n = int(n)
         self.tail_bound = float(tail_bound)
-        if (sigma is None) == (row is None):
-            raise ValueError("give exactly one of sigma and row")
-        if sigma is not None:
-            sigma = np.asarray(sigma, dtype=float)
-            if sigma.shape != (self.n, self.n):
-                raise ValueError("sigma must be N×N")
-        else:
-            row = np.asarray(row, dtype=float)
-            if row.shape != (self.n,):
-                raise ValueError("row must have length N")
+        row = np.asarray(row, dtype=float)
+        if row.shape != (self.n,):
+            raise ValueError("row must have length N")
         if core is not None:
             core = np.asarray(core, dtype=float)
             if core.ndim != 2 or core.shape[0] != core.shape[1]:
                 raise ValueError("core must be square")
-        self._sigma, self._row, self.core = sigma, row, core
+        self._sigma, self._row, self.core = None, row, core
         self._eig = None
 
     def __repr__(self):
@@ -206,7 +198,7 @@ class IncrementGram:
 
     @property
     def first_row(self):
-        return (self._sigma[0] if self._row is None else self._row).copy()
+        return self._row.copy()
 
     def eigenvalues(self):
         """Eigenvalues whose power sums are tr(Σ^p), computed on first call.
@@ -224,8 +216,6 @@ class IncrementGram:
     def trace(self):
         if self.core is not None:
             return float(np.trace(self.core))
-        if self._row is None:
-            return float(np.trace(self._sigma))
         return self.n * float(self._row[0])
 
 
@@ -321,65 +311,23 @@ def increment_row_fl(ell, c_ell, grid):
     return a * _second_difference(legendre_p(ell, lags))
 
 
-def _single_flight_last(fn):
-    """Cache ``fn``'s last call; a caller of a key being built waits for it.
-
-    One ``lru_cache(maxsize=1)`` entry behind one lock: a worker that asks
-    while another builds the same key blocks until the build is done and
-    then reads the cached value, so concurrent misses build it once. A new
-    key evicts the old one. ``__wrapped__`` is ``fn`` and ``cache_clear``
-    empties the entry.
-    """
-    cached = functools.lru_cache(maxsize=1)(fn)
-    lock = threading.Lock()
-
-    @functools.wraps(fn)
-    def single_flight(*args):
-        with lock:
-            return cached(*args)
-
-    single_flight.cache_clear = cached.cache_clear
-    return single_flight
-
-
-@_single_flight_last
-def meridian_basis_fl(ell, c_ell, grid):
-    """Scaled harmonic table B of the degree-l field, shape (l+1, N+1).
-
-    Row m is w_m λ_{lm}(θ_i) over the grid points, with w_0 = √c_l and
-    w_m = √(2 c_l) for m ≥ 1 (the two azimuthal channels of order m
-    collapse to one on the meridian). The field at the grid is zᵀB for
-    i.i.d. standard normal z, and its increments are zᵀF with F the column
-    difference of B; the addition theorem gives FᵀF = the increment Gram.
-    Only the sampler builds it; the exact side uses :func:`_circle_core`.
-
-    Single-flight with one entry: the last (l, c_l, grid) is cached, and a
-    worker that asks for it while another worker builds it waits for that
-    build instead of starting its own, so the sampler's batches of one cell
-    share one table however many threads run them. The next key replaces
-    it, so no table outlives its cell. The shared array is read-only.
-
-    Left out of ``__all__`` on purpose: perfbench's tracer wraps exported
-    functions only, and its ``simulate.batch_self_s`` subtracts the harmonic
-    table only as a direct child of the sampler's batch span. (The
-    single-degree sampler reaches the table through this helper; the
-    full-field and fractional samplers run the recurrence sweep directly,
-    so their harmonic work counts in the batch's self time.)
-    """
-    lam = harmonic_meridian_table(ell, grid.points)
-    w = np.full(ell + 1, math.sqrt(2.0 * c_ell))
-    w[0] = math.sqrt(c_ell)
-    basis = w[:, None] * lam
-    basis.flags.writeable = False
-    return basis
-
-
 def _szego(ell):
     """(w, j) of Szegő's P_l(cos φ) = Σ_m w_m cos(j_m φ), m = 0..l: j_m = l−2m,
     w_m = a_m a_{l−m}, a_m = C(2m, m)/4^m by its ratio (4.0**m overflows)."""
     m = np.arange(1, ell + 1)
     a = np.concatenate(([1.0], np.cumprod((2.0 * m - 1.0) / (2.0 * m))))
     return a * a[::-1], ell - 2 * np.arange(ell + 1)
+
+
+def _szego_core(j, r, k0, denominator):
+    """r_m K(j_m − j_k) r_k over Szegő's frequencies j (:func:`_szego`): the
+    one body of both cores, K(0) = k0 and K(d) = sin(πd/4)/denominator(d).
+    d is even, so sin(πd/4) is exact from (d/2) mod 4."""
+    d = j[:, None] - j
+    sin_quarter = np.array([0.0, 1.0, 0.0, -1.0])[(d // 2) % 4]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        kernel = np.where(d == 0, k0, sin_quarter / denominator(d))
+    return r[:, None] * kernel * r
 
 
 def _circle_core(ell, c_ell, n):
@@ -390,16 +338,12 @@ def _circle_core(ell, c_ell, n):
     Σ = E diag(μ) E^H, E[i, m] = e^{i j_m θ_i}, μ_m = 4 sin²(π j_m/M) c_l (2l+1)/(4π) w_m,
     so Σ shares its nonzero spectrum with √μ E^H E √μ; E^H E is, up to a
     diagonal unitary similarity, sin(πd/4)/sin(πd/M) at d = j_m − j_k (N at
-    d = 0; |d| ≤ 2l < M). d is even: sin(πd/4) is exact from (d/2) mod 4. The
-    core tends to c_l (2l+1)π/(16N) times :func:`_limit_core` as N → ∞.
+    d = 0; |d| ≤ 2l < M): :func:`_szego_core` with r = √μ. The core tends to
+    c_l (2l+1)π/(16N) times :func:`_limit_core` as N → ∞.
     """
     w, j = _szego(ell)
     r = np.abs(np.sin(math.pi * j / (4 * n))) * np.sqrt(c_ell * (2 * ell + 1) / math.pi * w)
-    d = j[:, None] - j
-    sin_quarter = np.array([0.0, 1.0, 0.0, -1.0])[(d // 2) % 4]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        kernel = np.where(d == 0, float(n), sin_quarter / np.sin(math.pi * d / (4 * n)))
-    return r[:, None] * kernel * r
+    return _szego_core(j, r, float(n), lambda d: np.sin(math.pi * d / (4 * n)))
 
 
 def _limit_core(ell):
@@ -408,14 +352,9 @@ def _limit_core(ell):
     Σ_m b_m cos(j_m θ), b_m = w_m j_m² (:func:`_szego`), so the operator is
     E diag(b) E^H, E[x, m] = e^{i j_m πx/2}, with √b E^H E √b's nonzero spectrum;
     E^H E is, up to a diagonal unitary similarity, sin(πd/4)/(πd/4) at
-    d = j_m − j_k (1 at d = 0), its sine exact as in :func:`_circle_core`."""
+    d = j_m − j_k (1 at d = 0): :func:`_szego_core` with r = √b."""
     w, j = _szego(ell)
-    rb = np.abs(j) * np.sqrt(w)
-    d = j[:, None] - j
-    sin_quarter = np.array([0.0, 1.0, 0.0, -1.0])[(d // 2) % 4]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        sinc = np.where(d == 0, 1.0, sin_quarter / (0.25 * math.pi * d))
-    return rb[:, None] * sinc * rb
+    return _szego_core(j, np.abs(j) * np.sqrt(w), 1.0, lambda d: 0.25 * math.pi * d)
 
 
 def increment_gram_fl(ell, c_ell, grid):

@@ -32,8 +32,8 @@ from .covariance import (FbmSpec, IncrementGram, LineGrid, PowerSpectrum,
                          fbm_spatial_row, increment_row_f, increment_row_fl)
 from .estimators import estimate_cl, estimate_hurst
 from .moments import RegimeTag
-from .simulate import (_CHUNK_ROWS, FbmTarget, FullField, SampleSpec, SingleEll,
-                       _chunk_rows, batch_quadratic_variation)
+from .simulate import (FbmTarget, FullField, SampleSpec, SingleEll, _batch_arrays,
+                       batch_quadratic_variation)
 
 __all__ = [
     "ConfigError",
@@ -54,11 +54,15 @@ _STATISTICS = ("mean", "var", "k3", "k4", "ks_normal", "estimator_error", "hurst
 _MIN_REPLICATIONS = {"var": 20, "k3": 30, "k4": 40, "estimator_error": 20,
                      "ks_normal": 100}
 
+# the power of V each statistic's sums reach, else 2 (an SE's squares): k-statistics
+# form V^4 sums and jackknife k3², k4²; the fourth-moment bound sums eigenvalues^4
+_SCALE_POWER = {"var": 4, "k3": 6, "k4": 8, "ks_normal": 4}
+
 # statistics whose exact side decomposes the dense N×N Gram
 _DENSE_GRAM_STATS = frozenset({"k3", "k4", "ks_normal"})
 
 # statistics whose "exact" column is a paired diagnostic, not an oracle value
-_NON_ORACLE_STATS = frozenset({"ks_normal", "fourth_moment_bound"})
+_NON_ORACLE_STATS = frozenset({"ks_normal"})
 
 _CSV_COLUMNS = ("ell", "n", "regime", "stat", "empirical", "se", "exact",
                 "source_op", "seed")
@@ -233,8 +237,9 @@ class ExperimentConfig:
 
         regime = _parse_regime(raw.get("regime"))
         _check_coupling(regime, cells, kind)
+        power = max(_SCALE_POWER.get(s, 2) for s in stats)
         for ell, n in cells:
-            _check_scale(_sampler_target(target, ell), n)
+            _check_scale(_sampler_target(target, ell), n, power, reps)
 
         if "estimator_error" in stats and kind != "single_ell":
             raise ConfigError("estimator_error requires a single_ell target")
@@ -561,10 +566,11 @@ def _weight_sum(spectrum):
     return spectrum.c0 * (float(np.sum((2.0 * ells + 1.0) * ells ** (-2.0 - eps))) + rest)
 
 
-def _check_scale(target, n):
-    """ConfigError when 4N·σ², σ² the sampler target's pointwise variance,
-    exceeds float max/2^64: E[V] ≤ 4N·σ², so a V that passes overflows only
-    beyond 1.8e19 times its mean."""
+def _check_scale(target, n, power=1, reps=1):
+    """ConfigError when reps·(4N·σ²)^power, σ² the sampler target's pointwise
+    variance, exceeds float max/2^64: E[V] ≤ 4N·σ², so a V that passes
+    overflows only beyond 1.8e19 times its mean, and so does a sum of V^power
+    over reps replications, which the statistics of ``_SCALE_POWER`` form."""
     if isinstance(target, FbmTarget):
         t, s = target.spec.times
         var = max(t, s) ** (2.0 * target.spec.hurst) * _weight_sum(target.spec.spectrum)
@@ -572,9 +578,12 @@ def _check_scale(target, n):
         sp = target.spectrum if isinstance(target, FullField) else PowerSpectrum.single(
             target.ell, target.c_ell)
         var = _weight_sum(sp) / (4.0 * math.pi)
-    if not 4.0 * n * var <= sys.float_info.max / 2 ** 64:
-        raise ConfigError(f"4N times the pointwise variance is {4.0 * n * var:.3g} at "
-                          f"N={n}, above float max/2^64: V could overflow")
+    bound, scale = sys.float_info.max / 2 ** 64, 4.0 * n * var
+    # (bound/reps)^(1/power) by logarithms: reps may lie beyond the float range
+    if not scale <= math.exp((math.log(bound) - math.log(reps)) / power):
+        what = "V" if not scale <= bound else f"its sums of V^{power} over the replications"
+        raise ConfigError(f"4N times the pointwise variance is {scale:.3g} at N={n}: "
+                          f"{what} could overflow, beyond float max/2^64")
 
 
 def _cell_exact(config, ell, n):
@@ -669,26 +678,13 @@ def _cell_arrays(target, n, batch, replications, dense_gram):
     """(bytes, name) of each large array sampling ``target`` allocates.
 
     ``target`` is a sampler target on an N-increment grid, drawn for
-    ``replications`` in batches of ``batch``. The batch paths are
-    (times, B, N+1). The sampler's basis, one degree's (l+1)×(N+1) table or
-    the largest multi-degree chunk of ``simulate._degree_chunks`` (at most
-    _CHUNK_ROWS rows, or one degree of more), sits beside its times·B·rows
-    coefficient buffers and, for a fractional pair, the two 2·rows draw
-    vectors of the batch thread and the draw helper. The values are
-    times·R. With ``dense_gram`` the dense N×N Gram is decomposed after
-    sampling.
+    ``replications`` in batches of ``batch``: one batch's arrays
+    (``simulate._batch_arrays``), the times·R sampled values and, with
+    ``dense_gram``, the dense N×N Gram decomposed after sampling.
     """
     times = 2 if isinstance(target, FbmTarget) else 1
-    batch = min(batch, replications)
-    if isinstance(target, SingleEll):
-        rows = target.ell + 1
-    else:
-        sp = target.spec.spectrum if times == 2 else target.spectrum
-        rows = max(sp.l_max + 1, min(_CHUNK_ROWS, _chunk_rows(sp.l_min, sp.l_max + 1)))
-    draws = 4 if times == 2 else 0
-    arrays = [(8 * times * batch * (n + 1), "batch paths"),
-              (8 * rows * (n + 1 + times * batch + draws), "sampler basis and coefficients"),
-              (8 * times * replications, "sampled values")]
+    arrays = _batch_arrays(target, n, min(batch, replications))
+    arrays.append((8 * times * replications, "sampled values"))
     if dense_gram:
         arrays.append((8 * n * n, "dense Gram"))
     return arrays

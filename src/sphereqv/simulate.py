@@ -8,7 +8,9 @@ factorization is involved, so the (rank-deficient) grid covariance never
 has to be decomposed. Truncated full fields sum independent degrees;
 the two-time fractional pair couples each coefficient channel through the
 2×2 time covariance. All three draw through one body, ``_paths_batch``
-(the single-path samplers run it on one stream), in the layout below.
+(the single-path samplers run it on one stream), in the layout below. The
+basis is this module's alone: its scaling, its per-cell cache
+(``_meridian_basis``) and its memory estimate (``_batch_arrays``).
 
 Determinism contract: every replication owns one random stream,
 default_rng of SeedSequence([seed, rep, l]) for single-degree targets and
@@ -33,15 +35,17 @@ a replication never changes its values (see ``_paths_batch``).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .covariance import FbmSpec, LineGrid, PowerSpectrum, meridian_basis_fl, rh_cross
-from .specfun import _meridian_blocks
+from .covariance import FbmSpec, LineGrid, PowerSpectrum, rh_cross
+from .specfun import _meridian_blocks, harmonic_meridian_table
 
 __all__ = [
     "SingleEll",
@@ -67,6 +71,10 @@ _CHUNK_ROWS = 16384
 # executor starts it on the first submit and keeps it, as threads that start
 # and exit make the C allocator open fresh per-thread arenas
 _DRAW_HELPER = ThreadPoolExecutor(max_workers=1, thread_name_prefix="sphereqv-draw")
+
+# held while a batch looks up or builds its cell's single-degree basis, so
+# concurrent batches of one cell build it once (see ``_meridian_basis``)
+_BASIS_LOCK = threading.Lock()
 
 
 # ======================================================================
@@ -283,6 +291,30 @@ def _chunk_rows(lo, hi):
     return (hi - lo) * (hi + lo + 1) // 2
 
 
+@functools.lru_cache(maxsize=1)
+def _meridian_basis(ell, c_ell, grid):
+    """Scaled harmonic table B of the degree-l field, shape (l+1, N+1).
+
+    Row m is w_m λ_{lm}(θ_i) over the grid points, with w_0 = √c_l and
+    w_m = √(2 c_l) for m ≥ 1, the scaling :func:`_scaled_chunks` gives each
+    degree of a multi-degree target. The field at the grid is zᵀB for
+    i.i.d. standard normal z, and its increments are zᵀF with F the column
+    difference of B; the addition theorem gives FᵀF = the increment Gram.
+
+    One entry, looked up under ``_BASIS_LOCK``: a batch that asks while
+    another batch builds the same (l, c_l, grid) waits for that build, so
+    the batches of one cell share one table however many threads run them.
+    The next key replaces it, so no table outlives its cell. The shared
+    array is read-only.
+    """
+    lam = harmonic_meridian_table(ell, grid.points)
+    w = np.full(ell + 1, math.sqrt(2.0 * c_ell))
+    w[0] = math.sqrt(c_ell)
+    basis = w[:, None] * lam
+    basis.flags.writeable = False
+    return basis
+
+
 def _scaled_chunks(spectrum, theta, factor):
     """Scaled harmonic basis of each degree chunk, from one recurrence sweep.
 
@@ -355,7 +387,9 @@ def _paths_batch(target, grid, gens):
         z = np.empty((len(gens), ell + 1))
         for row, g in zip(z, gens):
             g.standard_normal(out=row)
-        return (z @ meridian_basis_fl(ell, target.c_ell, grid))[None]
+        with _BASIS_LOCK:
+            basis = _meridian_basis(ell, target.c_ell, grid)
+        return (z @ basis)[None]
     if isinstance(target, FullField):
         spectrum, factor, times = target.spectrum, 1.0, 1
     else:
@@ -402,6 +436,27 @@ def _paths_batch(target, grid, gens):
         for k in range(times):
             out[k] += z[k] @ basis
     return out
+
+
+def _batch_arrays(target, n, batch):
+    """(bytes, name) of the large arrays :func:`_paths_batch` allocates for
+    ``batch`` replications of ``target`` on an N-increment grid.
+
+    The paths are (times, B, N+1). The basis, one degree's (l+1)×(N+1) table
+    or the largest degree chunk (at most _CHUNK_ROWS rows, or one degree of
+    more; a closed form, O(1) at any l_max), sits beside its times·B·rows
+    coefficient buffers and, for a fractional pair, the two 2·rows draw
+    vectors of the batch thread and the draw helper.
+    """
+    times = 2 if isinstance(target, FbmTarget) else 1
+    if isinstance(target, SingleEll):
+        rows = target.ell + 1
+    else:
+        sp = target.spec.spectrum if times == 2 else target.spectrum
+        rows = max(sp.l_max + 1, min(_CHUNK_ROWS, _chunk_rows(sp.l_min, sp.l_max + 1)))
+    draws = 4 if times == 2 else 0
+    return [(8 * times * batch * (n + 1), "batch paths"),
+            (8 * rows * (n + 1 + times * batch + draws), "sampler basis and coefficients")]
 
 
 # ======================================================================

@@ -33,7 +33,6 @@ __all__ = [
     "legendre_p",
     "legendre_p_all",
     "legendre_p_deriv",
-    "real_harmonic_meridian",
     "harmonic_meridian_table",
     "harmonic_meridian_stack",
     "bessel_j",
@@ -184,18 +183,6 @@ def harmonic_meridian_table(ell, theta):
             pass
         out[:, c:c + step] = lam
     return out
-
-
-def real_harmonic_meridian(ell, m, theta):
-    """Single normalized harmonic value λ_{lm}(θ) on the meridian.
-
-    θ may be scalar or array. Raises on m outside [0, l].
-    """
-    ell = _check_degree(ell)
-    if int(m) != m or m < 0 or m > ell:
-        raise ValueError(f"order m={m!r} outside [0, {ell}]")
-    lam = harmonic_meridian_table(ell, theta)[int(m)]
-    return float(lam[0]) if np.ndim(theta) == 0 else lam
 
 
 def harmonic_meridian_stack(l_lo, l_hi, theta):

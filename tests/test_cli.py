@@ -501,10 +501,27 @@ def test_estimate_non_finite_numbers_exit_2(capsys, argv):
     assert out == "" and "must be a finite number" in err
 
 
+@pytest.mark.parametrize("argv", [
+    *(["--mode", mode, "--v", "-1.0", "--ell", "3", "--n", "8", "--c", "0.5"]
+      for mode in ("cl", "cl1", "cl2", "cl3")),
+    ["--mode", "hurst", "--vt", "2", "--vs", "1", "--t", "1", "--s", "1"],
+    ["--mode", "hurst", "--vt", "0", "--vs", "1", "--t", "2", "--s", "1"],
+    ["--mode", "hurst", "--vt", "2", "--vs", "1", "--t", "-2", "--s", "1"],
+    ["--mode", "cl2", "--v", "1", "--ell", "3", "--n", "8", "--c", "0"],
+    ["--mode", "classical", "--coeffs", "1,2,3", "--ell", "3"],
+], ids=" ".join)
+def test_estimate_domain_errors_exit_2(capsys, argv):
+    # inputs outside an estimator's domain are refused before the library call
+    assert main(["estimate", *argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_estimate_numeric_error_exit(capsys):
+    # a negative V is malformed input, refused at the boundary
     assert main(["estimate", "--mode", "cl", "--v", "-1.0",
-                 "--ell", "3", "--n", "8"]) == 1
-    assert "numeric error" in capsys.readouterr().err
+                 "--ell", "3", "--n", "8"]) == 2
+    assert "--v must be non-negative" in capsys.readouterr().err
     # at N = 10⁹ the exact normalizer rounds to 0: an error, not a traceback
     assert main(["estimate", "--mode", "cl", "--v", "1.0",
                  "--ell", "1", "--n", "1000000000"]) == 1
@@ -733,6 +750,32 @@ def test_overflowing_quadratic_variation_exits_2_before_sampling(
         assert not out.exists()
 
 
+def test_statistics_whose_sums_overflow_exit_2_before_sampling(tmp_path, capsys, monkeypatch):
+    # at c_l = 1e40 on (3, 16) V itself is far from overflowing, but k4's
+    # jackknife squares a fourth-order statistic: 200·(4N·σ²)^8 > float max/2^64
+    monkeypatch.setattr(cli, "run_experiment", lambda *a, **k: pytest.fail("sampled"))
+    cfg = _write_config(tmp_path, target={"kind": "single_ell", "c_ell": 1e40},
+                        cells=[[3, 16]], replications=200, statistics=["mean", "k4"])
+    assert main(["experiment", "--config", cfg, "--out", str(tmp_path / "r")]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("config error: ") and err.count("\n") == 1
+    assert "V^8" in err and not (tmp_path / "r.json").exists()
+
+
+def test_large_scale_within_the_statistics_bound_gives_finite_rows(tmp_path, capsys):
+    # 1e30 passes the k4 bound at (3, 16), R = 200: every row is finite and
+    # no step overflows on the way
+    cfg = _write_config(tmp_path, target={"kind": "single_ell", "c_ell": 1e30},
+                        cells=[[3, 16]], replications=200,
+                        statistics=["mean", "var", "k3", "k4", "ks_normal"])
+    with np.errstate(all="raise"):
+        assert main(["experiment", "--config", cfg, "--out", str(tmp_path / "r")]) == 0
+    capsys.readouterr()
+    rows = json.loads((tmp_path / "r.json").read_text(encoding="utf-8"))["rows"]
+    assert len(rows) == 5
+    assert all(math.isfinite(r[k]) for r in rows for k in ("empirical", "se", "exact"))
+
+
 def test_experiment_reps_override_is_checked_against_statistics(tmp_path, capsys):
     cfg = _write_config(tmp_path, statistics=["ks_normal"])
     assert main(["experiment", "--config", cfg, "--reps", "99",
@@ -746,7 +789,14 @@ def test_experiment_reps_override_is_checked_against_statistics(tmp_path, capsys
 # ======================================================================
 
 def test_specfun_check_passes(capsys):
-    assert main(["specfun-check"]) == 0
+    # the stack check runs on column tiles: the whole stack at N = 1024 was 1.1 GB
+    tracemalloc.start()
+    try:
+        assert main(["specfun-check"]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 * 2 ** 20
     out = capsys.readouterr().out
     assert out.count("PASS") == 5
     assert "bessel" not in out

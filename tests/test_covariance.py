@@ -21,10 +21,10 @@ from sphereqv.covariance import (
     increment_row_f,
     increment_row_fl,
     kernel_fl,
-    meridian_basis_fl,
     rh_cross,
     second_difference_p,
 )
+from sphereqv.simulate import _meridian_basis
 
 RNG = np.random.default_rng(40312)
 
@@ -242,16 +242,14 @@ def test_truncation_changes_bounded_by_tail():
 
 
 def test_increment_gram_shape_validation():
-    with pytest.raises(ValueError):
-        IncrementGram(n=3, sigma=np.zeros((2, 2)))
-    g = IncrementGram(n=2, sigma=np.eye(2))
+    g = IncrementGram(n=2, row=np.array([1.0, 0.0]))
     r = g.first_row
     r[0] = 99.0
     assert g.sigma[0, 0] == 1.0  # first_row hands out a copy
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         IncrementGram(n=2)
-    with pytest.raises(ValueError):
-        IncrementGram(n=2, sigma=np.eye(2), row=np.ones(2))
+    with pytest.raises(TypeError):
+        IncrementGram(n=2, sigma=np.eye(2))
     with pytest.raises(ValueError):
         IncrementGram(n=3, row=np.ones(2))
     with pytest.raises(ValueError):
@@ -295,7 +293,7 @@ def test_increment_factor_reproduces_gram():
     for ell, n in ((1, 1), (1, 2), (1, 16), (3, 31), (3, 32), (6, 56), (10, 11),
                    (11, 11), (20, 6)):
         grid = LineGrid(n)
-        f = np.diff(meridian_basis_fl(ell, 0.9, grid), axis=1)
+        f = np.diff(_meridian_basis(ell, 0.9, grid), axis=1)
         assert f.shape == (ell + 1, n)
         gram = increment_gram_fl(ell, 0.9, grid)
         assert_allclose(f.T @ f, gram.sigma, rtol=0, atol=1e-14 * gram.trace())
@@ -380,6 +378,36 @@ def test_kernel_row_is_bitwise_the_frozen_loop():
     for l_min, l_max in ((0, 1), (0, 6), (1, 1), (1, 40), (4, 9), (0, 300)):
         w = RNG.uniform(0, 2, l_max - l_min + 1)
         _assert_bitwise(cov._kernel_row(w, l_min, x), _frozen_kernel_row(w, l_min, x))
+
+
+# both Szegő cores as they stood before they shared one body, frozen as
+# bitwise references
+
+def _frozen_circle_core(ell, c_ell, n):
+    w, j = cov._szego(ell)
+    r = np.abs(np.sin(math.pi * j / (4 * n))) * np.sqrt(c_ell * (2 * ell + 1) / math.pi * w)
+    d = j[:, None] - j
+    sin_quarter = np.array([0.0, 1.0, 0.0, -1.0])[(d // 2) % 4]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        kernel = np.where(d == 0, float(n), sin_quarter / np.sin(math.pi * d / (4 * n)))
+    return r[:, None] * kernel * r
+
+
+def _frozen_limit_core(ell):
+    w, j = cov._szego(ell)
+    rb = np.abs(j) * np.sqrt(w)
+    d = j[:, None] - j
+    sin_quarter = np.array([0.0, 1.0, 0.0, -1.0])[(d // 2) % 4]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sinc = np.where(d == 0, 1.0, sin_quarter / (0.25 * math.pi * d))
+    return rb[:, None] * sinc * rb
+
+
+@pytest.mark.parametrize("ell", [1, 2, 3, 8, 40, 255, 1023])
+def test_szego_cores_are_bitwise_the_frozen_bodies(ell):
+    _assert_bitwise(cov._limit_core(ell), _frozen_limit_core(ell))
+    for n in (ell + 1, 2 * ell + 3, 4096, 10 ** 6):
+        _assert_bitwise(cov._circle_core(ell, 0.7, n), _frozen_circle_core(ell, 0.7, n))
 
 
 # ======================================================================

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy import special, stats
 
-from sphereqv import covariance, harness
+from sphereqv import covariance, harness, simulate
 from sphereqv.harness import (
     CellStat,
     ConfigError,
@@ -176,6 +176,8 @@ def test_scale_check_bounds_four_n_times_the_pointwise_variance():
     harness._check_scale(harness.SingleEll(3, 0.99 * c), 16)
     with pytest.raises(ConfigError, match="overflow"):
         harness._check_scale(harness.SingleEll(3, 1.01 * c), 16)
+    # a config also bounds its var row's sums of V^4 over its 200 replications
+    c = (sys.float_info.max / 2 ** 64 / 200) ** 0.25 * math.pi / 112
     ExperimentConfig.from_dict(_base_config(target={"kind": "single_ell", "c_ell": 0.99 * c}))
     with pytest.raises(ConfigError, match="overflow"):
         ExperimentConfig.from_dict(_base_config(
@@ -389,15 +391,15 @@ def test_concurrent_batches_build_each_cell_table_once(monkeypatch, threads):
     })
     want = run_experiment(cfg, threads=1).to_json()
     calls = []
-    table = covariance.harmonic_meridian_table
+    table = simulate.harmonic_meridian_table
 
     def slow_table(*args):
         calls.append(args[0])
         time.sleep(0.02)
         return table(*args)
 
-    monkeypatch.setattr(covariance, "harmonic_meridian_table", slow_table)
-    covariance.meridian_basis_fl.cache_clear()
+    monkeypatch.setattr(simulate, "harmonic_meridian_table", slow_table)
+    simulate._meridian_basis.cache_clear()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:

@@ -229,13 +229,13 @@ def test_factor_path_never_builds_dense_matrix(monkeypatch):
 
 
 def test_core_path_builds_no_harmonic_table(monkeypatch):
-    import sphereqv.covariance as cov
+    import sphereqv.simulate as simulate
     import sphereqv.specfun as specfun
 
     def refuse(*_):
         raise AssertionError("harmonic table built")
 
-    for owner, name in ((cov, "meridian_basis_fl"), (cov, "harmonic_meridian_table"),
+    for owner, name in ((simulate, "_meridian_basis"), (simulate, "harmonic_meridian_table"),
                         (specfun, "harmonic_meridian_table")):
         monkeypatch.setattr(owner, name, refuse)
     for ell, n in ((1, 2), (8, 4096), (255, 256), (1023, 4096)):

@@ -17,7 +17,6 @@ from sphereqv.covariance import (
     fbm_spatial_row,
     increment_gram_fl,
     kernel_fl,
-    meridian_basis_fl,
     rh_cross,
 )
 from sphereqv.moments import exact_mean_vnl, exact_var_vnl, trace_cumulant
@@ -194,6 +193,22 @@ def test_reused_draw_buffers_are_bitwise_the_per_chunk_draws(monkeypatch, chunk_
     assert_array_equal(gs.view(np.uint64), ws.view(np.uint64))
 
 
+def test_memory_estimate_follows_the_chunk_size(monkeypatch):
+    # the estimate bounds the largest chunk _paths_batch allocates for the
+    # live chunk size, exactly when every degree past 199 is a chunk alone
+    from sphereqv.harness import _cell_arrays
+    spectrum = PowerSpectrum.power_law(1.0, 0.2, l_max=512)
+    for chunk_rows in (16384, 200):
+        monkeypatch.setattr(simulate, "_CHUNK_ROWS", chunk_rows)
+        rows = max(simulate._chunk_rows(lo, hi)
+                   for lo, hi in simulate._degree_chunks(spectrum.l_min, spectrum.l_max))
+        arrays = {name: size for size, name in
+                  _cell_arrays(FullField(spectrum), 64, 100, 300, dense_gram=False)}
+        need = arrays["sampler basis and coefficients"]
+        assert need >= 8 * rows * (64 + 1 + 100)
+    assert need == 8 * 513 * (64 + 1 + 100)
+
+
 def _frozen_sequential_v(spec, rep_start, rep_count):
     # batch_quadratic_variation's multi-degree branch before a chunk's draws
     # ran beside its sweep: one thread advances the sweep, then draws and
@@ -317,17 +332,16 @@ def test_concurrent_batches_share_the_draw_helper(monkeypatch):
 def test_single_degree_cell_builds_its_basis_once(monkeypatch):
     # a cell's batches share one read-only basis; values are those of a
     # basis built afresh for every batch
-    from sphereqv import covariance
     spec = _spec(SingleEll(ell=5, c_ell=0.8), n=24, reps=90)
-    fresh = covariance.meridian_basis_fl.__wrapped__(5, 0.8, spec.grid)
+    fresh = simulate._meridian_basis.__wrapped__(5, 0.8, spec.grid)
     calls = []
-    table = covariance.harmonic_meridian_table
-    monkeypatch.setattr(covariance, "harmonic_meridian_table",
+    table = simulate.harmonic_meridian_table
+    monkeypatch.setattr(simulate, "harmonic_meridian_table",
                         lambda *a: calls.append(a) or table(*a))
-    covariance.meridian_basis_fl.cache_clear()
+    simulate._meridian_basis.cache_clear()
     got = np.concatenate([batch_quadratic_variation(spec, s, 30) for s in (0, 30, 60)])
     assert len(calls) == 1
-    basis = covariance.meridian_basis_fl(5, 0.8, spec.grid)
+    basis = simulate._meridian_basis(5, 0.8, spec.grid)
     assert not basis.flags.writeable
     assert_array_equal(basis.view(np.uint64), fresh.view(np.uint64))
     z = np.array([np.random.default_rng(rep_seed_sequence(spec, r)).standard_normal(11)[:6]
@@ -342,7 +356,7 @@ def _frozen_single_degree_v(spec, rep_start, rep_count):
     # the single-degree branch of batch_quadratic_variation as it stood
     # before the three targets shared one sampler body
     ell = spec.target.ell
-    basis = meridian_basis_fl(ell, spec.target.c_ell, spec.grid)
+    basis = simulate._meridian_basis(ell, spec.target.c_ell, spec.grid)
     gens = [np.random.default_rng(rep_seed_sequence(spec, r))
             for r in range(rep_start, rep_start + rep_count)]
     z = np.empty((len(gens), ell + 1))
@@ -356,7 +370,7 @@ def _frozen_single_degree_v(spec, rep_start, rep_count):
 def _frozen_fl_line(ell, c_ell, grid, rng):
     # sample_fl_line's body before it became a wrapper over the batch body
     z = rng.standard_normal(2 * ell + 1)
-    return z[:ell + 1] @ meridian_basis_fl(ell, c_ell, grid)
+    return z[:ell + 1] @ simulate._meridian_basis(ell, c_ell, grid)
 
 
 @pytest.mark.parametrize("ell, n", [(1, 1), (3, 16), (9, 64), (40, 33),

@@ -15,7 +15,6 @@ from sphereqv.specfun import (
     legendre_p,
     legendre_p_all,
     legendre_p_deriv,
-    real_harmonic_meridian,
 )
 
 RNG = np.random.default_rng(7121)
@@ -167,18 +166,6 @@ def test_harmonic_table_high_degree_is_finite():
     assert_allclose(table[0], _reference_lambda(300, 0, theta), rtol=0, atol=1e-11)
 
 
-def test_single_harmonic_matches_table():
-    theta = RNG.uniform(0.1, 3.0, 9)
-    table = harmonic_meridian_table(6, theta)
-    for m in (0, 2, 6):
-        assert_array_equal(real_harmonic_meridian(6, m, theta), table[m])
-    assert isinstance(real_harmonic_meridian(6, 1, 0.7), float)
-    with pytest.raises(ValueError):
-        real_harmonic_meridian(6, 7, 0.7)
-    with pytest.raises(ValueError):
-        real_harmonic_meridian(6, -1, 0.7)
-
-
 @pytest.mark.parametrize("ell", [1, 4, 11, 60])
 def test_harmonic_addition_theorem(ell):
     # along one meridian the two-point sum telescopes to the Legendre kernel
@@ -241,10 +228,6 @@ POLAR_THETA = np.concatenate([[0.0, 1e-300, 1e-12, 1e-3, 0.02],
 def test_sweep_is_bitwise_the_order_major_recurrence(ell):
     want = _order_major_table(ell, POLAR_THETA)
     _assert_bitwise(harmonic_meridian_table(ell, POLAR_THETA), want)
-    at_07 = _order_major_table(ell, np.array([0.7]))[:, 0]
-    for m in sorted({0, 1 % (ell + 1), ell // 2, max(ell - 1, 0), ell}):
-        _assert_bitwise(real_harmonic_meridian(ell, m, POLAR_THETA), want[m])
-        assert real_harmonic_meridian(ell, m, 0.7) == at_07[m]
     lo = max(ell - 2, 0)
     stack = harmonic_meridian_stack(lo, ell + 1, POLAR_THETA)
     row = 0
