@@ -153,7 +153,7 @@ def _sample_target(obj):
         ell = obj.pop("ell", None)
         ell = harness._config_int(
             ell, f"single_ell target needs an integer 'ell' ≥ 1, got {ell!r}")
-    return harness._sampler_target(harness._parse_target(obj), ell)
+    return harness._parse_target(obj, ell)
 
 
 def _cmd_simulate(args):
@@ -271,10 +271,10 @@ def _cmd_experiment(args):
         raw["replications"] = args.reps
     config = ExperimentConfig.from_dict(raw)
     dense_gram = bool(harness._DENSE_GRAM_STATS & set(config.statistics))
-    for ell, n in config.cells:
+    for (ell, n), target in zip(config.cells, config.targets):
         # a cell's largest array, checked for every cell before any draw
-        arrays = harness._cell_arrays(harness._sampler_target(config.target, ell), n,
-                                      config.batch_size, config.replications, dense_gram)
+        arrays = harness._cell_arrays(target, n, config.batch_size, config.replications,
+                                      dense_gram)
         if _memory_error(arrays, f"cell (l={ell}, N={n})"):
             return 2
     base = args.out or config.output or "experiment_report"

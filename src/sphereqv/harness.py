@@ -50,9 +50,10 @@ __all__ = [
 _STATISTICS = ("mean", "var", "k3", "k4", "ks_normal", "estimator_error", "hurst")
 
 # fewest replications each statistic accepts: 10·p for the k-statistics up
-# to order p, 20 for the estimator ratios' variance, 100 for the KS distance
+# to order p, 20 for the estimator ratios' variance, 200 for the KS distance
+# and its jackknife SE (at ks_normal's own 100, each jackknife sample holds 90)
 _MIN_REPLICATIONS = {"var": 20, "k3": 30, "k4": 40, "estimator_error": 20,
-                     "ks_normal": 100}
+                     "ks_normal": 200}
 
 # the power of V each statistic's sums reach, else 2 (an SE's squares): k-statistics
 # form V^4 sums and jackknife k3², k4²; the fourth-moment bound sums eigenvalues^4
@@ -143,11 +144,10 @@ _TARGET_KEYS = {"single_ell": {"kind", "c_ell"},
                 "fbm": {"kind", "hurst", "times", "spectrum"}}
 
 
-def _parse_target(obj):
-    """Validated target dict: single_ell {c_ell}, full_field {spectrum}, fbm {spec}.
-
-    A single_ell target's degree comes from each cell, not from here.
-    """
+def _parse_target(obj, ell):
+    """The sampler target (SingleEll at degree ``ell``, FullField or FbmTarget)
+    of a config's target object; ConfigError for a malformed object, with
+    ``bad {kind} target: …`` for values the library refuses."""
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ConfigError("target must be an object with a 'kind'")
     kind = obj["kind"]
@@ -158,36 +158,38 @@ def _parse_target(obj):
         raise ConfigError(f"unknown target keys {sorted(set(obj) - allowed)}")
     if kind == "single_ell":
         c_ell = obj.get("c_ell", 1.0)
-        return {"kind": kind, "c_ell": _config_real(
-            c_ell, f"c_ell must be a finite non-negative number, got {c_ell!r}", 0.0)}
-    if kind == "full_field":
-        return {"kind": kind, "spectrum": _parse_spectrum(obj.get("spectrum"))}
-    times = obj.get("times")
-    if not isinstance(times, list):
-        raise ConfigError("fbm times must be a list of two numbers")
-    hurst = _config_real(obj.get("hurst"), "fbm hurst must be a finite number")
-    times = tuple(_config_real(t, "fbm times must be finite numbers") for t in times)
-    spectrum = _parse_spectrum(obj.get("spectrum"))
+        make, args = SingleEll, (ell, _config_real(
+            c_ell, f"c_ell must be a finite non-negative number, got {c_ell!r}", 0.0))
+    elif kind == "full_field":
+        make, args = FullField, (_parse_spectrum(obj.get("spectrum")),)
+    else:
+        times = obj.get("times")
+        if not isinstance(times, list):
+            raise ConfigError("fbm times must be a list of two numbers")
+        hurst = _config_real(obj.get("hurst"), "fbm hurst must be a finite number")
+        times = tuple(_config_real(t, "fbm times must be finite numbers") for t in times)
+        make, args = FbmSpec, (hurst, _parse_spectrum(obj.get("spectrum")), times)
+    # the parsing stays outside: its ConfigErrors are ValueErrors too
     try:
-        spec = FbmSpec(hurst=hurst, spectrum=spectrum, times=times)
+        made = make(*args)
+        return FbmTarget(made) if kind == "fbm" else made
     except ValueError as exc:
-        raise ConfigError(f"bad fbm target: {exc}") from exc
-    return {"kind": kind, "spec": spec}
+        raise ConfigError(f"bad {kind} target: {exc}") from exc
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Validated experiment description.
 
-    ``target`` is a dict with a ``kind`` of single_ell/full_field/fbm plus
-    that kind's parameters; ``cells`` is a tuple of (ell, n) pairs (ell is
-    carried but unused for fbm targets); ``regime`` tags every cell.
+    ``cells`` is a tuple of (ell, n) pairs (ell is carried but unused for fbm
+    targets); ``targets`` holds each cell's sampler target: a SingleEll at its
+    degree, or one FullField or FbmTarget shared by all; ``regime`` tags every cell.
     """
 
     seed: int
     replications: int
     statistics: tuple
-    target: dict
+    targets: tuple
     cells: tuple
     regime: RegimeTag
     output: str | None = None
@@ -222,8 +224,8 @@ class ExperimentConfig:
             raise ConfigError(f"statistics {list(stats)} need at least {need} "
                               f"replications, got {reps}")
 
-        target = _parse_target(raw["target"])
-        kind = target["kind"]
+        # read ahead of the parse: an fbm cell may carry any ell
+        kind = raw["target"].get("kind") if isinstance(raw["target"], dict) else None
 
         if not isinstance(raw["cells"], list) or not raw["cells"]:
             raise ConfigError("cells must be a nonempty list of [ell, n] pairs")
@@ -234,12 +236,18 @@ class ExperimentConfig:
                 raise ConfigError(msg)
             cells.append((_config_int(cell[0], msg, -math.inf if kind == "fbm" else 1),
                           _config_int(cell[1], msg, 1, 2 ** 63)))  # int64 grid sizes
+        if kind == "single_ell":
+            targets = tuple(_parse_target(raw["target"], ell) for ell, _ in cells)
+        else:
+            targets = (_parse_target(raw["target"], None),) * len(cells)
 
         regime = _parse_regime(raw.get("regime"))
         _check_coupling(regime, cells, kind)
         power = max(_SCALE_POWER.get(s, 2) for s in stats)
-        for ell, n in cells:
-            _check_scale(_sampler_target(target, ell), n, power, reps)
+        for target, (_, n) in zip(targets, cells):
+            _check_scale(target, n, power, reps)
+            if why := _zero_law(target):
+                raise ConfigError(f"{why}: V is identically zero")
 
         if "estimator_error" in stats and kind != "single_ell":
             raise ConfigError("estimator_error requires a single_ell target")
@@ -256,7 +264,7 @@ class ExperimentConfig:
             raise ConfigError("output must be a path string")
 
         return cls(seed=seed, replications=reps, statistics=stats,
-                   target=target, cells=tuple(cells), regime=regime,
+                   targets=targets, cells=tuple(cells), regime=regime,
                    output=output, batch_size=batch)
 
 
@@ -536,22 +544,6 @@ def _resolve_threads(threads):
     return os.cpu_count() or 1
 
 
-def _sampler_target(target, ell):
-    """The sampler's target for a parsed target dict; ell is single_ell's degree.
-
-    ConfigError when the sampler cannot hold the target's spectrum scale.
-    """
-    kind = target["kind"]
-    try:
-        if kind == "single_ell":
-            return SingleEll(ell=ell, c_ell=target["c_ell"])
-        if kind == "full_field":
-            return FullField(spectrum=target["spectrum"])
-        return FbmTarget(spec=target["spec"])
-    except ValueError as exc:
-        raise ConfigError(f"bad {kind} target: {exc}") from exc
-
-
 def _weight_sum(spectrum):
     """Σ C_l (2l+1) over the spectrum's degrees. Past degree 2^16 a power law
     adds its integral c0 ∫ (2x+1) x^(−2−ε) dx instead, within 1e-5 above."""
@@ -586,21 +578,34 @@ def _check_scale(target, n, power=1, reps=1):
                           f"{what} could overflow, beyond float max/2^64")
 
 
-def _cell_exact(config, ell, n):
+def _zero_law(target):
+    """Why V is identically zero under a sampler target, else None."""
+    if isinstance(target, SingleEll):
+        return None if target.c_ell else "c_ell is 0"
+    if isinstance(target, FbmTarget):
+        t = min(target.spec.times)
+        if t ** (2.0 * target.spec.hurst) == 0:
+            return f"fbm time {t:g} gives t^(2H) = 0"
+    sp = target.spec.spectrum if isinstance(target, FbmTarget) else target.spectrum
+    # degree 0 is constant along the meridian
+    if sp.kind == "explicit" and not any(c > 0 for l, c in enumerate(sp.values, sp.l_min) if l):
+        return "the spectrum has no C_l > 0 at l ≥ 1"
+    return None
+
+
+def _cell_exact(target, n):
     """Exact Gram row, mean and variance of one cell (O(N), no dense Gram)."""
-    kind = config.target["kind"]
     grid = LineGrid(n)
-    if kind == "single_ell":
-        c_ell = config.target["c_ell"]
-        row = increment_row_fl(ell, c_ell, grid)
-        mean = mom.exact_mean_vnl(ell, c_ell, n)
+    if isinstance(target, SingleEll):
+        row = increment_row_fl(target.ell, target.c_ell, grid)
+        mean = mom.exact_mean_vnl(target.ell, target.c_ell, n)
         mean_src = "exact_mean_vnl"
-    elif kind == "full_field":
-        row = increment_row_f(config.target["spectrum"], grid)
+    elif isinstance(target, FullField):
+        row = increment_row_f(target.spectrum, grid)
         mean = n * row[0]
         mean_src = "increment_gram_f.trace"
     else:
-        spec = config.target["spec"]
+        spec = target.spec
         # V at the first time t: the spatial row scaled by t^{2H}
         row = spec.times[0] ** (2.0 * spec.hurst) * fbm_spatial_row(spec.spectrum, grid)
         mean = n * row[0]
@@ -609,8 +614,9 @@ def _cell_exact(config, ell, n):
     return {"row": row, "mean": mean, "mean_src": mean_src, "var": var}
 
 
-def _cell_rows(config, ell, n, samples, exact):
+def _cell_rows(config, ell, n, target, samples):
     """Assemble the CellStat rows for one cell."""
+    exact = _cell_exact(target, n)
     regime_str = config.regime.kind
     if config.regime.kind == mom.ELL_COMPARABLE:
         regime_str = f"ell_comparable(c={config.regime.c:g})"
@@ -648,11 +654,10 @@ def _cell_rows(config, ell, n, samples, exact):
         elif stat == "ks_normal":
             f = (v - exact["mean"]) / math.sqrt(exact["var"])
             ks = ks_normal(f)
-            se = _ks_jackknife_se(f) if f.size >= 200 else float("nan")
-            add("ks_normal", ks, se,
+            add("ks_normal", ks, _ks_jackknife_se(f),
                 mom.fourth_moment_bound(gram), "fourth_moment_bound")
         elif stat == "estimator_error":
-            c_ell = config.target["c_ell"]
+            c_ell = target.c_ell
             ratios = estimate_cl(v, ell, n).value / c_ell
             se = float(np.std(ratios, ddof=1) / math.sqrt(ratios.size))
             add("estimator_mean", float(np.mean(ratios)), se, 1.0, "estimate_cl")
@@ -661,7 +666,7 @@ def _cell_rows(config, ell, n, samples, exact):
             add("estimator_var", kr[0][0], kr[0][1],
                 exact["var"] / norm ** 2, "exact_var_vnl/exact_mean_vnl")
         elif stat == "hurst":
-            spec = config.target["spec"]
+            spec = target.spec
             t, s = spec.times
             # per-replication estimates scatter outside (0,1) by design;
             # the median absorbs them, so the per-value warning is noise here
@@ -692,20 +697,13 @@ def _cell_arrays(target, n, batch, replications, dense_gram):
 
 def _fit_slopes(config, rows):
     """Log-log slopes across the sweep, from exact and empirical columns."""
-    cells_n = [n for _, n in config.cells]
-    if len(set(cells_n)) < 3 or config.target["kind"] == "fbm":
+    if len({n for _, n in config.cells}) < 3 or isinstance(config.targets[0], FbmTarget):
         return {}
     slopes = {}
-    by_stat = {}
-    for r in rows:
-        by_stat.setdefault(r.stat, []).append(r)
-    for stat, corr, key in (("mean", None, "mean"),
-                            ("var", "divide_by_log", "var_divlog")):
-        cells = by_stat.get(stat, [])
-        if len(cells) < 3:
-            continue
+    for stat, corr, key in (("mean", None, "mean"), ("var", "divide_by_log", "var_divlog")):
+        cells = [r for r in rows if r.stat == stat]
         xs = np.array([r.n for r in cells], dtype=float)
-        try:
+        try:  # no fit below 3 cells, nor through non-positive values
             s, e = loglog_slope(xs, np.array([r.exact for r in cells]), corr)
             slopes[f"exact_{key}"] = [s, e]
             s, e = loglog_slope(xs, np.array([r.empirical for r in cells]), corr)
@@ -731,17 +729,15 @@ def run_experiment(config, threads=None, partial_flush=None):
     all_rows = []
     try:
         with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            for ell, n in config.cells:
-                spec = SampleSpec(target=_sampler_target(config.target, ell),
-                                  grid=LineGrid(n), seed=config.seed,
+            for (ell, n), target in zip(config.cells, config.targets):
+                spec = SampleSpec(target=target, grid=LineGrid(n), seed=config.seed,
                                   replications=config.replications)
                 reps = config.replications
                 futures = [pool.submit(batch_quadratic_variation, spec, s,
                                        min(config.batch_size, reps - s))
                            for s in range(0, reps, config.batch_size)]
                 samples = np.concatenate([f.result() for f in futures], axis=0)
-                exact = _cell_exact(config, ell, n)
-                all_rows.extend(_cell_rows(config, ell, n, samples, exact))
+                all_rows.extend(_cell_rows(config, ell, n, target, samples))
     except KeyboardInterrupt:
         if partial_flush is not None:
             partial_flush(ExperimentReport(rows=tuple(all_rows), slopes={},

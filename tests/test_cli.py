@@ -573,7 +573,7 @@ def test_fbm_experiment_reports_are_worker_invariant(tmp_path, capsys, monkeypat
     monkeypatch.setattr(simulate, "_CHUNK_ROWS", 200)
     target = {"kind": "fbm", "hurst": 0.3, "times": [2.0, 1.0],
               "spectrum": {"kind": "power_law", "c0": 1.0, "epsilon": 0.2, "l_max": 40}}
-    cfg = _write_config(tmp_path, replications=100, batch_size=25, target=target,
+    cfg = _write_config(tmp_path, replications=200, batch_size=50, target=target,
                         statistics=["mean", "var", "ks_normal", "hurst"], cells=[[1, 32]])
     for threads in ("1", "2"):
         assert main(["experiment", "--config", cfg, "--out", str(tmp_path / threads),
@@ -778,10 +778,96 @@ def test_large_scale_within_the_statistics_bound_gives_finite_rows(tmp_path, cap
 
 def test_experiment_reps_override_is_checked_against_statistics(tmp_path, capsys):
     cfg = _write_config(tmp_path, statistics=["ks_normal"])
-    assert main(["experiment", "--config", cfg, "--reps", "99",
+    assert main(["experiment", "--config", cfg, "--reps", "199",
                  "--out", str(tmp_path / "r")]) == 2
-    assert "need at least 100 replications, got 99" in capsys.readouterr().err
+    assert "need at least 200 replications, got 199" in capsys.readouterr().err
     assert not (tmp_path / "r.json").exists()
+
+
+def test_ks_normal_needs_the_replications_of_its_jackknife_se(tmp_path, capsys):
+    # below 200 the KS row's SE was NaN, which a strict JSON parser refuses
+    base = tmp_path / "sweep"
+    argv = ["experiment", "--config", "regime_sweep", "--out", str(base), "--threads", "2"]
+    assert main([*argv, "--reps", "150"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == ("config error: statistics ['mean', 'var', 'k3', 'k4', "
+                                 "'ks_normal'] need at least 200 replications, got 150\n")
+    assert not (tmp_path / "sweep.json").exists()
+    assert main([*argv, "--reps", "200"]) == 0
+    capsys.readouterr()
+
+    def refuse(constant):
+        raise AssertionError(f"{constant} is not JSON")
+
+    text = (tmp_path / "sweep.json").read_text(encoding="utf-8")
+    rows = json.loads(text, parse_constant=refuse)["rows"]
+    ks = [r for r in rows if r["stat"] == "ks_normal"]
+    assert ks and all(math.isfinite(r["se"]) and r["se"] > 0 for r in ks)
+
+
+_ZERO_LAWS = [
+    ({"target": {"kind": "single_ell", "c_ell": 0.0}, "cells": [[3, 16]],
+      "statistics": ["mean", "var", "k3", "k4", "ks_normal", "estimator_error"]},
+     "c_ell is 0"),
+    ({"target": {"kind": "single_ell", "c_ell": 0.0}, "cells": [[3, 16]],
+      "statistics": ["mean", "var", "k3", "k4", "estimator_error"]}, "c_ell is 0"),
+    ({"target": {"kind": "full_field", "spectrum": {"kind": "explicit", "values": [0.0, 0.0]}}},
+     "the spectrum has no C_l > 0 at l ≥ 1"),
+    ({"target": {"kind": "full_field",
+                 "spectrum": {"kind": "explicit", "values": [1.0, 0.0], "l_min": 0}},
+      "statistics": ["mean", "var", "ks_normal"]}, "the spectrum has no C_l > 0 at l ≥ 1"),
+    ({"target": {"kind": "fbm", "hurst": 0.5, "times": [2.0, 1.0],
+                 "spectrum": {"kind": "explicit", "values": [0.0, 0.0]}},
+      "statistics": ["mean", "var", "hurst"]}, "the spectrum has no C_l > 0 at l ≥ 1"),
+    ({"target": {"kind": "fbm", "hurst": 0.9, "times": [1.0, 1e-300],
+                 "spectrum": {"kind": "explicit", "values": [1.0]}},
+      "statistics": ["mean", "var", "hurst"]}, "fbm time 1e-300 gives t^(2H) = 0"),
+]
+
+
+@pytest.mark.parametrize("over, why", _ZERO_LAWS, ids=[
+    "c_ell_zero_ks", "c_ell_zero", "full_field_zeros", "full_field_degree_0",
+    "fbm_zeros", "fbm_time_underflows"])
+def test_identically_zero_quadratic_variation_exits_2_before_sampling(
+        tmp_path, capsys, monkeypatch, over, why):
+    # V ≡ 0 leaves every standardized statistic undefined: the run used to
+    # sample and then fail, or write NaN rows
+    monkeypatch.setattr(cli, "run_experiment", lambda *a, **k: pytest.fail("sampled"))
+    cfg = _write_config(tmp_path, replications=200, **over)
+    assert main(["experiment", "--config", cfg, "--out", str(tmp_path / "r")]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"config error: {why}: V is identically zero\n"
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_simulate_samples_an_identically_zero_field(tmp_path, capsys):
+    spec = _write_spec(tmp_path, target={"kind": "single_ell", "ell": 3, "c_ell": 0.0})
+    assert main(["simulate", "--spec-file", spec, "--out", str(tmp_path / "x.csv")]) == 0
+    capsys.readouterr()
+    rows = (tmp_path / "x.csv").read_text(encoding="utf-8").splitlines()[1:]
+    assert len(rows) == 5 and all(row.split(",")[1] == "0" for row in rows)
+
+
+# each library ValueError about a target's values is one line, prefixed once
+@pytest.mark.parametrize("target, line", [
+    ({"kind": "single_ell", "c_ell": 1.7e308},
+     "bad single_ell target: c_ell must be non-negative with 2·c_ell finite, got 1.7e+308"),
+    ({"kind": "fbm", "hurst": 1.5, "times": [2.0, 1.0],
+      "spectrum": {"kind": "explicit", "values": [1.0]}},
+     "bad fbm target: hurst must lie in (0, 1)"),
+    ({"kind": "fbm", "hurst": 0.3, "times": [2.0, 1.0],
+      "spectrum": {"kind": "power_law", "c0": 1.7e308, "epsilon": 0.2, "l_max": 8}},
+     "bad fbm target: spectrum peak 1.7e+308 makes 4π·A_l overflow a float"),
+], ids=["c_ell_basis_overflows", "hurst_outside_unit_interval", "fbm_peak_overflows"])
+def test_library_target_errors_are_one_config_error_line(tmp_path, capsys, target, line):
+    sample_target = dict(target, ell=3) if target["kind"] == "single_ell" else target
+    spec = _write_spec(tmp_path, target=sample_target)
+    cfg = _write_config(tmp_path, target=target, statistics=["mean"], cells=[[3, 16]])
+    for argv, out in ((["simulate", "--spec-file", spec], tmp_path / "x.csv"),
+                      (["experiment", "--config", cfg], tmp_path / "r.json")):
+        assert main([*argv, "--out", str(out).removesuffix(".json")]) == 2
+        assert capsys.readouterr() == ("", f"config error: {line}\n")
+        assert not out.exists()
 
 
 # ======================================================================

@@ -232,7 +232,7 @@ def test_config_target_validation():
         target={"kind": "full_field",
                 "spectrum": {"kind": "power_law", "c0": 1.0, "epsilon": 0.2,
                              "l_max": 64}}))
-    assert cfg.target["spectrum"].l_max == 64
+    assert cfg.targets[0].spectrum.l_max == 64
 
 
 def test_config_fbm_target():
@@ -242,11 +242,46 @@ def test_config_fbm_target():
                 "spectrum": {"kind": "explicit", "values": [1.0, 0.5]}},
         cells=[[1, 16]])
     cfg = ExperimentConfig.from_dict(raw)
-    assert cfg.target["spec"].hurst == 0.7
+    assert cfg.targets[0].spec.hurst == 0.7
     bad = dict(raw)
     bad["target"] = dict(raw["target"], hurst=1.5)
     with pytest.raises(ConfigError):
         ExperimentConfig.from_dict(bad)
+
+
+_TWO_DEGREES = {"kind": "explicit", "values": [1.0, 0.5]}
+
+
+@pytest.mark.parametrize("target, cls", [
+    ({"kind": "single_ell", "c_ell": 1.5}, simulate.SingleEll),
+    ({"kind": "full_field", "spectrum": _TWO_DEGREES}, simulate.FullField),
+    ({"kind": "fbm", "hurst": 0.7, "times": [2.0, 1.0], "spectrum": _TWO_DEGREES},
+     simulate.FbmTarget),
+], ids=["single_ell", "full_field", "fbm"])
+def test_config_builds_each_cells_sampler_target_once(monkeypatch, target, cls):
+    built = []
+
+    class Counted(cls):
+        def __init__(self, *args, **kwargs):
+            built.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(harness, cls.__name__, Counted)
+    cells = [[2, 16], [3, 32], [5, 64]]
+    cfg = ExperimentConfig.from_dict(_base_config(
+        target=target, cells=cells, regime={"kind": "ell_slower"},
+        statistics=["mean", "hurst"] if target["kind"] == "fbm" else ["mean"]))
+    assert len(cfg.targets) == len(cfg.cells) == 3
+    assert all(isinstance(t, cls) for t in cfg.targets)
+    if cls is simulate.SingleEll:
+        # one per cell, at the cell's degree
+        assert [t.ell for t in cfg.targets] == [2, 3, 5]
+        assert [t.c_ell for t in cfg.targets] == [1.5] * 3
+        assert built == list(cfg.targets)
+    else:
+        # one object, parsed once and shared by every cell
+        assert len(built) == 1 and all(t is built[0] for t in cfg.targets)
+    assert not hasattr(cfg, "target")
 
 
 def test_config_regime_coupling():
