@@ -24,6 +24,7 @@ import sys
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -248,6 +249,7 @@ class ExperimentConfig:
             _check_scale(target, n, power, reps)
             if why := _zero_law(target):
                 raise ConfigError(f"{why}: V is identically zero")
+            _check_floor(target, n, power)
 
         if "estimator_error" in stats and kind != "single_ell":
             raise ConfigError("estimator_error requires a single_ell target")
@@ -544,18 +546,39 @@ def _resolve_threads(threads):
     return os.cpu_count() or 1
 
 
-def _weight_sum(spectrum):
-    """Σ C_l (2l+1) over the spectrum's degrees. Past degree 2^16 a power law
-    adds its integral c0 ∫ (2x+1) x^(−2−ε) dx instead, within 1e-5 above."""
+def _weights(spectrum):
+    """(C_l (2l+1) for l from l_min, rest): an explicit spectrum's every degree
+    and rest 0, or a power law's degrees up to 2^16 and, as rest, its integral
+    c0 ∫ (2x+1) x^(−2−ε) dx past 2^16, within 1e-5 above the sum it stands for."""
     if spectrum.kind == "explicit":
         ells = spectrum.l_min + np.arange(len(spectrum.values), dtype=float)
         with np.errstate(over="ignore"):
-            return float(np.sum(np.array(spectrum.values) * (2.0 * ells + 1.0)))
+            return np.array(spectrum.values) * (2.0 * ells + 1.0), 0.0
     eps, x0, x1 = spectrum.epsilon, float(min(spectrum.l_max, 2 ** 16)), float(spectrum.l_max)
     ells = np.arange(1.0, x0 + 1.0)
     rest = (-2.0 * x0 ** -eps * math.expm1(-eps * math.log(x1 / x0)) / eps
             + (x0 ** (-1.0 - eps) - x1 ** (-1.0 - eps)) / (1.0 + eps))
-    return spectrum.c0 * (float(np.sum((2.0 * ells + 1.0) * ells ** (-2.0 - eps))) + rest)
+    with np.errstate(over="ignore"):
+        return spectrum.c0 * ((2.0 * ells + 1.0) * ells ** (-2.0 - eps)), spectrum.c0 * rest
+
+
+def _weight_sum(spectrum):
+    """Σ C_l (2l+1) over the spectrum's degrees; a power law's is within 1e-5
+    above (:func:`_weights`)."""
+    head, rest = _weights(spectrum)
+    with np.errstate(over="ignore"):
+        return float(np.sum(head)) + rest
+
+
+def _kernel(target, pick):
+    """(spectrum, factor) of a sampler target's kernel factor · Σ C_l (2l+1) P_l:
+    1/(4π) for one degree or a full field; for a fractional pair's spatial
+    kernel, t^(2H) at t = pick(its two times)."""
+    if isinstance(target, FbmTarget):
+        return target.spec.spectrum, pick(target.spec.times) ** (2.0 * target.spec.hurst)
+    if isinstance(target, FullField):
+        return target.spectrum, 1.0 / (4.0 * math.pi)
+    return PowerSpectrum.single(target.ell, target.c_ell), 1.0 / (4.0 * math.pi)
 
 
 def _check_scale(target, n, power=1, reps=1):
@@ -563,19 +586,44 @@ def _check_scale(target, n, power=1, reps=1):
     variance, exceeds float max/2^64: E[V] ≤ 4N·σ², so a V that passes
     overflows only beyond 1.8e19 times its mean, and so does a sum of V^power
     over reps replications, which the statistics of ``_SCALE_POWER`` form."""
-    if isinstance(target, FbmTarget):
-        t, s = target.spec.times
-        var = max(t, s) ** (2.0 * target.spec.hurst) * _weight_sum(target.spec.spectrum)
-    else:
-        sp = target.spectrum if isinstance(target, FullField) else PowerSpectrum.single(
-            target.ell, target.c_ell)
-        var = _weight_sum(sp) / (4.0 * math.pi)
-    bound, scale = sys.float_info.max / 2 ** 64, 4.0 * n * var
+    sp, factor = _kernel(target, max)
+    bound, scale = sys.float_info.max / 2 ** 64, 4.0 * n * factor * _weight_sum(sp)
     # (bound/reps)^(1/power) by logarithms: reps may lie beyond the float range
     if not scale <= math.exp((math.log(bound) - math.log(reps)) / power):
         what = "V" if not scale <= bound else f"its sums of V^{power} over the replications"
         raise ConfigError(f"4N times the pointwise variance is {scale:.3g} at N={n}: "
                           f"{what} could overflow, beyond float max/2^64")
+
+
+def _mean_v(target, n):
+    """E[V] under a sampler target on an N-increment grid, in O(l_max): 2N·factor
+    times Σ C_l (2l+1) u_l (:func:`_kernel`, the earlier time of a fractional
+    pair), u_l = 1 − P_l(cos h), h = π/(2N). u_l runs its own recurrence from
+    u_1 = 2 sin²(h/2): the difference 1 − P_l(cos h) reads 0 once cos h rounds
+    to 1, near N = 10^8. Past degree 2^16 each degree counts u_l ≤ 2, so a
+    spectrum reaching there gets an upper bound."""
+    sp, factor = _kernel(target, min)
+    head, rest = _weights(sp)
+    top = min(sp.l_max, 2 ** 16)
+    s = 2.0 * math.sin(0.25 * math.pi / n) ** 2
+    # (l+1) P_{l+1} = (2l+1) x P_l − l P_{l−1} at x = 1 − s, for u_l = 1 − P_l
+    u = [0.0, s]
+    for l in range(1, top):
+        u.append(((2 * l + 1) * (u[l] + s * (1.0 - u[l])) - l * u[l - 1]) / (l + 1))
+    k = max(0, top + 1 - sp.l_min)  # degrees l_min..top
+    near = float(np.dot(head[:k], u[sp.l_min:top + 1]))
+    return 2.0 * n * factor * (near + 2.0 * (float(np.sum(head[k:])) + rest))
+
+
+def _check_floor(target, n, power):
+    """ConfigError when E[V]^power falls below the smallest normal float: the
+    lower twin of :func:`_check_scale`, for the power of V the statistics'
+    sums reach (``_SCALE_POWER``); below it those sums and the rows' SEs
+    lose digits to subnormals or read 0."""
+    mean = _mean_v(target, n)
+    if mean ** power < sys.float_info.min:
+        raise ConfigError(f"E[V] is {mean:.3g} at N={n}: its sums of V^{power} "
+                          f"could underflow, below float min")
 
 
 def _zero_law(target):
@@ -716,27 +764,31 @@ def _fit_slopes(config, rows):
 def run_experiment(config, threads=None, partial_flush=None):
     """Execute an experiment; deterministic for (config, seed), any workers.
 
-    Replications are drawn in fixed batches of ``config.batch_size`` mapped
-    over a thread pool and reduced in submission order. One pool serves
-    every cell: a pool per cell started new worker threads for each cell,
-    and threads starting before the last ones had exited made the C
-    allocator open fresh per-thread arenas, a few MB of resident memory
-    each, at random. On KeyboardInterrupt
-    the rows finished so far are flushed through ``partial_flush`` (if
-    given) before the interrupt propagates.
+    Replications are drawn in fixed batches of ``config.batch_size`` and
+    reduced in submission order. One worker maps them on the calling
+    thread, which also runs the exact side, so both reuse the memory the
+    C allocator keeps per thread; a batch on a pool thread left its freed
+    memory there, about 16 MB at ``l_max`` 512 and N = 1024. More workers
+    map them over one thread pool that serves every cell: a pool per cell
+    started new worker threads for each cell, and threads starting before
+    the last ones had exited made the allocator open fresh per-thread
+    arenas, a few MB of resident memory each, at random. On
+    KeyboardInterrupt the rows finished so far are flushed through
+    ``partial_flush`` (if given) before the interrupt propagates.
     """
     n_threads = _resolve_threads(threads)
     all_rows = []
     try:
+        # the pool starts no thread until its first submit
         with ThreadPoolExecutor(max_workers=n_threads) as pool:
+            run = map if n_threads == 1 else pool.map
             for (ell, n), target in zip(config.cells, config.targets):
                 spec = SampleSpec(target=target, grid=LineGrid(n), seed=config.seed,
                                   replications=config.replications)
-                reps = config.replications
-                futures = [pool.submit(batch_quadratic_variation, spec, s,
-                                       min(config.batch_size, reps - s))
-                           for s in range(0, reps, config.batch_size)]
-                samples = np.concatenate([f.result() for f in futures], axis=0)
+                starts = range(0, config.replications, config.batch_size)
+                counts = [min(config.batch_size, config.replications - s) for s in starts]
+                samples = np.concatenate(
+                    list(run(batch_quadratic_variation, repeat(spec), starts, counts)), axis=0)
                 all_rows.extend(_cell_rows(config, ell, n, target, samples))
     except KeyboardInterrupt:
         if partial_flush is not None:

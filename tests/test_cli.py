@@ -1,10 +1,12 @@
 """Command line interface: outputs, exit codes, determinism."""
 
 import contextlib
+import importlib.util
 import io
 import json
 import math
 import os
+import pathlib
 import subprocess
 import sys
 import tempfile
@@ -16,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sphereqv.moments
-from sphereqv import cli
+from sphereqv import cli, harness
 from sphereqv.cli import main
 from sphereqv.moments import exact_mean_vnl
 
@@ -838,6 +840,58 @@ def test_identically_zero_quadratic_variation_exits_2_before_sampling(
     out, err = capsys.readouterr()
     assert out == "" and err == f"config error: {why}: V is identically zero\n"
     assert not (tmp_path / "r.json").exists()
+
+
+# the power of c_ell each row's columns carry
+_C_POWER = {"mean": 1, "var": 2, "k3": 3, "k4": 4, "ks_normal": 0}
+
+
+def _scaled_run(tmp_path, capsys, c_ell):
+    """(exit status, report rows or None) of one (3, 16) cell at scale c_ell."""
+    cfg = _write_config(tmp_path, target={"kind": "single_ell", "c_ell": c_ell},
+                        cells=[[3, 16]], replications=200,
+                        statistics=["mean", "var", "k3", "k4", "ks_normal"])
+    base = tmp_path / f"r{c_ell:g}"
+    code = main(["experiment", "--config", cfg, "--out", str(base), "--threads", "1"])
+    out, err = capsys.readouterr()
+    if code == 2:
+        assert out == "" and err.startswith("config error: ") and err.count("\n") == 1
+        assert "could underflow" in err and not os.path.exists(f"{base}.json")
+        return code, None
+    assert code == 0, err
+    return code, json.loads(pathlib.Path(f"{base}.json").read_text(encoding="utf-8"))["rows"]
+
+
+@pytest.mark.parametrize("c_ell", [1.0, 1e-20, 1e-35, 1e-40, 1e-60, 1e-90, 1e-160, 1e-300])
+def test_tiny_spectrum_scale_is_refused_or_scales_every_row(tmp_path, capsys, c_ell):
+    # a scale whose statistics' sums underflow used to sample and then exit 1
+    # ("float division by zero", "degenerate Gram matrix") or write an SE of 0
+    _, want = _scaled_run(tmp_path, capsys, 1.0)
+    code, got = _scaled_run(tmp_path, capsys, c_ell)
+    if code == 2:
+        return
+    assert [r["stat"] for r in got] == [r["stat"] for r in want]
+    for g, w in zip(got, want):
+        scale = c_ell ** _C_POWER[w["stat"]]
+        for key in ("empirical", "se", "exact"):
+            assert g[key] == pytest.approx(w[key] * scale, rel=1e-12, abs=0), (w["stat"], key)
+
+
+@pytest.mark.parametrize("size", ["full", "smoke"])
+def test_bundled_and_benchmark_configs_pass_the_scale_checks(tmp_path, monkeypatch, size):
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # for its dataclasses
+    spec.loader.exec_module(workloads)
+    configs = [json.loads(cli._load_config_text("regime_sweep"))]
+    for name in ("regime_sweep", "many_reps", "fbm_pair"):
+        workloads.build(name, workloads.DEFAULT_SEED, str(tmp_path), size)
+    configs += [json.loads(p.read_text(encoding="utf-8"))
+                for p in sorted(tmp_path.glob("*.config.json"))]
+    assert len(configs) == 4  # regime_sweep, many_reps and fbm_pair's two
+    for raw in configs:
+        harness.ExperimentConfig.from_dict(raw)
 
 
 def test_simulate_samples_an_identically_zero_field(tmp_path, capsys):

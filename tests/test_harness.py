@@ -3,6 +3,7 @@
 import json
 import math
 import sys
+import threading
 import time
 
 import numpy as np
@@ -191,6 +192,23 @@ def test_weight_sum_of_a_power_law(l_max):
     want = math.fsum((2 * ells + 1) * 3.0 * ells ** -2.01)
     got = harness._weight_sum(covariance.PowerSpectrum.power_law(3.0, 0.01, l_max))
     assert want * (1 - 1e-14) <= got <= want * (1 + 1e-5)
+
+
+def test_mean_v_is_the_exact_mean_free_of_cancellation():
+    grid = covariance.LineGrid(16)
+    spectrum = covariance.PowerSpectrum.power_law(1.0, 0.2, 40)
+    fbm = covariance.FbmSpec(0.3, spectrum, (2.0, 1.0))  # the earlier time, 1, has factor 1
+    for target, want in [
+            (harness.SingleEll(3, 0.5), harness.mom.exact_mean_vnl(3, 0.5, 16)),
+            (harness.FullField(spectrum), 16 * covariance.increment_row_f(spectrum, grid)[0]),
+            (harness.FbmTarget(fbm), 16 * covariance.fbm_spatial_row(spectrum, grid)[0])]:
+        assert harness._mean_v(target, 16) == pytest.approx(want, rel=1e-12)
+    # at N = 10^9 cos(π/2N) rounds to 1 and 1 − P_l(cos) to 0; the mean is
+    # 2N·c_l(2l+1)/(4π) · l(l+1)h²/4 to relative O(h²), h = π/2N
+    n, h = 10 ** 9, math.pi / 2e9
+    assert harness.mom.exact_mean_vnl(3, 1.0, n) == 0.0
+    assert harness._mean_v(harness.SingleEll(3, 1.0), n) == pytest.approx(
+        2 * n * 7 / (4 * math.pi) * 12 * h * h / 4, rel=1e-12)
 
 
 def test_config_minimal_roundtrip():
@@ -393,6 +411,63 @@ def test_experiment_output_is_worker_count_invariant():
     a, b = _small_run(threads=1), _small_run(threads=4)
     assert a.to_csv() == b.to_csv()
     assert a.to_json() == b.to_json()
+
+
+def test_one_worker_samples_on_the_calling_thread(monkeypatch):
+    # four fractional-pair batches of several degree chunks each, so the
+    # draw helper thread runs beside every batch; one worker keeps the
+    # batches on the caller, two keep them all off it, and the reports agree
+    monkeypatch.setattr(simulate, "_CHUNK_ROWS", 200)
+    cfg = ExperimentConfig.from_dict({
+        "seed": 3, "replications": 200, "batch_size": 50,
+        "statistics": ["mean", "var", "ks_normal", "hurst"],
+        "target": {"kind": "fbm", "hurst": 0.3, "times": [2.0, 1.0],
+                   "spectrum": {"kind": "power_law", "c0": 1.0, "epsilon": 0.2,
+                                "l_max": 40}},
+        "cells": [[1, 32]],
+    })
+    batch, seen = harness.batch_quadratic_variation, []
+
+    def record(*args):
+        seen.append(threading.current_thread())
+        return batch(*args)
+
+    monkeypatch.setattr(harness, "batch_quadratic_variation", record)
+    reports = []
+    for threads in (1, 2):
+        seen.clear()
+        reports.append(run_experiment(cfg, threads=threads))
+        on_caller = [t is threading.current_thread() for t in seen]
+        assert len(on_caller) == 4
+        assert all(on_caller) if threads == 1 else not any(on_caller)
+    assert reports[0].to_json() == reports[1].to_json()
+    assert reports[0].to_csv() == reports[1].to_csv()
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_interrupt_flushes_the_finished_cells(monkeypatch, threads):
+    # the second cell's second batch is interrupted: the flush holds the
+    # first cell's rows, as a run of that cell alone writes them
+    raw = {"seed": 7, "replications": 200, "batch_size": 50,
+           "statistics": ["mean", "var"],
+           "target": {"kind": "single_ell", "c_ell": 1.0}, "cells": [[3, 16], [3, 24]]}
+    want = run_experiment(ExperimentConfig.from_dict(dict(raw, cells=[[3, 16]])),
+                          threads=threads)
+    batch = harness.batch_quadratic_variation
+
+    def interrupt(spec, start, count):
+        if spec.grid.n == 24 and start == 50:
+            raise KeyboardInterrupt
+        return batch(spec, start, count)
+
+    monkeypatch.setattr(harness, "batch_quadratic_variation", interrupt)
+    flushed = []
+    with pytest.raises(KeyboardInterrupt):
+        run_experiment(ExperimentConfig.from_dict(raw), threads=threads,
+                       partial_flush=flushed.append)
+    assert len(flushed) == 1 and len(flushed[0].rows) == 2
+    assert flushed[0].to_json() == want.to_json()
+    assert flushed[0].to_csv() == want.to_csv()
 
 
 def test_shared_cell_basis_survives_thread_stress():
