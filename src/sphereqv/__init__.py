@@ -11,8 +11,9 @@ Modules
 -------
 specfun
     Legendre polynomials (one recurrence sweep, also behind the full-field
-    kernel rows), meridian spherical harmonics, Bessel J0/J2 from
-    scipy.special (loaded on first call), small-angle Legendre approximation.
+    kernel rows), meridian spherical harmonics (one degree-major sweep, also
+    behind the samplers), Bessel J0/J2 from scipy.special (loaded on first
+    call), small-angle Legendre approximation.
 covariance
     Power spectra, meridian grids, increment covariance (Gram) matrices,
     fractional-Brownian time coupling.
@@ -77,8 +78,6 @@ from .specfun import (
     harmonic_meridian_table,
     hilb_approx_p,
     legendre_p,
-    legendre_p_all,
-    legendre_p_deriv,
 )
 
 __version__ = "0.1.0"
@@ -121,7 +120,5 @@ __all__ = [
     "harmonic_meridian_table",
     "hilb_approx_p",
     "legendre_p",
-    "legendre_p_all",
-    "legendre_p_deriv",
     "__version__",
 ]

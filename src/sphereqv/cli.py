@@ -33,7 +33,7 @@ from .estimators import (estimate_cl, estimate_cl_classical,
                          estimate_cl_variant, estimate_hurst)
 from .harness import ConfigError, ExperimentConfig, check_oracle_agreement, run_experiment
 from .moments import RegimeTag
-from .simulate import SampleSpec, batch_quadratic_variation, rep_stream_id
+from .simulate import SampleSpec, SingleEll, batch_quadratic_variation, rep_stream_id
 
 __all__ = ["main"]
 
@@ -69,7 +69,9 @@ def _fmt(x):
 
 
 def _emit_json(obj):
-    sys.stdout.write(json.dumps(obj, sort_keys=True) + "\n")
+    # a non-finite value is a ValueError (numeric error, exit 1), never bare
+    # NaN or Infinity on stdout
+    sys.stdout.write(json.dumps(obj, sort_keys=True, allow_nan=False) + "\n")
 
 
 # ======================================================================
@@ -116,6 +118,15 @@ def _cmd_moments(args):
     if _memory_error([_moments_need(args.ell, args.n)],
                      f"l={args.ell}, N={args.n}"):
         return 2
+    # the checks an experiment runs, at the highest power of V the printed
+    # cumulants sum (κ4 always): a scale they refuse gives inf, nan or subnormals
+    power = max(args.p_max, 4)
+    try:
+        target = SingleEll(args.ell, args.cl)
+        harness._check_scale(target, args.n, power)
+        harness._check_floor(target, args.n, power)
+    except ValueError as exc:  # a ConfigError, or 2·C_l beyond the float range
+        return _input_error(str(exc))
     gram = increment_gram_fl(args.ell, args.cl, LineGrid(args.n))
     mean = mom.exact_mean_vnl(args.ell, args.cl, args.n)
     var = mom.exact_var_vnl(gram)
@@ -304,8 +315,7 @@ def _cmd_experiment(args):
 def _cmd_specfun_check(_args):
     from scipy.special import eval_legendre
 
-    from .specfun import (harmonic_meridian_stack, harmonic_meridian_table,
-                          hilb_approx_p, legendre_p, legendre_p_deriv)
+    from .specfun import harmonic_meridian_table, hilb_approx_p, legendre_p
 
     rng = np.random.default_rng(20240801)
     checks = []
@@ -314,15 +324,6 @@ def _cmd_specfun_check(_args):
     err = max(np.max(np.abs(legendre_p(l, x) - eval_legendre(l, x)))
               for l in (1, 2, 7, 40, 150))
     checks.append(("legendre_p vs reference", err, 1e-11))
-
-    # derivative identity (1-x²)P'_l = l(P_{l-1} - x P_l), plus endpoints
-    derr = 0.0
-    for l in (1, 3, 25):
-        lhs = (1 - x ** 2) * legendre_p_deriv(l, x)
-        rhs = l * (legendre_p(l - 1, x) - x * legendre_p(l, x))
-        derr = max(derr, float(np.max(np.abs(lhs - rhs))))
-        derr = max(derr, abs(legendre_p_deriv(l, 1.0) - l * (l + 1) / 2))
-    checks.append(("legendre_p_deriv identity", derr, 1e-11))
 
     add_err = 0.0
     for l in (1, 5, 40):
@@ -335,24 +336,6 @@ def _cmd_specfun_check(_args):
         rhs = (2 * l + 1) / (4 * math.pi) * legendre_p(l, math.cos(th1 - th2))
         add_err = max(add_err, abs(lhs - rhs))
     checks.append(("harmonic addition theorem", add_err, 1e-12))
-
-    # the stack packs one sweep's degree blocks; each must be bitwise the
-    # table of its degree (a sample of degrees: every table is its own sweep).
-    # Both are computed column by column, so the stack is built on 128-point
-    # tiles, 130 MB at a time, where the whole grid's took 1.1 GB
-    theta = LineGrid(1024).points
-    degrees = (0, 1, 2, 3, 64, 255, 512)
-    tables = [harmonic_meridian_table(l, theta) for l in degrees]
-
-    def tile_error(c):
-        stack = harmonic_meridian_stack(0, 513, theta[c:c + 128])
-        return max(float(np.max(np.abs(stack[l * (l + 1) // 2:(l + 1) * (l + 2) // 2]
-                                       - table[:, c:c + 128])))
-                   for l, table in zip(degrees, tables))
-
-    serr = max(tile_error(c) for c in range(0, theta.size, 128))
-    checks.append(("harmonic stack vs per-degree tables, l_max=512, N=1024",
-                   serr, 0.0))
 
     herr = 0.0
     for l, psi in ((100, 0.01), (400, 0.002)):

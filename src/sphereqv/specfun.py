@@ -1,14 +1,14 @@
 """Special functions for isotropic fields on the sphere, meridian geometry.
 
-Legendre polynomials P_l and their derivatives on [-1, 1], fully normalized
-associated-Legendre values (real spherical harmonics restricted to a
-meridian), Bessel functions J0 and J2, and the small-angle Bessel
-approximation of P_l(cos θ).
+Legendre polynomials P_l on [-1, 1], fully normalized associated-Legendre
+values (real spherical harmonics restricted to a meridian), Bessel functions
+J0 and J2, and the small-angle Bessel approximation of P_l(cos θ).
 
-Each recurrence has one home: ``_legendre_sweep`` yields P_0..P_L for the
-Legendre functions here and for the full-field kernel rows in
-``covariance``; ``_meridian_blocks`` yields the harmonic blocks for the
-tables, stacks and samplers. J0 and J2 come from scipy.special.
+Each recurrence has one home: ``_legendre_sweep`` yields P_0..P_L for
+``legendre_p`` and for the full-field kernel rows in ``covariance``;
+``_meridian_blocks`` yields the harmonic blocks for
+``harmonic_meridian_table`` and for the samplers' degree-major sweep. J0 and
+J2 come from scipy.special.
 
 Conventions
 -----------
@@ -31,10 +31,7 @@ import numpy as np
 
 __all__ = [
     "legendre_p",
-    "legendre_p_all",
-    "legendre_p_deriv",
     "harmonic_meridian_table",
-    "harmonic_meridian_stack",
     "bessel_j",
     "hilb_approx_p",
 ]
@@ -85,38 +82,6 @@ def legendre_p(ell, x):
     x = _check_x(x)
     (p,) = deque(_legendre_sweep(ell, np.atleast_1d(x)), maxlen=1)
     return float(p[0]) if x.ndim == 0 else p
-
-
-def legendre_p_all(ell_max, x):
-    """All of P_0(x) .. P_{ell_max}(x) in one recurrence sweep.
-
-    Returns an array of shape (ell_max+1,) + shape(x). Useful when a sum
-    over degrees is needed (full-field kernels, spectra).
-    """
-    ell_max = _check_degree(ell_max)
-    x = _check_x(x)
-    out = np.stack(list(_legendre_sweep(ell_max, np.atleast_1d(x))))
-    return out if np.ndim(x) else out[:, 0]
-
-
-def legendre_p_deriv(ell, x):
-    """Derivative P'_l(x) on [-1, 1].
-
-    Interior points use (1−x²) P'_l = l (P_{l−1} − x P_l); the endpoints use
-    the closed forms P'_l(1) = l(l+1)/2 and P'_l(−1) = (−1)^{l+1} l(l+1)/2
-    to avoid the 0/0 in the interior relation.
-    """
-    ell = _check_degree(ell)
-    x = _check_x(x)
-    xv = np.atleast_1d(x)
-    out = np.zeros_like(xv)
-    if ell > 0:
-        edge = np.abs(xv) == 1.0
-        out[edge] = np.sign(xv[edge]) ** (ell + 1) * ell * (ell + 1) / 2.0
-        xi = xv[~edge]
-        pm1, p = deque(_legendre_sweep(ell, xi), maxlen=2)
-        out[~edge] = ell * (pm1 - xi * p) / (1.0 - xi * xi)
-    return float(out[0]) if x.ndim == 0 else out
 
 
 # ======================================================================
@@ -182,31 +147,6 @@ def harmonic_meridian_table(ell, theta):
         for lam in _meridian_blocks(ell, theta[c:c + step]):
             pass
         out[:, c:c + step] = lam
-    return out
-
-
-def harmonic_meridian_stack(l_lo, l_hi, theta):
-    """Packed λ_{lm} rows for every degree l in [l_lo, l_hi).
-
-    Returns an array of shape (Σ_{l=l_lo}^{l_hi−1} (l+1), len(theta)):
-    degree blocks in ascending l, block l holding rows m = 0..l. Row
-    (l, m) sits at Σ_{j=l_lo}^{l−1}(j+1) + m.
-
-    One degree-major sweep from degree 0 fills the blocks, so the cost is
-    O(l_hi) Python steps and O(l_hi² · len(theta)) arithmetic regardless of
-    l_lo. The samplers do not call this per degree chunk: they run the sweep
-    once across all their chunks.
-    """
-    l_lo, l_hi = int(l_lo), int(l_hi)
-    if l_lo < 0 or l_hi <= l_lo:
-        raise ValueError("need 0 ≤ l_lo < l_hi")
-    theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    out = np.empty(((l_hi - l_lo) * (l_hi + l_lo + 1) // 2, theta.size))
-    pos = 0
-    for l, lam in enumerate(_meridian_blocks(l_hi - 1, theta)):
-        if l >= l_lo:
-            out[pos:pos + l + 1] = lam
-            pos += l + 1
     return out
 
 

@@ -11,6 +11,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -222,6 +223,41 @@ def test_moments_non_finite_or_non_positive_numbers_exit_2(capsys, flags):
     assert exc.value.code == 2
     out, err = capsys.readouterr()
     assert out == "" and "must be a finite number" in err
+
+
+# scales whose cumulant sums overflow (1e300, 1e40 at κ8) or run in
+# subnormals (1e-40 at κ8, 1e-300), refused by the experiment's scale checks
+@pytest.mark.parametrize("flags", [
+    ["--cl", "1e300"], ["--cl", "1e40", "--p-max", "8"],
+    ["--cl", "1e-40", "--p-max", "8"], ["--cl", "1e-300"],
+], ids=" ".join)
+def test_moments_scale_its_sums_cannot_hold_exits_2(monkeypatch, capsys, flags):
+    monkeypatch.setattr(cli, "increment_gram_fl",
+                        lambda *a: pytest.fail("built the Gram past the scale checks"))
+    assert main(["moments", "--ell", "8", "--n", "64", *flags]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_moments_small_scale_within_the_floor_keeps_its_shape(capsys):
+    # normalized cumulants are scale free: at 1e-36 κ8/κ2⁴ reads as at C_l = 1
+    argv = ["moments", "--ell", "8", "--n", "64", "--p-max", "8", "--cl"]
+    assert main([*argv, "1e-36"]) == 0
+    small = _parse_table(capsys.readouterr().out)
+    assert main([*argv, "1"]) == 0
+    unit = _parse_table(capsys.readouterr().out)
+    assert small["normalized_k8"] == pytest.approx(unit["normalized_k8"], rel=1e-12)
+
+
+@pytest.mark.parametrize("size", ["full", "smoke"])
+def test_moments_benchmark_call_passes_the_scale_checks(tmp_path, monkeypatch, capsys, size):
+    # the CI's two moments cells run in test_moments_grid_of_a_million and
+    # test_moments_fixed_ell_regime_adds_no_quadrature
+    workloads = _perfbench_workloads(monkeypatch)
+    (call,) = workloads.build("moments_large_n", workloads.DEFAULT_SEED,
+                              str(tmp_path), size).calls
+    assert main(call.argv) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_moments_comparable_needs_ratio():
@@ -495,7 +531,8 @@ def test_estimate_classical(capsys):
     ["--mode", "hurst", "--vt", "2", "--vs", "1", "--t", "2", "--s", "1e999"],
 ], ids=" ".join)
 def test_estimate_non_finite_numbers_exit_2(capsys, argv):
-    # rejected at the flag, before a NaN or Infinity could reach the JSON
+    # rejected at the flag; finite flags whose estimate overflows stop at the
+    # JSON (test_estimate_overflowing_value_prints_nothing)
     with pytest.raises(SystemExit) as exc:
         main(["estimate", *argv])
     assert exc.value.code == 2
@@ -517,6 +554,19 @@ def test_estimate_domain_errors_exit_2(capsys, argv):
     assert main(["estimate", *argv]) == 2
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["--mode", "hurst", "--vt", "1e308", "--vs", "1e-308", "--t", "2", "--s", "1"],
+    ["--mode", "cl", "--v", "1e308", "--ell", "8", "--n", "4096"],
+], ids=" ".join)
+def test_estimate_overflowing_value_prints_nothing(capsys, argv):
+    # finite flags, an infinite estimate: a numeric error, never Infinity as JSON
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the Hurst estimator warns of h ∉ (0, 1)
+        assert main(["estimate", *argv]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("numeric error: ")
 
 
 def test_estimate_numeric_error_exit(capsys):
@@ -877,13 +927,19 @@ def test_tiny_spectrum_scale_is_refused_or_scales_every_row(tmp_path, capsys, c_
             assert g[key] == pytest.approx(w[key] * scale, rel=1e-12, abs=0), (w["stat"], key)
 
 
-@pytest.mark.parametrize("size", ["full", "smoke"])
-def test_bundled_and_benchmark_configs_pass_the_scale_checks(tmp_path, monkeypatch, size):
+def _perfbench_workloads(monkeypatch):
+    """The benchmark's ``perfbench/workloads.py``, loaded as a module."""
     path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
     workloads = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, workloads)  # for its dataclasses
     spec.loader.exec_module(workloads)
+    return workloads
+
+
+@pytest.mark.parametrize("size", ["full", "smoke"])
+def test_bundled_and_benchmark_configs_pass_the_scale_checks(tmp_path, monkeypatch, size):
+    workloads = _perfbench_workloads(monkeypatch)
     configs = [json.loads(cli._load_config_text("regime_sweep"))]
     for name in ("regime_sweep", "many_reps", "fbm_pair"):
         workloads.build(name, workloads.DEFAULT_SEED, str(tmp_path), size)
@@ -892,6 +948,25 @@ def test_bundled_and_benchmark_configs_pass_the_scale_checks(tmp_path, monkeypat
     assert len(configs) == 4  # regime_sweep, many_reps and fbm_pair's two
     for raw in configs:
         harness.ExperimentConfig.from_dict(raw)
+
+
+@pytest.mark.parametrize("name", ["regime_sweep", "many_reps", "fbm_pair", "moments_large_n"])
+def test_benchmark_setup_probe_reaches_its_stop_call(tmp_path, monkeypatch, name):
+    # the benchmark's set-up time runs a workload's first call until cli
+    # looks up ``stop_at``; a command that reached its layers another way
+    # would time the whole run, or fail the probe
+    workloads = _perfbench_workloads(monkeypatch)
+    workload = workloads.build(name, workloads.DEFAULT_SEED, str(tmp_path), "smoke")
+
+    class Stop(BaseException):
+        pass
+
+    def stop(*args, **kwargs):
+        raise Stop
+
+    monkeypatch.setattr(cli, workload.stop_at, stop)
+    with pytest.raises(Stop):
+        cli.main(workload.calls[0].argv)
 
 
 def test_simulate_samples_an_identically_zero_field(tmp_path, capsys):
@@ -929,7 +1004,7 @@ def test_library_target_errors_are_one_config_error_line(tmp_path, capsys, targe
 # ======================================================================
 
 def test_specfun_check_passes(capsys):
-    # the stack check runs on column tiles: the whole stack at N = 1024 was 1.1 GB
+    # three invariants on small arrays, far under a CI runner's memory
     tracemalloc.start()
     try:
         assert main(["specfun-check"]) == 0
@@ -938,10 +1013,9 @@ def test_specfun_check_passes(capsys):
         tracemalloc.stop()
     assert peak < 256 * 2 ** 20
     out = capsys.readouterr().out
-    assert out.count("PASS") == 5
+    assert out.count("PASS") == 3
     assert "bessel" not in out
     assert "FAIL" not in out
-    assert "PASS  harmonic stack vs per-degree tables, l_max=512, N=1024: max error 0.000e+00" in out
 
 
 def test_help_documents_units(capsys):

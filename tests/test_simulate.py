@@ -34,7 +34,7 @@ from sphereqv.simulate import (
     sample_fbm_pair,
     sample_fl_line,
 )
-from sphereqv.specfun import harmonic_meridian_stack, harmonic_meridian_table
+from sphereqv.specfun import harmonic_meridian_table
 
 
 def _spec(target, n=16, seed=123, reps=1):
@@ -102,11 +102,12 @@ def test_fbm_pair_matches_batch_value():
 
 
 def _chunked_reference(spectrum, theta, degree_scale, gens, times):
-    # per-chunk harmonic stacks: the construction the single sweep replaced;
-    # times = None draws l+1 normals per degree, else (l00, l10, l11) pairs
+    # one basis per degree chunk, stacked from per-degree tables (each its
+    # own sweep); times = None draws l+1 normals per degree, else
+    # (l00, l10, l11) pairs
     outs = [np.zeros((len(gens), theta.size)) for _ in range(1 if times is None else 2)]
     for lo, hi in simulate._degree_chunks(spectrum.l_min, spectrum.l_max):
-        basis = harmonic_meridian_stack(lo, hi, theta)
+        basis = np.concatenate([harmonic_meridian_table(l, theta) for l in range(lo, hi)])
         scale = np.concatenate([[degree_scale(l)] + [degree_scale(l) * math.sqrt(2.0)] * l
                                 for l in range(lo, hi)])
         basis *= scale[:, None]

@@ -9,12 +9,9 @@ from scipy import special
 from sphereqv import specfun
 from sphereqv.specfun import (
     bessel_j,
-    harmonic_meridian_stack,
     harmonic_meridian_table,
     hilb_approx_p,
     legendre_p,
-    legendre_p_all,
-    legendre_p_deriv,
 )
 
 RNG = np.random.default_rng(7121)
@@ -37,30 +34,6 @@ def test_legendre_p_scalar_and_array_agree():
     assert got == legendre_p(5, np.array([0.3]))[0]
 
 
-def test_legendre_p_all_matches_single_degree():
-    x = RNG.uniform(-1, 1, 17)
-    table = legendre_p_all(12, x)
-    assert table.shape == (13, 17)
-    for ell in range(13):
-        assert_array_equal(table[ell], legendre_p(ell, x))
-    # scalar input collapses the trailing axis
-    assert legendre_p_all(4, 0.5).shape == (5,)
-
-
-@pytest.mark.parametrize("ell", [1, 3, 10, 33])
-def test_legendre_deriv_interior_and_endpoints(ell):
-    x = RNG.uniform(-0.999, 0.999, 50)
-    h = 1e-6
-    fd = (legendre_p(ell, x + h) - legendre_p(ell, x - h)) / (2 * h)
-    assert_allclose(legendre_p_deriv(ell, x), fd, rtol=0, atol=5e-5)
-    assert legendre_p_deriv(ell, 1.0) == ell * (ell + 1) / 2.0
-    assert legendre_p_deriv(ell, -1.0) == (-1) ** (ell + 1) * ell * (ell + 1) / 2.0
-
-
-def test_legendre_deriv_degree_zero():
-    assert legendre_p_deriv(0, 0.4) == 0.0
-
-
 def test_legendre_domain_errors():
     with pytest.raises(ValueError):
         legendre_p(3, 1.5)
@@ -69,11 +42,11 @@ def test_legendre_domain_errors():
     with pytest.raises(ValueError):
         legendre_p(2.5, 0.5)
     with pytest.raises(ValueError):
-        legendre_p_deriv(3, [-1.0001])
+        legendre_p(3, [-1.0001])
 
 
-# the three loops the one Legendre sweep replaced, frozen here as references
-# the thin users of the sweep must reproduce bit for bit
+# the loop the one Legendre sweep replaced in legendre_p, frozen here as the
+# reference it must reproduce bit for bit
 
 def _frozen_legendre_p(ell, xv):
     pm1 = np.ones_like(xv)
@@ -85,31 +58,6 @@ def _frozen_legendre_p(ell, xv):
     return p
 
 
-def _frozen_legendre_p_all(ell_max, xv):
-    out = np.empty((ell_max + 1,) + xv.shape)
-    out[0] = 1.0
-    if ell_max >= 1:
-        out[1] = xv
-    for l in range(1, ell_max):
-        out[l + 1] = ((2 * l + 1) * xv * out[l] - l * out[l - 1]) / (l + 1)
-    return out
-
-
-def _frozen_legendre_p_deriv(ell, xv):
-    if ell == 0:
-        return np.zeros_like(xv)
-    out = np.empty_like(xv)
-    edge = np.abs(xv) == 1.0
-    out[edge] = np.sign(xv[edge]) ** (ell + 1) * ell * (ell + 1) / 2.0
-    xi = xv[~edge]
-    pm1 = np.ones_like(xi)
-    p = xi.copy()
-    for l in range(1, ell):
-        pm1, p = p, ((2 * l + 1) * xi * p - l * pm1) / (l + 1)
-    out[~edge] = ell * (pm1 - xi * p) / (1.0 - xi * xi)
-    return out
-
-
 SWEEP_X = np.concatenate([[-1.0, 0.0, 1.0, -0.5, 0.5, 1e-300],
                           RNG.uniform(-1, 1, 64),
                           np.cos(np.linspace(0, np.pi, 33))])
@@ -118,16 +66,8 @@ SWEEP_X = np.concatenate([[-1.0, 0.0, 1.0, -0.5, 0.5, 1e-300],
 @pytest.mark.parametrize("ell", [0, 1, 2, 3, 8, 64, 255, 513])
 def test_legendre_functions_are_bitwise_the_frozen_loops(ell):
     _assert_bitwise(legendre_p(ell, SWEEP_X), _frozen_legendre_p(ell, SWEEP_X))
-    _assert_bitwise(legendre_p_all(ell, SWEEP_X),
-                    _frozen_legendre_p_all(ell, SWEEP_X))
-    _assert_bitwise(legendre_p_deriv(ell, SWEEP_X),
-                    _frozen_legendre_p_deriv(ell, SWEEP_X))
     for x in (-1.0, 0.0, 1.0, 0.3):
-        xv = np.array([x])
-        assert legendre_p(ell, x) == _frozen_legendre_p(ell, xv)[0]
-        assert legendre_p_deriv(ell, x) == _frozen_legendre_p_deriv(ell, xv)[0]
-    _assert_bitwise(legendre_p_all(ell, 0.3),
-                    _frozen_legendre_p_all(ell, np.array([0.3]))[:, 0])
+        assert legendre_p(ell, x) == _frozen_legendre_p(ell, np.array([x]))[0]
 
 
 def test_legendre_p_does_not_alias_its_argument():
@@ -178,19 +118,6 @@ def test_harmonic_addition_theorem(ell):
     assert_allclose(lhs, rhs, rtol=0, atol=(2 * ell + 1) * 2e-14)
 
 
-def test_harmonic_stack_packs_per_degree_tables():
-    theta = np.linspace(0.2, 1.4, 7)
-    stack = harmonic_meridian_stack(3, 9, theta)
-    assert stack.shape == (sum(l + 1 for l in range(3, 9)), 7)
-    row = 0
-    for ell in range(3, 9):
-        assert_array_equal(stack[row:row + ell + 1],
-                           harmonic_meridian_table(ell, theta))
-        row += ell + 1
-    with pytest.raises(ValueError):
-        harmonic_meridian_stack(4, 4, theta)
-
-
 def _order_major_table(ell, theta):
     # the order-by-order recurrence the degree-major sweep replaced, frozen
     # here as the reference the sweep must reproduce bit for bit
@@ -228,13 +155,13 @@ POLAR_THETA = np.concatenate([[0.0, 1e-300, 1e-12, 1e-3, 0.02],
 def test_sweep_is_bitwise_the_order_major_recurrence(ell):
     want = _order_major_table(ell, POLAR_THETA)
     _assert_bitwise(harmonic_meridian_table(ell, POLAR_THETA), want)
+    # the blocks the samplers consume, each checked before the sweep reuses
+    # its buffer
     lo = max(ell - 2, 0)
-    stack = harmonic_meridian_stack(lo, ell + 1, POLAR_THETA)
-    row = 0
-    for l in range(lo, ell + 1):
-        _assert_bitwise(stack[row:row + l + 1], _order_major_table(l, POLAR_THETA))
-        row += l + 1
-    assert row == stack.shape[0]
+    for l, lam in enumerate(specfun._meridian_blocks(ell, POLAR_THETA)):
+        if l >= lo:
+            _assert_bitwise(lam, _order_major_table(l, POLAR_THETA))
+    assert l == ell
     if ell == 300:  # the case covers sectoral underflow next to the pole
         assert want[ell, 3] == 0.0 and want[ell, 4] == 0.0
 
