@@ -19,7 +19,8 @@ covariance
     fractional-Brownian time coupling.
 moments
     Exact mean/variance/cumulants of quadratic variations, asymptotic
-    formulas per regime, Gaussian fluctuation limits, distance bounds.
+    formulas per regime, Gaussian fluctuation limits, distance bounds, the
+    simplified estimators' normalizers and exact biases.
 simulate
     Exact Gaussian sampling of single-degree and full fields on the grid,
     quadratic variation evaluation, batched drivers.
@@ -30,95 +31,9 @@ harness
     empirical cumulants with jackknife errors, report serialization.
 cli
     Command line entry point (``sphereqv``).
+
+The package root holds only ``__version__``: every public name is imported
+from its module, e.g. ``from sphereqv.moments import exact_mean_vnl``.
 """
 
-from .covariance import (
-    FbmSpec,
-    IncrementGram,
-    LineGrid,
-    PowerSpectrum,
-    fbm_joint_gram,
-    increment_gram_f,
-    increment_gram_fl,
-    kernel_fl,
-    second_difference_p,
-)
-from .estimators import (
-    EstimateResult,
-    estimate_cl,
-    estimate_cl_classical,
-    estimate_cl_variant,
-    estimate_hurst,
-)
-from .moments import (
-    MomentReport,
-    asymptotic_mean,
-    asymptotic_var,
-    estimator_bias,
-    exact_mean_vnl,
-    exact_var_vnl,
-    fourth_moment_bound,
-    fullfield_moment_orders,
-    k_ell_constant,
-    moment_report,
-    nclt_limit_cumulant,
-    normalized_cumulant,
-    trace_cumulant,
-)
-from .simulate import (
-    PathSample,
-    SampleSpec,
-    quadratic_variation,
-    sample_f_line,
-    sample_fbm_pair,
-    sample_fl_line,
-)
-from .specfun import (
-    bessel_j,
-    harmonic_meridian_table,
-    hilb_approx_p,
-    legendre_p,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "FbmSpec",
-    "IncrementGram",
-    "LineGrid",
-    "PowerSpectrum",
-    "fbm_joint_gram",
-    "increment_gram_f",
-    "increment_gram_fl",
-    "kernel_fl",
-    "second_difference_p",
-    "EstimateResult",
-    "estimate_cl",
-    "estimate_cl_classical",
-    "estimate_cl_variant",
-    "estimate_hurst",
-    "MomentReport",
-    "asymptotic_mean",
-    "asymptotic_var",
-    "estimator_bias",
-    "exact_mean_vnl",
-    "exact_var_vnl",
-    "fourth_moment_bound",
-    "fullfield_moment_orders",
-    "k_ell_constant",
-    "moment_report",
-    "nclt_limit_cumulant",
-    "normalized_cumulant",
-    "trace_cumulant",
-    "PathSample",
-    "SampleSpec",
-    "quadratic_variation",
-    "sample_f_line",
-    "sample_fbm_pair",
-    "sample_fl_line",
-    "bessel_j",
-    "harmonic_meridian_table",
-    "hilb_approx_p",
-    "legendre_p",
-    "__version__",
-]

@@ -16,8 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .moments import RegimeTag, estimator_bias, exact_mean_vnl
-from .specfun import bessel_j
+from .moments import RegimeTag, _variant_normalizer, estimator_bias, exact_mean_vnl
 
 __all__ = [
     "EstimateResult",
@@ -89,19 +88,13 @@ def estimate_cl_variant(v, ell, n, variant, c=None):
     if int(ell) != ell or ell < 1 or int(n) != n or n < 1:
         raise ValueError("need integer l ≥ 1 and N ≥ 1")
     ell, n = int(ell), int(n)
-    lead = 2.0 * n * (2 * ell + 1) / (4.0 * math.pi)
-    if variant == 1:
-        factor = 1.0
-        regime = RegimeTag.ell_faster()
-    elif variant == 2:
+    if variant == 2:
         if c is None or c <= 0:
             raise ValueError("variant 2 requires the ratio c > 0")
-        factor = 1.0 - bessel_j(0, 0.5 * math.pi * c)
         regime = RegimeTag.ell_comparable(c)
     else:
-        factor = (math.pi ** 2 / 16.0) * ell * (ell + 1) / n ** 2
-        regime = RegimeTag.ell_slower()
-    norm = lead * factor
+        regime = RegimeTag.ell_faster() if variant == 1 else RegimeTag.ell_slower()
+    norm = _variant_normalizer(variant, ell, n, c)
     bias = estimator_bias(variant, ell, n, regime)
     return EstimateResult(value=v / norm, normalizer=norm,
                           variant=f"v{variant}", bias_exact=bias)

@@ -23,7 +23,7 @@ import os
 import sys
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from itertools import repeat
 
 import numpy as np
@@ -65,9 +65,6 @@ _DENSE_GRAM_STATS = frozenset({"k3", "k4", "ks_normal"})
 
 # statistics whose "exact" column is a paired diagnostic, not an oracle value
 _NON_ORACLE_STATS = frozenset({"ks_normal"})
-
-_CSV_COLUMNS = ("ell", "n", "regime", "stat", "empirical", "se", "exact",
-                "source_op", "seed")
 
 
 class ConfigError(ValueError):
@@ -312,11 +309,10 @@ class CellStat:
     seed: int
 
     def as_dict(self):
-        return {
-            "ell": self.ell, "n": self.n, "regime": self.regime,
-            "stat": self.stat, "empirical": self.empirical, "se": self.se,
-            "exact": self.exact, "source_op": self.source_op, "seed": self.seed,
-        }
+        return asdict(self)
+
+
+_CSV_COLUMNS = tuple(f.name for f in fields(CellStat))
 
 
 def _fmt(x):
@@ -710,9 +706,8 @@ def _cell_rows(config, ell, n, target, samples):
             se = float(np.std(ratios, ddof=1) / math.sqrt(ratios.size))
             add("estimator_mean", float(np.mean(ratios)), se, 1.0, "estimate_cl")
             kr = empirical_cumulants(ratios, p_max=2)
-            norm = mom.exact_mean_vnl(ell, c_ell, n)
             add("estimator_var", kr[0][0], kr[0][1],
-                exact["var"] / norm ** 2, "exact_var_vnl/exact_mean_vnl")
+                exact["var"] / exact["mean"] ** 2, "exact_var_vnl/exact_mean_vnl")
         elif stat == "hurst":
             spec = target.spec
             t, s = spec.times

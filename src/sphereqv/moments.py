@@ -18,7 +18,8 @@ g a sum of l+1 cosines, so those eigenvalues are the spectrum of an
 (l+1)×(l+1) limit core, the N → ∞ limit of the circle core, and the
 variance constant K_l is a sum of l+1 squares. Asymptotic formulas for the
 three degree-versus-grid growth regimes, the fourth-moment normality
-proxy, and exact estimator biases complete the module.
+proxy, and the simplified estimators' normalizers with their exact biases
+complete the module. ``sphereqv moments`` prints one cell's exact table.
 
 Normalization convention: the standardized statistic is
 F = (V − E V)/√Var V, whose second cumulant is 1 by construction.
@@ -38,7 +39,6 @@ from .specfun import bessel_j, legendre_p
 
 __all__ = [
     "RegimeTag",
-    "MomentReport",
     "exact_mean_vnl",
     "exact_var_vnl",
     "exact_var_from_row",
@@ -51,7 +51,6 @@ __all__ = [
     "asymptotic_var",
     "fullfield_moment_orders",
     "estimator_bias",
-    "moment_report",
 ]
 
 FIXED_ELL = "fixed_ell"
@@ -98,26 +97,6 @@ class RegimeTag:
     @classmethod
     def ell_slower(cls):
         return cls(ELL_SLOWER)
-
-
-@dataclass(frozen=True)
-class MomentReport:
-    """Exact moments of one (degree, grid) cell.
-
-    ``cumulants[p-2]`` holds κ_p of the standardized statistic F for
-    p = 2..p_max; the leading entry is 1 by construction.
-    """
-
-    mean: float
-    variance: float
-    cumulants: tuple
-    regime: RegimeTag
-
-    def __post_init__(self):
-        if self.variance < 0:
-            raise ValueError("variance must be non-negative")
-        if self.cumulants and abs(self.cumulants[0] - 1.0) > 1e-12:
-            raise ValueError("normalized second cumulant must equal 1")
 
 
 # ======================================================================
@@ -267,10 +246,14 @@ def asymptotic_mean(regime, ell, c_ell, n):
     ell_comparable:   2N c_l (2l+1)/(4π) · (1 − J₀(πc/2))
     ell_slower:       2N c_l (2l+1)/(4π) · (π²/16)(l²/N²)
 
-    All four are limits of the exact mean: 1 − P_l(cos(π/2N)) tends to 1
-    when the degree outruns the grid, to 1 − J₀(πc/2) when l/N → c, and to
-    its second-order Taylor value l(l+1)π²/(16N²) when the grid outruns the
-    degree.
+    The first three are limits of the exact mean, verified by
+    ``sphereqv moments --regime R`` (mean_ratio 1 − 7e-7 at (l, N) =
+    (8, 4096); 0.986 at (65536, 64), where P_l(cos(π/2N)) decays slowly;
+    1.0004 at (2048, 2048), c = 1). The paper's fixed-degree constant π/16 is
+    twice the exact π/32: acceptance 02a reads 0.5. The ell_slower line is
+    the paper's leading form l²; the exact limit, the Taylor value of
+    1 − P_l(cos(π/2N)), carries l(l+1): mean_ratio 1.122 at (8, 64),
+    against (l+1)/l = 1.125.
     """
     regime = _check_regime(regime)
     ell, n = _check_ell_n(ell, n)
@@ -290,6 +273,15 @@ def asymptotic_var(regime, ell, c_ell, n):
     fixed_ell:                  2 K_l c_l² / N²   (K_l of :func:`k_ell_constant`, O(l))
     ell_faster, ell_comparable: (2/π⁴) c_l² l N² ln N
     ell_slower:                 (π/128) c_l² l⁵ ln N / N²
+
+    All three are the paper's forms; none is verified by the exact side.
+    fixed_ell uses the unweighted K_l, while the exact N²-scaled variance
+    tends to the lag-weighted one (``lag_weighted=True``): acceptance 02b
+    reads 1.126 at (l, N) = (4, 4096). Along l = N the exact variance
+    stabilizes at 3.85× the second form (acceptance 05); with l outrunning
+    N its var_ratio grows like l (199, 851, 3514 at N = 64, l = 4096,
+    16384, 65536). ell_slower's var_ratio reads about 2.35 (2.354 at
+    (64, 4096), 2.350 at (256, 65536)), still unverified.
     """
     regime = _check_regime(regime)
     ell, n = _check_ell_n(ell, n)
@@ -323,20 +315,37 @@ def fullfield_moment_orders(epsilon, n):
 _VARIANT_REGIME = {1: ELL_FASTER, 2: ELL_COMPARABLE, 3: ELL_SLOWER}
 
 
+def _variant_normalizer(variant, ell, n, c):
+    """Unit-spectrum denominator of simplified estimator ``variant``.
+
+    The exact mean's lead 2N(2l+1)/(4π) times a regime stand-in for
+    1 − P_l(cos(π/2N)): 1 (variant 1), 1 − J₀(πc/2) (variant 2, which alone
+    reads ``c``) or (π²/16) l(l+1)/N² (variant 3). A stand-in that rounds to
+    0 (variant 2 below c ≈ 1e-8) is refused.
+    """
+    lead = 2.0 * n * (2 * ell + 1) / (4.0 * math.pi)
+    if variant == 1:
+        factor = 1.0
+    elif variant == 2:
+        factor = 1.0 - bessel_j(0, 0.5 * math.pi * c)
+    else:
+        factor = (math.pi ** 2 / 16.0) * ell * (ell + 1) / n ** 2
+    norm = lead * factor
+    if not norm > 0:
+        raise ValueError(
+            f"variant {variant} normalizer degenerate ({norm!r}) at l={ell}, N={n}")
+    return norm
+
+
 def estimator_bias(variant, ell, n, regime):
     """Exact relative bias E[Ĉ^(variant)]/C_l − 1 of the simplified estimators.
 
-    Each variant divides the quadratic variation by an asymptotic stand-in
-    for the exact normalizer 2N(2l+1)/(4π)(1 − P_l(cos(π/2N))), so the bias
-    is a closed form in the ratio of denominators:
-
-    variant 1 (degree outruns grid): denominator drops the P_l term
-        → bias = −P_l(cos(π/2N))
-    variant 2 (l/N → c): denominator uses 1 − J₀(πc/2)
-        → bias = (1 − P_l(cos(π/2N)))/(1 − J₀(πc/2)) − 1
-    variant 3 (grid outruns degree): denominator uses the small-angle value
-        (π²/16) l(l+1)/N²
-        → bias = (1 − P_l(cos(π/2N)))/((π²/16) l(l+1)/N²) − 1
+    Each variant divides the quadratic variation by a regime stand-in for
+    the exact normalizer 2N(2l+1)/(4π)(1 − P_l(cos(π/2N))), so the bias is
+    the exact unit-spectrum mean over the stand-in, minus 1. The stand-ins
+    for 1 − P_l(cos(π/2N)) are 1 (variant 1, degree outruns grid; the bias
+    is −P_l(cos(π/2N))), 1 − J₀(πc/2) (variant 2, l/N → c) and the
+    small-angle value (π²/16) l(l+1)/N² (variant 3, grid outruns degree).
     """
     if variant not in (1, 2, 3):
         raise ValueError("variant must be 1, 2 or 3")
@@ -346,33 +355,4 @@ def estimator_bias(variant, ell, n, regime):
             f"variant {variant} pairs with regime {_VARIANT_REGIME[variant]}, "
             f"got {regime.kind}")
     ell, n = _check_ell_n(ell, n)
-    pl = legendre_p(ell, math.cos(0.5 * math.pi / n))
-    if variant == 1:
-        return -pl
-    if variant == 2:
-        return (1.0 - pl) / (1.0 - bessel_j(0, 0.5 * math.pi * regime.c)) - 1.0
-    small = (math.pi ** 2 / 16.0) * ell * (ell + 1) / n ** 2
-    return (1.0 - pl) / small - 1.0
-
-
-# ======================================================================
-# Report builder
-# ======================================================================
-
-def moment_report(ell, c_ell, n, regime=None, p_max=4):
-    """Exact mean, variance and standardized cumulants for one cell.
-
-    Builds the increment Gram once and evaluates κ_p for p = 2..p_max
-    (2 ≤ p_max ≤ 8) from one eigendecomposition: of the (l+1)×(l+1) circle
-    core while l+1 ≤ N, O(l³) past the O(lN) Gram row at any grid size, and
-    of the dense N×N matrix for larger degrees.
-    """
-    if not (2 <= p_max <= 8):
-        raise ValueError("p_max must lie in [2, 8]")
-    ell, n = _check_ell_n(ell, n)
-    regime = RegimeTag.fixed_ell() if regime is None else _check_regime(regime)
-    gram = cov.increment_gram_fl(ell, c_ell, cov.LineGrid(n))
-    mean = exact_mean_vnl(ell, c_ell, n)
-    var = exact_var_vnl(gram)
-    cums = (1.0,) + tuple(normalized_cumulant(gram, p) for p in range(3, p_max + 1))
-    return MomentReport(mean=mean, variance=var, cumulants=cums, regime=regime)
+    return exact_mean_vnl(ell, 1.0, n) / _variant_normalizer(variant, ell, n, regime.c) - 1.0

@@ -580,6 +580,15 @@ def test_estimate_numeric_error_exit(capsys):
     assert "normalizer degenerate" in capsys.readouterr().err
 
 
+def test_estimate_degenerate_variant_normalizer_exits_1(capsys):
+    # 1 − J₀(πc/2) rounds to 0 at c = 1e-8: one stderr line, nothing on stdout
+    assert main(["estimate", "--mode", "cl2", "--v", "1", "--ell", "3", "--n", "4",
+                 "--c", "1e-8"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1 and "variant 2 normalizer degenerate" in err
+
+
 # ======================================================================
 # experiment
 # ======================================================================
@@ -1055,3 +1064,39 @@ def test_import_loads_no_scipy_until_a_call_needs_it():
                          capture_output=True, text=True, env=_child_env())
     assert run.returncode == 0, run.stderr
     assert run.stdout.splitlines()[-1] == "[]"
+
+
+def test_package_root_binds_no_public_name():
+    # the root holds only __version__, and a module loads only what it imports
+    code = ("import sys\n"
+            "import sphereqv.specfun\n"
+            "print(sorted(m for m in sys.modules if m.startswith('sphereqv')))\n"
+            "print(sorted(k for k in vars(sys.modules['sphereqv'])\n"
+            "             if not k.startswith('_') and k != 'specfun'))\n")
+    run = subprocess.run([sys.executable, "-c", code],
+                         capture_output=True, text=True, env=_child_env())
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines() == ["['sphereqv', 'sphereqv.specfun']", "[]"]
+
+
+_FORMER_ROOT_NAMES = {
+    "covariance": ["FbmSpec", "IncrementGram", "LineGrid", "PowerSpectrum",
+                   "fbm_joint_gram", "increment_gram_f", "increment_gram_fl",
+                   "kernel_fl", "second_difference_p"],
+    "estimators": ["EstimateResult", "estimate_cl", "estimate_cl_classical",
+                   "estimate_cl_variant", "estimate_hurst"],
+    "moments": ["asymptotic_mean", "asymptotic_var", "estimator_bias", "exact_mean_vnl",
+                "exact_var_vnl", "fourth_moment_bound", "fullfield_moment_orders",
+                "k_ell_constant", "nclt_limit_cumulant", "normalized_cumulant",
+                "trace_cumulant"],
+    "simulate": ["PathSample", "SampleSpec", "quadratic_variation", "sample_f_line",
+                 "sample_fbm_pair", "sample_fl_line"],
+    "specfun": ["bessel_j", "harmonic_meridian_table", "hilb_approx_p", "legendre_p"],
+}
+
+
+@pytest.mark.parametrize("module", sorted(_FORMER_ROOT_NAMES))
+def test_former_root_names_import_from_their_modules(module):
+    mod = importlib.import_module(f"sphereqv.{module}")
+    for name in _FORMER_ROOT_NAMES[module]:
+        assert name in mod.__all__ and hasattr(mod, name), name

@@ -22,6 +22,7 @@ from sphereqv.moments import (
     exact_var_vnl,
 )
 from sphereqv.simulate import SampleSpec, SingleEll, batch_quadratic_variation
+from sphereqv.specfun import bessel_j, legendre_p
 
 RNG = np.random.default_rng(61004)
 
@@ -103,6 +104,56 @@ def test_variant_normalizers():
     r3 = estimate_cl_variant(1.0, 8, 32, 3)
     assert_allclose(r3.normalizer, lead * math.pi ** 2 / 16 * 72 / 32 ** 2,
                     rtol=1e-15)
+
+
+def _reference_normalizer(variant, ell, n, c):
+    # the variant normalizers as estimate_cl_variant built them inline
+    lead = 2.0 * n * (2 * ell + 1) / (4.0 * math.pi)
+    if variant == 1:
+        factor = 1.0
+    elif variant == 2:
+        factor = 1.0 - bessel_j(0, 0.5 * math.pi * c)
+    else:
+        factor = (math.pi ** 2 / 16.0) * ell * (ell + 1) / n ** 2
+    return lead * factor
+
+
+def _reference_bias(variant, ell, n, c):
+    # the per-variant closed forms estimator_bias evaluated from P_l directly
+    pl = legendre_p(ell, math.cos(0.5 * math.pi / n))
+    if variant == 1:
+        return -pl
+    if variant == 2:
+        return (1.0 - pl) / (1.0 - bessel_j(0, 0.5 * math.pi * c)) - 1.0
+    small = (math.pi ** 2 / 16.0) * ell * (ell + 1) / n ** 2
+    return (1.0 - pl) / small - 1.0
+
+
+def test_variant_normalizers_match_the_per_variant_reference():
+    # normalizer and value bitwise; the bias is now the exact mean over the
+    # normalizer, minus 1, which moves only its last bits. Variant 2 takes its
+    # regime's c = l/N: a mismatched c sends the bias far from 0, where the
+    # same relative shift is a larger absolute one
+    v = 0.37
+    for variant in (1, 2, 3):
+        for ell in (1, 2, 3, 5, 8, 13, 40, 64, 300, 1000):
+            for n in (1, 2, 4, 16, 64, 256, 1024, 4096):
+                c = ell / n if variant == 2 else None
+                res = estimate_cl_variant(v, ell, n, variant, c=c)
+                norm = _reference_normalizer(variant, ell, n, c)
+                assert res.normalizer == norm
+                assert res.value == v / norm
+                assert abs(res.bias_exact - _reference_bias(variant, ell, n, c)) <= 4e-15
+
+
+def test_variant_two_rejects_a_degenerate_normalizer():
+    # below c ≈ 1e-8, 1 − J₀(πc/2) rounds to 0: a raised ValueError, not a
+    # float division by zero
+    assert 1.0 - bessel_j(0, 0.5 * math.pi * 1e-8) == 0.0
+    with pytest.raises(ValueError, match="variant 2 normalizer degenerate"):
+        estimate_cl_variant(1.0, 3, 4, 2, c=1e-8)
+    with pytest.raises(ValueError, match="variant 2 normalizer degenerate"):
+        estimator_bias(2, 3, 4, RegimeTag.ell_comparable(1e-8))
 
 
 # ======================================================================

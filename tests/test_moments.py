@@ -12,8 +12,8 @@ from sphereqv.covariance import (
     increment_gram_fl,
     increment_row_fl,
 )
+from sphereqv.cli import main
 from sphereqv.moments import (
-    MomentReport,
     RegimeTag,
     asymptotic_mean,
     asymptotic_var,
@@ -24,7 +24,6 @@ from sphereqv.moments import (
     fourth_moment_bound,
     fullfield_moment_orders,
     k_ell_constant,
-    moment_report,
     nclt_limit_cumulant,
     normalized_cumulant,
     trace_cumulant,
@@ -205,16 +204,18 @@ def test_factor_path_matches_dense_on_random_cells():
 
 
 def test_moment_report_matches_dense_cumulants():
-    rep = moment_report(5, 0.7, 300, p_max=8)
-    sig = increment_gram_fl(5, 0.7, LineGrid(300)).sigma
+    # the circle core's standardized cumulants against the dense N×N Gram's
+    gram = increment_gram_fl(5, 0.7, LineGrid(300))
+    assert gram.core is not None
+    sig = gram.sigma
     var = exact_var_vnl(sig)
-    assert_allclose(rep.variance, var, rtol=1e-12)
+    assert_allclose(exact_var_vnl(gram), var, rtol=1e-12)
     for p in range(3, 9):
-        assert_allclose(rep.cumulants[p - 2],
+        assert_allclose(normalized_cumulant(gram, p),
                         trace_cumulant(sig, p) / var ** (p / 2.0), rtol=1e-12)
 
 
-def test_factor_path_never_builds_dense_matrix(monkeypatch):
+def test_factor_path_never_builds_dense_matrix(monkeypatch, capsys):
     import sphereqv.covariance as cov
 
     def refuse(*_):
@@ -224,8 +225,9 @@ def test_factor_path_never_builds_dense_matrix(monkeypatch):
     gram = increment_gram_fl(8, 0.5, LineGrid(20000))
     gram.first_row, gram.trace()
     exact_var_vnl(gram), normalized_cumulant(gram, 3), fourth_moment_bound(gram)
-    rep = moment_report(8, 0.5, 20000, p_max=6)
-    assert all(np.isfinite(rep.cumulants))
+    table = _moments_table(capsys, "--ell", "8", "--n", "20000", "--cl", "0.5",
+                           "--p-max", "6")
+    assert "normalized_k6" in table and all(map(math.isfinite, table.values()))
 
 
 def test_core_path_builds_no_harmonic_table(monkeypatch):
@@ -507,31 +509,32 @@ def test_bias_variant_regime_pairing_enforced():
 
 
 # ======================================================================
-# Report builder
+# The moments command's report
 # ======================================================================
 
-def test_moment_report_consistency():
-    rep = moment_report(3, 1.4, 24, p_max=4)
-    gram = increment_gram_fl(3, 1.4, LineGrid(24))
-    assert_allclose(rep.mean, exact_mean_vnl(3, 1.4, 24), rtol=1e-14)
-    assert_allclose(rep.variance, exact_var_vnl(gram), rtol=1e-14)
-    assert rep.cumulants[0] == 1.0
-    assert_allclose(rep.cumulants[1], normalized_cumulant(gram, 3), rtol=1e-12)
-    assert_allclose(rep.cumulants[2], normalized_cumulant(gram, 4), rtol=1e-12)
-    assert rep.regime.kind == "fixed_ell"
+def _moments_table(capsys, *argv):
+    assert main(["moments", *argv]) == 0
+    return {key: float(val) for key, val in
+            (line.split() for line in capsys.readouterr().out.splitlines())}
 
 
-def test_moment_report_second_order_only():
-    rep = moment_report(2, 1.0, 8, p_max=2)
-    assert rep.cumulants == (1.0,)
-    with pytest.raises(ValueError):
-        moment_report(2, 1.0, 8, p_max=9)
+def test_moment_report_consistency(capsys):
+    # each printed number is the library's value, bitwise after %.17g, on
+    # the circle-core path (3, 24) and the dense path (40, 16)
+    for ell, n in ((3, 24), (40, 16)):
+        table = _moments_table(capsys, "--ell", str(ell), "--n", str(n), "--cl", "1.4")
+        gram = increment_gram_fl(ell, 1.4, LineGrid(n))
+        assert (gram.core is None) == (ell >= n)
+        want = {"mean": exact_mean_vnl(ell, 1.4, n), "variance": exact_var_vnl(gram),
+                "normalized_k3": normalized_cumulant(gram, 3),
+                "normalized_k4": normalized_cumulant(gram, 4),
+                "fourth_moment_bound": fourth_moment_bound(gram)}
+        assert table == {key: float("%.17g" % val) for key, val in want.items()}
 
 
-def test_moment_report_validation():
-    with pytest.raises(ValueError):
-        MomentReport(mean=1.0, variance=-0.1, cumulants=(1.0,),
-                     regime=RegimeTag.fixed_ell())
-    with pytest.raises(ValueError):
-        MomentReport(mean=1.0, variance=0.5, cumulants=(1.01,),
-                     regime=RegimeTag.fixed_ell())
+def test_moment_report_second_order_only(capsys):
+    table = _moments_table(capsys, "--ell", "2", "--n", "8", "--cl", "1", "--p-max", "2")
+    assert set(table) == {"mean", "variance", "fourth_moment_bound"}
+    with pytest.raises(SystemExit) as exit_info:
+        main(["moments", "--ell", "2", "--n", "8", "--cl", "1", "--p-max", "9"])
+    assert exit_info.value.code == 2
