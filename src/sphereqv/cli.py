@@ -1,6 +1,9 @@
 """Command line front end.
 
-Subcommands wrap the library layers one-to-one:
+Subcommands wrap the library layers one-to-one, and each imports only the
+layers it runs: numpy, specfun, covariance and moments load with this module;
+``estimate`` adds estimators, ``simulate`` and ``experiment`` the sampler and
+the harness:
 
     moments        exact and asymptotic moments of one (degree, grid) cell
     simulate       draw quadratic-variation replications to CSV
@@ -13,7 +16,8 @@ are unsigned 64-bit integers. Exit codes: 0 success, 1 numeric or I/O
 failure, 2 flag/config validation error or ``estimate`` input outside the
 estimator's domain, 3 oracle-agreement failure under ``experiment
 --strict``. Worker count: --threads, else machine parallelism; outputs are
-byte-identical for any worker count.
+byte-identical for any worker count, for one numpy/BLAS build at one BLAS
+thread count.
 """
 
 from __future__ import annotations
@@ -27,13 +31,9 @@ from importlib import resources
 
 import numpy as np
 
-from . import harness, moments as mom
-from .covariance import LineGrid, increment_gram_fl
-from .estimators import (estimate_cl, estimate_cl_classical,
-                         estimate_cl_variant, estimate_hurst)
-from .harness import ConfigError, ExperimentConfig, check_oracle_agreement, run_experiment
+from . import moments as mom
+from .covariance import LineGrid, PowerSpectrum, increment_gram_fl
 from .moments import RegimeTag
-from .simulate import SampleSpec, SingleEll, batch_quadratic_variation, rep_stream_id
 
 __all__ = ["main"]
 
@@ -118,15 +118,20 @@ def _cmd_moments(args):
     if _memory_error([_moments_need(args.ell, args.n)],
                      f"l={args.ell}, N={args.n}"):
         return 2
-    # the checks an experiment runs, at the highest power of V the printed
-    # cumulants sum (κ4 always): a scale they refuse gives inf, nan or subnormals
-    power = max(args.p_max, 4)
-    try:
-        target = SingleEll(args.ell, args.cl)
-        harness._check_scale(target, args.n, power)
-        harness._check_floor(target, args.n, power)
-    except ValueError as exc:  # a ConfigError, or 2·C_l beyond the float range
-        return _input_error(str(exc))
+    if why := mom._degree_error(args.ell):
+        return _input_error(why)
+    # the checks an experiment runs on a single_ell cell: SingleEll's bound on
+    # c_ell, then the scale checks at the highest power of V the printed
+    # cumulants sum (κ4 always), where a scale they refuse gives inf, nan or
+    # subnormals
+    if not 2.0 * args.cl < math.inf:
+        return _input_error(f"c_ell must be non-negative with 2·c_ell finite, got {args.cl!r}")
+    power, spectrum = max(args.p_max, 4), PowerSpectrum.single(args.ell, args.cl)
+    factor = 1.0 / (4.0 * math.pi)  # one degree's kernel factor, as the harness's
+    why = (mom._scale_error(spectrum, factor, args.n, power)
+           or mom._floor_error(spectrum, factor, args.n, power))
+    if why:
+        return _input_error(why)
     gram = increment_gram_fl(args.ell, args.cl, LineGrid(args.n))
     mean = mom.exact_mean_vnl(args.ell, args.cl, args.n)
     var = mom.exact_var_vnl(gram)
@@ -158,6 +163,8 @@ def _cmd_moments(args):
 def _sample_target(obj):
     """Sampler target of a sample spec: 'ell' is checked here, the rest by
     the experiment config's target parser."""
+    from . import harness
+
     ell = None
     if isinstance(obj, dict) and obj.get("kind") == "single_ell":
         obj = dict(obj)
@@ -168,16 +175,19 @@ def _sample_target(obj):
 
 
 def _cmd_simulate(args):
+    from . import harness
+    from .simulate import SampleSpec, batch_quadratic_variation, rep_stream_id
+
     with open(args.spec_file, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
     allowed = {"target", "n", "seed", "replications"}
     if not isinstance(raw, dict):
-        raise ConfigError("sample spec must be a JSON object")
+        raise harness.ConfigError("sample spec must be a JSON object")
     unknown = set(raw) - allowed
     if unknown:
-        raise ConfigError(f"unknown sample spec keys {sorted(unknown)}")
+        raise harness.ConfigError(f"unknown sample spec keys {sorted(unknown)}")
     if "target" not in raw or "n" not in raw:
-        raise ConfigError("sample spec needs 'target' and 'n'")
+        raise harness.ConfigError("sample spec needs 'target' and 'n'")
     target = _sample_target(raw["target"])
     # precedence: explicit flags > spec file > defaults
     seed = args.seed if args.seed is not None else raw.get("seed", 0)
@@ -224,11 +234,16 @@ def _input_error(message):
 
 
 def _cmd_estimate(args, parser):
+    from .estimators import (estimate_cl, estimate_cl_classical,
+                             estimate_cl_variant, estimate_hurst)
+
     mode = args.mode
     if mode in ("cl", "cl1", "cl2", "cl3"):
         _require(parser, args, ["v", "ell", "n"])
         if mode == "cl2":
             _require(parser, args, ["c"])
+        if why := mom._degree_error(args.ell):
+            return _input_error(why)
         if args.v < 0:
             return _input_error(f"--v must be non-negative, got {args.v!r}")
         if mode == "cl2" and args.c <= 0:
@@ -271,16 +286,26 @@ def _load_config_text(path):
     raise FileNotFoundError(f"config file not found: {path}")
 
 
+def run_experiment(config, threads=None, partial_flush=None):
+    """``harness.run_experiment``, looked up when ``experiment`` runs: the
+    command's first layer call, which tests and the benchmark's set-up probe
+    replace by this name, with the harness loaded only by the commands it runs."""
+    from .harness import run_experiment
+    return run_experiment(config, threads=threads, partial_flush=partial_flush)
+
+
 def _cmd_experiment(args):
+    from . import harness
+
     raw = json.loads(_load_config_text(args.config))
     if not isinstance(raw, dict):
-        raise ConfigError("config must be a JSON object")
+        raise harness.ConfigError("config must be a JSON object")
     # precedence: explicit flags > config file > defaults
     if args.seed is not None:
         raw["seed"] = args.seed
     if args.reps is not None:
         raw["replications"] = args.reps
-    config = ExperimentConfig.from_dict(raw)
+    config = harness.ExperimentConfig.from_dict(raw)
     dense_gram = bool(harness._DENSE_GRAM_STATS & set(config.statistics))
     for (ell, n), target in zip(config.cells, config.targets):
         # a cell's largest array, checked for every cell before any draw
@@ -294,7 +319,7 @@ def _cmd_experiment(args):
     json_path, csv_path = report.write(base)
     sys.stdout.write(f"wrote {json_path} and {csv_path}\n")
     if args.strict:
-        ok, checked, failures = check_oracle_agreement(report)
+        ok, checked, failures = harness.check_oracle_agreement(report)
         if checked and ok / checked < 0.95:
             for stat, ell, n, gap in failures:
                 sys.stderr.write(
@@ -452,6 +477,10 @@ def _build_parser():
 def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
+    # ConfigError is the harness's, which only these two commands load
+    config_error = ()
+    if args.command in ("simulate", "experiment"):
+        from .harness import ConfigError as config_error
     try:
         if args.command == "moments":
             if args.regime == "ell_comparable" and args.regime_c is None:
@@ -467,7 +496,7 @@ def main(argv=None):
         if args.command == "experiment":
             return _cmd_experiment(args)
         return _cmd_specfun_check(args)
-    except ConfigError as exc:
+    except config_error as exc:
         sys.stderr.write(f"config error: {exc}\n")
         return 2
     except (OSError, json.JSONDecodeError) as exc:

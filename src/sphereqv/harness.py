@@ -6,7 +6,16 @@ batches, computes the requested empirical statistics with standard errors,
 and pairs every one with its exact counterpart from the moment formulas.
 Replication r of a cell depends only on (seed, r), and batches are reduced
 in submission order, so the emitted report is byte-identical for any worker
-count.
+count, for one numpy/BLAS build at one BLAS thread count: the dense
+``eigvalsh`` behind the exact k3, k4 and ks_normal columns, and the
+sampler's basis products, change their last bits with either.
+
+Only ``sphereqv simulate`` and ``experiment`` load this module, and with it
+``simulate``, ``estimators``, ``numpy.random`` and ``concurrent.futures``.
+Its config-time scale checks map each sampler target to a spectrum and
+kernel factor and leave the arithmetic to the exact side
+(``moments._scale_error``, ``_floor_error``), which ``sphereqv moments``
+runs without this module.
 
 Empirical cumulants use k-statistics (unbiased cumulant estimators) with
 delete-block jackknife standard errors; normality is measured by the exact
@@ -144,8 +153,9 @@ _TARGET_KEYS = {"single_ell": {"kind", "c_ell"},
 
 def _parse_target(obj, ell):
     """The sampler target (SingleEll at degree ``ell``, FullField or FbmTarget)
-    of a config's target object; ConfigError for a malformed object, with
-    ``bad {kind} target: …`` for values the library refuses."""
+    of a config's target object; ConfigError for a malformed object or a
+    degree beyond ``moments.MAX_DEGREE``, with ``bad {kind} target: …`` for
+    values the library refuses."""
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ConfigError("target must be an object with a 'kind'")
     kind = obj["kind"]
@@ -155,6 +165,8 @@ def _parse_target(obj, ell):
     if set(obj) - allowed:
         raise ConfigError(f"unknown target keys {sorted(set(obj) - allowed)}")
     if kind == "single_ell":
+        if why := mom._degree_error(ell):
+            raise ConfigError(why)
         c_ell = obj.get("c_ell", 1.0)
         make, args = SingleEll, (ell, _config_real(
             c_ell, f"c_ell must be a finite non-negative number, got {c_ell!r}", 0.0))
@@ -542,30 +554,6 @@ def _resolve_threads(threads):
     return os.cpu_count() or 1
 
 
-def _weights(spectrum):
-    """(C_l (2l+1) for l from l_min, rest): an explicit spectrum's every degree
-    and rest 0, or a power law's degrees up to 2^16 and, as rest, its integral
-    c0 ∫ (2x+1) x^(−2−ε) dx past 2^16, within 1e-5 above the sum it stands for."""
-    if spectrum.kind == "explicit":
-        ells = spectrum.l_min + np.arange(len(spectrum.values), dtype=float)
-        with np.errstate(over="ignore"):
-            return np.array(spectrum.values) * (2.0 * ells + 1.0), 0.0
-    eps, x0, x1 = spectrum.epsilon, float(min(spectrum.l_max, 2 ** 16)), float(spectrum.l_max)
-    ells = np.arange(1.0, x0 + 1.0)
-    rest = (-2.0 * x0 ** -eps * math.expm1(-eps * math.log(x1 / x0)) / eps
-            + (x0 ** (-1.0 - eps) - x1 ** (-1.0 - eps)) / (1.0 + eps))
-    with np.errstate(over="ignore"):
-        return spectrum.c0 * ((2.0 * ells + 1.0) * ells ** (-2.0 - eps)), spectrum.c0 * rest
-
-
-def _weight_sum(spectrum):
-    """Σ C_l (2l+1) over the spectrum's degrees; a power law's is within 1e-5
-    above (:func:`_weights`)."""
-    head, rest = _weights(spectrum)
-    with np.errstate(over="ignore"):
-        return float(np.sum(head)) + rest
-
-
 def _kernel(target, pick):
     """(spectrum, factor) of a sampler target's kernel factor · Σ C_l (2l+1) P_l:
     1/(4π) for one degree or a full field; for a fractional pair's spatial
@@ -579,47 +567,21 @@ def _kernel(target, pick):
 
 def _check_scale(target, n, power=1, reps=1):
     """ConfigError when reps·(4N·σ²)^power, σ² the sampler target's pointwise
-    variance, exceeds float max/2^64: E[V] ≤ 4N·σ², so a V that passes
-    overflows only beyond 1.8e19 times its mean, and so does a sum of V^power
-    over reps replications, which the statistics of ``_SCALE_POWER`` form."""
-    sp, factor = _kernel(target, max)
-    bound, scale = sys.float_info.max / 2 ** 64, 4.0 * n * factor * _weight_sum(sp)
-    # (bound/reps)^(1/power) by logarithms: reps may lie beyond the float range
-    if not scale <= math.exp((math.log(bound) - math.log(reps)) / power):
-        what = "V" if not scale <= bound else f"its sums of V^{power} over the replications"
-        raise ConfigError(f"4N times the pointwise variance is {scale:.3g} at N={n}: "
-                          f"{what} could overflow, beyond float max/2^64")
-
-
-def _mean_v(target, n):
-    """E[V] under a sampler target on an N-increment grid, in O(l_max): 2N·factor
-    times Σ C_l (2l+1) u_l (:func:`_kernel`, the earlier time of a fractional
-    pair), u_l = 1 − P_l(cos h), h = π/(2N). u_l runs its own recurrence from
-    u_1 = 2 sin²(h/2): the difference 1 − P_l(cos h) reads 0 once cos h rounds
-    to 1, near N = 10^8. Past degree 2^16 each degree counts u_l ≤ 2, so a
-    spectrum reaching there gets an upper bound."""
-    sp, factor = _kernel(target, min)
-    head, rest = _weights(sp)
-    top = min(sp.l_max, 2 ** 16)
-    s = 2.0 * math.sin(0.25 * math.pi / n) ** 2
-    # (l+1) P_{l+1} = (2l+1) x P_l − l P_{l−1} at x = 1 − s, for u_l = 1 − P_l
-    u = [0.0, s]
-    for l in range(1, top):
-        u.append(((2 * l + 1) * (u[l] + s * (1.0 - u[l])) - l * u[l - 1]) / (l + 1))
-    k = max(0, top + 1 - sp.l_min)  # degrees l_min..top
-    near = float(np.dot(head[:k], u[sp.l_min:top + 1]))
-    return 2.0 * n * factor * (near + 2.0 * (float(np.sum(head[k:])) + rest))
+    variance (:func:`_kernel` at the later time of a fractional pair), exceeds
+    float max/2^64 (``moments._scale_error``): then V, or a sum of V^power over
+    reps replications, which the statistics of ``_SCALE_POWER`` form, could
+    overflow."""
+    if why := mom._scale_error(*_kernel(target, max), n, power, reps):
+        raise ConfigError(why)
 
 
 def _check_floor(target, n, power):
-    """ConfigError when E[V]^power falls below the smallest normal float: the
-    lower twin of :func:`_check_scale`, for the power of V the statistics'
-    sums reach (``_SCALE_POWER``); below it those sums and the rows' SEs
-    lose digits to subnormals or read 0."""
-    mean = _mean_v(target, n)
-    if mean ** power < sys.float_info.min:
-        raise ConfigError(f"E[V] is {mean:.3g} at N={n}: its sums of V^{power} "
-                          f"could underflow, below float min")
+    """ConfigError when E[V]^power, E[V] at the earlier time of a fractional
+    pair, falls below the smallest normal float (``moments._floor_error``):
+    the lower twin of :func:`_check_scale`, for the power of V the statistics'
+    sums reach (``_SCALE_POWER``)."""
+    if why := mom._floor_error(*_kernel(target, min), n, power):
+        raise ConfigError(why)
 
 
 def _zero_law(target):

@@ -21,6 +21,12 @@ three degree-versus-grid growth regimes, the fourth-moment normality
 proxy, and the simplified estimators' normalizers with their exact biases
 complete the module. ``sphereqv moments`` prints one cell's exact table.
 
+The boundary checks behind every command work at the spectrum level here,
+so that ``sphereqv moments`` and ``estimate`` run them without the sampler:
+the largest degree a command accepts (``MAX_DEGREE``), and the mean of V
+under any spectrum and kernel factor in O(l_max), free of the cancellation
+in 1 − P_l(cos(π/2N)), which bounds the scale its statistics can hold.
+
 Normalization convention: the standardized statistic is
 F = (V − E V)/√Var V, whose second cumulant is 1 by construction.
 """
@@ -58,6 +64,11 @@ ELL_FASTER = "ell_faster"
 ELL_COMPARABLE = "ell_comparable"
 ELL_SLOWER = "ell_slower"
 _REGIMES = (FIXED_ELL, ELL_FASTER, ELL_COMPARABLE, ELL_SLOWER)
+
+# The largest degree a command accepts: its exact side runs O(l) Legendre
+# recurrences, 3.6 µs per degree for ``sphereqv moments --n 1`` on a 2-core
+# x86-64 VM, so 2^21 stays within a budget of about 10 s (7 s measured).
+MAX_DEGREE = 2 ** 21
 
 
 @dataclass(frozen=True)
@@ -109,6 +120,14 @@ def _check_ell_n(ell, n):
     if int(n) != n or n < 1:
         raise ValueError("grid size must be an integer ≥ 1")
     return int(ell), int(n)
+
+
+def _degree_error(ell):
+    """Why a command refuses degree ``ell`` (beyond ``MAX_DEGREE``), else None."""
+    if ell > MAX_DEGREE:
+        return (f"degree {ell} exceeds {MAX_DEGREE} (2^{MAX_DEGREE.bit_length() - 1}), "
+                "the largest whose O(l) recurrences run within about 10 s")
+    return None
 
 
 def exact_mean_vnl(ell, c_ell, n):
@@ -183,6 +202,80 @@ def fourth_moment_bound(gram):
 
 
 # ======================================================================
+# Spectrum-level mean and scale checks
+# ======================================================================
+
+def _weights(spectrum):
+    """(C_l (2l+1) for l from l_min, rest): an explicit spectrum's every degree
+    and rest 0, or a power law's degrees up to 2^16 and, as rest, its integral
+    c0 ∫ (2x+1) x^(−2−ε) dx past 2^16, within 1e-5 above the sum it stands for."""
+    if spectrum.kind == "explicit":
+        ells = spectrum.l_min + np.arange(len(spectrum.values), dtype=float)
+        with np.errstate(over="ignore"):
+            return np.array(spectrum.values) * (2.0 * ells + 1.0), 0.0
+    eps, x0, x1 = spectrum.epsilon, float(min(spectrum.l_max, 2 ** 16)), float(spectrum.l_max)
+    ells = np.arange(1.0, x0 + 1.0)
+    rest = (-2.0 * x0 ** -eps * math.expm1(-eps * math.log(x1 / x0)) / eps
+            + (x0 ** (-1.0 - eps) - x1 ** (-1.0 - eps)) / (1.0 + eps))
+    with np.errstate(over="ignore"):
+        return spectrum.c0 * ((2.0 * ells + 1.0) * ells ** (-2.0 - eps)), spectrum.c0 * rest
+
+
+def _weight_sum(spectrum):
+    """Σ C_l (2l+1) over the spectrum's degrees; a power law's is within 1e-5
+    above (:func:`_weights`)."""
+    head, rest = _weights(spectrum)
+    with np.errstate(over="ignore"):
+        return float(np.sum(head)) + rest
+
+
+def _mean_v(spectrum, factor, n):
+    """E[V] on an N-increment grid of the kernel factor · Σ C_l (2l+1) P_l, in
+    O(l_max): 2N·factor times Σ C_l (2l+1) u_l, u_l = 1 − P_l(cos h),
+    h = π/(2N). u_l runs its own recurrence from u_1 = 2 sin²(h/2): the
+    difference 1 − P_l(cos h) reads 0 once cos h rounds to 1, near N = 10^8.
+    Past degree 2^16 each degree counts u_l ≤ 2, so a spectrum reaching there
+    gets an upper bound."""
+    head, rest = _weights(spectrum)
+    top = min(spectrum.l_max, 2 ** 16)
+    s = 2.0 * math.sin(0.25 * math.pi / n) ** 2
+    # (l+1) P_{l+1} = (2l+1) x P_l − l P_{l−1} at x = 1 − s, for u_l = 1 − P_l
+    u = [0.0, s]
+    for l in range(1, top):
+        u.append(((2 * l + 1) * (u[l] + s * (1.0 - u[l])) - l * u[l - 1]) / (l + 1))
+    k = max(0, top + 1 - spectrum.l_min)  # degrees l_min..top
+    near = float(np.dot(head[:k], u[spectrum.l_min:top + 1]))
+    return 2.0 * n * factor * (near + 2.0 * (float(np.sum(head[k:])) + rest))
+
+
+def _scale_error(spectrum, factor, n, power=1, reps=1):
+    """Why V's statistics could overflow under the kernel factor · Σ C_l (2l+1)
+    P_l on an N-increment grid, else None: when reps·(4N·σ²)^power, σ² the
+    pointwise variance, exceeds float max/2^64. E[V] ≤ 4N·σ², so a V that
+    passes overflows only beyond 1.8e19 times its mean, and so does a sum of
+    V^power over reps replications."""
+    bound, scale = sys.float_info.max / 2 ** 64, 4.0 * n * factor * _weight_sum(spectrum)
+    # (bound/reps)^(1/power) by logarithms: reps may lie beyond the float range
+    if scale <= math.exp((math.log(bound) - math.log(reps)) / power):
+        return None
+    what = "V" if not scale <= bound else f"its sums of V^{power} over the replications"
+    return (f"4N times the pointwise variance is {scale:.3g} at N={n}: "
+            f"{what} could overflow, beyond float max/2^64")
+
+
+def _floor_error(spectrum, factor, n, power):
+    """Why V's statistics could underflow, else None: when E[V]^power
+    (:func:`_mean_v`) falls below the smallest normal float, the lower twin of
+    :func:`_scale_error`; below it sums of V^power and their SEs lose digits
+    to subnormals or read 0."""
+    mean = _mean_v(spectrum, factor, n)
+    if mean ** power < sys.float_info.min:
+        return (f"E[V] is {mean:.3g} at N={n}: its sums of V^{power} "
+                f"could underflow, below float min")
+    return None
+
+
+# ======================================================================
 # The degree profile g and its limit operator
 # ======================================================================
 
@@ -238,6 +331,22 @@ def _check_regime(regime):
     return regime
 
 
+def _one_minus_j0(x):
+    """1 − J₀(x) for x ≥ 0, the ell_comparable stand-in for 1 − P_l(cos(π/2N))
+    at x = πc/2, free of cancellation. Below x = 1 (c < 2/π) it sums the
+    power series y − y²/4 + y³/36 − … in y = (x/2)² to 9 terms, the first
+    dropped under 2e-18 of the sum. From x = 1 up it is 1 − J₀(x) as
+    written, bitwise as before and within 1.1e-15 relative; that difference
+    is 1.7e-5 off at c = 1e-6 and reads 0 from c ≈ 1e-8."""
+    if x >= 1.0:
+        return 1.0 - bessel_j(0, x)
+    y = (0.5 * x) ** 2
+    s = 1.0
+    for k in range(9, 1, -1):
+        s = 1.0 - y / (k * k) * s
+    return y * s
+
+
 def asymptotic_mean(regime, ell, c_ell, n):
     """Leading-order mean of the quadratic variation in the given regime.
 
@@ -263,7 +372,7 @@ def asymptotic_mean(regime, ell, c_ell, n):
     if regime.kind == ELL_FASTER:
         return lead
     if regime.kind == ELL_COMPARABLE:
-        return lead * (1.0 - bessel_j(0, 0.5 * math.pi * regime.c))
+        return lead * _one_minus_j0(0.5 * math.pi * regime.c)
     return lead * (math.pi ** 2 / 16.0) * ell ** 2 / n ** 2
 
 
@@ -320,14 +429,15 @@ def _variant_normalizer(variant, ell, n, c):
 
     The exact mean's lead 2N(2l+1)/(4π) times a regime stand-in for
     1 − P_l(cos(π/2N)): 1 (variant 1), 1 − J₀(πc/2) (variant 2, which alone
-    reads ``c``) or (π²/16) l(l+1)/N² (variant 3). A stand-in that rounds to
-    0 (variant 2 below c ≈ 1e-8) is refused.
+    reads ``c``; :func:`_one_minus_j0`) or (π²/16) l(l+1)/N² (variant 3). A
+    stand-in that rounds to 0 (variant 2 below c ≈ 3e-162, where (πc/4)²
+    underflows) is refused.
     """
     lead = 2.0 * n * (2 * ell + 1) / (4.0 * math.pi)
     if variant == 1:
         factor = 1.0
     elif variant == 2:
-        factor = 1.0 - bessel_j(0, 0.5 * math.pi * c)
+        factor = _one_minus_j0(0.5 * math.pi * c)
     else:
         factor = (math.pi ** 2 / 16.0) * ell * (ell + 1) / n ** 2
     norm = lead * factor

@@ -24,7 +24,12 @@ of a replication are therefore a pure function of (spec, rep). Evaluated
 paths are bitwise reproducible for a fixed batch partition (different
 partitions can move the last ulp through BLAS reduction order), which is
 why consumers that promise byte-identical output pin their batch
-boundaries and let only the scheduling vary.
+boundaries and let only the scheduling vary. The same holds only for one
+numpy/BLAS build at one BLAS thread count, which can also split a product.
+
+Only ``sphereqv simulate`` and ``experiment`` load this module (with
+``numpy.random`` and ``concurrent.futures``); ``moments``, ``estimate`` and
+``specfun-check`` run without it.
 
 Threads: a multi-degree batch draws each degree chunk's normals on two
 threads while the chunk's harmonic sweep runs, the batch's own and one

@@ -10,6 +10,7 @@ import pathlib
 import subprocess
 import sys
 import tempfile
+import time
 import tracemalloc
 import warnings
 
@@ -19,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sphereqv.moments
+import sphereqv.simulate
 from sphereqv import cli, harness
 from sphereqv.cli import main
 from sphereqv.moments import exact_mean_vnl
@@ -392,7 +394,7 @@ def test_simulate_integral_float_numbers_run(tmp_path, capsys):
 
 
 def test_simulate_beyond_physical_memory_exits_2_before_sampling(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(cli, "batch_quadratic_variation",
+    monkeypatch.setattr(sphereqv.simulate, "batch_quadratic_variation",
                         lambda *a: pytest.fail("sampled"))
     out = tmp_path / "x.csv"
     # N = 10¹² asks for a 7.3 TiB path even for one replication
@@ -581,12 +583,21 @@ def test_estimate_numeric_error_exit(capsys):
 
 
 def test_estimate_degenerate_variant_normalizer_exits_1(capsys):
-    # 1 − J₀(πc/2) rounds to 0 at c = 1e-8: one stderr line, nothing on stdout
+    # 1 − J₀(πc/2) rounds to 0 at c = 1e-163, where (πc/4)² underflows: one
+    # stderr line, nothing on stdout
     assert main(["estimate", "--mode", "cl2", "--v", "1", "--ell", "3", "--n", "4",
-                 "--c", "1e-8"]) == 1
+                 "--c", "1e-163"]) == 1
     out, err = capsys.readouterr()
     assert out == ""
     assert err.count("\n") == 1 and "variant 2 normalizer degenerate" in err
+
+
+def test_estimate_variant_two_at_a_small_ratio_succeeds(capsys):
+    # 1 − J₀(πc/2) read 0 at c = 1e-8 and the command exited 1
+    assert main(["estimate", "--mode", "cl2", "--v", "1", "--ell", "3", "--n", "4",
+                 "--c", "1e-8"]) == 0
+    res = json.loads(capsys.readouterr().out)
+    assert res["normalizer"] > 0 and math.isfinite(res["value"])
 
 
 # ======================================================================
@@ -797,7 +808,8 @@ _OVERFLOWING_TARGETS = [
                          ids=["single_ell", "full_field", "fbm"])
 def test_overflowing_quadratic_variation_exits_2_before_sampling(
         tmp_path, capsys, monkeypatch, target):
-    monkeypatch.setattr(cli, "batch_quadratic_variation", lambda *a: pytest.fail("sampled"))
+    monkeypatch.setattr(sphereqv.simulate, "batch_quadratic_variation",
+                        lambda *a: pytest.fail("sampled"))
     monkeypatch.setattr(cli, "run_experiment", lambda *a, **k: pytest.fail("sampled"))
     sample_target = dict(target, ell=3) if target["kind"] == "single_ell" else target
     spec = _write_spec(tmp_path, target=sample_target, n=16, replications=200)
@@ -809,6 +821,31 @@ def test_overflowing_quadratic_variation_exits_2_before_sampling(
         assert stdout == "" and err.count("\n") == 1
         assert err.startswith("config error: ") and "V could overflow" in err
         assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [
+    "moments", "estimate cl", "estimate cl1", "estimate cl2", "estimate cl3",
+    "simulate", "experiment"])
+def test_degree_beyond_the_bound_exits_2_at_once(tmp_path, capsys, monkeypatch, command):
+    # l = 10¹¹ ran O(l) recurrence steps without bound, 3.6 µs each in moments
+    monkeypatch.setattr(cli, "run_experiment", lambda *a, **k: pytest.fail("sampled"))
+    ell = 10 ** 11
+    argv = {
+        "moments": ["moments", "--ell", str(ell), "--n", "1", "--cl", "1"],
+        "simulate": ["simulate", "--out", str(tmp_path / "x.csv"), "--spec-file",
+                     _write_spec(tmp_path, target={"kind": "single_ell", "ell": ell})],
+        "experiment": ["experiment", "--out", str(tmp_path / "r"), "--config",
+                       _write_config(tmp_path, cells=[[ell, 16]])],
+    }.get(command, ["estimate", "--mode", command.split()[-1], "--v", "1",
+                    "--ell", str(ell), "--n", "1", "--c", "1"])
+    start = time.perf_counter()
+    assert main(argv) == 2
+    assert time.perf_counter() - start < 1.0
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err.endswith(f"degree {ell} exceeds 2097152 (2^21), the largest whose O(l) "
+                        "recurrences run within about 10 s\n")
+    assert not list(tmp_path.glob("[xr].*"))
 
 
 def test_statistics_whose_sums_overflow_exit_2_before_sampling(tmp_path, capsys, monkeypatch):
@@ -1064,6 +1101,64 @@ def test_import_loads_no_scipy_until_a_call_needs_it():
                          capture_output=True, text=True, env=_child_env())
     assert run.returncode == 0, run.stderr
     assert run.stdout.splitlines()[-1] == "[]"
+
+
+# the layers only the sampling commands need
+_SAMPLER_SIDE = ("sphereqv.harness", "sphereqv.simulate", "numpy.random",
+                 "concurrent.futures")
+
+
+def _loaded_after(argv, stop_at=None):
+    """Which of the sampler side's modules and ``sphereqv.estimators`` a fresh
+    interpreter holds after ``cli.main(argv)`` exits 0, or, with ``stop_at``,
+    after replacing ``cli.<stop_at>`` stopped the command there, as the
+    benchmark's set-up probe does."""
+    code = ["import contextlib, io, json, sys", "import sphereqv.cli as cli"]
+    if stop_at:
+        code += ["class Stop(BaseException): pass",
+                 "def stop(*a, **k): raise Stop",
+                 f"cli.{stop_at} = stop",
+                 "try:",
+                 f"    cli.main({argv!r})",
+                 "    sys.exit('not stopped')",
+                 "except Stop:",
+                 "    pass"]
+    else:
+        code += ["with contextlib.redirect_stdout(io.StringIO()):",
+                 f"    assert cli.main({argv!r}) == 0"]
+    watched = (*_SAMPLER_SIDE, "sphereqv.estimators")
+    code.append(f"print(json.dumps([m for m in {watched!r} if m in sys.modules]))")
+    run = subprocess.run([sys.executable, "-c", "\n".join(code)], capture_output=True,
+                         text=True, env=_child_env())
+    assert run.returncode == 0, run.stderr
+    return set(json.loads(run.stdout.splitlines()[-1]))
+
+
+_MOMENTS_ARGV = ["moments", "--ell", "8", "--n", "4096", "--cl", "1", "--regime", "fixed_ell"]
+
+
+@pytest.mark.parametrize("argv, allowed", [
+    (_MOMENTS_ARGV, set()),
+    (["estimate", "--mode", "cl", "--v", "1", "--ell", "3", "--n", "8"],
+     {"sphereqv.estimators"}),
+    # it draws its points with numpy.random; its scipy.special reference loads
+    # numpy.testing, which imports concurrent.futures
+    (["specfun-check"], {"numpy.random", "concurrent.futures"}),
+], ids=["moments", "estimate", "specfun-check"])
+def test_exact_side_commands_load_no_sampler(argv, allowed):
+    assert _loaded_after(argv) <= allowed
+
+
+def test_experiment_loads_the_sampler_and_stops_at_its_layer_calls(tmp_path):
+    argv = ["experiment", "--out", str(tmp_path / "r"), "--config",
+            _write_config(tmp_path, replications=20, cells=[[2, 8]])]
+    assert _loaded_after(argv) == {*_SAMPLER_SIDE, "sphereqv.estimators"}
+    (tmp_path / "r.json").unlink()
+    # the names the set-up probe replaces stop each command before its layer call
+    assert _loaded_after(argv, stop_at="run_experiment") == {
+        *_SAMPLER_SIDE, "sphereqv.estimators"}
+    assert not (tmp_path / "r.json").exists()
+    assert _loaded_after(_MOMENTS_ARGV, stop_at="increment_gram_fl") == set()
 
 
 def test_package_root_binds_no_public_name():

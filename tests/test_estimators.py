@@ -17,12 +17,13 @@ from sphereqv.estimators import (
 from sphereqv.covariance import LineGrid, increment_gram_fl
 from sphereqv.moments import (
     RegimeTag,
+    _one_minus_j0,
     estimator_bias,
     exact_mean_vnl,
     exact_var_vnl,
 )
 from sphereqv.simulate import SampleSpec, SingleEll, batch_quadratic_variation
-from sphereqv.specfun import bessel_j, legendre_p
+from sphereqv.specfun import legendre_p
 
 RNG = np.random.default_rng(61004)
 
@@ -107,12 +108,14 @@ def test_variant_normalizers():
 
 
 def _reference_normalizer(variant, ell, n, c):
-    # the variant normalizers as estimate_cl_variant built them inline
+    # the variant normalizers as estimate_cl_variant built them inline; variant
+    # 2's 1 − J₀(πc/2) is the cancellation-free one, whose own test checks it
+    # against mpmath (bitwise 1.0 - bessel_j(0, πc/2) from c = 2/π up)
     lead = 2.0 * n * (2 * ell + 1) / (4.0 * math.pi)
     if variant == 1:
         factor = 1.0
     elif variant == 2:
-        factor = 1.0 - bessel_j(0, 0.5 * math.pi * c)
+        factor = _one_minus_j0(0.5 * math.pi * c)
     else:
         factor = (math.pi ** 2 / 16.0) * ell * (ell + 1) / n ** 2
     return lead * factor
@@ -124,7 +127,7 @@ def _reference_bias(variant, ell, n, c):
     if variant == 1:
         return -pl
     if variant == 2:
-        return (1.0 - pl) / (1.0 - bessel_j(0, 0.5 * math.pi * c)) - 1.0
+        return (1.0 - pl) / _one_minus_j0(0.5 * math.pi * c) - 1.0
     small = (math.pi ** 2 / 16.0) * ell * (ell + 1) / n ** 2
     return (1.0 - pl) / small - 1.0
 
@@ -147,13 +150,20 @@ def test_variant_normalizers_match_the_per_variant_reference():
 
 
 def test_variant_two_rejects_a_degenerate_normalizer():
-    # below c ≈ 1e-8, 1 − J₀(πc/2) rounds to 0: a raised ValueError, not a
-    # float division by zero
-    assert 1.0 - bessel_j(0, 0.5 * math.pi * 1e-8) == 0.0
+    # at c = 1e-163 (πc/4)² underflows, so 1 − J₀(πc/2) rounds to 0: a raised
+    # ValueError, not a float division by zero
+    assert _one_minus_j0(0.5 * math.pi * 1e-163) == 0.0
     with pytest.raises(ValueError, match="variant 2 normalizer degenerate"):
-        estimate_cl_variant(1.0, 3, 4, 2, c=1e-8)
+        estimate_cl_variant(1.0, 3, 4, 2, c=1e-163)
     with pytest.raises(ValueError, match="variant 2 normalizer degenerate"):
-        estimator_bias(2, 3, 4, RegimeTag.ell_comparable(1e-8))
+        estimator_bias(2, 3, 4, RegimeTag.ell_comparable(1e-163))
+
+
+def test_variant_two_at_a_small_ratio_keeps_its_digits():
+    # 1 − J₀(πc/2) read 0 at c = 1e-8; its series gives (πc/4)² to the last bits
+    res = estimate_cl_variant(1.0, 3, 4, 2, c=1e-8)
+    lead = 2.0 * 4 * 7 / (4.0 * math.pi)
+    assert res.normalizer == pytest.approx(lead * (0.25 * math.pi * 1e-8) ** 2, rel=1e-15)
 
 
 # ======================================================================

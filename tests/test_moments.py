@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -9,12 +10,18 @@ from numpy.testing import assert_allclose
 from sphereqv.covariance import (
     IncrementGram,
     LineGrid,
+    PowerSpectrum,
     increment_gram_fl,
     increment_row_fl,
 )
 from sphereqv.cli import main
+from sphereqv.specfun import bessel_j
 from sphereqv.moments import (
+    MAX_DEGREE,
     RegimeTag,
+    _degree_error,
+    _mean_v,
+    _one_minus_j0,
     asymptotic_mean,
     asymptotic_var,
     estimator_bias,
@@ -455,6 +462,26 @@ def test_grid_outruns_degree_mean_ratio():
     assert abs(ratio - (1 + 1 / 512)) < 1e-4
 
 
+def test_one_minus_j0_matches_50_digits():
+    # x = πc/2 for c in [1e-12, 2]: the power series below x = 1, where
+    # 1 − J₀ as written cancels, and that difference, bitwise, from there up
+    with mpmath.workdps(50):
+        for c in np.geomspace(1e-12, 2.0, 241):
+            x = 0.5 * math.pi * float(c)
+            want = 1 - mpmath.besselj(0, mpmath.mpf(x))
+            assert abs(_one_minus_j0(x) - want) <= 2e-15 * want, c
+    for c in (2 / math.pi, 1.0, 2.0):
+        x = 0.5 * math.pi * c
+        assert _one_minus_j0(x) == 1.0 - bessel_j(0, x)
+
+
+def test_matched_growth_mean_keeps_its_digits_at_a_small_ratio():
+    # 1 − J₀(πc/2) read 0 at c = 1e-8; the stand-in is (πc/4)² there
+    lead = 2.0 * 64 * 1.5 * 17 / (4.0 * math.pi)
+    got = asymptotic_mean(RegimeTag.ell_comparable(1e-8), 8, 1.5, 64)
+    assert got == pytest.approx(lead * (0.25 * math.pi * 1e-8) ** 2, rel=1e-15)
+
+
 def test_asymptotic_var_formulas():
     c, n = 1.7, 256
     assert_allclose(asymptotic_var(RegimeTag.fixed_ell(), 3, c, n),
@@ -476,6 +503,44 @@ def test_fullfield_orders():
     for bad in (0.0, 0.5, -0.1):
         with pytest.raises(ValueError):
             fullfield_moment_orders(bad, 100)
+
+
+# ======================================================================
+# Spectrum-level mean and the degree bound
+# ======================================================================
+
+def _mean_50_digits(spectrum, factor, n):
+    # 2N·factor Σ C_l (2l+1)(1 − P_l(cos(π/2N))), P_l by its recurrence at 50 digits
+    with mpmath.workdps(50):
+        x = mpmath.cos(mpmath.pi / (2 * n))
+        p_prev, p, total = mpmath.mpf(1), x, mpmath.mpf(0)
+        for ell in range(1, spectrum.l_max + 1):
+            if ell >= spectrum.l_min:
+                total += spectrum.cl(ell) * (2 * ell + 1) * (1 - p)
+            p_prev, p = p, ((2 * ell + 1) * x * p - ell * p_prev) / (ell + 1)
+        return 2 * n * factor * total
+
+
+@pytest.mark.parametrize("spectrum, n", [
+    (PowerSpectrum.single(8, 1.0), 4096),
+    (PowerSpectrum.single(1, 1.0), 10 ** 6),
+    (PowerSpectrum.single(3, 1.0), 10 ** 7),
+    (PowerSpectrum.single(3, 1.0), 10 ** 9),
+    (PowerSpectrum.single(512, 1.0), 1024),
+    (PowerSpectrum.power_law(2.0, 0.3, 300), 1000),
+], ids=["8-4096", "1-1e6", "3-1e7", "3-1e9", "512-1024", "power_law-1000"])
+def test_mean_recurrence_matches_50_digits(spectrum, n):
+    # the scale checks' mean, free of the cancellation in 1 − P_l(cos(π/2N))
+    # that zeroes exact_mean_vnl at (3, 10⁹)
+    factor = 1.0 / (4.0 * math.pi)
+    want = _mean_50_digits(spectrum, factor, n)
+    assert abs(_mean_v(spectrum, factor, n) - want) <= 1e-13 * want
+
+
+def test_degree_bound_names_itself():
+    assert MAX_DEGREE == 2 ** 21 and _degree_error(MAX_DEGREE) is None
+    why = _degree_error(MAX_DEGREE + 1)
+    assert why.startswith("degree 2097153 exceeds 2097152 (2^21)") and "\n" not in why
 
 
 # ======================================================================
