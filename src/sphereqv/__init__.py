@@ -22,8 +22,8 @@ moments
     formulas per regime, Gaussian fluctuation limits, distance bounds, the
     simplified estimators' normalizers and exact biases.
 simulate
-    Exact Gaussian sampling of single-degree and full fields on the grid,
-    quadratic variation evaluation, batched drivers.
+    Exact Gaussian sampling of single-degree and full fields and fractional
+    pairs on the grid, through one batched quadratic-variation driver.
 estimators
     Angular power spectrum estimators and a Hurst-exponent estimator.
 harness

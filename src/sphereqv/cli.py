@@ -15,9 +15,9 @@ Units: degrees l are dimensionless integers ≥ 1, angles are radians, seeds
 are unsigned 64-bit integers. Exit codes: 0 success, 1 numeric or I/O
 failure, 2 flag/config validation error or ``estimate`` input outside the
 estimator's domain, 3 oracle-agreement failure under ``experiment
---strict``. Worker count: --threads, else machine parallelism; outputs are
-byte-identical for any worker count, for one numpy/BLAS build at one BLAS
-thread count.
+--strict``. Worker count: --threads (at most ``_MAX_THREADS``), else
+machine parallelism; outputs are byte-identical for any worker count, for
+one numpy/BLAS build at one BLAS thread count.
 """
 
 from __future__ import annotations
@@ -38,10 +38,21 @@ from .moments import RegimeTag
 __all__ = ["main"]
 
 
-def _positive_int(text):
-    val = int(text)
+# each worker is one OS thread, started mid-run as batches are submitted;
+# a larger --threads is refused at the flag, before any thread starts
+_MAX_THREADS = 1024
+
+
+def _positive_int(text, high=math.inf):
+    """int(text) when it lies in [1, high]; else exit 2 at the flag."""
+    try:
+        val = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}") from None
     if val < 1:
         raise argparse.ArgumentTypeError(f"must be ≥ 1, got {val}")
+    if val > high:
+        raise argparse.ArgumentTypeError(f"must be ≤ {high}, got {val}")
     return val
 
 
@@ -459,8 +470,9 @@ def _build_parser():
     p_exp.add_argument("--seed", type=_u64, default=None, help="seed override (u64)")
     p_exp.add_argument("--reps", type=_positive_int, default=None,
                        help="replication count override")
-    p_exp.add_argument("--threads", type=_positive_int, default=None,
-                       help="worker threads (default: all cores)")
+    p_exp.add_argument("--threads", type=lambda t: _positive_int(t, _MAX_THREADS),
+                       default=None,
+                       help=f"worker threads, 1..{_MAX_THREADS} (default: all cores)")
     p_exp.add_argument("--strict", action="store_true",
                        help="exit 3 unless ≥95%% of oracle pairs agree within 4 SE")
 

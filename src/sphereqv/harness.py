@@ -174,8 +174,9 @@ def _parse_target(obj, ell):
         make, args = FullField, (_parse_spectrum(obj.get("spectrum")),)
     else:
         times = obj.get("times")
-        if not isinstance(times, list):
-            raise ConfigError("fbm times must be a list of two numbers")
+        if not isinstance(times, list) or len(times) != 2:
+            got = f", got {len(times)}" if isinstance(times, list) else ""
+            raise ConfigError(f"fbm times must be a list of two numbers{got}")
         hurst = _config_real(obj.get("hurst"), "fbm hurst must be a finite number")
         times = tuple(_config_real(t, "fbm times must be finite numbers") for t in times)
         make, args = FbmSpec, (hurst, _parse_spectrum(obj.get("spectrum")), times)

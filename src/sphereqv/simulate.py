@@ -7,8 +7,8 @@ C_l (2l+1)/(4π) P_l(cos|θ−θ'|) through the addition theorem. No matrix
 factorization is involved, so the (rank-deficient) grid covariance never
 has to be decomposed. Truncated full fields sum independent degrees;
 the two-time fractional pair couples each coefficient channel through the
-2×2 time covariance. All three draw through one body, ``_paths_batch``
-(the single-path samplers run it on one stream), in the layout below. The
+2×2 time covariance. All three draw through one body, ``_paths_batch``,
+in the layout below, which ``batch_quadratic_variation`` drives. The
 basis is this module's alone: its scaling, its per-cell cache
 (``_meridian_basis``) and its memory estimate (``_batch_arrays``).
 
@@ -45,7 +45,7 @@ import itertools
 import math
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,13 +57,8 @@ __all__ = [
     "FullField",
     "FbmTarget",
     "SampleSpec",
-    "PathSample",
     "rep_seed_sequence",
     "rep_stream_id",
-    "sample_fl_line",
-    "sample_f_line",
-    "sample_fbm_pair",
-    "quadratic_variation",
     "batch_quadratic_variation",
 ]
 
@@ -144,24 +139,6 @@ class SampleSpec:
             raise ValueError("replications must be a positive integer")
         object.__setattr__(self, "seed", int(self.seed))
         object.__setattr__(self, "replications", int(self.replications))
-
-
-@dataclass(frozen=True)
-class PathSample:
-    """Field values at the N+1 grid points."""
-
-    values: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        if vals.ndim != 1 or vals.size < 2:
-            raise ValueError("a path needs at least two grid values")
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("path values must be finite")
-        object.__setattr__(self, "values", vals)
-
-    def __len__(self):
-        return self.values.size
 
 
 def _rep_entropy(spec, rep):
@@ -465,45 +442,8 @@ def _batch_arrays(target, n, batch):
 
 
 # ======================================================================
-# Single-path sampling
-# ======================================================================
-
-def sample_fl_line(ell, c_ell, grid, rng):
-    """One exact path of the degree-l field: 2l+1 normals drawn, l+1 used.
-
-    The batch body draws the l+1 cosine-channel normals; the l sine-channel
-    ones after them are then drawn and dropped, so ``rng`` ends where 2l+1
-    draws leave it and the caller's later draws are unchanged.
-    """
-    target = SingleEll(ell, c_ell)
-    values = _paths_batch(target, grid, [rng])[0, 0]
-    rng.standard_normal(target.ell)
-    return PathSample(values=values)
-
-
-def sample_f_line(spectrum, grid, rng):
-    """One exact path of the truncated full field (degrees l_min..l_max)."""
-    return PathSample(values=_paths_batch(FullField(spectrum), grid, [rng])[0, 0])
-
-
-def sample_fbm_pair(spec, grid, rng):
-    """One exact joint draw of the fractional pair: (path at t, path at s)."""
-    vt, vs = _paths_batch(FbmTarget(spec), grid, [rng])[:, 0]
-    return PathSample(values=vt), PathSample(values=vs)
-
-
-# ======================================================================
 # Quadratic variation
 # ======================================================================
-
-def quadratic_variation(path):
-    """Sum of squared increments over the grid: Σ (v_{i+1} − v_i)²."""
-    vals = path.values if isinstance(path, PathSample) else np.asarray(path, float)
-    if vals.ndim != 1 or vals.size < 2:
-        raise ValueError("need at least two grid values")
-    d = np.diff(vals)
-    return float(d @ d)
-
 
 def batch_quadratic_variation(spec, rep_start, rep_count):
     """Quadratic variations for replications rep_start..rep_start+rep_count−1.

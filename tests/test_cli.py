@@ -353,6 +353,9 @@ def test_simulate_error_exit_codes(tmp_path, capsys):
     {"kind": "single_ell", "ell": 3, "extra": 1},
     {"kind": "fbm", "hurst": 0.7, "times": [1.7e308, 1.0],
      "spectrum": {"kind": "explicit", "values": [1.0]}},
+    {"kind": "fbm", "hurst": 0.7, "times": [1], "spectrum": {"kind": "explicit", "values": [1.0]}},
+    {"kind": "fbm", "hurst": 0.7, "times": [1, 2, 3],
+     "spectrum": {"kind": "explicit", "values": [1.0]}},
     # finite spectrum scales whose sampler basis √(2·c_l), √(4π·A_l) overflows
     {"kind": "single_ell", "ell": 3, "c_ell": 1.7e308},
     {"kind": "fbm", "hurst": 0.3, "times": [2.0, 1.0],
@@ -661,6 +664,19 @@ def test_experiment_worker_count_comes_from_flags_alone(tmp_path, capsys, monkey
     cfg = _write_config(tmp_path)
     assert main(["experiment", "--config", cfg, "--out", str(tmp_path / "r")]) == 0
     assert capsys.readouterr().err == ""
+
+
+def test_experiment_threads_above_the_bound_exit_2_at_the_flag(tmp_path, capsys, monkeypatch):
+    # refused while parsing flags: no config is read (it does not exist) and
+    # no worker starts
+    monkeypatch.setattr(cli, "run_experiment", lambda *a, **k: pytest.fail("ran"))
+    assert cli._positive_int(str(cli._MAX_THREADS), cli._MAX_THREADS) == cli._MAX_THREADS
+    for threads in ("0", str(cli._MAX_THREADS + 1), "100000", "x"):
+        with pytest.raises(SystemExit) as exc:
+            main(["experiment", "--config", str(tmp_path / "missing.json"),
+                  "--threads", threads])
+        assert exc.value.code == 2
+        assert "--threads: must be" in capsys.readouterr().err
 
 
 def test_experiment_bundled_config_runs(tmp_path, capsys):
@@ -1184,8 +1200,7 @@ _FORMER_ROOT_NAMES = {
                 "exact_var_vnl", "fourth_moment_bound", "fullfield_moment_orders",
                 "k_ell_constant", "nclt_limit_cumulant", "normalized_cumulant",
                 "trace_cumulant"],
-    "simulate": ["PathSample", "SampleSpec", "quadratic_variation", "sample_f_line",
-                 "sample_fbm_pair", "sample_fl_line"],
+    "simulate": ["SampleSpec"],
     "specfun": ["bessel_j", "harmonic_meridian_table", "hilb_approx_p", "legendre_p"],
 }
 

@@ -249,6 +249,12 @@ def test_config_target_validation():
         ExperimentConfig.from_dict(
             _base_config(target={"kind": "full_field",
                                  "spectrum": {"kind": "power_law", "c0": 1.0}}))
+    for times in ([1], [1, 2, 3]):
+        with pytest.raises(ConfigError, match=r"^fbm times must be a list of two "
+                                              rf"numbers, got {len(times)}$"):
+            ExperimentConfig.from_dict(_base_config(target={
+                "kind": "fbm", "hurst": 0.7, "times": times,
+                "spectrum": {"kind": "explicit", "values": [1.0]}}))
     cfg = ExperimentConfig.from_dict(_base_config(
         target={"kind": "full_field",
                 "spectrum": {"kind": "power_law", "c0": 1.0, "epsilon": 0.2,

@@ -23,16 +23,11 @@ from sphereqv.moments import exact_mean_vnl, exact_var_vnl, trace_cumulant
 from sphereqv.simulate import (
     FbmTarget,
     FullField,
-    PathSample,
     SampleSpec,
     SingleEll,
     batch_quadratic_variation,
-    quadratic_variation,
     rep_seed_sequence,
     rep_stream_id,
-    sample_f_line,
-    sample_fbm_pair,
-    sample_fl_line,
 )
 from sphereqv.specfun import harmonic_meridian_table
 
@@ -67,38 +62,6 @@ def test_batch_split_invariance_full_field():
     parts = np.concatenate([batch_quadratic_variation(spec, r, 1)
                             for r in range(6)])
     assert_allclose(whole, parts, rtol=1e-12)
-
-
-def test_single_path_matches_batch_value():
-    spec = _spec(SingleEll(3, 0.8), n=12, seed=2024, reps=4)
-    batch = batch_quadratic_variation(spec, 0, 4)
-    for rep in range(4):
-        rng = np.random.default_rng(rep_seed_sequence(spec, rep))
-        path = sample_fl_line(3, 0.8, spec.grid, rng)
-        assert_allclose(quadratic_variation(path), batch[rep], rtol=1e-10)
-
-
-def test_full_field_path_matches_batch_value():
-    sp = PowerSpectrum.explicit([0.5, 1.0, 0.25], l_min=2)
-    spec = _spec(FullField(sp), n=10, seed=31, reps=3)
-    batch = batch_quadratic_variation(spec, 0, 3)
-    for rep in range(3):
-        rng = np.random.default_rng(rep_seed_sequence(spec, rep))
-        path = sample_f_line(sp, spec.grid, rng)
-        assert_allclose(quadratic_variation(path), batch[rep], rtol=1e-10)
-
-
-def test_fbm_pair_matches_batch_value():
-    fspec = FbmSpec(hurst=0.6, spectrum=PowerSpectrum.single(2, 1.0),
-                    times=(2.0, 1.0))
-    spec = _spec(FbmTarget(fspec), n=8, seed=9, reps=2)
-    batch = batch_quadratic_variation(spec, 0, 2)
-    assert batch.shape == (2, 2)
-    for rep in range(2):
-        rng = np.random.default_rng(rep_seed_sequence(spec, rep))
-        pt, ps = sample_fbm_pair(fspec, spec.grid, rng)
-        assert_allclose(quadratic_variation(pt), batch[rep, 0], rtol=1e-10)
-        assert_allclose(quadratic_variation(ps), batch[rep, 1], rtol=1e-10)
 
 
 def _chunked_reference(spectrum, theta, degree_scale, gens, times):
@@ -368,12 +331,6 @@ def _frozen_single_degree_v(spec, rep_start, rep_count):
     return np.einsum("ij,ij->i", d, d)
 
 
-def _frozen_fl_line(ell, c_ell, grid, rng):
-    # sample_fl_line's body before it became a wrapper over the batch body
-    z = rng.standard_normal(2 * ell + 1)
-    return z[:ell + 1] @ simulate._meridian_basis(ell, c_ell, grid)
-
-
 @pytest.mark.parametrize("ell, n", [(1, 1), (3, 16), (9, 64), (40, 33),
                                    (64, 64), (128, 128), (256, 256)])  # bundled regime_sweep
 def test_single_degree_is_bitwise_the_frozen_bodies(ell, n):
@@ -383,19 +340,6 @@ def test_single_degree_is_bitwise_the_frozen_bodies(ell, n):
         want = _frozen_single_degree_v(spec, start, count)
         assert got.shape == (count,)
         assert_array_equal(got.view(np.uint64), want.view(np.uint64))
-    for seed in range(5):
-        got = sample_fl_line(ell, 0.8, spec.grid, np.random.default_rng(seed)).values
-        want = _frozen_fl_line(ell, 0.8, spec.grid, np.random.default_rng(seed))
-        assert_array_equal(got.view(np.uint64), want.view(np.uint64))
-
-
-@pytest.mark.parametrize("ell", [1, 3, 40, 256])
-def test_single_path_draws_2l_plus_1_normals(ell):
-    # l+1 normals reach the path; the generator still ends where 2l+1 leave it
-    rng, twin = np.random.default_rng(ell), np.random.default_rng(ell)
-    sample_fl_line(ell, 0.8, LineGrid(8), rng)
-    twin.standard_normal(2 * ell + 1)
-    assert rng.bit_generator.state == twin.bit_generator.state
 
 
 def test_pcg64_asks_seed_words_for_four_uint64(monkeypatch):
@@ -494,8 +438,7 @@ def test_draw_layout_is_degree_ascending():
     # √(2 C_l) (m ≥ 1) against the normalized harmonics
     sp = PowerSpectrum.power_law(0.7, 0.4, l_max=200)  # spans a chunk boundary
     grid = LineGrid(4)
-    rng = np.random.default_rng(314)
-    path = sample_f_line(sp, grid, rng)
+    (path,) = simulate._paths_batch(FullField(sp), grid, [np.random.default_rng(314)])
 
     rng2 = np.random.default_rng(314)
     want = np.zeros(grid.n + 1)
@@ -504,7 +447,7 @@ def test_draw_layout_is_degree_ascending():
         w = np.full(ell + 1, math.sqrt(2.0 * sp.cl(ell)))
         w[0] = math.sqrt(sp.cl(ell))
         want += (w * rng2.standard_normal(ell + 1)) @ lam
-    assert_allclose(path.values, want, rtol=0, atol=1e-12)
+    assert_allclose(path[0], want, rtol=0, atol=1e-12)
 
 
 # ======================================================================
@@ -512,8 +455,8 @@ def test_draw_layout_is_degree_ascending():
 # ======================================================================
 
 def test_zero_spectrum_gives_zero_path():
-    path = sample_fl_line(3, 0.0, LineGrid(8), np.random.default_rng(0))
-    assert_array_equal(path.values, np.zeros(9))
+    (path,) = simulate._paths_batch(SingleEll(3, 0.0), LineGrid(8), [np.random.default_rng(0)])
+    assert_array_equal(path, np.zeros((1, 9)))
 
 
 def test_two_point_covariance_law():
@@ -597,25 +540,8 @@ def test_fbm_rescaled_quadratic_variations_share_one_law():
 
 
 # ======================================================================
-# Quadratic variation and validation
+# Validation
 # ======================================================================
-
-def test_quadratic_variation_values():
-    assert quadratic_variation(PathSample(values=np.ones(5))) == 0.0
-    assert quadratic_variation([0.0, 1.0, 0.0]) == 2.0
-    with pytest.raises(ValueError):
-        quadratic_variation([1.0])
-
-
-def test_path_sample_validation():
-    with pytest.raises(ValueError):
-        PathSample(values=np.array([1.0]))
-    with pytest.raises(ValueError):
-        PathSample(values=np.array([1.0, np.nan]))
-    with pytest.raises(ValueError):
-        PathSample(values=np.ones((2, 2)))
-    assert len(PathSample(values=np.zeros(4))) == 4
-
 
 def test_sample_spec_validation():
     grid = LineGrid(4)
