@@ -69,7 +69,11 @@ def _finite(text, low=-math.inf):
 
 
 def _u64(text):
-    val = int(text)
+    """int(text) when it lies in [0, 2⁶⁴); else exit 2 at the flag."""
+    try:
+        val = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}") from None
     if not (0 <= val < 2 ** 64):
         raise argparse.ArgumentTypeError("seed must be an unsigned 64-bit integer")
     return val

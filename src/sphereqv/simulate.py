@@ -27,6 +27,14 @@ why consumers that promise byte-identical output pin their batch
 boundaries and let only the scheduling vary. The same holds only for one
 numpy/BLAS build at one BLAS thread count, which can also split a product.
 
+Stream lifetime: a single-degree batch makes each replication's stream,
+draws from it once and frees it before making the next, so at most one is
+alive per batch thread; a full-field or fractional-pair batch keeps all
+its streams for the whole batch, as each advances chunk by chunk. Why it
+matters: a live stream is four objects that Python's cyclic GC tracks, so
+a batch that held its streams would trigger collections walking all of
+them (see ``_paths_batch``).
+
 Only ``sphereqv simulate`` and ``experiment`` load this module (with
 ``numpy.random`` and ``concurrent.futures``); ``moments``, ``estimate`` and
 ``specfun-check`` run without it.
@@ -327,17 +335,26 @@ def _scaled_chunks(spectrum, theta, factor):
         yield basis
 
 
-def _paths_batch(target, grid, gens):
-    """Meridian paths of a batch of generators, shape (times, B, N+1).
+def _paths_batch(target, grid, gens, b=None):
+    """Meridian paths of a batch of B generators, shape (times, B, N+1).
+
+    ``gens`` is a list of the B streams; a single degree also takes any
+    iterable that makes them one at a time, with ``b`` = B.
 
     A single degree (times = 1) draws only its l+1 cosine-channel normals
     per replication stream, straight into that replication's row of the
     coefficient matrix: the l sine channels multiply sin(mφ) = 0 on the
     meridian, and as they come last in the stream's 2l+1 draws, which the
     ziggurat consumes in order with no buffered state, the l+1 drawn are
-    bitwise the leading l+1 of a full draw. A full field (times = 1) draws
-    l+1 normals per degree, l_min..l_max ascending; the draw layout is part
-    of the determinism contract. The fractional pair (times = 2) draws two normals per
+    bitwise the leading l+1 of a full draw. It reads each stream once, so
+    it takes the next stream only after dropping the last: at most one is
+    alive per batch thread. Every live stream is four objects that Python's
+    cyclic GC tracks (seed words, PCG64, its lock, Generator), so a batch
+    that held all B of them would trigger collections that walk them all.
+
+    A full field (times = 1) draws l+1 normals per degree, l_min..l_max
+    ascending; the draw layout is part of the determinism contract. The
+    fractional pair (times = 2) draws two normals per
     coefficient channel (l, m) and maps them through the lower Cholesky
     factor of [[t^{2H}, r], [r, s^{2H}]] with r = ½(t^{2H}+s^{2H}−|t−s|^{2H}),
     the channel's exact joint law at the two times. Its spatial convention
@@ -362,13 +379,17 @@ def _paths_batch(target, grid, gens):
     then drawn every replication itself. Bits cannot move: each replication
     is drawn by exactly one thread, with the same operations; its stream
     advances chunk by chunk in ascending order, as no chunk starts before
-    the last one's draws are done; and the gemms are unchanged.
+    the last one's draws are done; and the gemms are unchanged. So the
+    multi-degree targets keep all B streams alive for the whole batch.
     """
+    b = len(gens) if b is None else b
     if isinstance(target, SingleEll):
         ell = target.ell
-        z = np.empty((len(gens), ell + 1))
-        for row, g in zip(z, gens):
-            g.standard_normal(out=row)
+        z = np.empty((b, ell + 1))
+        gens = iter(gens)
+        for row in z:
+            # the stream is a temporary: freed before next() makes the next one
+            next(gens).standard_normal(out=row)
         with _BASIS_LOCK:
             basis = _meridian_basis(ell, target.c_ell, grid)
         return (z @ basis)[None]
@@ -394,7 +415,6 @@ def _paths_batch(target, grid, gens):
                 z[1][i] += z[0][i]  # l10·z0 + l11·z1, rounded as one expression
                 np.multiply(l00, zi[0::2], out=z[0][i])
 
-    b = len(gens)
     chunks = _degree_chunks(spectrum.l_min, spectrum.l_max)
     rows_max = max(_chunk_rows(lo, hi) for lo, hi in chunks)
     coef = [np.empty(b * rows_max) for _ in range(times)]
@@ -456,8 +476,10 @@ def batch_quadratic_variation(spec, rep_start, rep_count):
     """
     if rep_count < 1:
         raise ValueError("rep_count must be positive")
-    gens = [np.random.Generator(np.random.PCG64(_SeedWords(w)))
-            for w in _rep_seed_words(spec, rep_start, rep_count)]
-    v = [np.einsum("ij,ij->i", d, d)
-         for d in np.diff(_paths_batch(spec.target, spec.grid, gens), axis=2)]
+    gens = (np.random.Generator(np.random.PCG64(_SeedWords(w)))
+            for w in _rep_seed_words(spec, rep_start, rep_count))
+    if not isinstance(spec.target, SingleEll):
+        gens = list(gens)  # each stream advances chunk by chunk
+    paths = _paths_batch(spec.target, spec.grid, gens, rep_count)
+    v = [np.einsum("ij,ij->i", d, d) for d in np.diff(paths, axis=2)]
     return v[0] if len(v) == 1 else np.stack(v, axis=1)

@@ -679,6 +679,25 @@ def test_experiment_threads_above_the_bound_exit_2_at_the_flag(tmp_path, capsys,
         assert "--threads: must be" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, value, message", [
+    (["experiment", "--config", "regime_sweep"], "abc", "must be an integer, got 'abc'"),
+    (["experiment", "--config", "regime_sweep"], "1.5", "must be an integer, got '1.5'"),
+    (["simulate", "--spec-file", "missing.json"], "abc", "must be an integer, got 'abc'"),
+    (["experiment", "--config", "regime_sweep"], "-1",
+     "seed must be an unsigned 64-bit integer"),
+    (["simulate", "--spec-file", "missing.json"], str(2 ** 64),
+     "seed must be an unsigned 64-bit integer"),
+], ids=["experiment-abc", "experiment-1.5", "simulate-abc", "experiment-minus-1",
+        "simulate-2^64"])
+def test_bad_seed_exits_2_at_the_flag(capsys, monkeypatch, command, value, message):
+    monkeypatch.setattr(cli, "run_experiment", lambda *a, **k: pytest.fail("ran"))
+    with pytest.raises(SystemExit) as exc:
+        main([*command, f"--seed={value}"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"--seed: {message}" in err and "_u64" not in err
+
+
 def test_experiment_bundled_config_runs(tmp_path, capsys):
     base = tmp_path / "bundled"
     assert main(["experiment", "--config", "regime_sweep", "--reps", "300",

@@ -3,6 +3,7 @@
 import math
 import sys
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -353,6 +354,35 @@ def test_pcg64_asks_seed_words_for_four_uint64(monkeypatch):
     monkeypatch.setattr(simulate, "_SeedWords", Recording)
     batch_quadratic_variation(_spec(SingleEll(3, 1.0)), 0, 3)
     assert requests == [(4, np.dtype(np.uint64))] * 3
+
+
+@pytest.mark.parametrize("kind, count, peak", [
+    ("single_ell", 1024, 1), ("full_field", 12, 12), ("fbm", 12, 12)])
+def test_stream_lifetime_per_target_kind(monkeypatch, kind, count, peak):
+    # a single degree reads each stream once and frees it before making the
+    # next; the multi-degree targets advance every stream chunk by chunk, so
+    # they hold all B of them. Counting the streams leaves the values alone.
+    sp = PowerSpectrum.power_law(0.9, 0.3, l_max=12)
+    target = {"single_ell": SingleEll(3, 1.0), "full_field": FullField(sp),
+              "fbm": FbmTarget(FbmSpec(hurst=0.35, spectrum=sp, times=(2.0, 1.0)))}[kind]
+    spec = _spec(target, seed=2 ** 32 + 5)
+    want = batch_quadratic_variation(spec, 5, count)
+    live, seen = [0], [0]
+
+    def dropped():
+        live[0] -= 1
+
+    class Counted(np.random.PCG64):
+        def __init__(self, seed=None):
+            super().__init__(seed)
+            live[0] += 1
+            seen[0] = max(seen[0], live[0])
+            weakref.finalize(self, dropped)
+
+    monkeypatch.setattr(np.random, "PCG64", Counted)
+    got = batch_quadratic_variation(spec, 5, count)
+    assert seen[0] == peak
+    assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 @pytest.mark.parametrize("seed, rep, single_id, multi_id", [
