@@ -66,8 +66,10 @@ ELL_SLOWER = "ell_slower"
 _REGIMES = (FIXED_ELL, ELL_FASTER, ELL_COMPARABLE, ELL_SLOWER)
 
 # The largest degree a command accepts: its exact side runs O(l) Legendre
-# recurrences, 3.6 µs per degree for ``sphereqv moments --n 1`` on a 2-core
-# x86-64 VM, so 2^21 stays within a budget of about 10 s (7 s measured).
+# recurrences, so 2^21 stays within a budget of about 10 s. Measured at 2^21
+# on a 2-core x86-64 VM: ``sphereqv moments --n 1`` 3.6–3.8 s (1.7 µs per
+# degree, its Gram row's sweep on arrays), ``sphereqv estimate --mode cl``
+# 0.22–0.26 s (its mean's sweep on one float).
 MAX_DEGREE = 2 ** 21
 
 

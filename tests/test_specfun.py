@@ -1,5 +1,7 @@
 """Special-function layer checked against scipy.special and mpmath references."""
 
+import itertools
+
 import mpmath
 import numpy as np
 import pytest
@@ -29,9 +31,12 @@ def test_legendre_p_matches_reference(ell):
 
 
 def test_legendre_p_scalar_and_array_agree():
-    got = legendre_p(5, 0.3)
-    assert isinstance(got, float)
-    assert got == legendre_p(5, np.array([0.3]))[0]
+    want = legendre_p(5, np.array([0.3]))[0]
+    # a Python float, a numpy scalar and a 0-d array take the float sweep
+    for x in (0.3, np.float64(0.3), np.array(0.3)):
+        got = legendre_p(5, x)
+        assert type(got) is float
+        assert np.float64(got).view(np.uint64) == want.view(np.uint64)
 
 
 def test_legendre_domain_errors():
@@ -43,6 +48,10 @@ def test_legendre_domain_errors():
         legendre_p(2.5, 0.5)
     with pytest.raises(ValueError):
         legendre_p(3, [-1.0001])
+    with pytest.raises(ValueError):
+        legendre_p(3, np.nan)
+    with pytest.raises(ValueError):
+        legendre_p(3, [0.5, np.nan])
 
 
 # the loop the one Legendre sweep replaced in legendre_p, frozen here as the
@@ -66,8 +75,9 @@ SWEEP_X = np.concatenate([[-1.0, 0.0, 1.0, -0.5, 0.5, 1e-300],
 @pytest.mark.parametrize("ell", [0, 1, 2, 3, 8, 64, 255, 513])
 def test_legendre_functions_are_bitwise_the_frozen_loops(ell):
     _assert_bitwise(legendre_p(ell, SWEEP_X), _frozen_legendre_p(ell, SWEEP_X))
-    for x in (-1.0, 0.0, 1.0, 0.3):
-        assert legendre_p(ell, x) == _frozen_legendre_p(ell, np.array([x]))[0]
+    for x in (-1.0, -0.0, 0.0, 1.0, 0.3, 1e-300):
+        want = _frozen_legendre_p(ell, np.array([x]))
+        _assert_bitwise(np.array([legendre_p(ell, x)]), want)
 
 
 def test_legendre_p_does_not_alias_its_argument():
@@ -175,6 +185,26 @@ def test_table_column_tiles_are_bitwise_one_sweep(monkeypatch):
     assert POLAR_THETA.size % 7
 
 
+def test_coefficient_blocks_are_bitwise_one_sweep(monkeypatch):
+    # 12 coefficients per block make blocks of degrees 2-5 (1+2+3+4 values)
+    # and 6-7 (5+6), then one degree each: l = 13 (12 values) fills one,
+    # l = 14 (13 values) is beyond the bound
+    monkeypatch.setattr(specfun, "_COEF_VALUES", 12)
+    sweep = specfun._recurrence_coefficients(14)
+    coefs = list(itertools.islice(sweep, 14))
+    assert next(sweep, None) is None
+    assert [a.size for a, b in coefs] == [b.size for a, b in coefs] == list(range(1, 14))
+    blocks = {}
+    for l, (a, b) in enumerate(coefs, start=2):
+        blocks.setdefault(id(a.base), []).append(l)
+    assert sorted(blocks.values()) == [[2, 3, 4, 5], [6, 7]] + [[l] for l in range(8, 15)]
+    _assert_bitwise(harmonic_meridian_table(14, POLAR_THETA),
+                    _order_major_table(14, POLAR_THETA))
+    for l, lam in enumerate(specfun._meridian_blocks(14, POLAR_THETA)):
+        _assert_bitwise(lam, _order_major_table(l, POLAR_THETA))
+    assert l == 14
+
+
 # ======================================================================
 # Bessel J0 / J2
 # ======================================================================
@@ -198,6 +228,10 @@ def test_bessel_scalar_and_errors():
         bessel_j(1, 2.0)
     with pytest.raises(ValueError):
         bessel_j(0, -0.5)
+    with pytest.raises(ValueError):
+        bessel_j(0, np.nan)
+    with pytest.raises(ValueError):
+        bessel_j(2, [1.0, np.nan])
 
 
 def test_bessel_first_zero_bracketed():
@@ -228,3 +262,7 @@ def test_hilb_approx_rejects_nonpositive_angle():
         hilb_approx_p(10, 0.0)
     with pytest.raises(ValueError):
         hilb_approx_p(10, [-0.2])
+    with pytest.raises(ValueError):
+        hilb_approx_p(3, np.nan)
+    with pytest.raises(ValueError):
+        hilb_approx_p(3, [0.1, np.nan])
