@@ -13,10 +13,10 @@ specfun
     Legendre polynomials (one recurrence sweep, also behind the full-field
     kernel rows), meridian spherical harmonics (one degree-major sweep, also
     behind the samplers), Bessel J0/J2 from scipy.special (loaded on first
-    call), small-angle Legendre approximation.
+    call).
 covariance
     Power spectra, meridian grids, increment covariance (Gram) matrices,
-    fractional-Brownian time coupling.
+    fractional-Brownian spatial rows and time coupling.
 moments
     Exact mean/variance/cumulants of quadratic variations, asymptotic
     formulas per regime, Gaussian fluctuation limits, distance bounds, the

@@ -191,7 +191,7 @@ def _sample_target(obj):
 
 def _cmd_simulate(args):
     from . import harness
-    from .simulate import SampleSpec, batch_quadratic_variation, rep_stream_id
+    from .simulate import SampleSpec, rep_stream_id
 
     with open(args.spec_file, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
@@ -211,17 +211,12 @@ def _cmd_simulate(args):
     seed = harness._config_int(seed, "seed must be an unsigned 64-bit integer", 0, 2 ** 64)
     reps = harness._config_int(reps, "replications must be a positive integer")
     harness._check_scale(target, n)
-    batch = 1024
-    arrays = harness._cell_arrays(target, n, batch, reps, dense_gram=False)
+    arrays = harness._cell_arrays(target, n, harness._BATCH_SIZE, reps, dense_gram=False)
     if _memory_error(arrays, f"sample spec (N={n}, replications={reps})"):
         return 2
     spec = SampleSpec(target=target, grid=LineGrid(n), seed=seed, replications=reps)
-    chunks = []
-    for start in range(0, spec.replications, batch):
-        count = min(batch, spec.replications - start)
-        chunks.append(batch_quadratic_variation(spec, start, count))
     # one column of V, or (V at t, V at s) for a fractional pair
-    values = np.concatenate(chunks, axis=0).reshape(spec.replications, -1)
+    values = harness._sample_cell(spec, harness._BATCH_SIZE).reshape(spec.replications, -1)
     header = "rep,v,stream" if values.shape[1] == 1 else "rep,v_t,v_s,stream"
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(header + "\n")
@@ -355,7 +350,7 @@ def _cmd_experiment(args):
 def _cmd_specfun_check(_args):
     from scipy.special import eval_legendre
 
-    from .specfun import harmonic_meridian_table, hilb_approx_p, legendre_p
+    from .specfun import harmonic_meridian_table, legendre_p
 
     rng = np.random.default_rng(20240801)
     checks = []
@@ -376,13 +371,6 @@ def _cmd_specfun_check(_args):
         rhs = (2 * l + 1) / (4 * math.pi) * legendre_p(l, math.cos(th1 - th2))
         add_err = max(add_err, abs(lhs - rhs))
     checks.append(("harmonic addition theorem", add_err, 1e-12))
-
-    herr = 0.0
-    for l, psi in ((100, 0.01), (400, 0.002)):
-        approx = hilb_approx_p(l, psi)
-        exact = legendre_p(l, math.cos(psi))
-        herr = max(herr, abs(approx - exact))
-    checks.append(("small-angle Legendre approximation", herr, 1e-4))
 
     failed = 0
     for name, err, tol in checks:

@@ -1,10 +1,10 @@
 """Covariance structure of isotropic Gaussian fields along a meridian grid.
 
-Angular power spectra, the equispaced colatitude grid, exact covariance
-kernels of single-degree and truncated full fields, second differences of
-Legendre polynomials, the Gram matrix of grid increments with the
-(l+1)×(l+1) circle core of one degree and its N → ∞ limit core, and the
-joint covariance of a sphere-valued fractional Brownian pair at two times.
+Angular power spectra, the equispaced colatitude grid, the increment
+covariance rows of single-degree and truncated full fields and of a
+sphere-valued fractional Brownian field's spatial kernel, and the Gram
+matrix of grid increments with the (l+1)×(l+1) circle core of one degree
+and its N → ∞ limit core.
 
 The increment Gram matrix is the workhorse: for a Gaussian field f observed
 at grid points θ_1 < ... < θ_{N+1}, entry (i, j) is E[Δ_i Δ_j] with
@@ -27,15 +27,11 @@ __all__ = [
     "LineGrid",
     "IncrementGram",
     "FbmSpec",
-    "kernel_fl",
-    "second_difference_p",
     "increment_row_fl",
     "increment_gram_fl",
     "increment_row_f",
-    "increment_gram_f",
     "rh_cross",
     "fbm_spatial_row",
-    "fbm_joint_gram",
 ]
 
 
@@ -96,7 +92,7 @@ class PowerSpectrum:
 
         l_max is mandatory: for slowly decaying tails (small ε) no practical
         truncation makes the tail numerically negligible, so the choice is
-        the caller's and the tail bound is always reported.
+        the caller's; :meth:`tail_bound` bounds what it discards.
         """
         return cls(kind="power_law", l_min=1, l_max=int(l_max),
                    c0=float(c0), epsilon=float(epsilon))
@@ -157,14 +153,12 @@ class LineGrid:
 
 
 class IncrementGram:
-    """Covariance matrix of grid increments, with the truncation tail.
+    """Covariance matrix of grid increments.
 
     sigma[i, j] = E[Δ_i Δ_j], an N×N symmetric PSD Toeplitz matrix
     (stationary on the line), given by its first ``row``; the matrix is
     built on first access of ``sigma`` only, so ``first_row`` and
-    :meth:`trace` never need it. ``tail_bound`` is an upper bound on the
-    entrywise error from spectrum truncation (0 for single-degree and
-    explicit spectra).
+    :meth:`trace` never need it.
 
     ``core``, when present, is a symmetric R×R matrix with Σ's nonzero
     eigenvalues (one degree's (l+1)×(l+1) circle core), so tr(Σ^p) =
@@ -172,9 +166,8 @@ class IncrementGram:
     sums positive terms. :meth:`eigenvalues` decomposes once per gram.
     """
 
-    def __init__(self, n, row, tail_bound=0.0, *, core=None):
+    def __init__(self, n, row, *, core=None):
         self.n = int(n)
-        self.tail_bound = float(tail_bound)
         row = np.asarray(row, dtype=float)
         if row.shape != (self.n,):
             raise ValueError("row must have length N")
@@ -187,8 +180,7 @@ class IncrementGram:
 
     def __repr__(self):
         size = None if self.core is None else self.core.shape[0]
-        return (f"IncrementGram(n={self.n}, tail_bound={self.tail_bound!r}, "
-                f"core_size={size})")
+        return f"IncrementGram(n={self.n}, core_size={size})"
 
     @property
     def sigma(self):
@@ -247,35 +239,6 @@ class FbmSpec:
 
 
 # ======================================================================
-# Kernels and second differences
-# ======================================================================
-
-def kernel_fl(ell, c_ell, theta1, theta2):
-    """Covariance of the degree-l field between two meridian points.
-
-    E[f_l(θ1) f_l(θ2)] = c_l (2l+1)/(4π) · P_l(cos|θ1−θ2|).
-    """
-    d = np.abs(np.asarray(theta1, dtype=float) - np.asarray(theta2, dtype=float))
-    return c_ell * (2 * ell + 1) / (4.0 * math.pi) * legendre_p(ell, np.cos(d))
-
-
-def second_difference_p(ell, k, n):
-    """Symmetric second difference of P_l over the grid, at lag k.
-
-    2 P_l(cos(kπ/2N)) − P_l(cos((k−1)π/2N)) − P_l(cos((k+1)π/2N)),
-    for 1 ≤ k ≤ N−1. ``k`` may be an integer or integer array.
-    """
-    k_arr = np.atleast_1d(np.asarray(k))
-    if np.any(k_arr < 1) or np.any(k_arr > n - 1):
-        raise IndexError(f"lag k must lie in [1, {n - 1}]")
-    h = 0.5 * math.pi / n
-    val = (2.0 * legendre_p(ell, np.cos(k_arr * h))
-           - legendre_p(ell, np.cos((k_arr - 1) * h))
-           - legendre_p(ell, np.cos((k_arr + 1) * h)))
-    return float(val[0]) if np.ndim(k) == 0 else val
-
-
-# ======================================================================
 # Increment Gram matrices
 # ======================================================================
 
@@ -301,8 +264,8 @@ def _second_difference(kern):
 def increment_row_fl(ell, c_ell, grid):
     """First row of the degree-l increment Gram matrix (length N).
 
-    Entry 0 is the common diagonal 2 c_l (2l+1)/(4π)(1 − P_l(cos(π/2N)));
-    entry k ≥ 1 is c_l (2l+1)/(4π) times the lag-k second difference.
+    With a = c_l (2l+1)/(4π), u_k = P_l(cos kh) and h = π/2N, entry 0 is the
+    common diagonal 2a(u_0 − u_1) and entry k ≥ 1 is a(2u_k − u_{k−1} − u_{k+1}).
     The full matrix is Toeplitz in this row; the row form is O(lN) and
     avoids the O(N²) matrix for large grids.
     """
@@ -394,17 +357,11 @@ def _spectrum_row(spectrum, grid, divisor):
 def increment_row_f(spectrum, grid):
     """First row of the truncated full-field increment Gram matrix.
 
-    The full-field kernel is the degree sum of kernel_fl with weights
-    C_l(2l+1)/(4π); by linearity the Gram row is the weighted sum of the
-    per-degree rows. Returns a length-N array.
+    The full-field kernel is Σ_l C_l (2l+1)/(4π) P_l(cos d), the degree sum
+    of the single-degree kernels; by linearity the Gram row is the sum of
+    the per-degree rows (:func:`increment_row_fl`). Returns a length-N array.
     """
     return _spectrum_row(spectrum, grid, 4.0 * math.pi)
-
-
-def increment_gram_f(spectrum, grid):
-    """Increment Gram matrix of the truncated full field, tail attached."""
-    return IncrementGram(n=grid.n, row=increment_row_f(spectrum, grid),
-                         tail_bound=spectrum.tail_bound())
 
 
 # ======================================================================
@@ -425,18 +382,3 @@ def fbm_spatial_row(spectrum, grid):
     """
     return _spectrum_row(spectrum, grid, 1.0)
 
-
-def fbm_joint_gram(spec, grid):
-    """Joint 2N×2N increment covariance of (B_t, B_s) on the grid.
-
-    Separable structure: time factor R with R[0,0] = t^{2H},
-    R[1,1] = s^{2H}, off-diagonal ½(t^{2H}+s^{2H}−|t−s|^{2H}), tensored
-    with the single spatial increment Gram. Ordering: the first N rows are
-    the time-t increments, the last N the time-s increments.
-    """
-    t, s = spec.times
-    h2 = 2.0 * spec.hurst
-    r = rh_cross(spec.hurst, t, s)
-    time_cov = np.array([[t ** h2, r], [r, s ** h2]])
-    spatial = toeplitz(fbm_spatial_row(spec.spectrum, grid))
-    return np.kron(time_cov, spatial)

@@ -1,8 +1,8 @@
 """Special functions for isotropic fields on the sphere, meridian geometry.
 
 Legendre polynomials P_l on [-1, 1], fully normalized associated-Legendre
-values (real spherical harmonics restricted to a meridian), Bessel functions
-J0 and J2, and the small-angle Bessel approximation of P_l(cos θ).
+values (real spherical harmonics restricted to a meridian), and Bessel
+functions J0 and J2.
 
 Each recurrence has one home: ``_legendre_sweep`` yields P_0..P_L for
 ``legendre_p`` and for the full-field kernel rows in ``covariance``, on a
@@ -37,7 +37,6 @@ __all__ = [
     "legendre_p",
     "harmonic_meridian_table",
     "bessel_j",
-    "hilb_approx_p",
 ]
 
 
@@ -219,21 +218,3 @@ def bessel_j(order, x):
     out = jv(order, x)
     return float(out[0]) if scalar else out
 
-
-# ======================================================================
-# Small-angle Bessel approximation of P_l(cos θ)
-# ======================================================================
-
-def hilb_approx_p(ell, psi_over_n):
-    """Leading small-angle approximation of P_l(cos θ), θ = psi_over_n.
-
-    Returns sqrt(θ / sin θ) · J0((l + 1/2) θ). Accurate to o(l^{-3/2} √θ)
-    uniformly for θ in (0, π/2]; the argument must be strictly positive.
-    """
-    ell = _check_degree(ell)
-    scalar = np.ndim(psi_over_n) == 0
-    a = np.atleast_1d(np.asarray(psi_over_n, dtype=float))
-    if not np.all(a > 0.0):  # NaN is outside too
-        raise ValueError("angle must be strictly positive")
-    out = np.sqrt(a / np.sin(a)) * bessel_j(0, (ell + 0.5) * a)
-    return float(out[0]) if scalar else np.asarray(out)

@@ -306,6 +306,27 @@ def test_simulate_deterministic_output(tmp_path, capsys):
     assert float(v) > 0
 
 
+def test_simulate_draws_an_experiments_default_batches(tmp_path, capsys, monkeypatch):
+    # one partition of replications into batches for both commands, so a CSV's
+    # values are those an experiment at the default batch_size samples
+    from sphereqv import harness
+
+    batch, seen = harness.batch_quadratic_variation, []
+
+    def record(spec, start, count):
+        seen.append((start, count))
+        return batch(spec, start, count)
+
+    monkeypatch.setattr(harness, "batch_quadratic_variation", record)
+    spec = _write_spec(tmp_path, replications=2500)
+    assert main(["simulate", "--spec-file", spec, "--out", str(tmp_path / "v.csv")]) == 0
+    capsys.readouterr()
+    size = harness.ExperimentConfig.from_dict({
+        "seed": 0, "replications": 1, "statistics": ["mean"],
+        "target": {"kind": "single_ell"}, "cells": [[3, 16]]}).batch_size
+    assert seen == [(0, size), (size, size), (2 * size, 2500 - 2 * size)]
+
+
 def test_simulate_flag_overrides(tmp_path, capsys):
     spec = _write_spec(tmp_path)
     base, other = tmp_path / "base.csv", tmp_path / "other.csv"
@@ -1086,7 +1107,7 @@ def test_library_target_errors_are_one_config_error_line(tmp_path, capsys, targe
 # ======================================================================
 
 def test_specfun_check_passes(capsys):
-    # three invariants on small arrays, far under a CI runner's memory
+    # two invariants on small arrays, far under a CI runner's memory
     tracemalloc.start()
     try:
         assert main(["specfun-check"]) == 0
@@ -1095,7 +1116,7 @@ def test_specfun_check_passes(capsys):
         tracemalloc.stop()
     assert peak < 256 * 2 ** 20
     out = capsys.readouterr().out
-    assert out.count("PASS") == 3
+    assert out.count("PASS") == 2
     assert "bessel" not in out
     assert "FAIL" not in out
 
@@ -1212,8 +1233,7 @@ def test_package_root_binds_no_public_name():
 
 _FORMER_ROOT_NAMES = {
     "covariance": ["FbmSpec", "IncrementGram", "LineGrid", "PowerSpectrum",
-                   "fbm_joint_gram", "increment_gram_f", "increment_gram_fl",
-                   "kernel_fl", "second_difference_p"],
+                   "increment_gram_fl"],
     "estimators": ["EstimateResult", "estimate_cl", "estimate_cl_classical",
                    "estimate_cl_variant", "estimate_hurst"],
     "moments": ["asymptotic_mean", "asymptotic_var", "estimator_bias", "exact_mean_vnl",
@@ -1221,7 +1241,7 @@ _FORMER_ROOT_NAMES = {
                 "k_ell_constant", "nclt_limit_cumulant", "normalized_cumulant",
                 "trace_cumulant"],
     "simulate": ["SampleSpec"],
-    "specfun": ["bessel_j", "harmonic_meridian_table", "hilb_approx_p", "legendre_p"],
+    "specfun": ["bessel_j", "harmonic_meridian_table", "legendre_p"],
 }
 
 

@@ -14,19 +14,26 @@ from sphereqv.covariance import (
     IncrementGram,
     LineGrid,
     PowerSpectrum,
-    fbm_joint_gram,
     fbm_spatial_row,
-    increment_gram_f,
     increment_gram_fl,
     increment_row_f,
     increment_row_fl,
-    kernel_fl,
     rh_cross,
-    second_difference_p,
 )
 from sphereqv.simulate import _meridian_basis
 
 RNG = np.random.default_rng(40312)
+
+
+def kernel(ell, c_ell, theta1, theta2):
+    """E[f_l(θ1) f_l(θ2)] = c_l (2l+1)/(4π) · P_l(cos|θ1−θ2|), from scipy."""
+    d = np.abs(np.asarray(theta1, dtype=float) - np.asarray(theta2, dtype=float))
+    return c_ell * (2 * ell + 1) / (4.0 * math.pi) * special.eval_legendre(ell, np.cos(d))
+
+
+def unit_row(ell, n):
+    """increment_row_fl's row over c_l (2l+1)/(4π): the second differences of P_l(cos kh)."""
+    return increment_row_fl(ell, 1.0, LineGrid(n)) / ((2 * ell + 1) / (4.0 * math.pi))
 
 
 # ======================================================================
@@ -108,36 +115,31 @@ def test_grid_validation():
 # ======================================================================
 
 def test_kernel_on_diagonal_and_quarter_turn():
-    assert_allclose(kernel_fl(1, 1.0, 0.7, 0.7), 3.0 / (4 * math.pi), rtol=1e-15)
+    # the kernel sum behind the full-field and fractional rows, at one degree
+    w = np.array([3.0 / (4 * math.pi)])
+    assert_allclose(cov._kernel_row(w, 1, np.array([1.0])), [3.0 / (4 * math.pi)],
+                    rtol=1e-15)
     # P_1(cos π/2) = 0
-    assert abs(kernel_fl(1, 1.0, 0.0, math.pi / 2)) < 1e-16
+    assert abs(cov._kernel_row(w, 1, np.array([math.cos(math.pi / 2)]))[0]) < 1e-16
 
 
 def test_kernel_matches_reference_legendre():
     t1, t2 = RNG.uniform(0, math.pi, 30), RNG.uniform(0, math.pi, 30)
-    want = 2.0 * 15 / (4 * math.pi) * special.eval_legendre(7, np.cos(np.abs(t1 - t2)))
-    assert_allclose(kernel_fl(7, 2.0, t1, t2), want, rtol=0, atol=1e-14)
+    got = cov._kernel_row(np.array([2.0 * 15 / (4 * math.pi)]), 7, np.cos(np.abs(t1 - t2)))
+    assert_allclose(got, kernel(7, 2.0, t1, t2), rtol=0, atol=1e-14)
 
 
 def test_second_difference_closed_form_degree_one():
     # 2cos(kh) - cos((k-1)h) - cos((k+1)h) = 2cos(kh)(1 - cos h)
-    got = second_difference_p(1, 1, 2)
-    assert_allclose(got, math.sqrt(2) - 1, rtol=1e-14)
+    assert_allclose(unit_row(1, 2)[1], math.sqrt(2) - 1, rtol=1e-14)
     k = np.arange(1, 16)
     h = math.pi / 32
-    assert_allclose(second_difference_p(1, k, 16),
-                    2 * np.cos(k * h) * (1 - math.cos(h)), rtol=0, atol=1e-15)
+    assert_allclose(unit_row(1, 16)[1:], 2 * np.cos(k * h) * (1 - math.cos(h)),
+                    rtol=0, atol=1e-15)
 
 
 def test_second_difference_degree_zero_vanishes():
-    assert second_difference_p(0, 3, 8) == 0.0
-
-
-def test_second_difference_lag_bounds():
-    with pytest.raises(IndexError):
-        second_difference_p(4, 0, 8)
-    with pytest.raises(IndexError):
-        second_difference_p(4, 8, 8)
+    assert not increment_row_fl(0, 1.0, LineGrid(8)).any()
 
 
 def test_second_difference_small_spacing_limit():
@@ -152,7 +154,7 @@ def test_second_difference_small_spacing_limit():
     err = []
     for n, k in ((64, 5), (128, 10)):
         h = math.pi / (2 * n)
-        err.append(abs(second_difference_p(ell, k, n) / (-h * h * upp) - 1.0))
+        err.append(abs(unit_row(ell, n)[k] / (-h * h * upp) - 1.0))
     assert err[0] < 0.01
     assert err[1] < err[0]
 
@@ -167,8 +169,15 @@ def test_row_entries_follow_kernel_differences():
     a = 1.7 * 7 / (4 * math.pi)
     assert_allclose(row[0], 2 * a * (1 - special.eval_legendre(3, math.cos(grid.spacing))),
                     rtol=1e-14)
-    assert_allclose(row[1:], a * second_difference_p(3, np.arange(1, 12), 12),
-                    rtol=0, atol=1e-16)
+    k = np.arange(1, 12)
+    h = grid.spacing
+
+    def p3(lag):
+        return special.eval_legendre(3, np.cos(lag * h))
+
+    # each side rounds four P_3 values of magnitude ≤ 1 on its own: a few ulps of a
+    assert_allclose(row[1:], a * (2 * p3(k) - p3(k - 1) - p3(k + 1)), rtol=0,
+                    atol=8 * np.finfo(float).eps * a)
 
 
 def test_one_by_one_gram():
@@ -180,7 +189,7 @@ def test_one_by_one_gram():
 def test_gram_matches_brute_force_kernel_expansion():
     grid = LineGrid(16)
     pts = grid.points
-    kmat = kernel_fl(5, 2.0, pts[:, None], pts[None, :])
+    kmat = kernel(5, 2.0, pts[:, None], pts[None, :])
     brute = kmat[1:, 1:] - kmat[1:, :-1] - kmat[:-1, 1:] + kmat[:-1, :-1]
     assert_allclose(increment_gram_fl(5, 2.0, grid).sigma, brute, rtol=0, atol=1e-14)
 
@@ -191,7 +200,7 @@ def test_gram_row_sums_telescope_to_endpoint_covariance():
     sig = increment_gram_fl(7, 1.0, grid).sigma
 
     def k(a, b):
-        return kernel_fl(7, 1.0, a, b)
+        return kernel(7, 1.0, a, b)
 
     want = (k(pts[1:], pts[-1]) - k(pts[1:], pts[0])
             - k(pts[:-1], pts[-1]) + k(pts[:-1], pts[0]))
@@ -216,13 +225,13 @@ def test_single_degree_gram_has_low_rank():
 def test_full_field_gram_psd_and_single_term_reduction():
     grid = LineGrid(64)
     sp = PowerSpectrum.power_law(1.0, 0.4, l_max=200)
-    gram = increment_gram_f(sp, grid)
+    # the gram the experiment harness builds for a full-field cell
+    gram = IncrementGram(grid.n, row=increment_row_f(sp, grid))
     eigs = np.linalg.eigvalsh(gram.sigma)
     assert eigs.min() > -1e-10 * gram.trace()
-    assert gram.tail_bound == sp.tail_bound()
     # a one-degree spectrum reproduces the single-degree path exactly
     one = PowerSpectrum.single(6, 1.3)
-    assert_allclose(increment_gram_f(one, grid).sigma,
+    assert_allclose(IncrementGram(grid.n, row=increment_row_f(one, grid)).sigma,
                     increment_gram_fl(6, 1.3, grid).sigma, rtol=0, atol=1e-15)
 
 
@@ -272,18 +281,6 @@ def test_numpy_toeplitz_is_bitwise_scipys(n):
     assert cov.toeplitz(row).flags.c_contiguous
     np.testing.assert_array_equal(cov.toeplitz(row).view(np.uint64),
                                   toeplitz(row).view(np.uint64))
-
-
-def test_fbm_joint_gram_is_bitwise_the_scipy_toeplitz_kron():
-    grid = LineGrid(40)
-    spec = FbmSpec(hurst=0.3, spectrum=PowerSpectrum.power_law(1.0, 0.2, 64),
-                   times=(2.0, 1.0))
-    (t, s), h2 = spec.times, 2.0 * spec.hurst
-    r = rh_cross(spec.hurst, t, s)
-    want = np.kron(np.array([[t ** h2, r], [r, s ** h2]]),
-                   toeplitz(fbm_spatial_row(spec.spectrum, grid)))
-    np.testing.assert_array_equal(fbm_joint_gram(spec, grid).view(np.uint64),
-                                  want.view(np.uint64))
 
 
 def test_increment_factor_reproduces_gram():
@@ -438,17 +435,3 @@ def test_fbm_spatial_row_is_unnormalized_field_row():
     assert_allclose(fbm_spatial_row(sp, grid),
                     4 * math.pi * increment_row_f(sp, grid), rtol=0, atol=1e-14)
 
-
-def test_fbm_joint_gram_block_structure():
-    grid = LineGrid(6)
-    spec = FbmSpec(hurst=0.7, spectrum=PowerSpectrum.single(3, 0.5), times=(2.0, 1.0))
-    joint = fbm_joint_gram(spec, grid)
-    n = grid.n
-    assert joint.shape == (2 * n, 2 * n)
-    spatial = toeplitz(fbm_spatial_row(spec.spectrum, grid))
-    r = rh_cross(0.7, 2.0, 1.0)
-    assert_allclose(joint[:n, :n], 2.0 ** 1.4 * spatial, rtol=1e-15)
-    assert_allclose(joint[n:, n:], spatial, rtol=1e-15)
-    assert_allclose(joint[:n, n:], r * spatial, rtol=1e-15)
-    eigs = np.linalg.eigvalsh(joint)
-    assert eigs.min() > -1e-10 * np.trace(joint)

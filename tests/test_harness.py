@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy import special, stats
+from scipy.linalg import toeplitz
 
 from sphereqv import covariance, harness, simulate
 from sphereqv.harness import (
@@ -212,6 +213,22 @@ def test_mean_v_is_the_exact_mean_free_of_cancellation():
     assert harness.mom.exact_mean_vnl(3, 1.0, n) == 0.0
     assert mean_v(harness.SingleEll(3, 1.0), n) == pytest.approx(
         2 * n * 7 / (4 * math.pi) * 12 * h * h / 4, rel=1e-12)
+
+
+def test_fbm_mean_is_the_joint_gram_time_t_trace():
+    # a fractional pair's exact mean is E[V_t], the trace of the time-t block of
+    # the joint 2N×2N increment covariance R ⊗ Σ (R the 2×2 time covariance)
+    n, grid = 40, covariance.LineGrid(40)
+    spectrum = covariance.PowerSpectrum.power_law(1.0, 0.2, 24)
+    for hurst in (0.3, 0.7):
+        spec = covariance.FbmSpec(hurst, spectrum, (2.0, 1.0))
+        (t, s), h2 = spec.times, 2.0 * hurst
+        r = covariance.rh_cross(hurst, t, s)
+        joint = np.kron(np.array([[t ** h2, r], [r, s ** h2]]),
+                        toeplitz(covariance.fbm_spatial_row(spectrum, grid)))
+        want = np.trace(joint[:n, :n])
+        got = harness._cell_exact(harness.FbmTarget(spec), n)["mean"]
+        assert got == pytest.approx(want, rel=1e-14)
 
 
 def test_config_minimal_roundtrip():

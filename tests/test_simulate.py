@@ -8,7 +8,7 @@ import weakref
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
-from scipy import stats
+from scipy import special, stats
 
 from sphereqv import simulate
 from sphereqv.covariance import (
@@ -17,7 +17,6 @@ from sphereqv.covariance import (
     PowerSpectrum,
     fbm_spatial_row,
     increment_gram_fl,
-    kernel_fl,
     rh_cross,
 )
 from sphereqv.moments import exact_mean_vnl, exact_var_vnl, trace_cumulant
@@ -498,7 +497,8 @@ def test_two_point_covariance_law():
     w[0] = 1.0
     paths = rng.standard_normal((b, ell + 1)) @ (w[:, None] * lam)
     emp = paths.T @ paths / b
-    want = kernel_fl(ell, 1.0, grid.points[:, None], grid.points[None, :])
+    lag = np.abs(grid.points[:, None] - grid.points[None, :])
+    want = (2 * ell + 1) / (4 * math.pi) * special.eval_legendre(ell, np.cos(lag))
     se = np.sqrt((np.outer(np.diag(want), np.diag(want)) + want ** 2) / b)
     assert np.max(np.abs(emp - want) / se) < 5.0
 

@@ -12,7 +12,6 @@ from sphereqv import specfun
 from sphereqv.specfun import (
     bessel_j,
     harmonic_meridian_table,
-    hilb_approx_p,
     legendre_p,
 )
 
@@ -239,30 +238,3 @@ def test_bessel_first_zero_bracketed():
     lo, hi = 2.40482555, 2.40482556
     assert bessel_j(0, lo) > 0.0 > bessel_j(0, hi)
 
-
-# ======================================================================
-# Small-angle Legendre approximation
-# ======================================================================
-
-def test_hilb_approx_pointwise_error():
-    got = hilb_approx_p(100, 0.01)
-    exact = legendre_p(100, np.cos(0.01))
-    assert abs(got - exact) < 1e-4
-
-
-@pytest.mark.parametrize("ell", [20, 100, 400])
-def test_hilb_approx_uniform_small_angle(ell):
-    theta = np.linspace(1e-4, 0.1, 120)
-    err = np.abs(hilb_approx_p(ell, theta) - legendre_p(ell, np.cos(theta)))
-    assert err.max() < 1e-3
-
-
-def test_hilb_approx_rejects_nonpositive_angle():
-    with pytest.raises(ValueError):
-        hilb_approx_p(10, 0.0)
-    with pytest.raises(ValueError):
-        hilb_approx_p(10, [-0.2])
-    with pytest.raises(ValueError):
-        hilb_approx_p(3, np.nan)
-    with pytest.raises(ValueError):
-        hilb_approx_p(3, [0.1, np.nan])
