@@ -10,7 +10,7 @@ import warnings
 
 import numpy as np
 
-from sphereqv.covariance import FbmSpec, LineGrid, PowerSpectrum
+from sphereqv.covariance import LineGrid, PowerSpectrum
 from sphereqv.estimators import estimate_hurst
 from sphereqv.simulate import FbmTarget, SampleSpec, batch_quadratic_variation
 
@@ -20,8 +20,8 @@ SPECTRUM = PowerSpectrum.power_law(1.0, 0.2, l_max=256)
 
 print(f"{'H true':>7} {'median':>8} {'q25':>8} {'q75':>8}")
 for h in (0.3, 0.5, 0.7):
-    fspec = FbmSpec(hurst=h, spectrum=SPECTRUM, times=(2.0, 1.0))
-    spec = SampleSpec(target=FbmTarget(fspec), grid=LineGrid(N),
+    target = FbmTarget(hurst=h, spectrum=SPECTRUM, times=(2.0, 1.0))
+    spec = SampleSpec(target=target, grid=LineGrid(N),
                       seed=int(9000 + 100 * h), replications=REPS)
     v = batch_quadratic_variation(spec, 0, REPS)
     with warnings.catch_warnings():

@@ -10,7 +10,8 @@ The increment Gram matrix is the workhorse: for a Gaussian field f observed
 at grid points θ_1 < ... < θ_{N+1}, entry (i, j) is E[Δ_i Δ_j] with
 Δ_i = f(θ_{i+1}) − f(θ_i). Every exact moment of the quadratic variation
 Σ Δ_i² is a trace functional of this matrix. This is the exact side alone:
-no harmonic table, which only the sampler (``simulate``) builds.
+no harmonic table, which only the sampler (``simulate``) builds, and no
+target type: the fractional pair's parameters are ``simulate.FbmTarget``'s.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ __all__ = [
     "PowerSpectrum",
     "LineGrid",
     "IncrementGram",
-    "FbmSpec",
     "increment_row_fl",
     "increment_gram_fl",
     "increment_row_f",
@@ -209,33 +209,6 @@ class IncrementGram:
         if self.core is not None:
             return float(np.trace(self.core))
         return self.n * float(self._row[0])
-
-
-@dataclass(frozen=True)
-class FbmSpec:
-    """Sphere-valued fractional Brownian field observed at two times.
-
-    ``spectrum`` carries the spatial coefficients A_l; the spatial kernel is
-    Σ A_l (2l+1) P_l(cos d) with no 1/(4π), which differs from the fixed-time
-    field convention by exactly that factor. ``times`` = (t, s), distinct
-    positives; ``hurst`` in (0, 1) scales variances as t^{2H}.
-    """
-
-    hurst: float
-    spectrum: PowerSpectrum
-    times: tuple
-
-    def __post_init__(self):
-        if not (0.0 < self.hurst < 1.0):
-            raise ValueError("hurst must lie in (0, 1)")
-        t, s = self.times
-        if not (0 < t < math.inf and 0 < s < math.inf) or t == s:
-            raise ValueError("times must be distinct finite positives")
-        try:
-            max(t, s) ** (2 * self.hurst)
-        except OverflowError:
-            raise ValueError("times^(2·hurst) overflows a float") from None
-        object.__setattr__(self, "times", (float(t), float(s)))
 
 
 # ======================================================================

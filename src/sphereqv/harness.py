@@ -38,8 +38,8 @@ from itertools import repeat
 import numpy as np
 
 from . import moments as mom
-from .covariance import (FbmSpec, IncrementGram, LineGrid, PowerSpectrum,
-                         fbm_spatial_row, increment_row_f, increment_row_fl)
+from .covariance import (IncrementGram, LineGrid, PowerSpectrum, fbm_spatial_row,
+                         increment_row_f, increment_row_fl)
 from .estimators import estimate_cl, estimate_hurst
 from .moments import RegimeTag
 from .simulate import (FbmTarget, FullField, SampleSpec, SingleEll, _batch_arrays,
@@ -184,11 +184,10 @@ def _parse_target(obj, ell):
             raise ConfigError(f"fbm times must be a list of two numbers{got}")
         hurst = _config_real(obj.get("hurst"), "fbm hurst must be a finite number")
         times = tuple(_config_real(t, "fbm times must be finite numbers") for t in times)
-        make, args = FbmSpec, (hurst, _parse_spectrum(obj.get("spectrum")), times)
+        make, args = FbmTarget, (hurst, _parse_spectrum(obj.get("spectrum")), times)
     # the parsing stays outside: its ConfigErrors are ValueErrors too
     try:
-        made = make(*args)
-        return FbmTarget(made) if kind == "fbm" else made
+        return make(*args)
     except ValueError as exc:
         raise ConfigError(f"bad {kind} target: {exc}") from exc
 
@@ -565,7 +564,7 @@ def _kernel(target, pick):
     1/(4π) for one degree or a full field; for a fractional pair's spatial
     kernel, t^(2H) at t = pick(its two times)."""
     if isinstance(target, FbmTarget):
-        return target.spec.spectrum, pick(target.spec.times) ** (2.0 * target.spec.hurst)
+        return target.spectrum, pick(target.times) ** (2.0 * target.hurst)
     if isinstance(target, FullField):
         return target.spectrum, 1.0 / (4.0 * math.pi)
     return PowerSpectrum.single(target.ell, target.c_ell), 1.0 / (4.0 * math.pi)
@@ -595,10 +594,10 @@ def _zero_law(target):
     if isinstance(target, SingleEll):
         return None if target.c_ell else "c_ell is 0"
     if isinstance(target, FbmTarget):
-        t = min(target.spec.times)
-        if t ** (2.0 * target.spec.hurst) == 0:
+        t = min(target.times)
+        if t ** (2.0 * target.hurst) == 0:
             return f"fbm time {t:g} gives t^(2H) = 0"
-    sp = target.spec.spectrum if isinstance(target, FbmTarget) else target.spectrum
+    sp = target.spectrum
     # degree 0 is constant along the meridian
     if sp.kind == "explicit" and not any(c > 0 for l, c in enumerate(sp.values, sp.l_min) if l):
         return "the spectrum has no C_l > 0 at l ≥ 1"
@@ -619,9 +618,8 @@ def _cell_exact(target, n):
         # pinned report digests hold both byte for byte
         mean_src = "increment_gram_f.trace"
     else:
-        spec = target.spec
         # V at the first time t: the spatial row scaled by t^{2H}
-        row = spec.times[0] ** (2.0 * spec.hurst) * fbm_spatial_row(spec.spectrum, grid)
+        row = target.times[0] ** (2.0 * target.hurst) * fbm_spatial_row(target.spectrum, grid)
         mean = n * row[0]
         mean_src = "fbm_joint_gram.trace"
     var = mom.exact_var_from_row(row)
@@ -679,8 +677,7 @@ def _cell_rows(config, ell, n, target, samples):
             add("estimator_var", kr[0][0], kr[0][1],
                 exact["var"] / exact["mean"] ** 2, "exact_var_vnl/exact_mean_vnl")
         elif stat == "hurst":
-            spec = target.spec
-            t, s = spec.times
+            t, s = target.times
             # per-replication estimates scatter outside (0,1) by design;
             # the median absorbs them, so the per-value warning is noise here
             with warnings.catch_warnings():
@@ -688,7 +685,7 @@ def _cell_rows(config, ell, n, target, samples):
                 h = np.array([estimate_hurst(vt, vs, t, s) for vt, vs in samples])
             med = float(np.median(h))
             se = _jackknife_se(h, np.median)
-            add("hurst_median", med, se, spec.hurst, "estimate_hurst")
+            add("hurst_median", med, se, target.hurst, "estimate_hurst")
     return rows
 
 

@@ -364,7 +364,8 @@ def asymptotic_mean(regime, ell, c_ell, n):
     twice the exact π/32: acceptance 02a reads 0.5. The ell_slower line is
     the paper's leading form l²; the exact limit, the Taylor value of
     1 − P_l(cos(π/2N)), carries l(l+1): mean_ratio 1.122 at (8, 64),
-    against (l+1)/l = 1.125.
+    against (l+1)/l = 1.125. A stand-in 1 − J₀(πc/2) that rounds to 0 (below
+    c ≈ 3e-162, where (πc/4)² underflows) is refused, as for the cl2 estimator.
     """
     regime = _check_regime(regime)
     ell, n = _check_ell_n(ell, n)
@@ -374,7 +375,11 @@ def asymptotic_mean(regime, ell, c_ell, n):
     if regime.kind == ELL_FASTER:
         return lead
     if regime.kind == ELL_COMPARABLE:
-        return lead * _one_minus_j0(0.5 * math.pi * regime.c)
+        factor = _one_minus_j0(0.5 * math.pi * regime.c)
+        if not factor > 0:
+            raise ValueError(f"ell_comparable stand-in 1 − J₀(πc/2) degenerate "
+                             f"({factor!r}) at c={regime.c!r}")
+        return lead * factor
     return lead * (math.pi ** 2 / 16.0) * ell ** 2 / n ** 2
 
 

@@ -6,8 +6,9 @@ standard normal z, which reproduces the exact covariance
 C_l (2l+1)/(4π) P_l(cos|θ−θ'|) through the addition theorem. No matrix
 factorization is involved, so the (rank-deficient) grid covariance never
 has to be decomposed. Truncated full fields sum independent degrees;
-the two-time fractional pair couples each coefficient channel through the
-2×2 time covariance. All three draw through one body, ``_paths_batch``,
+the two-time fractional pair (``FbmTarget``: Hurst exponent, spatial
+spectrum, two times) couples each coefficient channel through the 2×2
+time covariance. All three draw through one body, ``_paths_batch``,
 in the layout below, which ``batch_quadratic_variation`` drives. The
 basis is this module's alone: its scaling, its per-cell cache
 (``_meridian_basis``) and its memory estimate (``_batch_arrays``).
@@ -57,7 +58,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .covariance import FbmSpec, LineGrid, PowerSpectrum, rh_cross
+from .covariance import LineGrid, PowerSpectrum, rh_cross
 from .specfun import _meridian_blocks, harmonic_meridian_table
 
 __all__ = [
@@ -115,15 +116,31 @@ class FullField:
 
 @dataclass(frozen=True)
 class FbmTarget:
-    """Sample the fractional pair (B_t, B_s) described by an FbmSpec."""
+    """Sample the sphere-valued fractional Brownian pair (B_t, B_s).
 
-    spec: FbmSpec
+    ``spectrum`` carries the spatial coefficients A_l; the spatial kernel is
+    Σ A_l (2l+1) P_l(cos d) with no 1/(4π), which differs from the fixed-time
+    field convention by exactly that factor. ``times`` = (t, s), distinct
+    positives; ``hurst`` in (0, 1) scales variances as t^{2H}.
+    """
+
+    hurst: float
+    spectrum: PowerSpectrum
+    times: tuple
 
     def __post_init__(self):
-        if not isinstance(self.spec, FbmSpec):
-            raise TypeError("spec must be an FbmSpec")
+        if not (0.0 < self.hurst < 1.0):
+            raise ValueError("hurst must lie in (0, 1)")
+        t, s = self.times
+        if not (0 < t < math.inf and 0 < s < math.inf) or t == s:
+            raise ValueError("times must be distinct finite positives")
+        try:
+            max(t, s) ** (2 * self.hurst)
+        except OverflowError:
+            raise ValueError("times^(2·hurst) overflows a float") from None
+        object.__setattr__(self, "times", (float(t), float(s)))
         # the sampler's basis holds √(4π·A_l); a power law peaks at A_1 = c0
-        sp = self.spec.spectrum
+        sp = self.spectrum
         peak = max(sp.values) if sp.kind == "explicit" else sp.c0
         if not 4.0 * math.pi * peak < math.inf:
             raise ValueError(f"spectrum peak {peak!r} makes 4π·A_l overflow a float")
@@ -393,15 +410,13 @@ def _paths_batch(target, grid, gens, b=None):
         with _BASIS_LOCK:
             basis = _meridian_basis(ell, target.c_ell, grid)
         return (z @ basis)[None]
-    if isinstance(target, FullField):
-        spectrum, factor, times = target.spectrum, 1.0, 1
-    else:
-        spec = target.spec
-        t, s = spec.times
-        l00 = t ** spec.hurst
-        l10 = rh_cross(spec.hurst, t, s) / l00
-        l11 = math.sqrt(max(s ** (2.0 * spec.hurst) - l10 * l10, 0.0))
-        spectrum, factor, times = spec.spectrum, 4.0 * math.pi, 2
+    spectrum, factor, times = target.spectrum, 1.0, 1
+    if isinstance(target, FbmTarget):
+        t, s = target.times
+        l00 = t ** target.hurst
+        l10 = rh_cross(target.hurst, t, s) / l00
+        l11 = math.sqrt(max(s ** (2.0 * target.hurst) - l10 * l10, 0.0))
+        factor, times = 4.0 * math.pi, 2
 
     def fill(pending, z, zi):
         # draw (and couple) every replication left in ``pending`` into z
@@ -454,7 +469,7 @@ def _batch_arrays(target, n, batch):
     if isinstance(target, SingleEll):
         rows = target.ell + 1
     else:
-        sp = target.spec.spectrum if times == 2 else target.spectrum
+        sp = target.spectrum
         rows = max(sp.l_max + 1, min(_CHUNK_ROWS, _chunk_rows(sp.l_min, sp.l_max + 1)))
     draws = 4 if times == 2 else 0
     return [(8 * times * batch * (n + 1), "batch paths"),

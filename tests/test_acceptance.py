@@ -17,7 +17,6 @@ import warnings
 import numpy as np
 
 from sphereqv.covariance import (
-    FbmSpec,
     LineGrid,
     PowerSpectrum,
     increment_gram_fl,
@@ -286,10 +285,10 @@ def test_criterion_09_hurst_recovery(capsys):
     """Median of 200 two-time Hurst estimates within ±0.05 of the truth."""
     flags = []
     for h in (0.3, 0.7):
-        fspec = FbmSpec(hurst=h,
-                        spectrum=PowerSpectrum.power_law(1.0, 0.2, l_max=512),
-                        times=(2.0, 1.0))
-        spec = SampleSpec(target=FbmTarget(fspec), grid=LineGrid(1024),
+        target = FbmTarget(hurst=h,
+                           spectrum=PowerSpectrum.power_law(1.0, 0.2, l_max=512),
+                           times=(2.0, 1.0))
+        spec = SampleSpec(target=target, grid=LineGrid(1024),
                           seed=int(1000 * h), replications=200)
         v = batch_quadratic_variation(spec, 0, 200)
         with warnings.catch_warnings():

@@ -1,5 +1,6 @@
 """Command line interface: outputs, exit codes, determinism."""
 
+import ast
 import contextlib
 import importlib.util
 import io
@@ -225,6 +226,16 @@ def test_moments_non_finite_or_non_positive_numbers_exit_2(capsys, flags):
     assert exc.value.code == 2
     out, err = capsys.readouterr()
     assert out == "" and "must be a finite number" in err
+
+
+def test_moments_matched_growth_stand_in_that_rounds_to_0_exits_1(capsys):
+    # below c ≈ 3e-162 1 − J₀(πc/2) rounds to 0; mean_ratio would divide by it
+    assert main(["moments", "--ell", "3", "--n", "4", "--cl", "1",
+                 "--regime", "ell_comparable", "--regime-c", "1e-170"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("numeric error: ell_comparable stand-in 1 − J₀(πc/2) "
+                   "degenerate (0.0) at c=1e-170\n")
 
 
 # scales whose cumulant sums overflow (1e300, 1e40 at κ8) or run in
@@ -1231,8 +1242,35 @@ def test_package_root_binds_no_public_name():
     assert run.stdout.splitlines() == ["['sphereqv', 'sphereqv.specfun']", "[]"]
 
 
+def _unused_imports(path):
+    """``file:line name`` for each name an import in ``path`` binds that the
+    module never reads; ``__future__`` imports and names in ``__all__`` pass."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    bound, exported = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import) or (isinstance(node, ast.ImportFrom)
+                                            and node.module != "__future__"):
+            for alias in node.names:
+                bound.setdefault(alias.asname or alias.name.split(".")[0], alias.lineno)
+        elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            exported |= set(ast.literal_eval(node.value))
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return [f"{path.name}:{line} {name}" for name, line in bound.items()
+            if name not in read and name not in exported]
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    src = pathlib.Path(sphereqv.moments.__file__).parent
+    tests = pathlib.Path(__file__).parent
+    paths = sorted(src.glob("*.py")) + sorted(tests.glob("*.py"))
+    assert len(paths) > 10
+    assert [hit for path in paths for hit in _unused_imports(path)] == []
+
+
 _FORMER_ROOT_NAMES = {
-    "covariance": ["FbmSpec", "IncrementGram", "LineGrid", "PowerSpectrum",
+    "covariance": ["IncrementGram", "LineGrid", "PowerSpectrum",
                    "increment_gram_fl"],
     "estimators": ["EstimateResult", "estimate_cl", "estimate_cl_classical",
                    "estimate_cl_variant", "estimate_hurst"],

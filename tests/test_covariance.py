@@ -10,7 +10,6 @@ from scipy.linalg import toeplitz
 
 from sphereqv import covariance as cov
 from sphereqv.covariance import (
-    FbmSpec,
     IncrementGram,
     LineGrid,
     PowerSpectrum,
@@ -20,7 +19,7 @@ from sphereqv.covariance import (
     increment_row_fl,
     rh_cross,
 )
-from sphereqv.simulate import _meridian_basis
+from sphereqv.simulate import FbmTarget, _meridian_basis
 
 RNG = np.random.default_rng(40312)
 
@@ -419,14 +418,14 @@ def test_rh_cross_values():
 def test_fbm_spec_validation():
     sp = PowerSpectrum.single(2, 1.0)
     with pytest.raises(ValueError):
-        FbmSpec(hurst=1.0, spectrum=sp, times=(2.0, 1.0))
+        FbmTarget(hurst=1.0, spectrum=sp, times=(2.0, 1.0))
     with pytest.raises(ValueError):
-        FbmSpec(hurst=0.5, spectrum=sp, times=(1.0, 1.0))
+        FbmTarget(hurst=0.5, spectrum=sp, times=(1.0, 1.0))
     with pytest.raises(ValueError):
-        FbmSpec(hurst=0.5, spectrum=sp, times=(-1.0, 2.0))
+        FbmTarget(hurst=0.5, spectrum=sp, times=(-1.0, 2.0))
     for times in ((math.nan, 1.0), (2.0, math.nan), (math.inf, 1.0)):
         with pytest.raises(ValueError):
-            FbmSpec(hurst=0.5, spectrum=sp, times=times)
+            FbmTarget(hurst=0.5, spectrum=sp, times=times)
 
 
 def test_fbm_spatial_row_is_unnormalized_field_row():

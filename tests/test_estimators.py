@@ -92,8 +92,9 @@ def test_variant_values_reconcile_with_bias():
 def test_variant_two_requires_ratio():
     with pytest.raises(ValueError):
         estimate_cl_variant(0.5, 16, 16, 2)
-    with pytest.raises(ValueError):
-        estimate_cl_variant(0.5, 16, 16, 2, c=-1.0)
+    for c in (-1.0, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            estimate_cl_variant(0.5, 16, 16, 2, c=c)
     with pytest.raises(ValueError):
         estimate_cl_variant(0.5, 16, 16, 4)
 

@@ -201,11 +201,11 @@ def test_mean_v_is_the_exact_mean_free_of_cancellation():
 
     grid = covariance.LineGrid(16)
     spectrum = covariance.PowerSpectrum.power_law(1.0, 0.2, 40)
-    fbm = covariance.FbmSpec(0.3, spectrum, (2.0, 1.0))  # the earlier time, 1, has factor 1
+    fbm = harness.FbmTarget(0.3, spectrum, (2.0, 1.0))  # the earlier time, 1, has factor 1
     for target, want in [
             (harness.SingleEll(3, 0.5), harness.mom.exact_mean_vnl(3, 0.5, 16)),
             (harness.FullField(spectrum), 16 * covariance.increment_row_f(spectrum, grid)[0]),
-            (harness.FbmTarget(fbm), 16 * covariance.fbm_spatial_row(spectrum, grid)[0])]:
+            (fbm, 16 * covariance.fbm_spatial_row(spectrum, grid)[0])]:
         assert mean_v(target, 16) == pytest.approx(want, rel=1e-12)
     # at N = 10^9 cos(π/2N) rounds to 1 and 1 − P_l(cos) to 0; the mean is
     # 2N·c_l(2l+1)/(4π) · l(l+1)h²/4 to relative O(h²), h = π/2N
@@ -221,13 +221,13 @@ def test_fbm_mean_is_the_joint_gram_time_t_trace():
     n, grid = 40, covariance.LineGrid(40)
     spectrum = covariance.PowerSpectrum.power_law(1.0, 0.2, 24)
     for hurst in (0.3, 0.7):
-        spec = covariance.FbmSpec(hurst, spectrum, (2.0, 1.0))
-        (t, s), h2 = spec.times, 2.0 * hurst
+        target = harness.FbmTarget(hurst, spectrum, (2.0, 1.0))
+        (t, s), h2 = target.times, 2.0 * hurst
         r = covariance.rh_cross(hurst, t, s)
         joint = np.kron(np.array([[t ** h2, r], [r, s ** h2]]),
                         toeplitz(covariance.fbm_spatial_row(spectrum, grid)))
         want = np.trace(joint[:n, :n])
-        got = harness._cell_exact(harness.FbmTarget(spec), n)["mean"]
+        got = harness._cell_exact(target, n)["mean"]
         assert got == pytest.approx(want, rel=1e-14)
 
 
@@ -286,7 +286,7 @@ def test_config_fbm_target():
                 "spectrum": {"kind": "explicit", "values": [1.0, 0.5]}},
         cells=[[1, 16]])
     cfg = ExperimentConfig.from_dict(raw)
-    assert cfg.targets[0].spec.hurst == 0.7
+    assert cfg.targets[0].hurst == 0.7
     bad = dict(raw)
     bad["target"] = dict(raw["target"], hurst=1.5)
     with pytest.raises(ConfigError):

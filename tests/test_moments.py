@@ -8,7 +8,6 @@ import pytest
 from numpy.testing import assert_allclose
 
 from sphereqv.covariance import (
-    IncrementGram,
     LineGrid,
     PowerSpectrum,
     increment_gram_fl,
@@ -480,6 +479,18 @@ def test_matched_growth_mean_keeps_its_digits_at_a_small_ratio():
     lead = 2.0 * 64 * 1.5 * 17 / (4.0 * math.pi)
     got = asymptotic_mean(RegimeTag.ell_comparable(1e-8), 8, 1.5, 64)
     assert got == pytest.approx(lead * (0.25 * math.pi * 1e-8) ** 2, rel=1e-15)
+
+
+def test_matched_growth_mean_refuses_a_stand_in_that_rounds_to_0():
+    # at c = 1e-170 (πc/4)² underflows: a raised ValueError, not a mean of 0
+    # that mean_ratio divides by; the check is on the stand-in, so c_l = 0
+    # still gives a mean of 0 at a representable c
+    tiny = RegimeTag.ell_comparable(1e-170)
+    assert _one_minus_j0(0.5 * math.pi * tiny.c) == 0.0
+    for c_ell in (1.0, 0.0):
+        with pytest.raises(ValueError, match=r"stand-in 1 − J₀\(πc/2\) degenerate"):
+            asymptotic_mean(tiny, 3, c_ell, 4)
+    assert asymptotic_mean(RegimeTag.ell_comparable(1.0), 3, 0.0, 4) == 0.0
 
 
 def test_asymptotic_var_formulas():

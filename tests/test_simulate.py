@@ -12,7 +12,6 @@ from scipy import special, stats
 
 from sphereqv import simulate
 from sphereqv.covariance import (
-    FbmSpec,
     LineGrid,
     PowerSpectrum,
     fbm_spatial_row,
@@ -105,9 +104,9 @@ def test_chunked_sweep_is_bitwise_the_per_chunk_stacks(monkeypatch):
 
     # a spectrum starting above degree 0 also skips the leading sweep blocks
     fsp = PowerSpectrum.explicit(np.linspace(1.0, 0.1, 30), l_min=7)
-    fspec = FbmSpec(hurst=0.35, spectrum=fsp, times=(2.0, 1.0))
+    fspec = FbmTarget(hurst=0.35, spectrum=fsp, times=(2.0, 1.0))
     assert len(simulate._degree_chunks(fsp.l_min, fsp.l_max)) >= 3
-    gt, gs = simulate._paths_batch(FbmTarget(fspec), grid, gens())
+    gt, gs = simulate._paths_batch(fspec, grid, gens())
     h = fspec.hurst
     l00 = 2.0 ** h
     l10 = rh_cross(h, 2.0, 1.0) / l00
@@ -145,8 +144,8 @@ def test_reused_draw_buffers_are_bitwise_the_per_chunk_draws(monkeypatch, chunk_
                                  gens(), None)
     assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
-    fspec = FbmSpec(hurst=0.7, spectrum=spectrum, times=(0.5, 3.0))
-    gt, gs = simulate._paths_batch(FbmTarget(fspec), grid, gens())
+    fspec = FbmTarget(hurst=0.7, spectrum=spectrum, times=(0.5, 3.0))
+    gt, gs = simulate._paths_batch(fspec, grid, gens())
     l00 = 0.5 ** 0.7
     l10 = rh_cross(0.7, 0.5, 3.0) / l00
     l11 = math.sqrt(max(3.0 ** 1.4 - l10 * l10, 0.0))
@@ -183,7 +182,7 @@ def _frozen_sequential_v(spec, rep_start, rep_count):
     if isinstance(spec.target, FullField):
         spectrum, factor, times = spec.target.spectrum, 1.0, 1
     else:
-        fspec = spec.target.spec
+        fspec = spec.target
         t, s = fspec.times
         l00 = t ** fspec.hurst
         l10 = rh_cross(fspec.hurst, t, s) / l00
@@ -217,7 +216,7 @@ def _frozen_sequential_v(spec, rep_start, rep_count):
 def _multi_degree_specs(reps=7):
     sp = PowerSpectrum(kind="power_law", l_min=2, l_max=40, c0=1.0, epsilon=0.2)
     return [_spec(FullField(sp), n=50, seed=2 ** 33 + 1, reps=reps),
-            _spec(FbmTarget(FbmSpec(hurst=0.3, spectrum=sp, times=(2.0, 1.0))),
+            _spec(FbmTarget(hurst=0.3, spectrum=sp, times=(2.0, 1.0)),
                   n=50, seed=2 ** 33 + 1, reps=reps)]
 
 
@@ -363,7 +362,7 @@ def test_stream_lifetime_per_target_kind(monkeypatch, kind, count, peak):
     # they hold all B of them. Counting the streams leaves the values alone.
     sp = PowerSpectrum.power_law(0.9, 0.3, l_max=12)
     target = {"single_ell": SingleEll(3, 1.0), "full_field": FullField(sp),
-              "fbm": FbmTarget(FbmSpec(hurst=0.35, spectrum=sp, times=(2.0, 1.0)))}[kind]
+              "fbm": FbmTarget(hurst=0.35, spectrum=sp, times=(2.0, 1.0))}[kind]
     spec = _spec(target, seed=2 ** 32 + 5)
     want = batch_quadratic_variation(spec, 5, count)
     live, seen = [0], [0]
@@ -402,8 +401,7 @@ def test_stream_entropy_is_frozen(seed, rep, single_id, multi_id):
     single = _spec(SingleEll(5, 1.0), seed=seed)
     assert rep_stream_id(single, rep) == single_id
     assert rep_seed_sequence(single, rep).entropy == [seed, rep, 5]
-    for target in (FullField(sp), FbmTarget(FbmSpec(hurst=0.4, spectrum=sp,
-                                                    times=(2.0, 1.0)))):
+    for target in (FullField(sp), FbmTarget(hurst=0.4, spectrum=sp, times=(2.0, 1.0))):
         multi = _spec(target, seed=seed)
         assert rep_stream_id(multi, rep) == multi_id
         assert rep_seed_sequence(multi, rep).entropy == [seed, rep]
@@ -445,7 +443,7 @@ def test_batch_streams_are_bitwise_default_rng(seed, monkeypatch):
     sp = PowerSpectrum.power_law(0.9, 0.3, l_max=40)
     assert len(simulate._degree_chunks(sp.l_min, sp.l_max)) >= 3
     targets = [SingleEll(4, 1.3), FullField(sp),
-               FbmTarget(FbmSpec(hurst=0.35, spectrum=sp, times=(2.0, 1.0)))]
+               FbmTarget(hurst=0.35, spectrum=sp, times=(2.0, 1.0))]
     for target in targets:
         spec = _spec(target, n=12, seed=seed)
         for start, count in ((0, 4), (2 ** 32 - 2, 5)):
@@ -544,9 +542,9 @@ def test_full_field_pointwise_variance_law():
 
 def test_fbm_marginal_scales_as_time_power():
     h, t, s = 0.3, 2.0, 1.0
-    fspec = FbmSpec(hurst=h, spectrum=PowerSpectrum.explicit([0.8, 0.4], l_min=1),
-                    times=(t, s))
-    spec = _spec(FbmTarget(fspec), n=16, seed=99, reps=4000)
+    fspec = FbmTarget(hurst=h, spectrum=PowerSpectrum.explicit([0.8, 0.4], l_min=1),
+                      times=(t, s))
+    spec = _spec(fspec, n=16, seed=99, reps=4000)
     v = batch_quadratic_variation(spec, 0, spec.replications)
     ratio = v[:, 0].mean() / v[:, 1].mean()
     want = (t / s) ** (2 * h)
@@ -561,9 +559,9 @@ def test_fbm_marginal_scales_as_time_power():
 
 def test_fbm_rescaled_quadratic_variations_share_one_law():
     h = 0.7
-    fspec = FbmSpec(hurst=h, spectrum=PowerSpectrum.single(3, 1.0),
-                    times=(2.0, 1.0))
-    spec = _spec(FbmTarget(fspec), n=12, seed=4242, reps=3000)
+    fspec = FbmTarget(hurst=h, spectrum=PowerSpectrum.single(3, 1.0),
+                      times=(2.0, 1.0))
+    spec = _spec(fspec, n=12, seed=4242, reps=3000)
     a = batch_quadratic_variation(spec, 0, 1500)[:, 0] / 2.0 ** (2 * h)
     b = batch_quadratic_variation(spec, 1500, 1500)[:, 1]  # disjoint reps
     assert stats.ks_2samp(a, b).pvalue > 1e-3
@@ -604,12 +602,11 @@ def test_sampler_targets_need_a_finite_basis_scale():
     for sp, ok in ((PowerSpectrum.power_law(peak, 0.2, l_max=8), True),
                    (PowerSpectrum.power_law(2.0 * peak, 0.2, l_max=8), False),
                    (PowerSpectrum.explicit([1.0, 2.0 * peak], l_min=3), False)):
-        spec = FbmSpec(hurst=0.3, spectrum=sp, times=(2.0, 1.0))
         if ok:
-            FbmTarget(spec)
+            FbmTarget(hurst=0.3, spectrum=sp, times=(2.0, 1.0))
         else:
             with pytest.raises(ValueError, match="overflow"):
-                FbmTarget(spec)
+                FbmTarget(hurst=0.3, spectrum=sp, times=(2.0, 1.0))
 
 
 def test_batch_rejects_empty_range():
