@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .moments import _variant_normalizer, exact_mean_vnl
+from .moments import RegimeTag, _variant_normalizer, estimator_bias, exact_mean_vnl
 
 __all__ = [
     "EstimateResult",
@@ -88,11 +88,14 @@ def estimate_cl_variant(v, ell, n, variant, c=None):
     if int(ell) != ell or ell < 1 or int(n) != n or n < 1:
         raise ValueError("need integer l ≥ 1 and N ≥ 1")
     ell, n = int(ell), int(n)
-    if variant == 2 and (c is None or not 0 < c < math.inf):
-        raise ValueError("variant 2 requires a finite ratio c > 0")
+    if variant == 2:
+        if c is None or c <= 0:
+            raise ValueError("variant 2 requires the ratio c > 0")
+        regime = RegimeTag.ell_comparable(c)
+    else:
+        regime = RegimeTag.ell_faster() if variant == 1 else RegimeTag.ell_slower()
     norm = _variant_normalizer(variant, ell, n, c)
-    # moments.estimator_bias, without rebuilding the regime it checks
-    bias = exact_mean_vnl(ell, 1.0, n) / norm - 1.0
+    bias = estimator_bias(variant, ell, n, regime)
     return EstimateResult(value=v / norm, normalizer=norm,
                           variant=f"v{variant}", bias_exact=bias)
 

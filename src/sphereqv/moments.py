@@ -364,8 +364,9 @@ def asymptotic_mean(regime, ell, c_ell, n):
     twice the exact π/32: acceptance 02a reads 0.5. The ell_slower line is
     the paper's leading form l²; the exact limit, the Taylor value of
     1 − P_l(cos(π/2N)), carries l(l+1): mean_ratio 1.122 at (8, 64),
-    against (l+1)/l = 1.125. A stand-in 1 − J₀(πc/2) that rounds to 0 (below
-    c ≈ 3e-162, where (πc/4)² underflows) is refused, as for the cl2 estimator.
+    against (l+1)/l = 1.125. A stand-in 1 − J₀(πc/2) below the smallest
+    normal float (c below about 1.9e-154, where (πc/4)² leaves the normal
+    range) is refused, as for the cl2 estimator.
     """
     regime = _check_regime(regime)
     ell, n = _check_ell_n(ell, n)
@@ -376,7 +377,7 @@ def asymptotic_mean(regime, ell, c_ell, n):
         return lead
     if regime.kind == ELL_COMPARABLE:
         factor = _one_minus_j0(0.5 * math.pi * regime.c)
-        if not factor > 0:
+        if not factor >= sys.float_info.min:
             raise ValueError(f"ell_comparable stand-in 1 − J₀(πc/2) degenerate "
                              f"({factor!r}) at c={regime.c!r}")
         return lead * factor
@@ -437,8 +438,8 @@ def _variant_normalizer(variant, ell, n, c):
     The exact mean's lead 2N(2l+1)/(4π) times a regime stand-in for
     1 − P_l(cos(π/2N)): 1 (variant 1), 1 − J₀(πc/2) (variant 2, which alone
     reads ``c``; :func:`_one_minus_j0`) or (π²/16) l(l+1)/N² (variant 3). A
-    stand-in that rounds to 0 (variant 2 below c ≈ 3e-162, where (πc/4)²
-    underflows) is refused.
+    stand-in below the smallest normal float (variant 2 below c ≈ 1.9e-154,
+    where (πc/4)² leaves the normal range) is refused.
     """
     lead = 2.0 * n * (2 * ell + 1) / (4.0 * math.pi)
     if variant == 1:
@@ -448,7 +449,7 @@ def _variant_normalizer(variant, ell, n, c):
     else:
         factor = (math.pi ** 2 / 16.0) * ell * (ell + 1) / n ** 2
     norm = lead * factor
-    if not norm > 0:
+    if not factor >= sys.float_info.min:
         raise ValueError(
             f"variant {variant} normalizer degenerate ({norm!r}) at l={ell}, N={n}")
     return norm

@@ -228,14 +228,16 @@ def test_moments_non_finite_or_non_positive_numbers_exit_2(capsys, flags):
     assert out == "" and "must be a finite number" in err
 
 
-def test_moments_matched_growth_stand_in_that_rounds_to_0_exits_1(capsys):
-    # below c ≈ 3e-162 1 − J₀(πc/2) rounds to 0; mean_ratio would divide by it
+@pytest.mark.parametrize("c, stand_in", [("1e-170", "0.0"), ("1e-160", "6.17e-321")])
+def test_moments_matched_growth_stand_in_below_normal_exits_1(capsys, c, stand_in):
+    # below c ≈ 1.9e-154 1 − J₀(πc/2) is subnormal (at 1e-160) or rounds to 0
+    # (at 1e-170); mean_ratio would read inf or divide by zero
     assert main(["moments", "--ell", "3", "--n", "4", "--cl", "1",
-                 "--regime", "ell_comparable", "--regime-c", "1e-170"]) == 1
+                 "--regime", "ell_comparable", "--regime-c", c]) == 1
     out, err = capsys.readouterr()
     assert out == ""
     assert err == ("numeric error: ell_comparable stand-in 1 − J₀(πc/2) "
-                   "degenerate (0.0) at c=1e-170\n")
+                   f"degenerate ({stand_in}) at c={c}\n")
 
 
 # scales whose cumulant sums overflow (1e300, 1e40 at κ8) or run in

@@ -1,6 +1,7 @@
 """Spectrum and Hurst estimators."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -151,13 +152,17 @@ def test_variant_normalizers_match_the_per_variant_reference():
 
 
 def test_variant_two_rejects_a_degenerate_normalizer():
-    # at c = 1e-163 (πc/4)² underflows, so 1 − J₀(πc/2) rounds to 0: a raised
-    # ValueError, not a float division by zero
+    # at c = 1e-163 (πc/4)² underflows, so 1 − J₀(πc/2) rounds to 0, and at
+    # 1e-160 it is subnormal: a raised ValueError, not a float division by
+    # zero or an infinite bias
     assert _one_minus_j0(0.5 * math.pi * 1e-163) == 0.0
-    with pytest.raises(ValueError, match="variant 2 normalizer degenerate"):
-        estimate_cl_variant(1.0, 3, 4, 2, c=1e-163)
-    with pytest.raises(ValueError, match="variant 2 normalizer degenerate"):
-        estimator_bias(2, 3, 4, RegimeTag.ell_comparable(1e-163))
+    assert 0.0 < _one_minus_j0(0.5 * math.pi * 1e-160) < sys.float_info.min
+    for c in (1e-163, 1e-160):
+        with pytest.raises(ValueError, match="variant 2 normalizer degenerate"):
+            estimate_cl_variant(1.0, 3, 4, 2, c=c)
+        with pytest.raises(ValueError, match="variant 2 normalizer degenerate"):
+            estimator_bias(2, 3, 4, RegimeTag.ell_comparable(c))
+    assert math.isfinite(estimate_cl_variant(1.0, 3, 4, 2, c=2e-154).bias_exact)
 
 
 def test_variant_two_at_a_small_ratio_keeps_its_digits():

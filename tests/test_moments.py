@@ -481,16 +481,19 @@ def test_matched_growth_mean_keeps_its_digits_at_a_small_ratio():
     assert got == pytest.approx(lead * (0.25 * math.pi * 1e-8) ** 2, rel=1e-15)
 
 
-def test_matched_growth_mean_refuses_a_stand_in_that_rounds_to_0():
-    # at c = 1e-170 (πc/4)² underflows: a raised ValueError, not a mean of 0
-    # that mean_ratio divides by; the check is on the stand-in, so c_l = 0
-    # still gives a mean of 0 at a representable c
-    tiny = RegimeTag.ell_comparable(1e-170)
-    assert _one_minus_j0(0.5 * math.pi * tiny.c) == 0.0
-    for c_ell in (1.0, 0.0):
-        with pytest.raises(ValueError, match=r"stand-in 1 − J₀\(πc/2\) degenerate"):
-            asymptotic_mean(tiny, 3, c_ell, 4)
-    assert asymptotic_mean(RegimeTag.ell_comparable(1.0), 3, 0.0, 4) == 0.0
+def test_matched_growth_mean_refuses_a_stand_in_below_normal():
+    # at c = 1e-170 (πc/4)² underflows to 0, at 1e-160 it is subnormal: a
+    # raised ValueError, not a mean that mean_ratio divides by (or reads inf
+    # over); the check is on the stand-in, so c_l = 0 still gives a mean of 0
+    # at a c whose stand-in is normal
+    for c, stand_in in ((1e-170, 0.0), (1e-160, 6.17e-321)):
+        tiny = RegimeTag.ell_comparable(c)
+        assert _one_minus_j0(0.5 * math.pi * tiny.c) == stand_in
+        for c_ell in (1.0, 0.0):
+            with pytest.raises(ValueError, match=r"stand-in 1 − J₀\(πc/2\) degenerate"):
+                asymptotic_mean(tiny, 3, c_ell, 4)
+    assert asymptotic_mean(RegimeTag.ell_comparable(2e-154), 3, 0.0, 4) == 0.0
+    assert asymptotic_mean(RegimeTag.ell_comparable(2e-154), 3, 1.0, 4) > 0.0
 
 
 def test_asymptotic_var_formulas():
