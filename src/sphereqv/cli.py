@@ -133,19 +133,11 @@ def _cmd_moments(args):
     if _memory_error([_moments_need(args.ell, args.n)],
                      f"l={args.ell}, N={args.n}"):
         return 2
-    if why := mom._degree_error(args.ell):
-        return _input_error(why)
-    # the checks an experiment runs on a single_ell cell: SingleEll's bound on
-    # c_ell, then the scale checks at the highest power of V the printed
-    # cumulants sum (κ4 always), where a scale they refuse gives inf, nan or
-    # subnormals
-    if not 2.0 * args.cl < math.inf:
-        return _input_error(f"c_ell must be non-negative with 2·c_ell finite, got {args.cl!r}")
-    power, spectrum = max(args.p_max, 4), PowerSpectrum.single(args.ell, args.cl)
-    factor = 1.0 / (4.0 * math.pi)  # one degree's kernel factor, as the harness's
-    why = (mom._scale_error(spectrum, factor, args.n, power)
-           or mom._floor_error(spectrum, factor, args.n, power))
-    if why:
+    # the cell rule an experiment runs on a single_ell cell, at the highest
+    # power of V the printed cumulants sum (κ4 always), where a scale it
+    # refuses gives inf, nan or subnormals
+    spectrum, factor = PowerSpectrum.single(args.ell, args.cl), 1.0 / (4.0 * math.pi)
+    if why := mom._cell_error(spectrum, (factor,), args.n, max(args.p_max, 4)):
         return _input_error(why)
     gram = increment_gram_fl(args.ell, args.cl, LineGrid(args.n))
     mean = mom.exact_mean_vnl(args.ell, args.cl, args.n)
@@ -155,7 +147,7 @@ def _cmd_moments(args):
         lines.append((f"normalized_k{p}", mom.normalized_cumulant(gram, p)))
     lines.append(("fourth_moment_bound", mom.fourth_moment_bound(gram)))
     if args.regime:
-        regime = RegimeTag(args.regime, args.regime_c if args.regime == "ell_comparable" else None)
+        regime = RegimeTag(args.regime, args.regime_c)
         a_mean = mom.asymptotic_mean(regime, args.ell, args.cl, args.n)
         a_var = mom.asymptotic_var(regime, args.ell, args.cl, args.n)
         lines += [("asymptotic_mean", a_mean), ("mean_ratio", mean / a_mean),
@@ -210,7 +202,7 @@ def _cmd_simulate(args):
     n = harness._config_int(raw["n"], "n must be a positive integer", 1, 2 ** 63)
     seed = harness._config_int(seed, "seed must be an unsigned 64-bit integer", 0, 2 ** 64)
     reps = harness._config_int(reps, "replications must be a positive integer")
-    harness._check_scale(target, n)
+    harness._check_cell(target, n)
     arrays = harness._cell_arrays(target, n, harness._BATCH_SIZE, reps, dense_gram=False)
     if _memory_error(arrays, f"sample spec (N={n}, replications={reps})"):
         return 2
@@ -248,6 +240,8 @@ def _cmd_estimate(args, parser):
                              estimate_cl_variant, estimate_hurst)
 
     mode = args.mode
+    if args.c is not None and mode != "cl2":
+        parser.error(f"mode {mode} takes no --c: only cl2 reads the ratio")
     if mode in ("cl", "cl1", "cl2", "cl3"):
         _require(parser, args, ["v", "ell", "n"])
         if mode == "cl2":
@@ -489,6 +483,8 @@ def main(argv=None):
         if args.command == "moments":
             if args.regime == "ell_comparable" and args.regime_c is None:
                 parser.error("--regime ell_comparable requires --regime-c")
+            if args.regime_c is not None and args.regime != "ell_comparable":
+                parser.error("--regime-c is read by --regime ell_comparable only")
             if args.regime not in (None, "fixed_ell") and args.n == 1:
                 parser.error(f"--regime {args.regime} requires --n ≥ 2: its "
                              "asymptotic variance carries ln N")

@@ -12,10 +12,10 @@ sampler's basis products, change their last bits with either.
 
 Only ``sphereqv simulate`` and ``experiment`` load this module, and with it
 ``simulate``, ``estimators``, ``numpy.random`` and ``concurrent.futures``.
-Its config-time scale checks map each sampler target to a spectrum and
-kernel factor and leave the arithmetic to the exact side
-(``moments._scale_error``, ``_floor_error``), which ``sphereqv moments``
-runs without this module.
+Its config-time cell check maps each sampler target to a spectrum and
+kernel factors and leaves the rule to the exact side
+(``moments._cell_error``), which ``sphereqv moments`` runs without this
+module.
 
 Empirical cumulants use k-statistics (unbiased cumulant estimators) with
 delete-block jackknife standard errors; normality is measured by the exact
@@ -158,9 +158,8 @@ _TARGET_KEYS = {"single_ell": {"kind", "c_ell"},
 
 def _parse_target(obj, ell):
     """The sampler target (SingleEll at degree ``ell``, FullField or FbmTarget)
-    of a config's target object; ConfigError for a malformed object or a
-    degree beyond ``moments.MAX_DEGREE``, with ``bad {kind} target: …`` for
-    values the library refuses."""
+    of a config's target object; ConfigError for a malformed object, with
+    ``bad {kind} target: …`` for values the library refuses."""
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ConfigError("target must be an object with a 'kind'")
     kind = obj["kind"]
@@ -170,8 +169,6 @@ def _parse_target(obj, ell):
     if set(obj) - allowed:
         raise ConfigError(f"unknown target keys {sorted(set(obj) - allowed)}")
     if kind == "single_ell":
-        if why := mom._degree_error(ell):
-            raise ConfigError(why)
         c_ell = obj.get("c_ell", 1.0)
         make, args = SingleEll, (ell, _config_real(
             c_ell, f"c_ell must be a finite non-negative number, got {c_ell!r}", 0.0))
@@ -260,10 +257,9 @@ class ExperimentConfig:
         _check_coupling(regime, cells, kind)
         power = max(_SCALE_POWER.get(s, 2) for s in stats)
         for target, (_, n) in zip(targets, cells):
-            _check_scale(target, n, power, reps)
             if why := _zero_law(target):
                 raise ConfigError(f"{why}: V is identically zero")
-            _check_floor(target, n, power)
+            _check_cell(target, n, power, reps)
 
         if "estimator_error" in stats and kind != "single_ell":
             raise ConfigError("estimator_error requires a single_ell target")
@@ -529,7 +525,7 @@ def loglog_slope(xs, ys, log_correction=None):
         raise ValueError("need at least 3 paired points")
     if np.any(xs <= 0) or np.any(ys <= 0):
         raise ValueError("log-log fit needs strictly positive data")
-    if log_correction not in (None, "none", "divide_by_log"):
+    if log_correction not in (None, "divide_by_log"):
         raise ValueError("log_correction must be None or 'divide_by_log'")
     if log_correction == "divide_by_log":
         if np.any(xs <= 1):
@@ -559,33 +555,23 @@ def _resolve_threads(threads):
     return os.cpu_count() or 1
 
 
-def _kernel(target, pick):
-    """(spectrum, factor) of a sampler target's kernel factor · Σ C_l (2l+1) P_l:
-    1/(4π) for one degree or a full field; for a fractional pair's spatial
-    kernel, t^(2H) at t = pick(its two times)."""
+def _kernel(target):
+    """(spectrum, factors) of a sampler target's kernel f·Σ C_l (2l+1) P_l, one
+    factor f per time: 1/(4π) for one degree or a full field, t^(2H) at each
+    of a fractional pair's two times."""
     if isinstance(target, FbmTarget):
-        return target.spectrum, pick(target.times) ** (2.0 * target.hurst)
+        return target.spectrum, tuple(t ** (2.0 * target.hurst) for t in target.times)
     if isinstance(target, FullField):
-        return target.spectrum, 1.0 / (4.0 * math.pi)
-    return PowerSpectrum.single(target.ell, target.c_ell), 1.0 / (4.0 * math.pi)
+        return target.spectrum, (1.0 / (4.0 * math.pi),)
+    return PowerSpectrum.single(target.ell, target.c_ell), (1.0 / (4.0 * math.pi),)
 
 
-def _check_scale(target, n, power=1, reps=1):
-    """ConfigError when reps·(4N·σ²)^power, σ² the sampler target's pointwise
-    variance (:func:`_kernel` at the later time of a fractional pair), exceeds
-    float max/2^64 (``moments._scale_error``): then V, or a sum of V^power over
-    reps replications, which the statistics of ``_SCALE_POWER`` form, could
-    overflow."""
-    if why := mom._scale_error(*_kernel(target, max), n, power, reps):
-        raise ConfigError(why)
-
-
-def _check_floor(target, n, power):
-    """ConfigError when E[V]^power, E[V] at the earlier time of a fractional
-    pair, falls below the smallest normal float (``moments._floor_error``):
-    the lower twin of :func:`_check_scale`, for the power of V the statistics'
-    sums reach (``_SCALE_POWER``)."""
-    if why := mom._floor_error(*_kernel(target, min), n, power):
+def _check_cell(target, n, power=1, reps=1):
+    """ConfigError when ``moments._cell_error`` refuses the sampler target's
+    cell on an N-increment grid: a top degree beyond ``moments.MAX_DEGREE``, or
+    a scale at which V, or a sum of V^power over reps replications (the power
+    the statistics' sums reach, ``_SCALE_POWER``), could overflow or underflow."""
+    if why := mom._cell_error(*_kernel(target), n, power, reps):
         raise ConfigError(why)
 
 

@@ -23,9 +23,10 @@ complete the module. ``sphereqv moments`` prints one cell's exact table.
 
 The boundary checks behind every command work at the spectrum level here,
 so that ``sphereqv moments`` and ``estimate`` run them without the sampler:
-the largest degree a command accepts (``MAX_DEGREE``), and the mean of V
-under any spectrum and kernel factor in O(l_max), free of the cancellation
-in 1 − P_l(cos(π/2N)), which bounds the scale its statistics can hold.
+the largest degree a command accepts (``MAX_DEGREE``), and one rule per
+cell (:func:`_cell_error`) that bounds a spectrum's top degree and, through
+the mean of V in O(l_max) free of the cancellation in 1 − P_l(cos(π/2N)),
+the scale its statistics can hold.
 
 Normalization convention: the standardized statistic is
 F = (V − E V)/√Var V, whose second cumulant is 1 by construction.
@@ -204,7 +205,7 @@ def fourth_moment_bound(gram):
 
 
 # ======================================================================
-# Spectrum-level mean and scale checks
+# Spectrum-level mean and the cell rule
 # ======================================================================
 
 def _weights(spectrum):
@@ -250,28 +251,29 @@ def _mean_v(spectrum, factor, n):
     return 2.0 * n * factor * (near + 2.0 * (float(np.sum(head[k:])) + rest))
 
 
-def _scale_error(spectrum, factor, n, power=1, reps=1):
-    """Why V's statistics could overflow under the kernel factor · Σ C_l (2l+1)
-    P_l on an N-increment grid, else None: when reps·(4N·σ²)^power, σ² the
-    pointwise variance, exceeds float max/2^64. E[V] ≤ 4N·σ², so a V that
-    passes overflows only beyond 1.8e19 times its mean, and so does a sum of
-    V^power over reps replications."""
-    bound, scale = sys.float_info.max / 2 ** 64, 4.0 * n * factor * _weight_sum(spectrum)
+def _cell_error(spectrum, factors, n, power=1, reps=1):
+    """Why a command refuses the cell of kernel f·Σ C_l (2l+1) P_l on an
+    N-increment grid, one factor f per time, else None; the first fault of:
+
+    - the degree: ``spectrum.l_max`` beyond ``MAX_DEGREE`` (O(1));
+    - overflow: reps·(4N·σ²)^power, σ² the pointwise variance at
+      ``max(factors)``, beyond float max/2^64. E[V] ≤ 4N·σ², so a V that
+      passes overflows only beyond 1.8e19 times its mean, and so does a sum
+      of V^power over reps replications;
+    - underflow, for power ≥ 2 only: E[V]^power (:func:`_mean_v`) at
+      ``min(factors)`` below the smallest normal float, where sums of V^power
+      and their SEs lose digits to subnormals or read 0. Raw values (power 1)
+      have no floor, so tiny and all-zero fields still sample.
+    """
+    if why := _degree_error(spectrum.l_max):
+        return why
+    bound, scale = sys.float_info.max / 2 ** 64, 4.0 * n * max(factors) * _weight_sum(spectrum)
     # (bound/reps)^(1/power) by logarithms: reps may lie beyond the float range
-    if scale <= math.exp((math.log(bound) - math.log(reps)) / power):
-        return None
-    what = "V" if not scale <= bound else f"its sums of V^{power} over the replications"
-    return (f"4N times the pointwise variance is {scale:.3g} at N={n}: "
-            f"{what} could overflow, beyond float max/2^64")
-
-
-def _floor_error(spectrum, factor, n, power):
-    """Why V's statistics could underflow, else None: when E[V]^power
-    (:func:`_mean_v`) falls below the smallest normal float, the lower twin of
-    :func:`_scale_error`; below it sums of V^power and their SEs lose digits
-    to subnormals or read 0."""
-    mean = _mean_v(spectrum, factor, n)
-    if mean ** power < sys.float_info.min:
+    if not scale <= math.exp((math.log(bound) - math.log(reps)) / power):
+        what = "V" if not scale <= bound else f"its sums of V^{power} over the replications"
+        return (f"4N times the pointwise variance is {scale:.3g} at N={n}: "
+                f"{what} could overflow, beyond float max/2^64")
+    if power >= 2 and (mean := _mean_v(spectrum, min(factors), n)) ** power < sys.float_info.min:
         return (f"E[V] is {mean:.3g} at N={n}: its sums of V^{power} "
                 f"could underflow, below float min")
     return None

@@ -254,6 +254,15 @@ def test_moments_scale_its_sums_cannot_hold_exits_2(monkeypatch, capsys, flags):
     assert out == "" and err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_moments_scale_beyond_the_basis_bound_prints_the_overflow_line(capsys):
+    # moments builds no sampler basis, so the cell rule, not SingleEll's bound
+    # on 2·c_ell, refuses a C_l this large
+    assert main(["moments", "--ell", "3", "--n", "16", "--cl", "1e308"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith("error: 4N times the pointwise variance is inf at N=16: V could")
+
+
 def test_moments_small_scale_within_the_floor_keeps_its_shape(capsys):
     # normalized cumulants are scale free: at 1e-36 κ8/κ2⁴ reads as at C_l = 1
     argv = ["moments", "--ell", "8", "--n", "64", "--p-max", "8", "--cl"]
@@ -580,8 +589,9 @@ def test_estimate_non_finite_numbers_exit_2(capsys, argv):
 
 
 @pytest.mark.parametrize("argv", [
-    *(["--mode", mode, "--v", "-1.0", "--ell", "3", "--n", "8", "--c", "0.5"]
-      for mode in ("cl", "cl1", "cl2", "cl3")),
+    *(["--mode", mode, "--v", "-1.0", "--ell", "3", "--n", "8"]
+      for mode in ("cl", "cl1", "cl3")),
+    ["--mode", "cl2", "--v", "-1.0", "--ell", "3", "--n", "8", "--c", "0.5"],
     ["--mode", "hurst", "--vt", "2", "--vs", "1", "--t", "1", "--s", "1"],
     ["--mode", "hurst", "--vt", "0", "--vs", "1", "--t", "2", "--s", "1"],
     ["--mode", "hurst", "--vt", "2", "--vs", "1", "--t", "-2", "--s", "1"],
@@ -606,6 +616,25 @@ def test_estimate_overflowing_value_prints_nothing(capsys, argv):
         assert main(["estimate", *argv]) == 1
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("numeric error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["moments", "--ell", "3", "--n", "16", "--cl", "1", "--regime", "fixed_ell",
+     "--regime-c", "3"],
+    ["moments", "--ell", "3", "--n", "16", "--cl", "1", "--regime-c", "3"],
+    ["estimate", "--mode", "cl1", "--v", "1", "--ell", "3", "--n", "4", "--c", "-5"],
+    ["estimate", "--mode", "hurst", "--vt", "2", "--vs", "1", "--t", "2", "--s", "1",
+     "--c", "1"],
+], ids=" ".join)
+def test_ratio_flag_a_command_ignores_exits_2(capsys, argv):
+    # the ratio was dropped in silence and the command exited 0
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    line = ("--regime-c is read by --regime ell_comparable only" if argv[0] == "moments"
+            else f"mode {argv[2]} takes no --c: only cl2 reads the ratio")
+    assert out == "" and err.endswith(f"error: {line}\n")
 
 
 def test_estimate_numeric_error_exit(capsys):
@@ -907,7 +936,9 @@ def test_degree_beyond_the_bound_exits_2_at_once(tmp_path, capsys, monkeypatch, 
         "experiment": ["experiment", "--out", str(tmp_path / "r"), "--config",
                        _write_config(tmp_path, cells=[[ell, 16]])],
     }.get(command, ["estimate", "--mode", command.split()[-1], "--v", "1",
-                    "--ell", str(ell), "--n", "1", "--c", "1"])
+                    "--ell", str(ell), "--n", "1"])
+    if command == "estimate cl2":
+        argv += ["--c", "1"]
     start = time.perf_counter()
     assert main(argv) == 2
     assert time.perf_counter() - start < 1.0
@@ -916,6 +947,30 @@ def test_degree_beyond_the_bound_exits_2_at_once(tmp_path, capsys, monkeypatch, 
     assert err.endswith(f"degree {ell} exceeds 2097152 (2^21), the largest whose O(l) "
                         "recurrences run within about 10 s\n")
     assert not list(tmp_path.glob("[xr].*"))
+
+
+_TOP_SPECTRUM = {"kind": "power_law", "c0": 1.0, "epsilon": 0.2, "l_max": 2 ** 21 + 1}
+
+
+@pytest.mark.parametrize("command", ["simulate", "experiment"])
+@pytest.mark.parametrize("target", [
+    {"kind": "full_field", "spectrum": _TOP_SPECTRUM},
+    {"kind": "fbm", "hurst": 0.3, "times": [2.0, 1.0], "spectrum": _TOP_SPECTRUM},
+], ids=["full_field", "fbm"])
+def test_spectrum_degree_beyond_the_bound_exits_2_at_once(
+        tmp_path, capsys, monkeypatch, command, target):
+    # a spectrum's top degree is bounded as one degree is: at l_max = 2²² both
+    # commands were still sampling, in O(l_max²·N) per replication, after 20 s
+    monkeypatch.setattr(harness, "_sample_cell", lambda *a, **k: pytest.fail("sampled"))
+    out = tmp_path / ("x.csv" if command == "simulate" else "r.json")
+    argv = (["simulate", "--spec-file", _write_spec(tmp_path, target=target)]
+            if command == "simulate" else
+            ["experiment", "--config", _write_config(tmp_path, target=target)])
+    assert main([*argv, "--out", str(out).removesuffix(".json")]) == 2
+    stdout, err = capsys.readouterr()
+    assert stdout == "" and err.count("\n") == 1
+    assert err.startswith("config error: degree 2097153 exceeds 2097152 (2^21)")
+    assert not out.exists()
 
 
 def test_statistics_whose_sums_overflow_exit_2_before_sampling(tmp_path, capsys, monkeypatch):

@@ -154,6 +154,8 @@ def test_slope_validation():
         loglog_slope([2.0, 2.0, 2.0], [1.0, 2.0, 3.0])
     with pytest.raises(ValueError):
         loglog_slope([2.0, 4.0, 8.0], [1.0, 2.0, 3.0], "square_root")
+    with pytest.raises(ValueError):
+        loglog_slope([2.0, 4.0, 8.0], [1.0, 2.0, 3.0], "none")
 
 
 # ======================================================================
@@ -175,15 +177,35 @@ def _base_config(**over):
 def test_scale_check_bounds_four_n_times_the_pointwise_variance():
     # 4N·c_l(2l+1)/(4π) at l = 3, N = 16 is 112·c_l/π
     c = sys.float_info.max / 2 ** 64 * math.pi / 112
-    harness._check_scale(harness.SingleEll(3, 0.99 * c), 16)
+    harness._check_cell(harness.SingleEll(3, 0.99 * c), 16)
     with pytest.raises(ConfigError, match="overflow"):
-        harness._check_scale(harness.SingleEll(3, 1.01 * c), 16)
+        harness._check_cell(harness.SingleEll(3, 1.01 * c), 16)
     # a config also bounds its var row's sums of V^4 over its 200 replications
     c = (sys.float_info.max / 2 ** 64 / 200) ** 0.25 * math.pi / 112
     ExperimentConfig.from_dict(_base_config(target={"kind": "single_ell", "c_ell": 0.99 * c}))
     with pytest.raises(ConfigError, match="overflow"):
         ExperimentConfig.from_dict(_base_config(
             target={"kind": "single_ell", "c_ell": 1.01 * c}))
+
+
+_POWER_LAW = {"kind": "power_law", "c0": 1.0, "epsilon": 0.2}
+
+
+@pytest.mark.parametrize("target", [
+    {"kind": "full_field", "spectrum": dict(_POWER_LAW, l_max=2 ** 21 + 1)},
+    {"kind": "fbm", "hurst": 0.3, "times": [2.0, 1.0],
+     "spectrum": dict(_POWER_LAW, l_max=2 ** 21 + 1)},
+    {"kind": "full_field", "spectrum": {"kind": "explicit", "values": [1.0, 0.5],
+                                        "l_min": 2 ** 21}},
+], ids=["full_field", "fbm", "explicit"])
+def test_config_bounds_every_spectrum_top_degree(target):
+    # the top degree is l_max, or l_min + len(values) − 1; 2^21 + 1 is refused
+    # at once, as for one degree, where it used to sample in O(l_max²·N)
+    with pytest.raises(ConfigError, match=r"^degree 2097153 exceeds 2097152 \(2\^21\)"):
+        ExperimentConfig.from_dict(_base_config(target=target, cells=[[3, 16]]))
+    if target["spectrum"]["kind"] == "power_law":
+        top = dict(target, spectrum=dict(target["spectrum"], l_max=2 ** 21))
+        ExperimentConfig.from_dict(_base_config(target=top, cells=[[3, 16]]))
 
 
 @pytest.mark.parametrize("l_max", [8, 2 ** 16 + 5, 10 ** 6])
@@ -197,7 +219,8 @@ def test_weight_sum_of_a_power_law(l_max):
 
 def test_mean_v_is_the_exact_mean_free_of_cancellation():
     def mean_v(target, n):  # the floor check's mean: the earlier time's kernel
-        return harness.mom._mean_v(*harness._kernel(target, min), n)
+        spectrum, factors = harness._kernel(target)
+        return harness.mom._mean_v(spectrum, min(factors), n)
 
     grid = covariance.LineGrid(16)
     spectrum = covariance.PowerSpectrum.power_law(1.0, 0.2, 40)
