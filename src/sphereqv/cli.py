@@ -223,10 +223,10 @@ def _cmd_simulate(args):
 # estimate
 # ======================================================================
 
-def _require(parser, args, names):
-    missing = [n for n in names if getattr(args, n.replace("-", "_")) is None]
-    if missing:
-        parser.error(f"mode {args.mode} requires --" + " --".join(missing))
+# the flags each estimate mode reads: all required, every other one refused
+_ESTIMATE_FLAGS = {"cl": ("v", "ell", "n"), "cl1": ("v", "ell", "n"), "cl3": ("v", "ell", "n"),
+                   "cl2": ("v", "ell", "n", "c"), "classical": ("coeffs", "ell"),
+                   "hurst": ("vt", "vs", "t", "s")}
 
 
 def _input_error(message):
@@ -239,37 +239,26 @@ def _cmd_estimate(args, parser):
     from .estimators import (estimate_cl, estimate_cl_classical,
                              estimate_cl_variant, estimate_hurst)
 
-    mode = args.mode
-    if args.c is not None and mode != "cl2":
-        parser.error(f"mode {mode} takes no --c: only cl2 reads the ratio")
-    if mode in ("cl", "cl1", "cl2", "cl3"):
-        _require(parser, args, ["v", "ell", "n"])
-        if mode == "cl2":
-            _require(parser, args, ["c"])
-        if why := mom._degree_error(args.ell):
-            return _input_error(why)
-        if args.v < 0:
-            return _input_error(f"--v must be non-negative, got {args.v!r}")
-        if mode == "cl2" and args.c <= 0:
-            return _input_error(f"--c must be positive, got {args.c!r}")
+    mode, reads = args.mode, _ESTIMATE_FLAGS[args.mode]
+    given = {f for f in set().union(*_ESTIMATE_FLAGS.values()) if getattr(args, f) is not None}
+    if missing := [f for f in reads if f not in given]:
+        parser.error(f"mode {mode} requires --" + " --".join(missing))
+    if extra := sorted(given - set(reads)):
+        parser.error(f"mode {mode} reads only --{' --'.join(reads)}, not --" + " --".join(extra))
+    # each estimator refuses its own inputs with a ValueError; arithmetic
+    # that fails on valid inputs raises an ArithmeticError, exit 1 in main
+    try:
         if mode == "cl":
-            res = estimate_cl(args.v, args.ell, args.n)
+            res = estimate_cl(args.v, args.ell, args.n).as_dict()
+        elif mode == "classical":
+            res = estimate_cl_classical(args.coeffs, args.ell).as_dict()
+        elif mode == "hurst":
+            res = {"value": estimate_hurst(args.vt, args.vs, args.t, args.s)}
         else:
-            res = estimate_cl_variant(args.v, args.ell, args.n, int(mode[2]), c=args.c)
-        _emit_json(res.as_dict())
-    elif mode == "classical":
-        _require(parser, args, ["coeffs", "ell"])
-        if len(args.coeffs) != 2 * args.ell + 1:
-            return _input_error(f"--coeffs needs 2l+1 = {2 * args.ell + 1} values, "
-                                f"got {len(args.coeffs)}")
-        res = estimate_cl_classical(args.coeffs, args.ell)
-        _emit_json(res.as_dict())
-    else:  # hurst
-        _require(parser, args, ["vt", "vs", "t", "s"])
-        if not (args.vt > 0 and args.vs > 0 and args.t > 0 and args.s > 0) or args.t == args.s:
-            return _input_error("--vt and --vs must be positive, --t and --s distinct positives")
-        h = estimate_hurst(args.vt, args.vs, args.t, args.s)
-        _emit_json({"value": h})
+            res = estimate_cl_variant(args.v, args.ell, args.n, int(mode[2]), c=args.c).as_dict()
+    except ValueError as exc:
+        return _input_error(exc)
+    _emit_json(res)
     return 0
 
 
@@ -344,7 +333,7 @@ def _cmd_experiment(args):
 def _cmd_specfun_check(_args):
     from scipy.special import eval_legendre
 
-    from .specfun import harmonic_meridian_table, legendre_p
+    from .specfun import _SWEEP_MAX_DEGREE, harmonic_meridian_table, legendre_p
 
     rng = np.random.default_rng(20240801)
     checks = []
@@ -365,6 +354,14 @@ def _cmd_specfun_check(_args):
         rhs = (2 * l + 1) / (4 * math.pi) * legendre_p(l, math.cos(th1 - th2))
         add_err = max(add_err, abs(lhs - rhs))
     checks.append(("harmonic addition theorem", add_err, 1e-12))
+
+    # the samplers' range: Σ_m (2−δ_m0) λ_lm² = (2l+1)/(4π) at the sweep's top degree,
+    # on N = 256's grid and at sin θ = 1/e, where the sectoral start underflows first
+    top = _SWEEP_MAX_DEGREE
+    lam = harmonic_meridian_table(top, np.append(LineGrid(256).points, math.asin(1 / math.e)))
+    diag = (2.0 * np.sum(lam * lam, axis=0) - lam[0] ** 2) * (4 * math.pi / (2 * top + 1))
+    checks.append((f"addition theorem at degree {top}, relative",
+                   float(np.max(np.abs(diag - 1.0))), 1e-10))
 
     failed = 0
     for name, err, tol in checks:
@@ -428,7 +425,7 @@ def _build_parser():
         description="Point estimates. Modes cl/cl1/cl2/cl3 need --v --ell "
                     "--n (cl2 also --c); classical needs --coeffs --ell; "
                     "hurst needs --vt --vs --t --s (times in the same "
-                    "units, any).")
+                    "units, any). A mode refuses every other flag.")
     p_est.add_argument("--mode", required=True,
                        choices=["cl", "cl1", "cl2", "cl3", "classical", "hurst"])
     p_est.add_argument("--v", type=_finite, help="observed quadratic variation")

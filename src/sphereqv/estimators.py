@@ -6,6 +6,10 @@ exact unit-spectrum mean, which makes it exactly unbiased for C_l at every
 regime asymptotics and therefore carry a known, closed-form relative bias.
 A classical estimator from harmonic coefficients and a two-time Hurst
 estimator complete the set.
+
+Each estimator checks its own inputs, with a ValueError that names a value
+outside its domain; arithmetic that fails on valid inputs (a normalizer
+below the smallest normal float) raises FloatingPointError.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .moments import RegimeTag, _variant_normalizer, estimator_bias, exact_mean_vnl
+from .moments import _variant_terms, exact_mean_vnl
 
 __all__ = [
     "EstimateResult",
@@ -55,6 +59,13 @@ class EstimateResult:
         }
 
 
+def _nonnegative(v):
+    """``v`` (as a float array when it is one), after refusing a negative value."""
+    if np.any(np.asarray(v) < 0):
+        raise ValueError(f"quadratic variation must be non-negative, got {float(np.min(v))!r}")
+    return np.asarray(v, dtype=float) if np.ndim(v) else v
+
+
 def estimate_cl(v, ell, n):
     """Exactly unbiased spectrum estimate from quadratic variations.
 
@@ -63,13 +74,11 @@ def estimate_cl(v, ell, n):
     or an array of them (one per replication); ``value`` then has its shape
     and the normalizer is computed once.
     """
-    if np.any(np.asarray(v) < 0):
-        raise ValueError("quadratic variation must be non-negative")
+    v = _nonnegative(v)
     norm = exact_mean_vnl(ell, 1.0, n)
     if not norm > 0:
-        raise ValueError(f"exact normalizer degenerate ({norm!r}) at l={ell}, N={n}")
-    value = np.asarray(v, dtype=float) / norm if np.ndim(v) else v / norm
-    return EstimateResult(value=value, normalizer=norm,
+        raise FloatingPointError(f"exact normalizer degenerate ({norm!r}) at l={ell}, N={n}")
+    return EstimateResult(value=v / norm, normalizer=norm,
                           variant="exact", bias_exact=0.0)
 
 
@@ -77,25 +86,12 @@ def estimate_cl_variant(v, ell, n, variant, c=None):
     """Regime-asymptotic spectrum estimate (variants 1, 2, 3).
 
     The denominators replace 1 − P_l(cos(π/2N)) by, respectively, 1
-    (degree outruns grid), 1 − J₀(πc/2) (l/N → c; requires ``c``), and
-    (π²/16) l(l+1)/N² (grid outruns degree). The exact relative bias of the
-    substitution is attached.
+    (degree outruns grid), 1 − J₀(πc/2) (l/N → c; requires ``c``, which the
+    others refuse), and (π²/16) l(l+1)/N² (grid outruns degree). The exact
+    relative bias of the substitution is attached. ``v`` may be an array.
     """
-    if v < 0:
-        raise ValueError("quadratic variation must be non-negative")
-    if variant not in (1, 2, 3):
-        raise ValueError("variant must be 1, 2 or 3")
-    if int(ell) != ell or ell < 1 or int(n) != n or n < 1:
-        raise ValueError("need integer l ≥ 1 and N ≥ 1")
-    ell, n = int(ell), int(n)
-    if variant == 2:
-        if c is None or c <= 0:
-            raise ValueError("variant 2 requires the ratio c > 0")
-        regime = RegimeTag.ell_comparable(c)
-    else:
-        regime = RegimeTag.ell_faster() if variant == 1 else RegimeTag.ell_slower()
-    norm = _variant_normalizer(variant, ell, n, c)
-    bias = estimator_bias(variant, ell, n, regime)
+    v = _nonnegative(v)
+    norm, bias = _variant_terms(variant, ell, n, c)
     return EstimateResult(value=v / norm, normalizer=norm,
                           variant=f"v{variant}", bias_exact=bias)
 
@@ -109,9 +105,10 @@ def estimate_cl_classical(coeffs, ell):
     """
     coeffs = np.asarray(coeffs, dtype=float)
     if int(ell) != ell or ell < 1:
-        raise ValueError("degree must be an integer ≥ 1")
+        raise ValueError(f"degree must be an integer ≥ 1, got {ell!r}")
     if coeffs.shape != (2 * int(ell) + 1,):
-        raise ValueError(f"need exactly {2 * int(ell) + 1} coefficients")
+        raise ValueError(f"need a vector of 2l+1 = {2 * int(ell) + 1} coefficients, "
+                         f"got shape {coeffs.shape}")
     value = float(coeffs @ coeffs) / coeffs.size
     return EstimateResult(value=value, normalizer=float(coeffs.size),
                           variant="classical", bias_exact=0.0)
@@ -126,10 +123,14 @@ def estimate_hurst(v_t, v_s, t, s):
     a misspecified model and silent truncation would hide both.
     """
     if v_t <= 0 or v_s <= 0:
-        raise ValueError("quadratic variations must be positive")
+        raise ValueError(f"quadratic variations must be positive, got {v_t!r} and {v_s!r}")
     if t <= 0 or s <= 0 or t == s:
-        raise ValueError("times must be distinct positives")
-    h = math.log(v_t / v_s) / (2.0 * math.log(t / s))
+        raise ValueError(f"times must be distinct positives, got {t!r} and {s!r}")
+    try:
+        h = math.log(v_t / v_s) / (2.0 * math.log(t / s))
+    except ValueError:  # math.log of a ratio that underflowed to 0
+        raise FloatingPointError(f"v_t/v_s = {v_t / v_s!r} or t/s = {t / s!r} "
+                                 "leaves the float range") from None
     if not (0.0 < h < 1.0):
         warnings.warn(f"Hurst estimate {h:.4f} outside (0, 1)", stacklevel=2)
     return h

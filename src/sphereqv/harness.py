@@ -568,9 +568,10 @@ def _kernel(target):
 
 def _check_cell(target, n, power=1, reps=1):
     """ConfigError when ``moments._cell_error`` refuses the sampler target's
-    cell on an N-increment grid: a top degree beyond ``moments.MAX_DEGREE``, or
-    a scale at which V, or a sum of V^power over reps replications (the power
-    the statistics' sums reach, ``_SCALE_POWER``), could overflow or underflow."""
+    cell on an N-increment grid: a scale at which V, or a sum of V^power over
+    reps replications (the power the statistics' sums reach, ``_SCALE_POWER``),
+    could overflow or underflow. The target itself refuses a top degree beyond
+    the sampler's range, below ``moments.MAX_DEGREE``."""
     if why := mom._cell_error(*_kernel(target), n, power, reps):
         raise ConfigError(why)
 

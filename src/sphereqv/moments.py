@@ -91,10 +91,10 @@ class RegimeTag:
         if self.kind == ELL_COMPARABLE:
             if (isinstance(self.c, bool) or not isinstance(self.c, numbers.Real)
                     or not 0 < self.c <= sys.float_info.max):
-                raise ValueError("ell_comparable requires a finite c > 0")
+                raise ValueError(f"ell_comparable requires a finite c > 0, got {self.c!r}")
             object.__setattr__(self, "c", float(self.c))
         elif self.c is not None:
-            raise ValueError(f"regime {self.kind} carries no ratio c")
+            raise ValueError(f"regime {self.kind} carries no ratio c, got {self.c!r}")
 
     @classmethod
     def fixed_ell(cls):
@@ -118,10 +118,13 @@ class RegimeTag:
 # ======================================================================
 
 def _check_ell_n(ell, n):
+    """(l, N) as ints, l in [1, ``MAX_DEGREE``] and N ≥ 1, else ValueError."""
     if int(ell) != ell or ell < 1:
-        raise ValueError("degree must be an integer ≥ 1")
+        raise ValueError(f"degree must be an integer ≥ 1, got {ell!r}")
+    if why := _degree_error(ell):
+        raise ValueError(why)
     if int(n) != n or n < 1:
-        raise ValueError("grid size must be an integer ≥ 1")
+        raise ValueError(f"grid size must be an integer ≥ 1, got {n!r}")
     return int(ell), int(n)
 
 
@@ -380,8 +383,8 @@ def asymptotic_mean(regime, ell, c_ell, n):
     if regime.kind == ELL_COMPARABLE:
         factor = _one_minus_j0(0.5 * math.pi * regime.c)
         if not factor >= sys.float_info.min:
-            raise ValueError(f"ell_comparable stand-in 1 − J₀(πc/2) degenerate "
-                             f"({factor!r}) at c={regime.c!r}")
+            raise FloatingPointError(f"ell_comparable stand-in 1 − J₀(πc/2) degenerate "
+                                     f"({factor!r}) at c={regime.c!r}")
         return lead * factor
     return lead * (math.pi ** 2 / 16.0) * ell ** 2 / n ** 2
 
@@ -434,15 +437,20 @@ def fullfield_moment_orders(epsilon, n):
 _VARIANT_REGIME = {1: ELL_FASTER, 2: ELL_COMPARABLE, 3: ELL_SLOWER}
 
 
-def _variant_normalizer(variant, ell, n, c):
-    """Unit-spectrum denominator of simplified estimator ``variant``.
+def _variant_terms(variant, ell, n, c):
+    """(normalizer, exact relative bias) of simplified estimator ``variant``,
+    every input checked here (ValueError).
 
-    The exact mean's lead 2N(2l+1)/(4π) times a regime stand-in for
-    1 − P_l(cos(π/2N)): 1 (variant 1), 1 − J₀(πc/2) (variant 2, which alone
-    reads ``c``; :func:`_one_minus_j0`) or (π²/16) l(l+1)/N² (variant 3). A
-    stand-in below the smallest normal float (variant 2 below c ≈ 1.9e-154,
-    where (πc/4)² leaves the normal range) is refused.
+    The normalizer is the exact mean's lead 2N(2l+1)/(4π) times a regime
+    stand-in for 1 − P_l(cos(π/2N)): 1 (variant 1), 1 − J₀(πc/2) (variant 2;
+    :func:`_one_minus_j0`) or (π²/16) l(l+1)/N² (variant 3). A stand-in below
+    the smallest normal float (variant 2 below c ≈ 1.9e-154, where (πc/4)²
+    leaves the normal range) is a FloatingPointError.
     """
+    if variant not in _VARIANT_REGIME:
+        raise ValueError(f"variant must be 1, 2 or 3, got {variant!r}")
+    c = RegimeTag(_VARIANT_REGIME[variant], c).c
+    ell, n = _check_ell_n(ell, n)
     lead = 2.0 * n * (2 * ell + 1) / (4.0 * math.pi)
     if variant == 1:
         factor = 1.0
@@ -452,27 +460,19 @@ def _variant_normalizer(variant, ell, n, c):
         factor = (math.pi ** 2 / 16.0) * ell * (ell + 1) / n ** 2
     norm = lead * factor
     if not factor >= sys.float_info.min:
-        raise ValueError(
+        raise FloatingPointError(
             f"variant {variant} normalizer degenerate ({norm!r}) at l={ell}, N={n}")
-    return norm
+    return norm, exact_mean_vnl(ell, 1.0, n) / norm - 1.0
 
 
-def estimator_bias(variant, ell, n, regime):
+def estimator_bias(variant, ell, n, c=None):
     """Exact relative bias E[Ĉ^(variant)]/C_l − 1 of the simplified estimators.
 
     Each variant divides the quadratic variation by a regime stand-in for
     the exact normalizer 2N(2l+1)/(4π)(1 − P_l(cos(π/2N))), so the bias is
     the exact unit-spectrum mean over the stand-in, minus 1. The stand-ins
     for 1 − P_l(cos(π/2N)) are 1 (variant 1, degree outruns grid; the bias
-    is −P_l(cos(π/2N))), 1 − J₀(πc/2) (variant 2, l/N → c) and the
-    small-angle value (π²/16) l(l+1)/N² (variant 3, grid outruns degree).
+    is −P_l(cos(π/2N))), 1 − J₀(πc/2) (variant 2, l/N → c; it alone takes
+    ``c``) and the small-angle value (π²/16) l(l+1)/N² (variant 3, grid outruns degree).
     """
-    if variant not in (1, 2, 3):
-        raise ValueError("variant must be 1, 2 or 3")
-    regime = _check_regime(regime)
-    if regime.kind != _VARIANT_REGIME[variant]:
-        raise ValueError(
-            f"variant {variant} pairs with regime {_VARIANT_REGIME[variant]}, "
-            f"got {regime.kind}")
-    ell, n = _check_ell_n(ell, n)
-    return exact_mean_vnl(ell, 1.0, n) / _variant_normalizer(variant, ell, n, regime.c) - 1.0
+    return _variant_terms(variant, ell, n, c)[1]

@@ -13,6 +13,10 @@ in the layout below, which ``batch_quadratic_variation`` drives. The
 basis is this module's alone: its scaling, its per-cell cache
 (``_meridian_basis``) and its memory estimate (``_batch_arrays``).
 
+Range: a target's top degree (a ``SingleEll``'s l, a spectrum's l_max) is
+at most ``specfun._SWEEP_MAX_DEGREE`` = 1900, the last at which the
+harmonic sweep is exact; each target refuses a larger one when built.
+
 Determinism contract: every replication owns one random stream,
 default_rng of SeedSequence([seed, rep, l]) for single-degree targets and
 of SeedSequence([seed, rep]) for multi-degree targets (full field,
@@ -59,7 +63,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .covariance import LineGrid, PowerSpectrum, rh_cross
-from .specfun import _meridian_blocks, harmonic_meridian_table
+from .specfun import _check_sweep_degree, _meridian_blocks, harmonic_meridian_table
 
 __all__ = [
     "SingleEll",
@@ -100,6 +104,7 @@ class SingleEll:
     def __post_init__(self):
         if int(self.ell) != self.ell or self.ell < 1:
             raise ValueError("degree must be an integer ≥ 1")
+        _check_sweep_degree(self.ell)
         # the sampler's basis holds √(2·c_ell), so 2·c_ell must be finite
         if not 0 <= 2.0 * self.c_ell < math.inf:
             raise ValueError("c_ell must be non-negative with 2·c_ell finite, "
@@ -112,6 +117,9 @@ class FullField:
     """Sample the truncated full field with the given spectrum."""
 
     spectrum: PowerSpectrum
+
+    def __post_init__(self):
+        _check_sweep_degree(self.spectrum.l_max)
 
 
 @dataclass(frozen=True)
@@ -129,6 +137,7 @@ class FbmTarget:
     times: tuple
 
     def __post_init__(self):
+        _check_sweep_degree(self.spectrum.l_max)
         if not (0.0 < self.hurst < 1.0):
             raise ValueError("hurst must lie in (0, 1)")
         t, s = self.times
@@ -280,12 +289,13 @@ class _SeedWords(np.random.bit_generator.ISeedSequence):
 # ======================================================================
 
 def _degree_chunks(l_min, l_max):
-    """Partition degrees [l_min, l_max] so Σ(l+1) per chunk ≤ _CHUNK_ROWS."""
+    """Partition degrees [l_min, l_max] so Σ(l+1) per chunk ≤ _CHUNK_ROWS;
+    every degree the sweep accepts (``specfun._SWEEP_MAX_DEGREE``) fits in one."""
     chunks = []
     lo = l_min
     rows = 0
     for l in range(l_min, l_max + 1):
-        if rows and rows + l + 1 > _CHUNK_ROWS:
+        if rows + l + 1 > _CHUNK_ROWS:
             chunks.append((lo, l))
             lo, rows = l, 0
         rows += l + 1
@@ -332,9 +342,8 @@ def _scaled_chunks(spectrum, theta, factor):
     matches the coefficient draw order. The sweep keeps its state across
     chunk boundaries, so each degree is evaluated once per call and written
     scaled straight into its chunk. Every chunk is a leading slice of one
-    buffer sized for the largest chunk (one degree with l+1 > _CHUNK_ROWS
-    is a chunk of its own, larger than that), so a yielded chunk is
-    overwritten by the next.
+    buffer sized for the largest chunk, so a yielded chunk is overwritten
+    by the next.
     """
     chunks = _degree_chunks(spectrum.l_min, spectrum.l_max)
     sizes = [_chunk_rows(lo, hi) for lo, hi in chunks]
@@ -460,8 +469,8 @@ def _batch_arrays(target, n, batch):
     ``batch`` replications of ``target`` on an N-increment grid.
 
     The paths are (times, B, N+1). The basis, one degree's (l+1)×(N+1) table
-    or the largest degree chunk (at most _CHUNK_ROWS rows, or one degree of
-    more; a closed form, O(1) at any l_max), sits beside its times·B·rows
+    or the largest degree chunk (at most _CHUNK_ROWS rows; a closed form,
+    O(1) at any l_max), sits beside its times·B·rows
     coefficient buffers and, for a fractional pair, the two 2·rows draw
     vectors of the batch thread and the draw helper.
     """
@@ -470,7 +479,7 @@ def _batch_arrays(target, n, batch):
         rows = target.ell + 1
     else:
         sp = target.spectrum
-        rows = max(sp.l_max + 1, min(_CHUNK_ROWS, _chunk_rows(sp.l_min, sp.l_max + 1)))
+        rows = min(_CHUNK_ROWS, _chunk_rows(sp.l_min, sp.l_max + 1))
     draws = 4 if times == 2 else 0
     return [(8 * times * batch * (n + 1), "batch paths"),
             (8 * rows * (n + 1 + times * batch + draws), "sampler basis and coefficients")]

@@ -13,6 +13,11 @@ degrees at a time. Both cost a few interpreter steps per degree, and every
 value is bitwise that of the per-degree array recurrence. J0 and J2 come
 from scipy.special.
 
+The harmonic sweep is exact through degree ``_SWEEP_MAX_DEGREE`` = 1900,
+which bounds the samplers' range: ``harmonic_meridian_table`` and every
+sampler target refuse a degree beyond it. The Legendre sweep has no such
+bound.
+
 Conventions
 -----------
 * Degrees l are non-negative integers; orders m satisfy 0 ≤ m ≤ l.
@@ -94,6 +99,14 @@ def legendre_p(ell, x):
 # Real normalized spherical harmonics on a meridian
 # ======================================================================
 
+# The largest degree the harmonic sweep evaluates exactly. Its sectoral
+# start sin^m θ leaves the normal float range near m = 708/(−ln sin θ),
+# earliest at sin θ = 1/e, m ≈ 1925: past that the addition theorem
+# Σ_m (2−δ_m0) λ_lm² = (2l+1)/(4π) is 1e-9 relative off at l = 1932, 1% at
+# 2019 and non-finite from 3988, while at 1900 it holds within 4e-11 at the
+# grid points of N = 1024 and 2e-13 at sin θ = 1/e
+_SWEEP_MAX_DEGREE = 1900
+
 # values per buffer of a table's sweep (8 MB)
 _TILE_VALUES = 1 << 20
 
@@ -102,6 +115,13 @@ _TILE_VALUES = 1 << 20
 # per block raised a fractional-pair run's peak RSS by 3.8 MB and one block
 # per sweep by 5.7 MB, where 4096 left it flat
 _COEF_VALUES = 4096
+
+
+def _check_sweep_degree(ell):
+    """ValueError when the harmonic sweep is not exact at degree ``ell``."""
+    if ell > _SWEEP_MAX_DEGREE:
+        raise ValueError(f"degree {ell} exceeds {_SWEEP_MAX_DEGREE}, the largest at which "
+                         "the harmonic sweep is exact")
 
 
 def _recurrence_coefficients(ell_max):
@@ -181,12 +201,14 @@ def harmonic_meridian_table(ell, theta):
     normalized associated-Legendre value N_{lm} P_l^m(cos θ), from the last
     block of the degree-major recurrence sweep. The sweep runs over column
     tiles of at most _TILE_VALUES // (l+1) points, so its working buffers
-    stay small beside the table when len(theta) is large.
+    stay small beside the table when len(theta) is large. Degrees beyond
+    ``_SWEEP_MAX_DEGREE`` are refused.
     """
     ell = _check_degree(ell)
+    _check_sweep_degree(ell)
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     out = np.empty((ell + 1, theta.size))
-    step = max(1, _TILE_VALUES // (ell + 1))
+    step = _TILE_VALUES // (ell + 1)
     for c in range(0, theta.size, step):
         for lam in _meridian_blocks(ell, theta[c:c + step]):
             pass

@@ -599,7 +599,8 @@ def test_estimate_non_finite_numbers_exit_2(capsys, argv):
     ["--mode", "classical", "--coeffs", "1,2,3", "--ell", "3"],
 ], ids=" ".join)
 def test_estimate_domain_errors_exit_2(capsys, argv):
-    # inputs outside an estimator's domain are refused before the library call
+    # each estimator refuses its own inputs; the command maps the ValueError
+    # to one error line and exit 2
     assert main(["estimate", *argv]) == 2
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error: ") and err.count("\n") == 1
@@ -608,6 +609,7 @@ def test_estimate_domain_errors_exit_2(capsys, argv):
 @pytest.mark.parametrize("argv", [
     ["--mode", "hurst", "--vt", "1e308", "--vs", "1e-308", "--t", "2", "--s", "1"],
     ["--mode", "cl", "--v", "1e308", "--ell", "8", "--n", "4096"],
+    ["--mode", "hurst", "--vt", "1e-308", "--vs", "1e308", "--t", "2", "--s", "1"],
 ], ids=" ".join)
 def test_estimate_overflowing_value_prints_nothing(capsys, argv):
     # finite flags, an infinite estimate: a numeric error, never Infinity as JSON
@@ -633,15 +635,34 @@ def test_ratio_flag_a_command_ignores_exits_2(capsys, argv):
     assert exc.value.code == 2
     out, err = capsys.readouterr()
     line = ("--regime-c is read by --regime ell_comparable only" if argv[0] == "moments"
-            else f"mode {argv[2]} takes no --c: only cl2 reads the ratio")
+            else {"cl1": "mode cl1 reads only --v --ell --n, not --c",
+                  "hurst": "mode hurst reads only --vt --vs --t --s, not --c"}[argv[2]])
     assert out == "" and err.endswith(f"error: {line}\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["--mode", "cl", "--v", "1", "--ell", "3", "--n", "8", "--coeffs", "1,2,3"],
+    ["--mode", "cl1", "--v", "1", "--ell", "3", "--n", "8", "--t", "2"],
+    ["--mode", "cl2", "--v", "1", "--ell", "3", "--n", "8", "--c", "1", "--vs", "1"],
+    ["--mode", "cl3", "--v", "1", "--ell", "3", "--n", "8", "--vt", "1"],
+    ["--mode", "classical", "--coeffs", "1,2,3", "--ell", "1", "--n", "8"],
+    ["--mode", "hurst", "--vt", "2", "--vs", "1", "--t", "2", "--s", "1", "--v", "5",
+     "--ell", "3"],
+], ids=" ".join)
+def test_estimate_flag_its_mode_does_not_read_exits_2(capsys, argv):
+    # hurst printed {"value": 0.5} and exited 0 with --v and --ell dropped
+    with pytest.raises(SystemExit) as exc:
+        main(["estimate", *argv])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and f"error: mode {argv[1]} reads only --" in err
 
 
 def test_estimate_numeric_error_exit(capsys):
     # a negative V is malformed input, refused at the boundary
     assert main(["estimate", "--mode", "cl", "--v", "-1.0",
                  "--ell", "3", "--n", "8"]) == 2
-    assert "--v must be non-negative" in capsys.readouterr().err
+    assert "quadratic variation must be non-negative, got -1.0" in capsys.readouterr().err
     # at N = 10⁹ the exact normalizer rounds to 0: an error, not a traceback
     assert main(["estimate", "--mode", "cl", "--v", "1.0",
                  "--ell", "1", "--n", "1000000000"]) == 1
@@ -926,7 +947,8 @@ def test_overflowing_quadratic_variation_exits_2_before_sampling(
     "simulate", "experiment"])
 def test_degree_beyond_the_bound_exits_2_at_once(tmp_path, capsys, monkeypatch, command):
     # l = 10¹¹ ran O(l) recurrence steps without bound; moments takes 3.7 s and
-    # estimate --mode cl 0.25 s at the bound 2²¹
+    # estimate --mode cl 0.25 s at the bound 2²¹. The sampling commands meet
+    # the sampler's own, lower bound first
     monkeypatch.setattr(cli, "run_experiment", lambda *a, **k: pytest.fail("sampled"))
     ell = 10 ** 11
     argv = {
@@ -944,12 +966,15 @@ def test_degree_beyond_the_bound_exits_2_at_once(tmp_path, capsys, monkeypatch, 
     assert time.perf_counter() - start < 1.0
     out, err = capsys.readouterr()
     assert out == "" and err.count("\n") == 1
-    assert err.endswith(f"degree {ell} exceeds 2097152 (2^21), the largest whose O(l) "
-                        "recurrences run within about 10 s\n")
+    assert err.endswith(
+        f"degree {ell} exceeds 1900, the largest at which the harmonic sweep is exact\n"
+        if command in ("simulate", "experiment") else
+        f"degree {ell} exceeds 2097152 (2^21), the largest whose O(l) "
+        "recurrences run within about 10 s\n")
     assert not list(tmp_path.glob("[xr].*"))
 
 
-_TOP_SPECTRUM = {"kind": "power_law", "c0": 1.0, "epsilon": 0.2, "l_max": 2 ** 21 + 1}
+_TOP_SPECTRUM = {"kind": "power_law", "c0": 1.0, "epsilon": 0.2, "l_max": 1901}
 
 
 @pytest.mark.parametrize("command", ["simulate", "experiment"])
@@ -959,8 +984,9 @@ _TOP_SPECTRUM = {"kind": "power_law", "c0": 1.0, "epsilon": 0.2, "l_max": 2 ** 2
 ], ids=["full_field", "fbm"])
 def test_spectrum_degree_beyond_the_bound_exits_2_at_once(
         tmp_path, capsys, monkeypatch, command, target):
-    # a spectrum's top degree is bounded as one degree is: at l_max = 2²² both
-    # commands were still sampling, in O(l_max²·N) per replication, after 20 s
+    # a spectrum's top degree is bounded as one degree is, by the degree where
+    # the harmonic sweep stops being exact: at l_max = 2²² both commands were
+    # still sampling, in O(l_max²·N) per replication, after 20 s
     monkeypatch.setattr(harness, "_sample_cell", lambda *a, **k: pytest.fail("sampled"))
     out = tmp_path / ("x.csv" if command == "simulate" else "r.json")
     argv = (["simulate", "--spec-file", _write_spec(tmp_path, target=target)]
@@ -969,8 +995,45 @@ def test_spectrum_degree_beyond_the_bound_exits_2_at_once(
     assert main([*argv, "--out", str(out).removesuffix(".json")]) == 2
     stdout, err = capsys.readouterr()
     assert stdout == "" and err.count("\n") == 1
-    assert err.startswith("config error: degree 2097153 exceeds 2097152 (2^21)")
+    assert err == (f"config error: bad {target['kind']} target: degree 1901 exceeds 1900, "
+                   "the largest at which the harmonic sweep is exact\n")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("ell, n", [(1901, 16), (3000, 64), (4292, 32), (5000, 32)])
+@pytest.mark.parametrize("command", ["simulate", "experiment"])
+def test_single_degree_beyond_the_sweep_exits_2_before_any_draw(
+        tmp_path, capsys, monkeypatch, command, ell, n):
+    # past degree 1900 the harmonic sweep leaves the normal float range:
+    # simulate wrote V ≈ 2e292 at (3000, 64), whose exact mean is 6.6e4, and
+    # nan at 4292 and 5000, each with exit 0
+    monkeypatch.setattr(harness, "_sample_cell", lambda *a, **k: pytest.fail("sampled"))
+    out = tmp_path / ("x.csv" if command == "simulate" else "r.json")
+    argv = (["simulate", "--spec-file", _write_spec(
+                tmp_path, target={"kind": "single_ell", "ell": ell}, n=n)]
+            if command == "simulate" else
+            ["experiment", "--config", _write_config(tmp_path, cells=[[ell, n]])])
+    assert main([*argv, "--out", str(out).removesuffix(".json")]) == 2
+    stdout, err = capsys.readouterr()
+    assert stdout == "" and err == (
+        f"config error: bad single_ell target: degree {ell} exceeds 1900, "
+        "the largest at which the harmonic sweep is exact\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("target", [
+    {"kind": "single_ell", "ell": 1900},
+    {"kind": "full_field", "spectrum": dict(_TOP_SPECTRUM, l_max=1900)},
+    {"kind": "fbm", "hurst": 0.3, "times": [2.0, 1.0],
+     "spectrum": dict(_TOP_SPECTRUM, l_max=1900)},
+], ids=["single_ell", "full_field", "fbm"])
+def test_sampled_top_degree_at_the_bound_runs(tmp_path, capsys, target):
+    # degree 1900 itself samples, to finite values
+    assert main(["simulate", "--out", str(tmp_path / "x.csv"), "--spec-file",
+                 _write_spec(tmp_path, target=target, n=4, replications=1)]) == 0
+    capsys.readouterr()
+    row = (tmp_path / "x.csv").read_text(encoding="utf-8").splitlines()[1]
+    assert all(math.isfinite(float(v)) for v in row.split(",")[1:-1])
 
 
 def test_statistics_whose_sums_overflow_exit_2_before_sampling(tmp_path, capsys, monkeypatch):
@@ -1175,7 +1238,8 @@ def test_library_target_errors_are_one_config_error_line(tmp_path, capsys, targe
 # ======================================================================
 
 def test_specfun_check_passes(capsys):
-    # two invariants on small arrays, far under a CI runner's memory
+    # three invariants on small arrays, far under a CI runner's memory: the
+    # third is the addition theorem at the sampler's top degree
     tracemalloc.start()
     try:
         assert main(["specfun-check"]) == 0
@@ -1184,7 +1248,8 @@ def test_specfun_check_passes(capsys):
         tracemalloc.stop()
     assert peak < 256 * 2 ** 20
     out = capsys.readouterr().out
-    assert out.count("PASS") == 2
+    assert out.count("PASS") == 3
+    assert "addition theorem at degree 1900" in out
     assert "bessel" not in out
     assert "FAIL" not in out
 

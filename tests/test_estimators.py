@@ -1,6 +1,7 @@
 """Spectrum and Hurst estimators."""
 
 import math
+import re
 import sys
 
 import numpy as np
@@ -17,7 +18,6 @@ from sphereqv.estimators import (
 )
 from sphereqv.covariance import LineGrid, increment_gram_fl
 from sphereqv.moments import (
-    RegimeTag,
     _one_minus_j0,
     estimator_bias,
     exact_mean_vnl,
@@ -62,10 +62,11 @@ def test_exact_estimator_over_an_array_is_bitwise_per_value():
 
 
 def test_exact_estimator_rejects_a_degenerate_normalizer():
-    # at N = 10⁹, cos(π/2N) rounds to 1, so 1 − P_l(cos(π/2N)) is 0; this is
-    # a raised ValueError, not an assert that python -O would strip
+    # at N = 10⁹, cos(π/2N) rounds to 1, so 1 − P_l(cos(π/2N)) is 0: a
+    # failure of the arithmetic on valid inputs, not a ValueError, and not an
+    # assert that python -O would strip
     assert exact_mean_vnl(1, 1.0, 10 ** 9) == 0.0
-    with pytest.raises(ValueError, match="normalizer degenerate"):
+    with pytest.raises(FloatingPointError, match="normalizer degenerate"):
         estimate_cl(1.0, 1, 10 ** 9)
 
 
@@ -76,15 +77,10 @@ def test_exact_estimator_rejects_a_degenerate_normalizer():
 def test_variant_values_reconcile_with_bias():
     # value = exact-estimate · (1 + bias) by construction
     v = 0.37
-    cases = [
-        (1, 50, 8, None, RegimeTag.ell_faster()),
-        (2, 16, 16, 1.0, RegimeTag.ell_comparable(1.0)),
-        (3, 4, 64, None, RegimeTag.ell_slower()),
-    ]
-    for variant, ell, n, c, regime in cases:
+    for variant, ell, n, c in [(1, 50, 8, None), (2, 16, 16, 1.0), (3, 4, 64, None)]:
         res = estimate_cl_variant(v, ell, n, variant, c=c)
         exact = estimate_cl(v, ell, n).value
-        bias = estimator_bias(variant, ell, n, regime)
+        bias = estimator_bias(variant, ell, n, c)
         assert_allclose(res.value, exact * (1.0 + bias), rtol=1e-12)
         assert res.bias_exact == bias
         assert res.variant == f"v{variant}"
@@ -98,6 +94,35 @@ def test_variant_two_requires_ratio():
             estimate_cl_variant(0.5, 16, 16, 2, c=c)
     with pytest.raises(ValueError):
         estimate_cl_variant(0.5, 16, 16, 4)
+
+
+@pytest.mark.parametrize("args, line", [
+    ((-0.5, 16, 16, 1), "quadratic variation must be non-negative, got -0.5"),
+    ((np.array([0.1, -0.2]), 16, 16, 1), "non-negative, got -0.2"),
+    ((0.5, 16, 16, 4), "variant must be 1, 2 or 3, got 4"),
+    ((0.5, 2.5, 16, 1), "degree must be an integer ≥ 1, got 2.5"),
+    ((0.5, 16, 0, 3), "grid size must be an integer ≥ 1, got 0"),
+    ((0.5, 2 ** 21 + 1, 16, 3), "degree 2097153 exceeds 2097152"),
+    ((0.5, 16, 16, 2, 0.0), "ell_comparable requires a finite c > 0, got 0.0"),
+    ((0.5, 16, 16, 3, 1.0), "regime ell_slower carries no ratio c, got 1.0"),
+], ids=["negative_v", "negative_in_array", "variant", "fractional_degree", "grid",
+        "degree_bound", "c_zero", "c_for_variant_3"])
+def test_variant_estimator_names_the_input_it_refuses(args, line):
+    # every input check lives in the estimator; its message names the value
+    with pytest.raises(ValueError, match=re.escape(line)):
+        estimate_cl_variant(*args)
+
+
+def test_variant_estimator_on_an_array_is_its_per_value_results():
+    # an array of V divides by one normalizer, as estimate_cl does; it raised
+    # numpy's "truth value of an array is ambiguous"
+    v = np.array([0.1, 0.2, 0.0, 3.7])
+    for variant, c in ((1, None), (2, 0.5), (3, None)):
+        res = estimate_cl_variant(v, 8, 16, variant, c=c)
+        singles = [estimate_cl_variant(x, 8, 16, variant, c=c) for x in v]
+        assert_array_equal(res.value, [r.value for r in singles])
+        assert {r.normalizer for r in singles} == {res.normalizer}
+        assert {r.bias_exact for r in singles} == {res.bias_exact}
 
 
 def test_variant_normalizers():
@@ -153,15 +178,15 @@ def test_variant_normalizers_match_the_per_variant_reference():
 
 def test_variant_two_rejects_a_degenerate_normalizer():
     # at c = 1e-163 (πc/4)² underflows, so 1 − J₀(πc/2) rounds to 0, and at
-    # 1e-160 it is subnormal: a raised ValueError, not a float division by
-    # zero or an infinite bias
+    # 1e-160 it is subnormal: a raised FloatingPointError (the arithmetic
+    # fails, not the input), not a float division by zero or an infinite bias
     assert _one_minus_j0(0.5 * math.pi * 1e-163) == 0.0
     assert 0.0 < _one_minus_j0(0.5 * math.pi * 1e-160) < sys.float_info.min
     for c in (1e-163, 1e-160):
-        with pytest.raises(ValueError, match="variant 2 normalizer degenerate"):
+        with pytest.raises(FloatingPointError, match="variant 2 normalizer degenerate"):
             estimate_cl_variant(1.0, 3, 4, 2, c=c)
-        with pytest.raises(ValueError, match="variant 2 normalizer degenerate"):
-            estimator_bias(2, 3, 4, RegimeTag.ell_comparable(c))
+        with pytest.raises(FloatingPointError, match="variant 2 normalizer degenerate"):
+            estimator_bias(2, 3, 4, c)
     assert math.isfinite(estimate_cl_variant(1.0, 3, 4, 2, c=2e-154).bias_exact)
 
 
@@ -237,6 +262,15 @@ def test_hurst_validation():
         estimate_hurst(1.0, 1.0, 2.0, 2.0)
     with pytest.raises(ValueError):
         estimate_hurst(1.0, 1.0, -1.0, 1.0)
+
+
+@pytest.mark.parametrize("args", [(1e-308, 1e308, 2.0, 1.0), (2.0, 1.0, 1e-308, 1e308)],
+                         ids=["v_ratio", "time_ratio"])
+def test_hurst_ratio_that_underflows_is_an_arithmetic_failure(args):
+    # valid inputs whose ratio rounds to 0: math.log raised its domain
+    # ValueError, which reads as an input outside the estimator's domain
+    with pytest.raises(FloatingPointError, match="leaves the float range"):
+        estimate_hurst(*args)
 
 
 def test_estimate_result_validation():

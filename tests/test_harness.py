@@ -192,19 +192,19 @@ _POWER_LAW = {"kind": "power_law", "c0": 1.0, "epsilon": 0.2}
 
 
 @pytest.mark.parametrize("target", [
-    {"kind": "full_field", "spectrum": dict(_POWER_LAW, l_max=2 ** 21 + 1)},
-    {"kind": "fbm", "hurst": 0.3, "times": [2.0, 1.0],
-     "spectrum": dict(_POWER_LAW, l_max=2 ** 21 + 1)},
+    {"kind": "full_field", "spectrum": dict(_POWER_LAW, l_max=1901)},
+    {"kind": "fbm", "hurst": 0.3, "times": [2.0, 1.0], "spectrum": dict(_POWER_LAW, l_max=1901)},
     {"kind": "full_field", "spectrum": {"kind": "explicit", "values": [1.0, 0.5],
-                                        "l_min": 2 ** 21}},
+                                        "l_min": 1900}},
 ], ids=["full_field", "fbm", "explicit"])
 def test_config_bounds_every_spectrum_top_degree(target):
-    # the top degree is l_max, or l_min + len(values) − 1; 2^21 + 1 is refused
-    # at once, as for one degree, where it used to sample in O(l_max²·N)
-    with pytest.raises(ConfigError, match=r"^degree 2097153 exceeds 2097152 \(2\^21\)"):
+    # the top degree is l_max, or l_min + len(values) − 1; one past the
+    # harmonic sweep's exact range (1900) is refused when the target is
+    # built, where it sampled from the wrong law
+    with pytest.raises(ConfigError, match=r"target: degree 1901 exceeds 1900, the largest"):
         ExperimentConfig.from_dict(_base_config(target=target, cells=[[3, 16]]))
     if target["spectrum"]["kind"] == "power_law":
-        top = dict(target, spectrum=dict(target["spectrum"], l_max=2 ** 21))
+        top = dict(target, spectrum=dict(target["spectrum"], l_max=1900))
         ExperimentConfig.from_dict(_base_config(target=top, cells=[[3, 16]]))
 
 

@@ -1,6 +1,7 @@
 """Exact moments, limit cumulants, regime asymptotics, estimator bias."""
 
 import math
+import time
 
 import mpmath
 import numpy as np
@@ -483,14 +484,16 @@ def test_matched_growth_mean_keeps_its_digits_at_a_small_ratio():
 
 def test_matched_growth_mean_refuses_a_stand_in_below_normal():
     # at c = 1e-170 (πc/4)² underflows to 0, at 1e-160 it is subnormal: a
-    # raised ValueError, not a mean that mean_ratio divides by (or reads inf
+    # raised FloatingPointError (the arithmetic fails on a valid c), not a
+    # mean that mean_ratio divides by (or reads inf
     # over); the check is on the stand-in, so c_l = 0 still gives a mean of 0
     # at a c whose stand-in is normal
     for c, stand_in in ((1e-170, 0.0), (1e-160, 6.17e-321)):
         tiny = RegimeTag.ell_comparable(c)
         assert _one_minus_j0(0.5 * math.pi * tiny.c) == stand_in
         for c_ell in (1.0, 0.0):
-            with pytest.raises(ValueError, match=r"stand-in 1 − J₀\(πc/2\) degenerate"):
+            with pytest.raises(FloatingPointError,
+                               match=r"stand-in 1 − J₀\(πc/2\) degenerate"):
                 asymptotic_mean(tiny, 3, c_ell, 4)
     assert asymptotic_mean(RegimeTag.ell_comparable(2e-154), 3, 0.0, 4) == 0.0
     assert asymptotic_mean(RegimeTag.ell_comparable(2e-154), 3, 1.0, 4) > 0.0
@@ -563,28 +566,38 @@ def test_degree_bound_names_itself():
 
 def test_bias_variant_one():
     from sphereqv.specfun import legendre_p
-    assert abs(estimator_bias(1, 1, 1, RegimeTag.ell_faster())) < 1e-15
-    got = estimator_bias(1, 9, 16, RegimeTag.ell_faster())
+    assert abs(estimator_bias(1, 1, 1)) < 1e-15
+    got = estimator_bias(1, 9, 16)
     assert_allclose(got, -legendre_p(9, math.cos(math.pi / 32)), rtol=1e-15)
 
 
 def test_bias_variant_two_small_at_matched_growth():
-    bias = estimator_bias(2, 256, 256, RegimeTag.ell_comparable(1.0))
+    bias = estimator_bias(2, 256, 256, 1.0)
     assert abs(bias) < 0.01
 
 
 def test_bias_variant_three_small_when_grid_outruns_degree():
-    bias = estimator_bias(3, 8, 512, RegimeTag.ell_slower())
+    bias = estimator_bias(3, 8, 512)
     assert abs(bias) < 1e-3
 
 
 def test_bias_variant_regime_pairing_enforced():
-    with pytest.raises(ValueError):
-        estimator_bias(1, 4, 16, RegimeTag.ell_slower())
-    with pytest.raises(ValueError):
-        estimator_bias(3, 4, 16, RegimeTag.ell_faster())
-    with pytest.raises(ValueError):
-        estimator_bias(4, 4, 16, RegimeTag.ell_faster())
+    # the variant fixes its regime, so only variant 2 (ell_comparable) reads c
+    for variant in (1, 3):
+        with pytest.raises(ValueError, match="carries no ratio c, got 0.5"):
+            estimator_bias(variant, 4, 16, 0.5)
+    with pytest.raises(ValueError, match="ell_comparable requires a finite c > 0, got None"):
+        estimator_bias(2, 4, 16)
+    with pytest.raises(ValueError, match="variant must be 1, 2 or 3, got 4"):
+        estimator_bias(4, 4, 16)
+
+
+def test_exact_mean_refuses_a_degree_beyond_the_bound_at_once():
+    # the degree line is raised before any of the O(l) recurrence steps
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=r"^degree 2097153 exceeds 2097152 \(2\^21\)"):
+        exact_mean_vnl(2 ** 21 + 1, 1.0, 1)
+    assert time.perf_counter() - start < 0.1
 
 
 # ======================================================================

@@ -28,7 +28,7 @@ from sphereqv.simulate import (
     rep_seed_sequence,
     rep_stream_id,
 )
-from sphereqv.specfun import harmonic_meridian_table
+from sphereqv.specfun import _SWEEP_MAX_DEGREE, harmonic_meridian_table
 
 
 def _spec(target, n=16, seed=123, reps=1):
@@ -158,18 +158,27 @@ def test_reused_draw_buffers_are_bitwise_the_per_chunk_draws(monkeypatch, chunk_
 
 def test_memory_estimate_follows_the_chunk_size(monkeypatch):
     # the estimate bounds the largest chunk _paths_batch allocates for the
-    # live chunk size, exactly when every degree past 199 is a chunk alone
+    # live chunk size, exactly when the degrees fill whole chunks
     from sphereqv.harness import _cell_arrays
     spectrum = PowerSpectrum.power_law(1.0, 0.2, l_max=512)
-    for chunk_rows in (16384, 200):
+    for chunk_rows in (16384, 600):
         monkeypatch.setattr(simulate, "_CHUNK_ROWS", chunk_rows)
         rows = max(simulate._chunk_rows(lo, hi)
                    for lo, hi in simulate._degree_chunks(spectrum.l_min, spectrum.l_max))
         arrays = {name: size for size, name in
                   _cell_arrays(FullField(spectrum), 64, 100, 300, dense_gram=False)}
         need = arrays["sampler basis and coefficients"]
-        assert need >= 8 * rows * (64 + 1 + 100)
-    assert need == 8 * 513 * (64 + 1 + 100)
+        assert need == 8 * chunk_rows * (64 + 1 + 100) >= 8 * rows * (64 + 1 + 100)
+
+
+def test_every_sampled_degree_fits_one_chunk():
+    # so no chunk holds more than _CHUNK_ROWS rows, the largest the memory
+    # estimate counts, and none is empty
+    chunks = simulate._degree_chunks(0, _SWEEP_MAX_DEGREE)
+    sizes = [simulate._chunk_rows(lo, hi) for lo, hi in chunks]
+    assert _SWEEP_MAX_DEGREE + 1 <= simulate._CHUNK_ROWS
+    assert 0 < min(sizes) and max(sizes) <= simulate._CHUNK_ROWS
+    assert chunks[0][0] == 0 and chunks[-1][1] == _SWEEP_MAX_DEGREE + 1
 
 
 def _frozen_sequential_v(spec, rep_start, rep_count):
@@ -411,10 +420,11 @@ _SEED_EDGES = [0, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1]
 
 
 @pytest.mark.parametrize("seed", _SEED_EDGES)
-@pytest.mark.parametrize("ell", [5, 2 ** 32 + 1, None])
+@pytest.mark.parametrize("ell", [5, None])
 def test_seed_words_are_numpys_seed_sequence(seed, ell):
-    # up to 6 entropy words ([2⁶⁴−1, 2³², 2³²+1]), so the mixing loop past
-    # the 4-word pool runs; the straddling batch changes rep's word count
+    # up to 5 entropy words ([2⁶⁴−1, 2³², 5]; a sampled degree is one word),
+    # so the mixing loop past the 4-word pool runs; the straddling batch
+    # changes rep's word count
     target = FullField(PowerSpectrum.single(2, 1.0)) if ell is None else SingleEll(ell, 1.0)
     spec = _spec(target, seed=seed)
     for start, count in ((0, 3), (2 ** 32 - 2, 4), (2 ** 64 - 1, 2)):

@@ -9,6 +9,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 from scipy import special
 
 from sphereqv import specfun
+from sphereqv.covariance import LineGrid
 from sphereqv.specfun import (
     bessel_j,
     harmonic_meridian_table,
@@ -125,6 +126,26 @@ def test_harmonic_addition_theorem(ell):
     rhs = (2 * ell + 1) / (4 * np.pi) * legendre_p(ell, np.cos(t1 - t2))
     # kernel magnitude grows like (2l+1)/4π, so scale the floor with it
     assert_allclose(lhs, rhs, rtol=0, atol=(2 * ell + 1) * 2e-14)
+
+
+@pytest.mark.parametrize("theta", [
+    LineGrid(4).points, LineGrid(256).points, np.arcsin([1 / np.e]),
+], ids=["grid_4", "grid_256", "sin_theta_1_over_e"])
+def test_addition_theorem_holds_at_the_sweep_bound(theta):
+    # Σ_m (2−δ_m0) λ_lm² = (2l+1)/(4π) at the largest degree the sweep
+    # accepts; at sin θ = 1/e the sectoral start leaves the normal range first
+    ell = specfun._SWEEP_MAX_DEGREE
+    lam = harmonic_meridian_table(ell, theta)
+    diag = lam[0] ** 2 + 2.0 * np.sum(lam[1:] ** 2, axis=0)
+    assert_allclose(diag, (2 * ell + 1) / (4 * np.pi), rtol=1e-10, atol=0)
+
+
+@pytest.mark.parametrize("ell", [1901, 3000, 10 ** 11])
+def test_harmonic_table_refuses_a_degree_beyond_the_sweep_bound(ell):
+    # past 1900 the theorem above breaks (555% off at 2048, non-finite from
+    # 3988); the refusal comes before any buffer is sized for the degree
+    with pytest.raises(ValueError, match=f"^degree {ell} exceeds 1900"):
+        harmonic_meridian_table(ell, np.array([0.3]))
 
 
 def _order_major_table(ell, theta):
