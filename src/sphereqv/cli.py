@@ -13,8 +13,9 @@ the harness:
 
 Units: degrees l are dimensionless integers ≥ 1, angles are radians, seeds
 are unsigned 64-bit integers. Exit codes: 0 success, 1 numeric or I/O
-failure, 2 flag/config validation error or ``estimate`` input outside the
-estimator's domain, 3 oracle-agreement failure under ``experiment
+failure, 2 flag/config validation error (a config or sample spec that is
+not UTF-8 JSON included) or a ``moments`` or ``estimate`` input that the
+function reading it refuses, 3 oracle-agreement failure under ``experiment
 --strict``. Worker count: --threads (at most ``_MAX_THREADS``), else
 machine parallelism; outputs are byte-identical for any worker count, for
 one numpy/BLAS build at one BLAS thread count.
@@ -43,12 +44,17 @@ __all__ = ["main"]
 _MAX_THREADS = 1024
 
 
-def _positive_int(text, high=math.inf):
-    """int(text) when it lies in [1, high]; else exit 2 at the flag."""
+def _int(text):
+    """int(text); else exit 2 at the flag."""
     try:
-        val = int(text)
+        return int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}") from None
+
+
+def _positive_int(text, high=math.inf):
+    """int(text) when it lies in [1, high]; else exit 2 at the flag."""
+    val = _int(text)
     if val < 1:
         raise argparse.ArgumentTypeError(f"must be ≥ 1, got {val}")
     if val > high:
@@ -70,10 +76,7 @@ def _finite(text, low=-math.inf):
 
 def _u64(text):
     """int(text) when it lies in [0, 2⁶⁴); else exit 2 at the flag."""
-    try:
-        val = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}") from None
+    val = _int(text)
     if not (0 <= val < 2 ** 64):
         raise argparse.ArgumentTypeError("seed must be an unsigned 64-bit integer")
     return val
@@ -129,27 +132,32 @@ def _moments_need(ell, n):
 
 
 def _cmd_moments(args):
+    ell, n, c_ell = args.ell, args.n, args.cl
     # the chosen path's peak must fit in memory, checked before allocating
-    if _memory_error([_moments_need(args.ell, args.n)],
-                     f"l={args.ell}, N={args.n}"):
+    if _memory_error([_moments_need(ell, n)], f"l={ell}, N={n}"):
         return 2
-    # the cell rule an experiment runs on a single_ell cell, at the highest
-    # power of V the printed cumulants sum (κ4 always), where a scale it
-    # refuses gives inf, nan or subnormals
-    spectrum, factor = PowerSpectrum.single(args.ell, args.cl), 1.0 / (4.0 * math.pi)
-    if why := mom._cell_error(spectrum, (factor,), args.n, max(args.p_max, 4)):
-        return _input_error(why)
-    gram = increment_gram_fl(args.ell, args.cl, LineGrid(args.n))
-    mean = mom.exact_mean_vnl(args.ell, args.cl, args.n)
+    # each input is refused, before the Gram is built, by the function that
+    # reads it; the scale by an experiment's single_ell cell rule at the
+    # highest power of V the printed cumulants sum (κ4 always)
+    try:
+        mom._check_ell_n(ell, n)
+        if why := mom._cell_error(PowerSpectrum.single(ell, c_ell), (1.0 / (4.0 * math.pi),),
+                                  n, max(args.p_max, 4)):
+            raise ValueError(why)
+        if args.regime:
+            regime = RegimeTag(args.regime, args.regime_c)
+            a_mean = mom.asymptotic_mean(regime, ell, c_ell, n)
+            a_var = mom.asymptotic_var(regime, ell, c_ell, n)
+    except ValueError as exc:
+        return _input_error(exc)
+    gram = increment_gram_fl(ell, c_ell, LineGrid(n))
+    mean = mom.exact_mean_vnl(ell, c_ell, n)
     var = mom.exact_var_vnl(gram)
     lines = [("mean", mean), ("variance", var)]
     for p in range(3, args.p_max + 1):
         lines.append((f"normalized_k{p}", mom.normalized_cumulant(gram, p)))
     lines.append(("fourth_moment_bound", mom.fourth_moment_bound(gram)))
     if args.regime:
-        regime = RegimeTag(args.regime, args.regime_c)
-        a_mean = mom.asymptotic_mean(regime, args.ell, args.cl, args.n)
-        a_var = mom.asymptotic_var(regime, args.ell, args.cl, args.n)
         lines += [("asymptotic_mean", a_mean), ("mean_ratio", mean / a_mean),
                   ("asymptotic_var", a_var), ("var_ratio", var / a_var)]
     width = max(len(k) for k, _ in lines)
@@ -395,11 +403,9 @@ def _build_parser():
                        help="number of grid increments N")
     p_mom.add_argument("--cl", type=lambda t: _finite(t, 0.0), required=True,
                        help="spectrum value C_l at the degree")
-    p_mom.add_argument("--regime",
-                       choices=["fixed_ell", "ell_faster", "ell_comparable",
-                                "ell_slower"],
+    p_mom.add_argument("--regime", choices=mom._REGIMES,
                        help="also print asymptotic counterparts for this regime")
-    p_mom.add_argument("--regime-c", type=lambda t: _finite(t, 0.0), default=None,
+    p_mom.add_argument("--regime-c", type=_finite, default=None,
                        help="ratio c for ell_comparable")
     p_mom.add_argument("--p-max", type=int, default=4, choices=range(2, 9),
                        metavar="P", help="highest cumulant order (2..8)")
@@ -472,19 +478,17 @@ def _build_parser():
 def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
-    # ConfigError is the harness's, which only these two commands load
-    config_error = ()
+    # a config or sample spec whose bytes are not UTF-8 JSON is a config
+    # error; ConfigError is the harness's, which only these two commands load
+    config_errors = (json.JSONDecodeError, UnicodeDecodeError)
     if args.command in ("simulate", "experiment"):
-        from .harness import ConfigError as config_error
+        from .harness import ConfigError
+        config_errors += (ConfigError,)
     try:
         if args.command == "moments":
-            if args.regime == "ell_comparable" and args.regime_c is None:
-                parser.error("--regime ell_comparable requires --regime-c")
-            if args.regime_c is not None and args.regime != "ell_comparable":
+            # the one regime rule RegimeTag cannot see: with no regime it is never built
+            if args.regime_c is not None and args.regime is None:
                 parser.error("--regime-c is read by --regime ell_comparable only")
-            if args.regime not in (None, "fixed_ell") and args.n == 1:
-                parser.error(f"--regime {args.regime} requires --n ≥ 2: its "
-                             "asymptotic variance carries ln N")
             return _cmd_moments(args)
         if args.command == "simulate":
             return _cmd_simulate(args)
@@ -493,10 +497,10 @@ def main(argv=None):
         if args.command == "experiment":
             return _cmd_experiment(args)
         return _cmd_specfun_check(args)
-    except config_error as exc:
+    except config_errors as exc:
         sys.stderr.write(f"config error: {exc}\n")
         return 2
-    except (OSError, json.JSONDecodeError) as exc:
+    except OSError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
     except MemoryError as exc:

@@ -319,10 +319,16 @@ def _kernel_row(weights, l_min, x):
     return acc
 
 
+def _degree_power(spectrum):
+    """C_l (2l+1) at each of the spectrum's degrees, l_min..l_max: the weight
+    of P_l in every kernel here, and of degree l in the mean of V."""
+    ells = spectrum.degrees()
+    return spectrum.cl(ells) * (2.0 * ells + 1.0)
+
+
 def _spectrum_row(spectrum, grid, divisor):
     """Increment Gram row of the kernel Σ_l C_l (2l+1)/divisor · P_l(cos d)."""
-    ells = spectrum.degrees()
-    w = spectrum.cl(ells) * (2.0 * ells + 1.0) / divisor
+    w = _degree_power(spectrum) / divisor
     lags = np.cos(np.arange(grid.n + 1) * grid.spacing)
     return _second_difference(_kernel_row(w, spectrum.l_min, lags))
 

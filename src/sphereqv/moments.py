@@ -21,12 +21,15 @@ three degree-versus-grid growth regimes, the fourth-moment normality
 proxy, and the simplified estimators' normalizers with their exact biases
 complete the module. ``sphereqv moments`` prints one cell's exact table.
 
-The boundary checks behind every command work at the spectrum level here,
-so that ``sphereqv moments`` and ``estimate`` run them without the sampler:
-the largest degree a command accepts (``MAX_DEGREE``), and one rule per
-cell (:func:`_cell_error`) that bounds a spectrum's top degree and, through
-the mean of V in O(l_max) free of the cancellation in 1 − P_l(cos(π/2N)),
-the scale its statistics can hold.
+Each exact-side refusal has one owner here, so that ``sphereqv moments``
+and ``estimate`` run it without the sampler, and each names the offending
+value: the largest degree any function accepts (``MAX_DEGREE``,
+:func:`_check_ell_n`), the regime and its ratio c (:class:`RegimeTag`), the
+grid a logarithmic asymptotic variance needs (:func:`asymptotic_var`), and
+one rule per cell (:func:`_cell_error`) that bounds the scale a spectrum's
+statistics can hold, through the mean of V in O(l_max) free of the
+cancellation in 1 − P_l(cos(π/2N)). The samplers' lower degree bound is
+``specfun``'s.
 
 Normalization convention: the standardized statistic is
 F = (V − E V)/√Var V, whose second cumulant is 1 by construction.
@@ -106,7 +109,7 @@ class RegimeTag:
 
     @classmethod
     def ell_comparable(cls, c):
-        return cls(ELL_COMPARABLE, float(c))
+        return cls(ELL_COMPARABLE, c)
 
     @classmethod
     def ell_slower(cls):
@@ -121,19 +124,12 @@ def _check_ell_n(ell, n):
     """(l, N) as ints, l in [1, ``MAX_DEGREE``] and N ≥ 1, else ValueError."""
     if int(ell) != ell or ell < 1:
         raise ValueError(f"degree must be an integer ≥ 1, got {ell!r}")
-    if why := _degree_error(ell):
-        raise ValueError(why)
+    if ell > MAX_DEGREE:
+        raise ValueError(f"degree {ell} exceeds {MAX_DEGREE} (2^{MAX_DEGREE.bit_length() - 1}), "
+                         "the largest whose O(l) recurrences run within about 10 s")
     if int(n) != n or n < 1:
         raise ValueError(f"grid size must be an integer ≥ 1, got {n!r}")
     return int(ell), int(n)
-
-
-def _degree_error(ell):
-    """Why a command refuses degree ``ell`` (beyond ``MAX_DEGREE``), else None."""
-    if ell > MAX_DEGREE:
-        return (f"degree {ell} exceeds {MAX_DEGREE} (2^{MAX_DEGREE.bit_length() - 1}), "
-                "the largest whose O(l) recurrences run within about 10 s")
-    return None
 
 
 def exact_mean_vnl(ell, c_ell, n):
@@ -211,38 +207,14 @@ def fourth_moment_bound(gram):
 # Spectrum-level mean and the cell rule
 # ======================================================================
 
-def _weights(spectrum):
-    """(C_l (2l+1) for l from l_min, rest): an explicit spectrum's every degree
-    and rest 0, or a power law's degrees up to 2^16 and, as rest, its integral
-    c0 ∫ (2x+1) x^(−2−ε) dx past 2^16, within 1e-5 above the sum it stands for."""
-    if spectrum.kind == "explicit":
-        ells = spectrum.l_min + np.arange(len(spectrum.values), dtype=float)
-        with np.errstate(over="ignore"):
-            return np.array(spectrum.values) * (2.0 * ells + 1.0), 0.0
-    eps, x0, x1 = spectrum.epsilon, float(min(spectrum.l_max, 2 ** 16)), float(spectrum.l_max)
-    ells = np.arange(1.0, x0 + 1.0)
-    rest = (-2.0 * x0 ** -eps * math.expm1(-eps * math.log(x1 / x0)) / eps
-            + (x0 ** (-1.0 - eps) - x1 ** (-1.0 - eps)) / (1.0 + eps))
-    with np.errstate(over="ignore"):
-        return spectrum.c0 * ((2.0 * ells + 1.0) * ells ** (-2.0 - eps)), spectrum.c0 * rest
-
-
-def _weight_sum(spectrum):
-    """Σ C_l (2l+1) over the spectrum's degrees; a power law's is within 1e-5
-    above (:func:`_weights`)."""
-    head, rest = _weights(spectrum)
-    with np.errstate(over="ignore"):
-        return float(np.sum(head)) + rest
-
-
 def _mean_v(spectrum, factor, n):
     """E[V] on an N-increment grid of the kernel factor · Σ C_l (2l+1) P_l, in
     O(l_max): 2N·factor times Σ C_l (2l+1) u_l, u_l = 1 − P_l(cos h),
     h = π/(2N). u_l runs its own recurrence from u_1 = 2 sin²(h/2): the
     difference 1 − P_l(cos h) reads 0 once cos h rounds to 1, near N = 10^8.
-    Past degree 2^16 each degree counts u_l ≤ 2, so a spectrum reaching there
-    gets an upper bound."""
-    head, rest = _weights(spectrum)
+    Past degree 2^16 each degree counts u_l ≤ 2, so a degree there, such as
+    the single one ``sphereqv moments`` reads up to 2^21, gets an upper bound."""
+    w = cov._degree_power(spectrum)
     top = min(spectrum.l_max, 2 ** 16)
     s = 2.0 * math.sin(0.25 * math.pi / n) ** 2
     # (l+1) P_{l+1} = (2l+1) x P_l − l P_{l−1} at x = 1 − s, for u_l = 1 − P_l
@@ -250,15 +222,14 @@ def _mean_v(spectrum, factor, n):
     for l in range(1, top):
         u.append(((2 * l + 1) * (u[l] + s * (1.0 - u[l])) - l * u[l - 1]) / (l + 1))
     k = max(0, top + 1 - spectrum.l_min)  # degrees l_min..top
-    near = float(np.dot(head[:k], u[spectrum.l_min:top + 1]))
-    return 2.0 * n * factor * (near + 2.0 * (float(np.sum(head[k:])) + rest))
+    near = float(np.dot(w[:k], u[spectrum.l_min:top + 1]))
+    return 2.0 * n * factor * (near + 2.0 * float(np.sum(w[k:])))
 
 
 def _cell_error(spectrum, factors, n, power=1, reps=1):
     """Why a command refuses the cell of kernel f·Σ C_l (2l+1) P_l on an
     N-increment grid, one factor f per time, else None; the first fault of:
 
-    - the degree: ``spectrum.l_max`` beyond ``MAX_DEGREE`` (O(1));
     - overflow: reps·(4N·σ²)^power, σ² the pointwise variance at
       ``max(factors)``, beyond float max/2^64. E[V] ≤ 4N·σ², so a V that
       passes overflows only beyond 1.8e19 times its mean, and so does a sum
@@ -267,10 +238,13 @@ def _cell_error(spectrum, factors, n, power=1, reps=1):
       ``min(factors)`` below the smallest normal float, where sums of V^power
       and their SEs lose digits to subnormals or read 0. Raw values (power 1)
       have no floor, so tiny and all-zero fields still sample.
+
+    The rule bounds the scale only: a sampler target refuses a top degree
+    beyond 1900 when built, and :func:`_check_ell_n` one beyond ``MAX_DEGREE``.
     """
-    if why := _degree_error(spectrum.l_max):
-        return why
-    bound, scale = sys.float_info.max / 2 ** 64, 4.0 * n * max(factors) * _weight_sum(spectrum)
+    with np.errstate(over="ignore"):  # an infinite sum is refused below
+        total = float(np.sum(cov._degree_power(spectrum)))
+    bound, scale = sys.float_info.max / 2 ** 64, 4.0 * n * max(factors) * total
     # (bound/reps)^(1/power) by logarithms: reps may lie beyond the float range
     if not scale <= math.exp((math.log(bound) - math.log(reps)) / power):
         what = "V" if not scale <= bound else f"its sums of V^{power} over the replications"
@@ -403,12 +377,16 @@ def asymptotic_var(regime, ell, c_ell, n):
     stabilizes at 3.85× the second form (acceptance 05); with l outrunning
     N its var_ratio grows like l (199, 851, 3514 at N = 64, l = 4096,
     16384, 65536). ell_slower's var_ratio reads about 2.35 (2.354 at
-    (64, 4096), 2.350 at (256, 65536)), still unverified.
+    (64, 4096), 2.350 at (256, 65536)), still unverified. The three forms
+    with ln N refuse N = 1, where they read 0.
     """
     regime = _check_regime(regime)
     ell, n = _check_ell_n(ell, n)
     if regime.kind == FIXED_ELL:
         return 2.0 * k_ell_constant(ell) * c_ell ** 2 / n ** 2
+    if n < 2:
+        raise ValueError(f"regime {regime.kind} requires N ≥ 2, got N={n}: "
+                         "its asymptotic variance carries ln N")
     if regime.kind in (ELL_FASTER, ELL_COMPARABLE):
         return 2.0 / math.pi ** 4 * c_ell ** 2 * ell * n ** 2 * math.log(n)
     return math.pi / 128.0 * c_ell ** 2 * ell ** 5 * math.log(n) / n ** 2

@@ -35,6 +35,14 @@ def _parse_table(out):
     return pairs
 
 
+def _exit_code(argv):
+    """main's exit status, returned or raised by argparse at a flag."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
 def _child_env():
     """Environment for a child interpreter that imports the same package as this test."""
     src = os.path.dirname(os.path.dirname(sphereqv.moments.__file__))
@@ -206,12 +214,12 @@ def test_moments_fixed_ell_regime_adds_no_quadrature(capsys):
 @pytest.mark.parametrize("regime", [
     ["ell_faster"], ["ell_slower"], ["ell_comparable", "--regime-c", "1"]], ids=" ".join)
 def test_moments_log_regime_on_one_increment_exits_2(capsys, regime):
-    # ln N = 0 at N = 1 leaves these regimes no asymptotic variance to divide by
-    with pytest.raises(SystemExit) as exc:
-        main(["moments", "--ell", "3", "--n", "1", "--cl", "1", "--regime", *regime])
-    assert exc.value.code == 2
+    # ln N = 0 at N = 1 leaves these regimes no asymptotic variance to divide
+    # by; asymptotic_var refuses it, before the Gram is built
+    assert main(["moments", "--ell", "3", "--n", "1", "--cl", "1", "--regime", *regime]) == 2
     out, err = capsys.readouterr()
-    assert out == "" and "requires --n ≥ 2" in err
+    assert out == "" and err == (f"error: regime {regime[0]} requires N ≥ 2, got N=1: "
+                                 "its asymptotic variance carries ln N\n")
 
 
 @pytest.mark.parametrize("flags", [
@@ -221,11 +229,13 @@ def test_moments_log_regime_on_one_increment_exits_2(capsys, regime):
     ["--cl", "1", "--regime", "ell_comparable", "--regime-c", "0"],
 ], ids=" ".join)
 def test_moments_non_finite_or_non_positive_numbers_exit_2(capsys, flags):
-    with pytest.raises(SystemExit) as exc:
-        main(["moments", "--ell", "3", "--n", "16", *flags])
-    assert exc.value.code == 2
+    assert _exit_code(["moments", "--ell", "3", "--n", "16", *flags]) == 2
     out, err = capsys.readouterr()
-    assert out == "" and "must be a finite number" in err
+    # a non-finite number is refused at the flag, a finite c ≤ 0 by RegimeTag
+    if flags[-2:] == ["--regime-c", "0"]:
+        assert out == "" and err == "error: ell_comparable requires a finite c > 0, got 0.0\n"
+    else:
+        assert out == "" and "must be a finite number" in err
 
 
 @pytest.mark.parametrize("c, stand_in", [("1e-170", "0.0"), ("1e-160", "6.17e-321")])
@@ -284,11 +294,11 @@ def test_moments_benchmark_call_passes_the_scale_checks(tmp_path, monkeypatch, c
     assert capsys.readouterr().err == ""
 
 
-def test_moments_comparable_needs_ratio():
-    with pytest.raises(SystemExit) as exc:
-        main(["moments", "--ell", "8", "--n", "8", "--cl", "1",
-              "--regime", "ell_comparable"])
-    assert exc.value.code == 2
+def test_moments_comparable_needs_ratio(capsys):
+    assert main(["moments", "--ell", "8", "--n", "8", "--cl", "1",
+                 "--regime", "ell_comparable"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: ell_comparable requires a finite c > 0, got None\n"
 
 
 def test_moments_rejects_degree_zero():
@@ -376,6 +386,15 @@ def test_simulate_fbm_pair_columns(tmp_path, capsys):
     assert lines[1].split(",")[3] == "9:0"
 
 
+# (file name, bytes, the decoder's message) of spec and config files that are not UTF-8 JSON
+_NOT_UTF8_JSON = [
+    ("bad.json", b"{not json",
+     "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+    ("latin1.json", b'{"n": 32, "seed": "\xff"}',
+     "'utf-8' codec can't decode byte 0xff in position 19: invalid start byte"),
+]
+
+
 def test_simulate_error_exit_codes(tmp_path, capsys):
     assert main(["simulate", "--spec-file", str(tmp_path / "nope.json"),
                  "--out", str(tmp_path / "x.csv")]) == 1
@@ -383,6 +402,13 @@ def test_simulate_error_exit_codes(tmp_path, capsys):
     assert main(["simulate", "--spec-file", bad,
                  "--out", str(tmp_path / "y.csv")]) == 2
     capsys.readouterr()
+    for name, data, why in _NOT_UTF8_JSON:
+        bad = tmp_path / name
+        bad.write_bytes(data)
+        assert main(["simulate", "--spec-file", str(bad), "--out", str(tmp_path / "y.csv")]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"config error: {why}\n"
+    assert not (tmp_path / "y.csv").exists()
 
 
 @pytest.mark.parametrize("target", [
@@ -629,14 +655,17 @@ def test_estimate_overflowing_value_prints_nothing(capsys, argv):
      "--c", "1"],
 ], ids=" ".join)
 def test_ratio_flag_a_command_ignores_exits_2(capsys, argv):
-    # the ratio was dropped in silence and the command exited 0
-    with pytest.raises(SystemExit) as exc:
-        main(argv)
-    assert exc.value.code == 2
+    # the ratio was dropped in silence and the command exited 0; under a
+    # regime RegimeTag refuses it, with none the parser does
+    assert _exit_code(argv) == 2
     out, err = capsys.readouterr()
-    line = ("--regime-c is read by --regime ell_comparable only" if argv[0] == "moments"
-            else {"cl1": "mode cl1 reads only --v --ell --n, not --c",
-                  "hurst": "mode hurst reads only --vt --vs --t --s, not --c"}[argv[2]])
+    if argv[0] == "estimate":
+        line = {"cl1": "mode cl1 reads only --v --ell --n, not --c",
+                "hurst": "mode hurst reads only --vt --vs --t --s, not --c"}[argv[2]]
+    elif "--regime" in argv:
+        line = "regime fixed_ell carries no ratio c, got 3.0"
+    else:
+        line = "--regime-c is read by --regime ell_comparable only"
     assert out == "" and err.endswith(f"error: {line}\n")
 
 
@@ -804,14 +833,18 @@ def test_experiment_strict_flags_corrupted_oracle(tmp_path, capsys, monkeypatch)
 def test_experiment_error_exit_codes(tmp_path, capsys):
     assert main(["experiment", "--config", str(tmp_path / "missing.json"),
                  "--out", str(tmp_path / "x")]) == 1
-    bad_json = tmp_path / "bad.json"
-    bad_json.write_text("{not json", encoding="utf-8")
-    assert main(["experiment", "--config", str(bad_json),
-                 "--out", str(tmp_path / "y")]) == 1
     bad_key = _write_config(tmp_path, typo=True)
     assert main(["experiment", "--config", bad_key,
                  "--out", str(tmp_path / "z")]) == 2
     capsys.readouterr()
+    # bytes that are not UTF-8 JSON are a config error, not a numeric or I/O one
+    for name, data, why in _NOT_UTF8_JSON:
+        bad = tmp_path / name
+        bad.write_bytes(data)
+        assert main(["experiment", "--config", str(bad), "--out", str(tmp_path / "y")]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"config error: {why}\n"
+    assert not (tmp_path / "y.json").exists()
 
 
 @pytest.mark.parametrize("c_ell", [-1.0, float("nan"), float("inf"), "x", True])

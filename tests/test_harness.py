@@ -210,11 +210,11 @@ def test_config_bounds_every_spectrum_top_degree(target):
 
 @pytest.mark.parametrize("l_max", [8, 2 ** 16 + 5, 10 ** 6])
 def test_weight_sum_of_a_power_law(l_max):
-    # past degree 2^16 the remainder is its integral: an upper bound within 1e-5
+    # the cell rule's scale sums C_l (2l+1) over every degree, past 2^16 too
     ells = np.arange(1, l_max + 1, dtype=float)
     want = math.fsum((2 * ells + 1) * 3.0 * ells ** -2.01)
-    got = harness.mom._weight_sum(covariance.PowerSpectrum.power_law(3.0, 0.01, l_max))
-    assert want * (1 - 1e-14) <= got <= want * (1 + 1e-5)
+    power = covariance._degree_power(covariance.PowerSpectrum.power_law(3.0, 0.01, l_max))
+    assert want * (1 - 1e-14) <= float(np.sum(power)) <= want * (1 + 1e-5)
 
 
 def test_mean_v_is_the_exact_mean_free_of_cancellation():
@@ -637,6 +637,27 @@ def test_fbm_experiment_recovers_hurst():
     assert report.slopes == {}
     ok, checked, failures = check_oracle_agreement(report)
     assert failures == []
+
+
+def test_full_field_experiment_agrees_with_its_row_oracles():
+    spectrum = {"kind": "power_law", "c0": 1.0, "epsilon": 0.2, "l_max": 16}
+    cfg = ExperimentConfig.from_dict({
+        "seed": 5,
+        "replications": 400,
+        "statistics": ["mean", "var"],
+        "target": {"kind": "full_field", "spectrum": spectrum},
+        "cells": [[1, 16], [1, 32]],
+    })
+    report = run_experiment(cfg, threads=1)
+    power_law = covariance.PowerSpectrum.power_law(1.0, 0.2, 16)
+    want = []
+    for n in (16, 32):
+        row = covariance.increment_row_f(power_law, covariance.LineGrid(n))
+        want += [(n, "mean", n * row[0], "increment_gram_f.trace"),
+                 (n, "var", harness.mom.exact_var_from_row(row), "exact_var_from_row")]
+    assert [(r.n, r.stat, r.exact, r.source_op) for r in report.rows] == want
+    ok, checked, failures = check_oracle_agreement(report)
+    assert checked == 4 and failures == []
 
 
 def test_oracle_check_flags_corrupted_exact_value():

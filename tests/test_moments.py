@@ -19,7 +19,7 @@ from sphereqv.specfun import bessel_j
 from sphereqv.moments import (
     MAX_DEGREE,
     RegimeTag,
-    _degree_error,
+    _check_ell_n,
     _mean_v,
     _one_minus_j0,
     asymptotic_mean,
@@ -424,9 +424,11 @@ def test_regime_tag_validation():
 
 @pytest.mark.parametrize("c", [float("nan"), float("inf"), 10 ** 400, "x", True, None])
 def test_comparable_regime_needs_a_finite_positive_ratio(c):
-    # an int above the float range would overflow c·N in the coupling check
-    with pytest.raises(ValueError, match="finite c > 0"):
-        RegimeTag("ell_comparable", c)
+    # an int above the float range would overflow c·N in the coupling check;
+    # the named constructor leaves every refusal to the class
+    for build in (lambda: RegimeTag("ell_comparable", c), lambda: RegimeTag.ell_comparable(c)):
+        with pytest.raises(ValueError, match="finite c > 0"):
+            build()
 
 
 def test_comparable_regime_stores_its_ratio_as_a_float():
@@ -513,6 +515,16 @@ def test_asymptotic_var_formulas():
                     rtol=1e-15)
 
 
+def test_asymptotic_var_refuses_one_increment_where_it_carries_ln_n():
+    # ln N = 0 at N = 1: each such form read 0, and mean/var ratios divided by it
+    for regime in (RegimeTag.ell_faster(), RegimeTag.ell_comparable(1.0),
+                   RegimeTag.ell_slower()):
+        with pytest.raises(ValueError, match=f"^regime {regime.kind} requires N ≥ 2, got N=1"):
+            asymptotic_var(regime, 3, 1.0, 1)
+        assert asymptotic_var(regime, 3, 1.0, 2) > 0
+    assert asymptotic_var(RegimeTag.fixed_ell(), 3, 1.0, 1) > 0
+
+
 def test_fullfield_orders():
     m, v = fullfield_moment_orders(0.2, 100)
     assert_allclose(m, 100 ** 0.8, rtol=1e-15)
@@ -555,8 +567,10 @@ def test_mean_recurrence_matches_50_digits(spectrum, n):
 
 
 def test_degree_bound_names_itself():
-    assert MAX_DEGREE == 2 ** 21 and _degree_error(MAX_DEGREE) is None
-    why = _degree_error(MAX_DEGREE + 1)
+    assert MAX_DEGREE == 2 ** 21 and _check_ell_n(MAX_DEGREE, 1) == (MAX_DEGREE, 1)
+    with pytest.raises(ValueError) as exc:
+        _check_ell_n(MAX_DEGREE + 1, 1)
+    why = str(exc.value)
     assert why.startswith("degree 2097153 exceeds 2097152 (2^21)") and "\n" not in why
 
 
