@@ -118,12 +118,18 @@ def _memory_error(arrays, where):
 
 
 def _moments_need(ell, n):
-    """(bytes, name) of the moments command's peak: the core path's Gram-row
-    sweep, 5·8(N+1) bytes, and its five (l+1)×(l+1) arrays, or the dense N×N
-    Gram and eigvalsh's copy; plus 256 KiB for the interpreter. tracemalloc
-    read 0.54-0.99 of this at (l, N) = (1, 2²⁰), (8, 4096), (8, 10⁶),
-    (255, 512), (600, 512) and (1023, 4096). Every regime's asymptotic
-    counterpart is O(l) on top."""
+    """(bytes, name) the moments command must fit in physical memory: on the
+    core path a Gram-row sweep, 5·8(N+1) bytes, and five (l+1)×(l+1) arrays,
+    or the dense N×N Gram and eigvalsh's copy; plus 256 KiB for the
+    interpreter. Every regime's asymptotic counterpart is O(l) on top.
+
+    The core path forms no row (its peak is 0.03 MB at (l, N) = (8, 10⁶)),
+    but the row term stays as the bound on N: past it the printed mean,
+    ``exact_mean_vnl``, loses ever more digits to cancellation (19% low at
+    (3, 2²⁶); it reads 0 near N = 10⁹), so the term stays until that mean is
+    free of cancellation. tracemalloc read 0.94-0.99 of this where the core
+    or the dense Gram sets the peak, at (255, 512), (600, 512) and
+    (1023, 4096)."""
     if ell < n:
         need, what = 40 * (n + 1) + 40 * (ell + 1) ** 2, "Gram row and core"
     else:
@@ -133,7 +139,7 @@ def _moments_need(ell, n):
 
 def _cmd_moments(args):
     ell, n, c_ell = args.ell, args.n, args.cl
-    # the chosen path's peak must fit in memory, checked before allocating
+    # the chosen path's memory bound must fit, checked before allocating
     if _memory_error([_moments_need(ell, n)], f"l={ell}, N={n}"):
         return 2
     # each input is refused, before the Gram is built, by the function that
@@ -383,7 +389,11 @@ def _cmd_specfun_check(_args):
 # Parser
 # ======================================================================
 
-def _build_parser():
+def _build_parser(*with_arguments):
+    """The parser with every command registered, each with its help and
+    description, but only the arguments of the commands named in
+    ``with_arguments``: a call parses one command's flags, so it need not
+    build the others'."""
     parser = argparse.ArgumentParser(
         prog="sphereqv",
         description="Quadratic variations of isotropic Gaussian fields on "
@@ -397,19 +407,20 @@ def _build_parser():
         description="Exact mean/variance/cumulants of the quadratic "
                     "variation. Degree l is a dimensionless integer ≥ 1; "
                     "the grid has N increments over [0, π/2] (radians).")
-    p_mom.add_argument("--ell", type=_positive_int, required=True,
-                       help="degree l (dimensionless integer ≥ 1)")
-    p_mom.add_argument("--n", type=_positive_int, required=True,
-                       help="number of grid increments N")
-    p_mom.add_argument("--cl", type=lambda t: _finite(t, 0.0), required=True,
-                       help="spectrum value C_l at the degree")
-    p_mom.add_argument("--regime", choices=mom._REGIMES,
-                       help="also print asymptotic counterparts for this regime")
-    p_mom.add_argument("--regime-c", type=_finite, default=None,
-                       help="ratio c for ell_comparable")
-    p_mom.add_argument("--p-max", type=int, default=4, choices=range(2, 9),
-                       metavar="P", help="highest cumulant order (2..8)")
-    p_mom.add_argument("--csv", help="also write quantity,value CSV here")
+    if "moments" in with_arguments:
+        p_mom.add_argument("--ell", type=_positive_int, required=True,
+                           help="degree l (dimensionless integer ≥ 1)")
+        p_mom.add_argument("--n", type=_positive_int, required=True,
+                           help="number of grid increments N")
+        p_mom.add_argument("--cl", type=lambda t: _finite(t, 0.0), required=True,
+                           help="spectrum value C_l at the degree")
+        p_mom.add_argument("--regime", choices=mom._REGIMES,
+                           help="also print asymptotic counterparts for this regime")
+        p_mom.add_argument("--regime-c", type=_finite, default=None,
+                           help="ratio c for ell_comparable")
+        p_mom.add_argument("--p-max", type=int, default=4, choices=range(2, 9),
+                           metavar="P", help="highest cumulant order (2..8)")
+        p_mom.add_argument("--csv", help="also write quantity,value CSV here")
 
     p_sim = sub.add_parser(
         "simulate",
@@ -417,13 +428,14 @@ def _build_parser():
         description="Sample quadratic variations per a JSON sample spec. "
                     "Seeds are unsigned 64-bit integers; one derived "
                     "stream per replication.")
-    p_sim.add_argument("--spec-file", required=True,
-                       help="JSON file: {target, n, [seed], [replications]}")
-    p_sim.add_argument("--seed", type=_u64, default=None,
-                       help="seed override (u64)")
-    p_sim.add_argument("--reps", type=_positive_int, default=None,
-                       help="replication count override")
-    p_sim.add_argument("--out", required=True, help="output CSV path")
+    if "simulate" in with_arguments:
+        p_sim.add_argument("--spec-file", required=True,
+                           help="JSON file: {target, n, [seed], [replications]}")
+        p_sim.add_argument("--seed", type=_u64, default=None,
+                           help="seed override (u64)")
+        p_sim.add_argument("--reps", type=_positive_int, default=None,
+                           help="replication count override")
+        p_sim.add_argument("--out", required=True, help="output CSV path")
 
     p_est = sub.add_parser(
         "estimate",
@@ -432,19 +444,20 @@ def _build_parser():
                     "--n (cl2 also --c); classical needs --coeffs --ell; "
                     "hurst needs --vt --vs --t --s (times in the same "
                     "units, any). A mode refuses every other flag.")
-    p_est.add_argument("--mode", required=True,
-                       choices=["cl", "cl1", "cl2", "cl3", "classical", "hurst"])
-    p_est.add_argument("--v", type=_finite, help="observed quadratic variation")
-    p_est.add_argument("--ell", type=_positive_int, help="degree l (integer ≥ 1)")
-    p_est.add_argument("--n", type=_positive_int, help="grid increments N")
-    p_est.add_argument("--c", type=_finite, help="degree/grid ratio for cl2")
-    p_est.add_argument("--coeffs", type=lambda text: [
-                           _finite(tok) for tok in text.split(",") if tok.strip()],
-                       help="comma-separated 2l+1 harmonic coefficients")
-    p_est.add_argument("--vt", type=_finite, help="quadratic variation at time t")
-    p_est.add_argument("--vs", type=_finite, help="quadratic variation at time s")
-    p_est.add_argument("--t", type=_finite, help="first observation time")
-    p_est.add_argument("--s", type=_finite, help="second observation time")
+    if "estimate" in with_arguments:
+        p_est.add_argument("--mode", required=True,
+                           choices=["cl", "cl1", "cl2", "cl3", "classical", "hurst"])
+        p_est.add_argument("--v", type=_finite, help="observed quadratic variation")
+        p_est.add_argument("--ell", type=_positive_int, help="degree l (integer ≥ 1)")
+        p_est.add_argument("--n", type=_positive_int, help="grid increments N")
+        p_est.add_argument("--c", type=_finite, help="degree/grid ratio for cl2")
+        p_est.add_argument("--coeffs", type=lambda text: [
+                               _finite(tok) for tok in text.split(",") if tok.strip()],
+                           help="comma-separated 2l+1 harmonic coefficients")
+        p_est.add_argument("--vt", type=_finite, help="quadratic variation at time t")
+        p_est.add_argument("--vs", type=_finite, help="quadratic variation at time s")
+        p_est.add_argument("--t", type=_finite, help="first observation time")
+        p_est.add_argument("--s", type=_finite, help="second observation time")
 
     p_exp = sub.add_parser(
         "experiment",
@@ -452,18 +465,19 @@ def _build_parser():
         description="Run an experiment described by a JSON config (path or "
                     "bundled name, e.g. regime_sweep.json). Flags override "
                     "config values; unknown config keys are rejected.")
-    p_exp.add_argument("--config", required=True,
-                       help="config path or bundled config name")
-    p_exp.add_argument("--out", default=None,
-                       help="output base path (writes BASE.json and BASE.csv)")
-    p_exp.add_argument("--seed", type=_u64, default=None, help="seed override (u64)")
-    p_exp.add_argument("--reps", type=_positive_int, default=None,
-                       help="replication count override")
-    p_exp.add_argument("--threads", type=lambda t: _positive_int(t, _MAX_THREADS),
-                       default=None,
-                       help=f"worker threads, 1..{_MAX_THREADS} (default: all cores)")
-    p_exp.add_argument("--strict", action="store_true",
-                       help="exit 3 unless ≥95%% of oracle pairs agree within 4 SE")
+    if "experiment" in with_arguments:
+        p_exp.add_argument("--config", required=True,
+                           help="config path or bundled config name")
+        p_exp.add_argument("--out", default=None,
+                           help="output base path (writes BASE.json and BASE.csv)")
+        p_exp.add_argument("--seed", type=_u64, default=None, help="seed override (u64)")
+        p_exp.add_argument("--reps", type=_positive_int, default=None,
+                           help="replication count override")
+        p_exp.add_argument("--threads", type=lambda t: _positive_int(t, _MAX_THREADS),
+                           default=None,
+                           help=f"worker threads, 1..{_MAX_THREADS} (default: all cores)")
+        p_exp.add_argument("--strict", action="store_true",
+                           help="exit 3 unless ≥95%% of oracle pairs agree within 4 SE")
 
     sub.add_parser(
         "specfun-check",
@@ -476,7 +490,10 @@ def _build_parser():
 
 
 def main(argv=None):
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    # argparse runs the command its first positional token names, so only
+    # that command's arguments are built
+    parser = _build_parser(next((a for a in argv if not a.startswith("-")), None))
     args = parser.parse_args(argv)
     # a config or sample spec whose bytes are not UTF-8 JSON is a config
     # error; ConfigError is the harness's, which only these two commands load

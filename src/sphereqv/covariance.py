@@ -156,41 +156,56 @@ class IncrementGram:
     """Covariance matrix of grid increments.
 
     sigma[i, j] = E[Δ_i Δ_j], an N×N symmetric PSD Toeplitz matrix
-    (stationary on the line), given by its first ``row``; the matrix is
-    built on first access of ``sigma`` only, so ``first_row`` and
-    :meth:`trace` never need it.
+    (stationary on the line), given by its first ``row``: an array of length
+    N, or a function of no arguments that forms it, called on the first
+    read of ``first_row`` or ``sigma``, or of :meth:`trace` and
+    :meth:`eigenvalues` when there is no core. The matrix is built on first
+    access of ``sigma`` only, so ``first_row`` and :meth:`trace` never need
+    it.
 
     ``core``, when present, is a symmetric R×R matrix with Σ's nonzero
     eigenvalues (one degree's (l+1)×(l+1) circle core), so tr(Σ^p) =
     tr(core^p) for every p ≥ 1 at O(R³) rather than O(N³), and the trace
-    sums positive terms. :meth:`eigenvalues` decomposes once per gram.
+    sums positive terms; with a core, a row given as a function is never
+    formed for a cumulant. :meth:`eigenvalues` decomposes once per gram.
     """
 
     def __init__(self, n, row, *, core=None):
         self.n = int(n)
-        row = np.asarray(row, dtype=float)
-        if row.shape != (self.n,):
-            raise ValueError("row must have length N")
+        self._row = row if callable(row) else self._checked(row)
         if core is not None:
             core = np.asarray(core, dtype=float)
             if core.ndim != 2 or core.shape[0] != core.shape[1]:
                 raise ValueError("core must be square")
-        self._sigma, self._row, self.core = None, row, core
+        self._sigma, self.core = None, core
         self._eig = None
 
     def __repr__(self):
         size = None if self.core is None else self.core.shape[0]
         return f"IncrementGram(n={self.n}, core_size={size})"
 
+    def _checked(self, row):
+        row = np.asarray(row, dtype=float)
+        if row.shape != (self.n,):
+            raise ValueError("row must have length N")
+        return row
+
+    def _full_row(self):
+        """The first row, formed and checked on the first call when given
+        as a function."""
+        if callable(self._row):
+            self._row = self._checked(self._row())
+        return self._row
+
     @property
     def sigma(self):
         if self._sigma is None:
-            self._sigma = toeplitz(self._row)
+            self._sigma = toeplitz(self._full_row())
         return self._sigma
 
     @property
     def first_row(self):
-        return self._row.copy()
+        return self._full_row().copy()
 
     def eigenvalues(self):
         """Eigenvalues whose power sums are tr(Σ^p), computed on first call.
@@ -208,7 +223,7 @@ class IncrementGram:
     def trace(self):
         if self.core is not None:
             return float(np.trace(self.core))
-        return self.n * float(self._row[0])
+        return self.n * float(self._full_row()[0])
 
 
 # ======================================================================
@@ -298,11 +313,13 @@ def increment_gram_fl(ell, c_ell, grid):
 
     Carries the (l+1)×(l+1) circle core of :func:`_circle_core` while
     l+1 ≤ N, where it is no larger than Σ, so every trace cumulant costs
-    O(l³) at any grid size; Σ comes from the O(lN) row on first use.
+    O(l³) time and O(l²) memory at any grid size. The O(lN) row, bitwise
+    :func:`increment_row_fl`'s, is passed as the function that forms it, so
+    it is formed only on the first read of ``first_row`` or ``sigma``, or of
+    any cumulant when there is no core.
     """
-    row = increment_row_fl(ell, c_ell, grid)
     core = _circle_core(ell, c_ell, grid.n) if ell < grid.n else None
-    return IncrementGram(n=grid.n, row=row, core=core)
+    return IncrementGram(n=grid.n, row=lambda: increment_row_fl(ell, c_ell, grid), core=core)
 
 
 def _kernel_row(weights, l_min, x):

@@ -71,9 +71,9 @@ _REGIMES = (FIXED_ELL, ELL_FASTER, ELL_COMPARABLE, ELL_SLOWER)
 
 # The largest degree a command accepts: its exact side runs O(l) Legendre
 # recurrences, so 2^21 stays within a budget of about 10 s. Measured at 2^21
-# on a 2-core x86-64 VM: ``sphereqv moments --n 1`` 3.6–3.8 s (1.7 µs per
-# degree, its Gram row's sweep on arrays), ``sphereqv estimate --mode cl``
-# 0.22–0.26 s (its mean's sweep on one float).
+# on a 2-core x86-64 VM: ``sphereqv moments --n 1`` 0.5 s (three sweeps on
+# one float each, its mean's and its Gram row's two lags), ``sphereqv
+# estimate --mode cl`` 0.22–0.26 s (its mean's sweep).
 MAX_DEGREE = 2 ** 21
 
 

@@ -20,6 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sphereqv.covariance
 import sphereqv.moments
 import sphereqv.simulate
 from sphereqv import cli, harness
@@ -95,6 +96,24 @@ def test_moments_grid_of_a_million(capsys):
     table = _parse_table(capsys.readouterr().out)
     assert all(math.isfinite(v) for v in table.values())
     assert table["variance"] > 0 and table["normalized_k4"] > 0
+
+
+def test_moments_core_path_builds_no_row(monkeypatch, capsys):
+    # every printed value of a core-path cell comes from the 9×9 core and the
+    # scalar mean: the O(lN) Gram row (40 MB at N = 10⁶) is never formed
+    argv = ["moments", "--ell", "8", "--n", "1000000", "--cl", "0.5"]
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+    want = capsys.readouterr().out
+    monkeypatch.setattr(sphereqv.covariance, "increment_row_fl",
+                        lambda *a: pytest.fail("formed the Gram row"))
+    assert main(argv) == 0
+    assert capsys.readouterr().out == want
 
 
 def test_moments_unallocatable_grid_is_one_line_error(capsys):
@@ -1292,6 +1311,74 @@ def test_help_documents_units(capsys):
         main(["moments", "--help"])
     assert exc.value.code == 0
     assert "radians" in capsys.readouterr().out
+
+
+def _subparsers(parser):
+    """name -> subparser of a parser from ``cli._build_parser``."""
+    (action,) = [a for a in parser._actions if a.dest == "command"]
+    return action.choices
+
+
+_COMMANDS = tuple(_subparsers(cli._build_parser()))
+
+
+# one representative argv per command, every flag it has set
+_FULL_ARGV = {
+    "moments": ["moments", "--ell", "8", "--n", "64", "--cl", "0.5", "--regime",
+                "ell_comparable", "--regime-c", "1", "--p-max", "6", "--csv", "m.csv"],
+    "simulate": ["simulate", "--spec-file", "s.json", "--seed", "7", "--reps", "3",
+                 "--out", "s.csv"],
+    "estimate": ["estimate", "--mode", "cl2", "--v", "1", "--ell", "3", "--n", "8",
+                 "--c", "1", "--coeffs", "1,2", "--vt", "2", "--vs", "1", "--t", "2",
+                 "--s", "1"],
+    "experiment": ["experiment", "--config", "regime_sweep", "--out", "r", "--seed", "1",
+                   "--reps", "200", "--threads", "2", "--strict"],
+    "specfun-check": ["specfun-check"],
+}
+
+
+@pytest.mark.parametrize("command", list(_COMMANDS))
+def test_one_command_parser_equals_the_full_parser(monkeypatch, command):
+    # a call builds only its own command's arguments: that command's help,
+    # the top-level help and the parsed flags are those of a parser that
+    # carries every command's arguments
+    monkeypatch.setenv("COLUMNS", "80")
+    assert list(_FULL_ARGV) == list(_COMMANDS)
+    full, one = cli._build_parser(*_COMMANDS), cli._build_parser(command)
+    assert one.format_help() == full.format_help()
+    assert (_subparsers(one)[command].format_help()
+            == _subparsers(full)[command].format_help())
+    assert one.parse_args(_FULL_ARGV[command]) == full.parse_args(_FULL_ARGV[command])
+    # the other commands are registered, with their help, but carry no flags
+    others = [p for name, p in _subparsers(one).items() if name != command]
+    assert len(others) == 4
+    assert all([a.dest for a in p._actions] == ["help"] for p in others)
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["--help"], ["bogus"], ["bogus", "--ell", "3"], ["--foo"],
+    ["--foo", "moments", "--ell", "3", "--n", "4", "--cl", "1"],
+    ["moments", "--ell", "3", "--n", "4", "--cl", "1", "--bogus"],
+    ["experiment", "--config", "moments", "--threads", "2000"],
+    ["specfun-check", "--bogus"],
+    *([name, "--help"] for name in _COMMANDS),
+], ids=" ".join)
+def test_usage_and_errors_match_the_full_parser(monkeypatch, argv):
+    # help, usage and error bytes and the exit status under main equal the
+    # full parser's: argparse names every registered command in both
+    monkeypatch.setenv("COLUMNS", "80")
+
+    def run(parse):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            with pytest.raises(SystemExit) as exc:
+                parse()
+        return exc.value.code, out.getvalue(), err.getvalue()
+
+    got = run(lambda: main(argv))
+    want = run(lambda: cli._build_parser(*_COMMANDS).parse_args(argv))
+    assert got == want
+    assert got[0] == (0 if "--help" in argv else 2)
 
 
 def test_console_entry_point_runs(tmp_path):

@@ -273,6 +273,36 @@ def test_gram_from_row_is_bitwise_the_toeplitz_matrix():
         np.testing.assert_array_equal(gram.sigma, toeplitz(row))
 
 
+@pytest.mark.parametrize("ell, n", [(4, 33), (8, 4096), (9, 7), (3, 1)])
+def test_gram_forms_its_row_once_on_first_read(monkeypatch, ell, n):
+    # the gram holds the function that forms increment_row_fl's row: with a
+    # core every cumulant reads without it, and the first read of first_row
+    # or sigma forms it once, bitwise; a gram with no core needs it for its trace
+    grid = LineGrid(n)
+    want = increment_row_fl(ell, 1.7, grid)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return increment_row_fl(*args)
+
+    monkeypatch.setattr(cov, "increment_row_fl", counted)
+    gram = increment_gram_fl(ell, 1.7, grid)
+    gram.eigenvalues()
+    gram.trace()
+    assert len(calls) == (0 if ell < n else 1)
+    np.testing.assert_array_equal(gram.sigma, toeplitz(want))
+    np.testing.assert_array_equal(gram.first_row, want)
+    assert calls == [(ell, 1.7, grid)]
+
+
+def test_gram_checks_a_row_given_as_a_function_when_formed():
+    gram = IncrementGram(n=3, row=lambda: np.ones(2), core=np.eye(2))
+    assert gram.trace() == 2.0
+    with pytest.raises(ValueError, match="row must have length N"):
+        gram.first_row
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 17, 1024])
 def test_numpy_toeplitz_is_bitwise_scipys(n):
     rng = np.random.default_rng(n)

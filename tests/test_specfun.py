@@ -31,12 +31,22 @@ def test_legendre_p_matches_reference(ell):
 
 
 def test_legendre_p_scalar_and_array_agree():
-    want = legendre_p(5, np.array([0.3]))[0]
+    want = _frozen_legendre_p(5, np.array([0.3]))[0]
     # a Python float, a numpy scalar and a 0-d array take the float sweep
     for x in (0.3, np.float64(0.3), np.array(0.3)):
         got = legendre_p(5, x)
         assert type(got) is float
         assert np.float64(got).view(np.uint64) == want.view(np.uint64)
+
+
+@pytest.mark.parametrize("size", [1, 2, 16, 17])
+def test_legendre_p_small_arrays_are_bitwise_the_array_sweep(size):
+    # up to 16 values sweep one Python float at a time; 17 take the array sweep
+    x = np.concatenate([[-1.0, -0.0, 1.0, 1e-300], RNG.uniform(-1, 1, 13)])[:size]
+    for ell in (0, 1, 8, 513):
+        got = legendre_p(ell, x.reshape(1, size))
+        assert got.shape == (1, size) and got.dtype == np.float64
+        _assert_bitwise(got[0], _frozen_legendre_p(ell, x))
 
 
 def test_legendre_domain_errors():
