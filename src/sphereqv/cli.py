@@ -11,6 +11,11 @@ the harness:
     experiment     run a Monte Carlo experiment config, write JSON + CSV
     specfun-check  run the special-function invariant suite
 
+A call whose first argument names a command parses with a parser that
+registers that command alone; any other argv gets every command. The
+one-command parser's top-level errors are printed by the full parser, so
+help, usage and error bytes are the same either way.
+
 Units: degrees l are dimensionless integers ≥ 1, angles are radians, seeds
 are unsigned 64-bit integers. Exit codes: 0 success, 1 numeric or I/O
 failure, 2 flag/config validation error (a config or sample spec that is
@@ -389,111 +394,127 @@ def _cmd_specfun_check(_args):
 # Parser
 # ======================================================================
 
-def _build_parser(*with_arguments):
-    """The parser with every command registered, each with its help and
-    description, but only the arguments of the commands named in
-    ``with_arguments``: a call parses one command's flags, so it need not
-    build the others'."""
+def _moments_arguments(p):
+    p.add_argument("--ell", type=_positive_int, required=True,
+                   help="degree l (dimensionless integer ≥ 1)")
+    p.add_argument("--n", type=_positive_int, required=True,
+                   help="number of grid increments N")
+    p.add_argument("--cl", type=lambda t: _finite(t, 0.0), required=True,
+                   help="spectrum value C_l at the degree")
+    p.add_argument("--regime", choices=mom._REGIMES,
+                   help="also print asymptotic counterparts for this regime")
+    p.add_argument("--regime-c", type=_finite, default=None,
+                   help="ratio c for ell_comparable")
+    p.add_argument("--p-max", type=int, default=4, choices=range(2, 9),
+                   metavar="P", help="highest cumulant order (2..8)")
+    p.add_argument("--csv", help="also write quantity,value CSV here")
+
+
+def _simulate_arguments(p):
+    p.add_argument("--spec-file", required=True,
+                   help="JSON file: {target, n, [seed], [replications]}")
+    p.add_argument("--seed", type=_u64, default=None, help="seed override (u64)")
+    p.add_argument("--reps", type=_positive_int, default=None,
+                   help="replication count override")
+    p.add_argument("--out", required=True, help="output CSV path")
+
+
+def _estimate_arguments(p):
+    p.add_argument("--mode", required=True,
+                   choices=["cl", "cl1", "cl2", "cl3", "classical", "hurst"])
+    p.add_argument("--v", type=_finite, help="observed quadratic variation")
+    p.add_argument("--ell", type=_positive_int, help="degree l (integer ≥ 1)")
+    p.add_argument("--n", type=_positive_int, help="grid increments N")
+    p.add_argument("--c", type=_finite, help="degree/grid ratio for cl2")
+    p.add_argument("--coeffs", type=lambda text: [
+                       _finite(tok) for tok in text.split(",") if tok.strip()],
+                   help="comma-separated 2l+1 harmonic coefficients")
+    p.add_argument("--vt", type=_finite, help="quadratic variation at time t")
+    p.add_argument("--vs", type=_finite, help="quadratic variation at time s")
+    p.add_argument("--t", type=_finite, help="first observation time")
+    p.add_argument("--s", type=_finite, help="second observation time")
+
+
+def _experiment_arguments(p):
+    p.add_argument("--config", required=True, help="config path or bundled config name")
+    p.add_argument("--out", default=None,
+                   help="output base path (writes BASE.json and BASE.csv)")
+    p.add_argument("--seed", type=_u64, default=None, help="seed override (u64)")
+    p.add_argument("--reps", type=_positive_int, default=None,
+                   help="replication count override")
+    p.add_argument("--threads", type=lambda t: _positive_int(t, _MAX_THREADS), default=None,
+                   help=f"worker threads, 1..{_MAX_THREADS} (default: all cores)")
+    p.add_argument("--strict", action="store_true",
+                   help="exit 3 unless ≥95%% of oracle pairs agree within 4 SE")
+
+
+# name -> (help, description, function adding the command's arguments), in
+# the order the top-level usage lists them
+_COMMANDS = {
+    "moments": (
+        "exact (and asymptotic) moments of one (degree, grid) cell",
+        "Exact mean/variance/cumulants of the quadratic variation. Degree l is a "
+        "dimensionless integer ≥ 1; the grid has N increments over [0, π/2] (radians).",
+        _moments_arguments),
+    "simulate": (
+        "draw quadratic-variation replications to CSV",
+        "Sample quadratic variations per a JSON sample spec. Seeds are unsigned 64-bit "
+        "integers; one derived stream per replication.",
+        _simulate_arguments),
+    "estimate": (
+        "spectrum / Hurst point estimates from given inputs",
+        "Point estimates. Modes cl/cl1/cl2/cl3 need --v --ell --n (cl2 also --c); "
+        "classical needs --coeffs --ell; hurst needs --vt --vs --t --s (times in the "
+        "same units, any). A mode refuses every other flag.",
+        _estimate_arguments),
+    "experiment": (
+        "run a Monte Carlo experiment config, write JSON + CSV",
+        "Run an experiment described by a JSON config (path or bundled name, e.g. "
+        "regime_sweep.json). Flags override config values; unknown config keys are "
+        "rejected.",
+        _experiment_arguments),
+    "specfun-check": (
+        "run the special-function invariant suite",
+        "Evaluates the special-function layer against reference implementations and "
+        "closed forms; prints one PASS/FAIL line per invariant.",
+        lambda p: None),
+}
+
+
+def _build_parser(*commands):
+    """The parser with the commands named in ``commands`` registered, each
+    with its help, description and arguments, or with every command when
+    ``commands`` names none of them.
+
+    A parser that registers fewer than every command hands each top-level
+    error (an unrecognized argument, or a ``parser.error`` after parsing) to
+    the full parser, whose usage line lists every command, so its stderr
+    bytes are the full parser's; a subcommand's own errors and help name no
+    other command."""
     parser = argparse.ArgumentParser(
         prog="sphereqv",
         description="Quadratic variations of isotropic Gaussian fields on "
                     "a sphere meridian: exact moments, simulation, "
                     "estimation, experiments.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_mom = sub.add_parser(
-        "moments",
-        help="exact (and asymptotic) moments of one (degree, grid) cell",
-        description="Exact mean/variance/cumulants of the quadratic "
-                    "variation. Degree l is a dimensionless integer ≥ 1; "
-                    "the grid has N increments over [0, π/2] (radians).")
-    if "moments" in with_arguments:
-        p_mom.add_argument("--ell", type=_positive_int, required=True,
-                           help="degree l (dimensionless integer ≥ 1)")
-        p_mom.add_argument("--n", type=_positive_int, required=True,
-                           help="number of grid increments N")
-        p_mom.add_argument("--cl", type=lambda t: _finite(t, 0.0), required=True,
-                           help="spectrum value C_l at the degree")
-        p_mom.add_argument("--regime", choices=mom._REGIMES,
-                           help="also print asymptotic counterparts for this regime")
-        p_mom.add_argument("--regime-c", type=_finite, default=None,
-                           help="ratio c for ell_comparable")
-        p_mom.add_argument("--p-max", type=int, default=4, choices=range(2, 9),
-                           metavar="P", help="highest cumulant order (2..8)")
-        p_mom.add_argument("--csv", help="also write quantity,value CSV here")
-
-    p_sim = sub.add_parser(
-        "simulate",
-        help="draw quadratic-variation replications to CSV",
-        description="Sample quadratic variations per a JSON sample spec. "
-                    "Seeds are unsigned 64-bit integers; one derived "
-                    "stream per replication.")
-    if "simulate" in with_arguments:
-        p_sim.add_argument("--spec-file", required=True,
-                           help="JSON file: {target, n, [seed], [replications]}")
-        p_sim.add_argument("--seed", type=_u64, default=None,
-                           help="seed override (u64)")
-        p_sim.add_argument("--reps", type=_positive_int, default=None,
-                           help="replication count override")
-        p_sim.add_argument("--out", required=True, help="output CSV path")
-
-    p_est = sub.add_parser(
-        "estimate",
-        help="spectrum / Hurst point estimates from given inputs",
-        description="Point estimates. Modes cl/cl1/cl2/cl3 need --v --ell "
-                    "--n (cl2 also --c); classical needs --coeffs --ell; "
-                    "hurst needs --vt --vs --t --s (times in the same "
-                    "units, any). A mode refuses every other flag.")
-    if "estimate" in with_arguments:
-        p_est.add_argument("--mode", required=True,
-                           choices=["cl", "cl1", "cl2", "cl3", "classical", "hurst"])
-        p_est.add_argument("--v", type=_finite, help="observed quadratic variation")
-        p_est.add_argument("--ell", type=_positive_int, help="degree l (integer ≥ 1)")
-        p_est.add_argument("--n", type=_positive_int, help="grid increments N")
-        p_est.add_argument("--c", type=_finite, help="degree/grid ratio for cl2")
-        p_est.add_argument("--coeffs", type=lambda text: [
-                               _finite(tok) for tok in text.split(",") if tok.strip()],
-                           help="comma-separated 2l+1 harmonic coefficients")
-        p_est.add_argument("--vt", type=_finite, help="quadratic variation at time t")
-        p_est.add_argument("--vs", type=_finite, help="quadratic variation at time s")
-        p_est.add_argument("--t", type=_finite, help="first observation time")
-        p_est.add_argument("--s", type=_finite, help="second observation time")
-
-    p_exp = sub.add_parser(
-        "experiment",
-        help="run a Monte Carlo experiment config, write JSON + CSV",
-        description="Run an experiment described by a JSON config (path or "
-                    "bundled name, e.g. regime_sweep.json). Flags override "
-                    "config values; unknown config keys are rejected.")
-    if "experiment" in with_arguments:
-        p_exp.add_argument("--config", required=True,
-                           help="config path or bundled config name")
-        p_exp.add_argument("--out", default=None,
-                           help="output base path (writes BASE.json and BASE.csv)")
-        p_exp.add_argument("--seed", type=_u64, default=None, help="seed override (u64)")
-        p_exp.add_argument("--reps", type=_positive_int, default=None,
-                           help="replication count override")
-        p_exp.add_argument("--threads", type=lambda t: _positive_int(t, _MAX_THREADS),
-                           default=None,
-                           help=f"worker threads, 1..{_MAX_THREADS} (default: all cores)")
-        p_exp.add_argument("--strict", action="store_true",
-                           help="exit 3 unless ≥95%% of oracle pairs agree within 4 SE")
-
-    sub.add_parser(
-        "specfun-check",
-        help="run the special-function invariant suite",
-        description="Evaluates the special-function layer against reference "
-                    "implementations and closed forms; prints one PASS/FAIL "
-                    "line per invariant.")
-
+    names = [name for name in _COMMANDS if name in commands] or list(_COMMANDS)
+    for name in names:
+        help_, description, add_arguments = _COMMANDS[name]
+        add_arguments(sub.add_parser(name, help=help_, description=description))
+    if len(names) < len(_COMMANDS):
+        parser.error = lambda message: _build_parser().error(message)
     return parser
 
 
 def main(argv=None):
+    """Run the command ``argv`` names (``sys.argv[1:]`` by default) and
+    return its exit status. A call whose first token names a command parses
+    with a parser that registers that command alone; any other argv (none,
+    a flag first, an unknown command) gets every command. Either way help,
+    usage and error bytes are the full parser's: the one-command parser's
+    top-level errors are printed by the full parser."""
     argv = sys.argv[1:] if argv is None else argv
-    # argparse runs the command its first positional token names, so only
-    # that command's arguments are built
-    parser = _build_parser(next((a for a in argv if not a.startswith("-")), None))
+    parser = _build_parser(*argv[:1])
     args = parser.parse_args(argv)
     # a config or sample spec whose bytes are not UTF-8 JSON is a config
     # error; ConfigError is the harness's, which only these two commands load

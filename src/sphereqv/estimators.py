@@ -15,6 +15,7 @@ below the smallest normal float) raises FloatingPointError.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -114,11 +115,23 @@ def estimate_cl_classical(coeffs, ell):
                           variant="classical", bias_exact=0.0)
 
 
+def _log_ratio(a, b):
+    """log(a/b) for positive a and b: the log of the ratio while the ratio is
+    a finite normal float, else log a − log b, which stays finite where a/b
+    rounds to 0, a subnormal or inf."""
+    ratio = a / b
+    if sys.float_info.min <= ratio < math.inf:
+        return math.log(ratio)
+    return math.log(a) - math.log(b)
+
+
 def estimate_hurst(v_t, v_s, t, s):
     """Hurst exponent from quadratic variations at two times.
 
     The two-time ratio of quadratic variations concentrates at (t/s)^{2H},
-    so Ĥ = log(v_t/v_s)/(2 log(t/s)). No clamping: values outside (0, 1)
+    so Ĥ = log(v_t/v_s)/(2 log(t/s)), each log taken of the ratio itself
+    unless the ratio leaves the normal float range (``_log_ratio``), so
+    finite inputs give a finite estimate. No clamping: values outside (0, 1)
     are returned as-is with a warning, since they indicate either noise or
     a misspecified model and silent truncation would hide both.
     """
@@ -126,11 +139,7 @@ def estimate_hurst(v_t, v_s, t, s):
         raise ValueError(f"quadratic variations must be positive, got {v_t!r} and {v_s!r}")
     if t <= 0 or s <= 0 or t == s:
         raise ValueError(f"times must be distinct positives, got {t!r} and {s!r}")
-    try:
-        h = math.log(v_t / v_s) / (2.0 * math.log(t / s))
-    except ValueError:  # math.log of a ratio that underflowed to 0
-        raise FloatingPointError(f"v_t/v_s = {v_t / v_s!r} or t/s = {t / s!r} "
-                                 "leaves the float range") from None
+    h = _log_ratio(v_t, v_s) / (2.0 * _log_ratio(t, s))
     if not (0.0 < h < 1.0):
         warnings.warn(f"Hurst estimate {h:.4f} outside (0, 1)", stacklevel=2)
     return h

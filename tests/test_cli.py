@@ -13,7 +13,6 @@ import sys
 import tempfile
 import time
 import tracemalloc
-import warnings
 
 import numpy as np
 import pytest
@@ -652,17 +651,26 @@ def test_estimate_domain_errors_exit_2(capsys, argv):
 
 
 @pytest.mark.parametrize("argv", [
-    ["--mode", "hurst", "--vt", "1e308", "--vs", "1e-308", "--t", "2", "--s", "1"],
     ["--mode", "cl", "--v", "1e308", "--ell", "8", "--n", "4096"],
-    ["--mode", "hurst", "--vt", "1e-308", "--vs", "1e308", "--t", "2", "--s", "1"],
 ], ids=" ".join)
 def test_estimate_overflowing_value_prints_nothing(capsys, argv):
     # finite flags, an infinite estimate: a numeric error, never Infinity as JSON
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # the Hurst estimator warns of h ∉ (0, 1)
-        assert main(["estimate", *argv]) == 1
+    assert main(["estimate", *argv]) == 1
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("numeric error: ")
+
+
+@pytest.mark.parametrize("vt, vs, sign", [("1e308", "1e-308", 1), ("1e-308", "1e308", -1)],
+                         ids=["v_overflow", "v_underflow"])
+def test_estimate_hurst_ratio_beyond_the_float_range_is_finite(capsys, vt, vs, sign):
+    # v_t/v_s leaves the float range, Ĥ = (ln v_t − ln v_s)/(2 ln 2) does not:
+    # strict JSON and exit 0, with the (0, 1) warning
+    with pytest.warns(UserWarning, match="outside"):
+        assert main(["estimate", "--mode", "hurst", "--vt", vt, "--vs", vs,
+                     "--t", "2", "--s", "1"]) == 0
+    out, err = capsys.readouterr()
+    value = json.loads(out, parse_constant=pytest.fail)["value"]
+    assert value == pytest.approx(sign * 1023.1538532253, rel=1e-12) and err == ""
 
 
 @pytest.mark.parametrize("argv", [
@@ -1319,7 +1327,8 @@ def _subparsers(parser):
     return action.choices
 
 
-_COMMANDS = tuple(_subparsers(cli._build_parser()))
+_build_parser = cli._build_parser
+_COMMANDS = tuple(_subparsers(_build_parser()))
 
 
 # one representative argv per command, every flag it has set
@@ -1338,21 +1347,22 @@ _FULL_ARGV = {
 
 
 @pytest.mark.parametrize("command", list(_COMMANDS))
-def test_one_command_parser_equals_the_full_parser(monkeypatch, command):
-    # a call builds only its own command's arguments: that command's help,
-    # the top-level help and the parsed flags are those of a parser that
-    # carries every command's arguments
+def test_one_command_parser_equals_the_full_parser(monkeypatch, capsys, command):
+    # main parses `<command> …` with a parser that registers that command
+    # alone: its help and the parsed flags are the full parser's
     monkeypatch.setenv("COLUMNS", "80")
     assert list(_FULL_ARGV) == list(_COMMANDS)
-    full, one = cli._build_parser(*_COMMANDS), cli._build_parser(command)
-    assert one.format_help() == full.format_help()
+    built = []
+    monkeypatch.setattr(cli, "_build_parser",
+                        lambda *names: built.append(names) or _build_parser(*names))
+    assert _exit_code([command, "--help"]) == 0
+    capsys.readouterr()
+    assert built == [(command,)]
+    full, one = _build_parser(*_COMMANDS), _build_parser(command)
+    assert list(_subparsers(one)) == [command]
     assert (_subparsers(one)[command].format_help()
             == _subparsers(full)[command].format_help())
     assert one.parse_args(_FULL_ARGV[command]) == full.parse_args(_FULL_ARGV[command])
-    # the other commands are registered, with their help, but carry no flags
-    others = [p for name, p in _subparsers(one).items() if name != command]
-    assert len(others) == 4
-    assert all([a.dest for a in p._actions] == ["help"] for p in others)
 
 
 @pytest.mark.parametrize("argv", [
@@ -1362,6 +1372,7 @@ def test_one_command_parser_equals_the_full_parser(monkeypatch, command):
     ["experiment", "--config", "moments", "--threads", "2000"],
     ["specfun-check", "--bogus"],
     *([name, "--help"] for name in _COMMANDS),
+    ["--help", "moments"], ["moments"],
 ], ids=" ".join)
 def test_usage_and_errors_match_the_full_parser(monkeypatch, argv):
     # help, usage and error bytes and the exit status under main equal the
@@ -1379,6 +1390,21 @@ def test_usage_and_errors_match_the_full_parser(monkeypatch, argv):
     want = run(lambda: cli._build_parser(*_COMMANDS).parse_args(argv))
     assert got == want
     assert got[0] == (0 if "--help" in argv else 2)
+
+
+@pytest.mark.parametrize("argv", [
+    ["estimate", "--mode", "cl"],
+    ["moments", "--ell", "3", "--n", "16", "--cl", "1", "--regime-c", "3"],
+], ids=" ".join)
+def test_errors_after_parsing_print_the_full_usage(monkeypatch, capsys, argv):
+    # main and _cmd_estimate raise these through the one-command parser; the
+    # full parser prints them, under a usage line that names every command
+    monkeypatch.setenv("COLUMNS", "80")
+    assert _exit_code(argv) == 2
+    out, err = capsys.readouterr()
+    usage = _build_parser(*_COMMANDS).format_usage()
+    assert "{" + ",".join(_COMMANDS) + "}" in usage
+    assert out == "" and err.startswith(usage) and err.count("error:") == 1
 
 
 def test_console_entry_point_runs(tmp_path):

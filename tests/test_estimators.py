@@ -3,7 +3,9 @@
 import math
 import re
 import sys
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -264,13 +266,34 @@ def test_hurst_validation():
         estimate_hurst(1.0, 1.0, -1.0, 1.0)
 
 
-@pytest.mark.parametrize("args", [(1e-308, 1e308, 2.0, 1.0), (2.0, 1.0, 1e-308, 1e308)],
-                         ids=["v_ratio", "time_ratio"])
-def test_hurst_ratio_that_underflows_is_an_arithmetic_failure(args):
-    # valid inputs whose ratio rounds to 0: math.log raised its domain
-    # ValueError, which reads as an input outside the estimator's domain
-    with pytest.raises(FloatingPointError, match="leaves the float range"):
-        estimate_hurst(*args)
+@pytest.mark.parametrize("args", [(1e308, 1e-308, 2.0, 1.0), (1e-308, 1e308, 2.0, 1.0),
+                                  (2.0, 1.0, 1e-308, 1e308), (5e-324, 1.0, 2.0, 1.0),
+                                  (1.5, 1.0, 3e-310, 1e10)],
+                         ids=["v_overflow", "v_underflow", "time_underflow",
+                              "v_subnormal", "time_subnormal"])
+def test_hurst_ratio_outside_the_float_range_is_finite(args):
+    # finite inputs whose ratio leaves the normal range (inf, 0 or a subnormal)
+    # take the log difference: the estimate is finite and within 4 ulps of
+    # the 40-digit value
+    v_t, v_s, t, s = (mpmath.mpf(a) for a in args)
+    with mpmath.workdps(40):
+        want = mpmath.log(v_t / v_s) / (2 * mpmath.log(t / s))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # Ĥ ∉ (0, 1)
+        got = estimate_hurst(*args)
+    assert math.isfinite(got)
+    assert abs(got - float(want)) <= 4 * math.ulp(float(want))
+
+
+def test_hurst_in_range_ratio_is_the_ratio_form_bitwise():
+    # inputs whose ratios are normal floats keep log(v_t/v_s)/(2 log(t/s))
+    # bit for bit, as the harness's hurst_median digests pin
+    rng = np.random.default_rng(31)
+    for v_t, v_s, t, s in rng.lognormal(0.0, 3.0, size=(2000, 4)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            got = estimate_hurst(v_t, v_s, t, s)
+        assert got == math.log(v_t / v_s) / (2.0 * math.log(t / s))
 
 
 def test_estimate_result_validation():
