@@ -118,8 +118,9 @@ def estimate_cl_classical(coeffs, ell):
 def _log_ratio(a, b):
     """log(a/b) for positive a and b: the log of the ratio while the ratio is
     a finite normal float, else log a − log b, which stays finite where a/b
-    rounds to 0, a subnormal or inf."""
-    ratio = a / b
+    rounds to 0, a subnormal or inf. The division is Python's, the same
+    IEEE quotient as numpy's, so numpy scalars warn of no overflow."""
+    ratio = float(a) / float(b)
     if sys.float_info.min <= ratio < math.inf:
         return math.log(ratio)
     return math.log(a) - math.log(b)

@@ -857,6 +857,24 @@ def test_experiment_strict_flags_corrupted_oracle(tmp_path, capsys, monkeypatch)
     assert "oracle disagreement" in capsys.readouterr().err
 
 
+def test_experiment_strict_fails_a_degenerate_pair(tmp_path, capsys, monkeypatch):
+    # the comonotone pair fault: a cross term r = t^H s^H leaves l11 = 0, so
+    # every Ĥ equals H to rounding and the hurst_median jackknife SE reads 0;
+    # strict mode counts that row as failed, not as unchecked
+    monkeypatch.setattr(sphereqv.simulate, "rh_cross", lambda h, t, s: (t * s) ** h)
+    spectrum = {"kind": "power_law", "c0": 1.0, "epsilon": 0.2, "l_max": 16}
+    cfg = _write_config(tmp_path, replications=1000, batch_size=500,
+                        statistics=["mean", "var", "hurst"], cells=[[1, 32]],
+                        target={"kind": "fbm", "hurst": 0.3, "times": [2.0, 1.0],
+                                "spectrum": spectrum})
+    code = main(["experiment", "--config", cfg, "--out",
+                 str(tmp_path / "bad"), "--strict", "--threads", "1"])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "oracle disagreement: hurst_median at (l=1, N=32) off by inf SE" in err
+    assert "strict mode: 2/3 statistics within 4 SE" in err
+
+
 def test_experiment_error_exit_codes(tmp_path, capsys):
     assert main(["experiment", "--config", str(tmp_path / "missing.json"),
                  "--out", str(tmp_path / "x")]) == 1
@@ -931,6 +949,10 @@ def test_experiment_bad_c_ell_is_a_config_error(tmp_path, capsys, c_ell):
     {"target": {"kind": "fbm", "hurst": 0.3, "times": [2.0, 1.0],
                 "spectrum": {"kind": "power_law", "c0": 1.7e308, "epsilon": 0.2,
                              "l_max": 8}}},
+    {"target": {"kind": "full_field", "spectrum": {"kind": "tabulated", "values": [1.0]}}},
+    {"target": {"kind": "full_field",
+                "spectrum": {"kind": "explicit", "values": [1.0], "l_max": 1}}},
+    {"output": 5},
 ], ids=["negative_l_min", "cell_not_a_pair", "cell_null_degree", "cell_of_one",
         "cells_string", "replications_null", "regime_c_string", "regime_c_nan",
         "regime_c_inf", "regime_c_overflows", "cell_n_overflows", "seed_string",
@@ -938,7 +960,8 @@ def test_experiment_bad_c_ell_is_a_config_error(tmp_path, capsys, c_ell):
         "too_few_for_estimator", "too_few_for_ks", "hurst_null", "hurst_overflows",
         "l_min_null", "l_max_null", "c_ell_overflows", "epsilon_nan", "value_nan",
         "time_nan", "hurst_string", "c0_string", "l_max_fractional", "values_string",
-        "l_min_bool", "c_ell_basis_overflows", "fbm_basis_overflows"])
+        "l_min_bool", "c_ell_basis_overflows", "fbm_basis_overflows",
+        "spectrum_kind_unknown", "spectrum_key_unknown", "output_number"])
 def test_experiment_bad_config_exits_2_before_sampling(tmp_path, capsys, over):
     cfg = _write_config(tmp_path, **over)
     assert main(["experiment", "--config", cfg,

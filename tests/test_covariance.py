@@ -89,6 +89,10 @@ def test_spectrum_validation():
         PowerSpectrum(kind="weird", l_min=1, l_max=2)
     with pytest.raises(ValueError):
         PowerSpectrum(kind="explicit", l_min=5, l_max=3, values=(1.0,))
+    with pytest.raises(ValueError, match="l_min must be ≥ 0"):
+        PowerSpectrum(kind="explicit", l_min=-1, l_max=1, values=(1.0, 1.0, 1.0))
+    with pytest.raises(ValueError, match="values length must match degree range"):
+        PowerSpectrum(kind="explicit", l_min=1, l_max=3, values=(1.0, 1.0))
 
 
 # ======================================================================

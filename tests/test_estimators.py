@@ -268,18 +268,20 @@ def test_hurst_validation():
 
 @pytest.mark.parametrize("args", [(1e308, 1e-308, 2.0, 1.0), (1e-308, 1e308, 2.0, 1.0),
                                   (2.0, 1.0, 1e-308, 1e308), (5e-324, 1.0, 2.0, 1.0),
-                                  (1.5, 1.0, 3e-310, 1e10)],
+                                  (1.5, 1.0, 3e-310, 1e10),
+                                  (np.float64(1e308), np.float64(1e-308), 2.0, 1.0)],
                          ids=["v_overflow", "v_underflow", "time_underflow",
-                              "v_subnormal", "time_subnormal"])
+                              "v_subnormal", "time_subnormal", "v_overflow_numpy"])
 def test_hurst_ratio_outside_the_float_range_is_finite(args):
     # finite inputs whose ratio leaves the normal range (inf, 0 or a subnormal)
     # take the log difference: the estimate is finite and within 4 ulps of
-    # the 40-digit value
+    # the 40-digit value, with no arithmetic warning, numpy scalars included
     v_t, v_s, t, s = (mpmath.mpf(a) for a in args)
     with mpmath.workdps(40):
         want = mpmath.log(v_t / v_s) / (2 * mpmath.log(t / s))
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # Ĥ ∉ (0, 1)
+        warnings.simplefilter("error")
+        warnings.filterwarnings("ignore", "Hurst estimate", UserWarning)  # Ĥ ∉ (0, 1)
         got = estimate_hurst(*args)
     assert math.isfinite(got)
     assert abs(got - float(want)) <= 4 * math.ulp(float(want))

@@ -5,6 +5,7 @@ import math
 import sys
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -263,6 +264,8 @@ def test_config_minimal_roundtrip():
 
 
 def test_config_rejects_unknown_and_missing_keys():
+    with pytest.raises(ConfigError, match="^config must be a JSON object$"):
+        ExperimentConfig.from_dict([_base_config()])
     with pytest.raises(ConfigError):
         ExperimentConfig.from_dict(_base_config(typo=1))
     raw = _base_config()
@@ -493,6 +496,34 @@ def test_one_worker_samples_on_the_calling_thread(monkeypatch):
     assert reports[0].to_csv() == reports[1].to_csv()
 
 
+@pytest.mark.parametrize("target, on_caller", [
+    ({"kind": "single_ell", "c_ell": 1.1}, True),
+    ({"kind": "full_field", "spectrum": {"kind": "power_law", "c0": 1.0,
+                                         "epsilon": 0.2, "l_max": 24}}, False),
+])
+def test_only_multi_degree_cells_sample_on_pool_threads(monkeypatch, target, on_caller):
+    # at four workers a single-degree cell's batches stay on the calling
+    # thread and a full field's go to the pool; both reports equal one
+    # worker's byte for byte
+    cfg = ExperimentConfig.from_dict({
+        "seed": 9, "replications": 200, "batch_size": 50,
+        "statistics": ["mean", "var"], "target": target, "cells": [[3, 16], [3, 24]],
+    })
+    want = run_experiment(cfg, threads=1)
+    batch, seen = harness.batch_quadratic_variation, []
+
+    def record(*args):
+        seen.append(threading.current_thread())
+        return batch(*args)
+
+    monkeypatch.setattr(harness, "batch_quadratic_variation", record)
+    got = run_experiment(cfg, threads=4)
+    assert len(seen) == 8
+    assert [t is threading.current_thread() for t in seen] == [on_caller] * 8
+    assert got.to_json() == want.to_json()
+    assert got.to_csv() == want.to_csv()
+
+
 @pytest.mark.parametrize("threads", [1, 2])
 def test_interrupt_flushes_the_finished_cells(monkeypatch, threads):
     # the second cell's second batch is interrupted: the flush holds the
@@ -519,20 +550,30 @@ def test_interrupt_flushes_the_finished_cells(monkeypatch, threads):
     assert flushed[0].to_csv() == want.to_csv()
 
 
+def _cells_from_threads(cells, c_ell, seed, reps, batch, threads):
+    """Each single-degree cell's V, its batches handed to
+    ``batch_quadratic_variation`` from ``threads`` pool threads at once
+    (one thread: in order on the caller)."""
+    out = []
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        for ell, n in cells:
+            spec = simulate.SampleSpec(target=simulate.SingleEll(ell, c_ell),
+                                       grid=covariance.LineGrid(n), seed=seed,
+                                       replications=reps)
+            out.append(harness._sample_cell(spec, batch, map if threads == 1 else pool.map))
+    return [v.tobytes() for v in out]
+
+
 def test_shared_cell_basis_survives_thread_stress():
-    # a cell's batches share one cached read-only basis across the worker
-    # threads; with more workers than cores and a short switch interval the
-    # report stays byte-identical to one worker's
-    cfg = ExperimentConfig.from_dict({
-        "seed": 5, "replications": 640, "statistics": ["mean", "var", "k3"],
-        "target": {"kind": "single_ell", "c_ell": 0.9},
-        "cells": [[4, 16], [4, 24], [4, 16]], "batch_size": 32,
-    })
-    want = run_experiment(cfg, threads=1).to_json()
+    # a cell's batches share one cached read-only basis across the threads
+    # that call the sampler; with more threads than cores and a short switch
+    # interval the values stay byte-identical to one thread's
+    args = ([[4, 16], [4, 24], [4, 16]], 0.9, 5, 640, 32)
+    want = _cells_from_threads(*args, threads=1)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        got = run_experiment(cfg, threads=8).to_json()
+        got = _cells_from_threads(*args, threads=8)
     finally:
         sys.setswitchinterval(interval)
     assert got == want
@@ -541,14 +582,10 @@ def test_shared_cell_basis_survives_thread_stress():
 @pytest.mark.parametrize("threads", [2, 8])
 def test_concurrent_batches_build_each_cell_table_once(monkeypatch, threads):
     # every batch of a cell asks for the same basis at once; the table build
-    # is slowed so that, without single flight, a second worker would miss
+    # is slowed so that, without single flight, a second thread would miss
     # the cache while the first is still building and build it again
-    cfg = ExperimentConfig.from_dict({
-        "seed": 11, "replications": 320, "statistics": ["mean", "var"],
-        "target": {"kind": "single_ell", "c_ell": 1.3},
-        "cells": [[6, 16], [6, 24], [6, 16]], "batch_size": 40,
-    })
-    want = run_experiment(cfg, threads=1).to_json()
+    args = ([[6, 16], [6, 24], [6, 16]], 1.3, 11, 320, 40)
+    want = _cells_from_threads(*args, threads=1)
     calls = []
     table = simulate.harmonic_meridian_table
 
@@ -562,7 +599,7 @@ def test_concurrent_batches_build_each_cell_table_once(monkeypatch, threads):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        got = run_experiment(cfg, threads=threads).to_json()
+        got = _cells_from_threads(*args, threads=threads)
     finally:
         sys.setswitchinterval(interval)
     assert calls == [6, 6, 6]  # once per cell, each cell rebuilds its own

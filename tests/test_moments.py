@@ -532,6 +532,8 @@ def test_fullfield_orders():
     for bad in (0.0, 0.5, -0.1):
         with pytest.raises(ValueError):
             fullfield_moment_orders(bad, 100)
+    with pytest.raises(ValueError, match="grid size must be an integer"):
+        fullfield_moment_orders(0.2, 100.5)
 
 
 # ======================================================================
