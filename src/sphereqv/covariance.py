@@ -180,10 +180,6 @@ class IncrementGram:
         self._sigma, self.core = None, core
         self._eig = None
 
-    def __repr__(self):
-        size = None if self.core is None else self.core.shape[0]
-        return f"IncrementGram(n={self.n}, core_size={size})"
-
     def _checked(self, row):
         row = np.asarray(row, dtype=float)
         if row.shape != (self.n,):

@@ -12,8 +12,8 @@ sampler's basis products, change their last bits with either.
 
 Only ``sphereqv simulate`` and ``experiment`` load this module, and with it
 ``simulate``, ``estimators``, ``numpy.random`` and ``concurrent.futures``.
-Its config-time cell check maps each sampler target to a spectrum and
-kernel factors and leaves the rule to the exact side
+Its config-time cell check hands each sampler target's ``kernel`` (its
+spectrum and one factor per time) to the exact side's rule
 (``moments._cell_error``), which ``sphereqv moments`` runs without this
 module.
 
@@ -38,6 +38,7 @@ from itertools import repeat
 import numpy as np
 
 from . import moments as mom
+from ._files import rewrite
 from .covariance import (IncrementGram, LineGrid, PowerSpectrum, fbm_spatial_row,
                          increment_row_f, increment_row_fl)
 from .estimators import estimate_cl, estimate_hurst
@@ -257,8 +258,6 @@ class ExperimentConfig:
         _check_coupling(regime, cells, kind)
         power = max(_SCALE_POWER.get(s, 2) for s in stats)
         for target, (_, n) in zip(targets, cells):
-            if why := _zero_law(target):
-                raise ConfigError(f"{why}: V is identically zero")
             _check_cell(target, n, power, reps)
 
         if "estimator_error" in stats and kind != "single_ell":
@@ -363,9 +362,9 @@ class ExperimentReport:
         """Write <base>.json and <base>.csv (UTF-8, LF)."""
         base = str(base_path)
         os.makedirs(os.path.dirname(base) or ".", exist_ok=True)
-        with open(base + ".json", "w", encoding="utf-8", newline="\n") as fh:
+        with rewrite(base + ".json") as fh:
             fh.write(self.to_json())
-        with open(base + ".csv", "w", encoding="utf-8", newline="\n") as fh:
+        with rewrite(base + ".csv") as fh:
             fh.write(self.to_csv())
         return base + ".json", base + ".csv"
 
@@ -555,41 +554,13 @@ def _resolve_threads(threads):
     return os.cpu_count() or 1
 
 
-def _kernel(target):
-    """(spectrum, factors) of a sampler target's kernel f·Σ C_l (2l+1) P_l, one
-    factor f per time: 1/(4π) for one degree or a full field, t^(2H) at each
-    of a fractional pair's two times."""
-    if isinstance(target, FbmTarget):
-        return target.spectrum, tuple(t ** (2.0 * target.hurst) for t in target.times)
-    if isinstance(target, FullField):
-        return target.spectrum, (1.0 / (4.0 * math.pi),)
-    return PowerSpectrum.single(target.ell, target.c_ell), (1.0 / (4.0 * math.pi),)
-
-
 def _check_cell(target, n, power=1, reps=1):
-    """ConfigError when ``moments._cell_error`` refuses the sampler target's
-    cell on an N-increment grid: a scale at which V, or a sum of V^power over
-    reps replications (the power the statistics' sums reach, ``_SCALE_POWER``),
-    could overflow or underflow. The scale is the rule's only clause: the
-    target itself, when built, refuses a top degree beyond the sampler's
-    range (``specfun._SWEEP_MAX_DEGREE``)."""
-    if why := mom._cell_error(*_kernel(target), n, power, reps):
+    """ConfigError when ``moments._cell_error`` refuses the target's kernel on
+    an N-increment grid: V, or a sum of V^power over reps replications
+    (``_SCALE_POWER``), could overflow or underflow, or V is identically
+    zero. The target, when built, refuses a top degree beyond the sampler's."""
+    if why := mom._cell_error(*target.kernel, n, power, reps):
         raise ConfigError(why)
-
-
-def _zero_law(target):
-    """Why V is identically zero under a sampler target, else None."""
-    if isinstance(target, SingleEll):
-        return None if target.c_ell else "c_ell is 0"
-    if isinstance(target, FbmTarget):
-        t = min(target.times)
-        if t ** (2.0 * target.hurst) == 0:
-            return f"fbm time {t:g} gives t^(2H) = 0"
-    sp = target.spectrum
-    # degree 0 is constant along the meridian
-    if sp.kind == "explicit" and not any(c > 0 for l, c in enumerate(sp.values, sp.l_min) if l):
-        return "the spectrum has no C_l > 0 at l ≥ 1"
-    return None
 
 
 def _cell_exact(target, n):
@@ -606,8 +577,8 @@ def _cell_exact(target, n):
         # pinned report digests hold both byte for byte
         mean_src = "increment_gram_f.trace"
     else:
-        # V at the first time t: the spatial row scaled by t^{2H}
-        row = target.times[0] ** (2.0 * target.hurst) * fbm_spatial_row(target.spectrum, grid)
+        # V at the first time t: the spatial row scaled by its factor t^(2H)
+        row = target.kernel[1][0] * fbm_spatial_row(target.spectrum, grid)
         mean = n * row[0]
         mean_src = "fbm_joint_gram.trace"
     var = mom.exact_var_from_row(row)
@@ -685,9 +656,8 @@ def _cell_arrays(target, n, batch, replications, dense_gram):
     (``simulate._batch_arrays``), the times·R sampled values and, with
     ``dense_gram``, the dense N×N Gram decomposed after sampling.
     """
-    times = 2 if isinstance(target, FbmTarget) else 1
     arrays = _batch_arrays(target, n, min(batch, replications))
-    arrays.append((8 * times * replications, "sampled values"))
+    arrays.append((8 * len(target.kernel[1]) * replications, "sampled values"))
     if dense_gram:
         arrays.append((8 * n * n, "dense Gram"))
     return arrays

@@ -236,8 +236,9 @@ def _cell_error(spectrum, factors, n, power=1, reps=1):
       of V^power over reps replications;
     - underflow, for power ≥ 2 only: E[V]^power (:func:`_mean_v`) at
       ``min(factors)`` below the smallest normal float, where sums of V^power
-      and their SEs lose digits to subnormals or read 0. Raw values (power 1)
-      have no floor, so tiny and all-zero fields still sample.
+      and their SEs lose digits to subnormals or read 0; an E[V] of exactly
+      0 means V is identically zero, and no statistic of it is defined. Raw
+      values (power 1) have no floor, so tiny and all-zero fields still sample.
 
     The rule bounds the scale only: a sampler target refuses a top degree
     beyond 1900 when built, and :func:`_check_ell_n` one beyond ``MAX_DEGREE``.
@@ -251,8 +252,8 @@ def _cell_error(spectrum, factors, n, power=1, reps=1):
         return (f"4N times the pointwise variance is {scale:.3g} at N={n}: "
                 f"{what} could overflow, beyond float max/2^64")
     if power >= 2 and (mean := _mean_v(spectrum, min(factors), n)) ** power < sys.float_info.min:
-        return (f"E[V] is {mean:.3g} at N={n}: its sums of V^{power} "
-                f"could underflow, below float min")
+        what = f"its sums of V^{power} could underflow, below float min"
+        return f"E[V] is {mean:.3g} at N={n}: {what if mean else 'V is identically zero'}"
     return None
 
 

@@ -8,10 +8,12 @@ factorization is involved, so the (rank-deficient) grid covariance never
 has to be decomposed. Truncated full fields sum independent degrees;
 the two-time fractional pair (``FbmTarget``: Hurst exponent, spatial
 spectrum, two times) couples each coefficient channel through the 2×2
-time covariance. All three draw through one body, ``_paths_batch``,
-in the layout below, which ``batch_quadratic_variation`` drives. The
-basis is this module's alone: its scaling, its per-cell cache
-(``_meridian_basis``) and its memory estimate (``_batch_arrays``).
+time covariance. Each target's ``kernel`` is the spectrum and the factor f
+per time of its kernel f·Σ C_l (2l+1) P_l, read wherever a time count is.
+All three draw through one body, ``_paths_batch``, in the layout below,
+which ``batch_quadratic_variation`` drives. The basis is this module's
+alone: its scaling, its per-cell cache (``_meridian_basis``) and its
+memory estimate (``_batch_arrays``).
 
 Range: a target's top degree (a ``SingleEll``'s l, a spectrum's l_max) is
 at most ``specfun._SWEEP_MAX_DEGREE`` = 1900, the last at which the
@@ -111,6 +113,11 @@ class SingleEll:
                              f"got {self.c_ell!r}")
         object.__setattr__(self, "ell", int(self.ell))
 
+    @property
+    def kernel(self):
+        """(spectrum, factors) of its kernel f·Σ C_l (2l+1) P_l: one degree, f = 1/(4π)."""
+        return PowerSpectrum.single(self.ell, self.c_ell), (1.0 / (4.0 * math.pi),)
+
 
 @dataclass(frozen=True)
 class FullField:
@@ -120,6 +127,11 @@ class FullField:
 
     def __post_init__(self):
         _check_sweep_degree(self.spectrum.l_max)
+
+    @property
+    def kernel(self):
+        """(spectrum, factors) of its kernel f·Σ C_l (2l+1) P_l, with f = 1/(4π)."""
+        return self.spectrum, (1.0 / (4.0 * math.pi),)
 
 
 @dataclass(frozen=True)
@@ -144,15 +156,21 @@ class FbmTarget:
         if not (0 < t < math.inf and 0 < s < math.inf) or t == s:
             raise ValueError("times must be distinct finite positives")
         try:
-            max(t, s) ** (2 * self.hurst)
+            object.__setattr__(self, "times", (float(t), float(s)))
+            self.kernel  # raises where a time's t^(2H) overflows
         except OverflowError:
             raise ValueError("times^(2·hurst) overflows a float") from None
-        object.__setattr__(self, "times", (float(t), float(s)))
         # the sampler's basis holds √(4π·A_l); a power law peaks at A_1 = c0
         sp = self.spectrum
         peak = max(sp.values) if sp.kind == "explicit" else sp.c0
         if not 4.0 * math.pi * peak < math.inf:
             raise ValueError(f"spectrum peak {peak!r} makes 4π·A_l overflow a float")
+
+    @property
+    def kernel(self):
+        """(spectrum, factors) of its kernel f·Σ A_l (2l+1) P_l, f = t^(2H) per
+        time: no other line of the package but ``covariance.rh_cross`` forms one."""
+        return self.spectrum, tuple(t ** (2.0 * self.hurst) for t in self.times)
 
 
 @dataclass(frozen=True)
@@ -419,13 +437,14 @@ def _paths_batch(target, grid, gens, b=None):
         with _BASIS_LOCK:
             basis = _meridian_basis(ell, target.c_ell, grid)
         return (z @ basis)[None]
-    spectrum, factor, times = target.spectrum, 1.0, 1
-    if isinstance(target, FbmTarget):
+    spectrum, factors = target.kernel
+    factor, times = 1.0, len(factors)
+    if times == 2:
         t, s = target.times
         l00 = t ** target.hurst
         l10 = rh_cross(target.hurst, t, s) / l00
-        l11 = math.sqrt(max(s ** (2.0 * target.hurst) - l10 * l10, 0.0))
-        factor, times = 4.0 * math.pi, 2
+        l11 = math.sqrt(max(factors[1] - l10 * l10, 0.0))
+        factor = 4.0 * math.pi
 
     def fill(pending, z, zi):
         # draw (and couple) every replication left in ``pending`` into z
@@ -468,18 +487,15 @@ def _batch_arrays(target, n, batch):
     """(bytes, name) of the large arrays :func:`_paths_batch` allocates for
     ``batch`` replications of ``target`` on an N-increment grid.
 
-    The paths are (times, B, N+1). The basis, one degree's (l+1)×(N+1) table
-    or the largest degree chunk (at most _CHUNK_ROWS rows; a closed form,
-    O(1) at any l_max), sits beside its times·B·rows
-    coefficient buffers and, for a fractional pair, the two 2·rows draw
-    vectors of the batch thread and the draw helper.
+    The paths are (times, B, N+1). The basis, the largest degree chunk of
+    the kernel's spectrum (one degree's (l+1)×(N+1) table, or at most
+    _CHUNK_ROWS rows; a closed form, O(1) at any l_max), sits beside its
+    times·B·rows coefficient buffers and, for a fractional pair, the two
+    2·rows draw vectors of the batch thread and the draw helper.
     """
-    times = 2 if isinstance(target, FbmTarget) else 1
-    if isinstance(target, SingleEll):
-        rows = target.ell + 1
-    else:
-        sp = target.spectrum
-        rows = min(_CHUNK_ROWS, _chunk_rows(sp.l_min, sp.l_max + 1))
+    sp, factors = target.kernel
+    times = len(factors)
+    rows = min(_CHUNK_ROWS, _chunk_rows(sp.l_min, sp.l_max + 1))
     draws = 4 if times == 2 else 0
     return [(8 * times * batch * (n + 1), "batch paths"),
             (8 * rows * (n + 1 + times * batch + draws), "sampler basis and coefficients")]

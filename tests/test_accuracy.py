@@ -1,11 +1,14 @@
-"""Accuracy of the exact side's core path against a 40-digit reference.
+"""Accuracy of the exact side's cumulants against a 40-digit reference.
 
 Every cumulant ``sphereqv moments`` prints for a cell with l+1 ≤ N comes from
 ``increment_gram_fl``'s (l+1)×(l+1) circle core. Here that core is built and
 decomposed again in 40-digit mpmath, and the variance, the normalized κ3 and
 κ4 and ``fourth_moment_bound`` must each lie within one stated relative bound
 of it, at every cell from N = 64 to N = 2^26. The gram forms no O(lN) row
-for these values, so N = 2^26 costs milliseconds.
+for these values, so N = 2^26 costs milliseconds. Degree 64 on the core
+path, and the dense path (l+1 > N, the N×N Gram's eigenvalues, checked
+against the 40-digit N×N Toeplitz of the Gram row), each have bounds of
+their own.
 
 The printed mean is not gated here: ``exact_mean_vnl`` cancels in
 1 − P_l(cos(π/2N)) and is 19% low at (3, 2^26). Routing it through the
@@ -30,6 +33,18 @@ BOUNDS = {"variance": 2e-15, "normalized_k3": 1.5e-15, "normalized_k4": 2e-15,
 
 CELLS = [(ell, n) for ell in (1, 3, 8) for n in (64, 4096, 2 ** 20, 2 ** 26)]
 
+# about 2.5× the largest error measured at (64, 128) and (64, 2^20): 1.5e-15,
+# 1.4e-15, 2.3e-15 and 1.1e-15, in the order of BOUNDS; 0.5 s per reference
+CORE_64_BOUNDS = {"variance": 4e-15, "normalized_k3": 3.5e-15, "normalized_k4": 6e-15,
+                  "fourth_moment_bound": 3e-15}
+
+# about 2.5× the largest error measured over these cells, all at (64, 32):
+# 1.8e-14, 4.8e-15, 9.6e-15 and 4.8e-15; at most 7.7e-16 up to (8, 4)
+DENSE_BOUNDS = {"variance": 5e-14, "normalized_k3": 1.2e-14, "normalized_k4": 2.5e-14,
+                "fourth_moment_bound": 1.2e-14}
+
+DENSE_CELLS = [(1, 1), (3, 2), (8, 4), (16, 8), (64, 32)]
+
 
 def _mp_core(ell, c_ell, n):
     """The degree-l circle core in the working precision: r_m K(j_m − j_k) r_k
@@ -51,10 +66,10 @@ def _mp_core(ell, c_ell, n):
                           for m in range(ell + 1)])
 
 
-def _mp_values(ell, c_ell, n):
-    """The four core-path values from the core's 40-digit eigenvalues."""
+def _mp_values(matrix):
+    """The four values from a 40-digit Gram or core's eigenvalues."""
     with mpmath.workdps(40):
-        eig = mpmath.eigsy(_mp_core(ell, c_ell, n), eigvals_only=True)
+        eig = mpmath.eigsy(matrix, eigvals_only=True)
         var = 2 * mpmath.fsum(e ** 2 for e in eig)
         k3 = 8 * mpmath.fsum(e ** 3 for e in eig) / var ** 1.5
         k4 = 48 * mpmath.fsum(e ** 4 for e in eig) / var ** 2
@@ -91,15 +106,39 @@ def test_reference_core_carries_the_gram_of_the_definition(ell, n):
         assert abs(frob / row_var - 1) < 1e-25
 
 
-@pytest.mark.parametrize("ell, n", CELLS)
-def test_core_path_values_within_their_bounds(ell, n):
+def _check_values(ell, n, matrix, bounds):
+    """Each value of the (l, N) cell's gram within its bound of the 40-digit
+    values of ``matrix`` (a function forming it in the working precision)."""
     gram = increment_gram_fl(ell, C_ELL, LineGrid(n))
     got = {"variance": exact_var_vnl(gram),
            "normalized_k3": normalized_cumulant(gram, 3),
            "normalized_k4": normalized_cumulant(gram, 4),
            "fourth_moment_bound": fourth_moment_bound(gram)}
-    want = _mp_values(ell, C_ELL, n)
-    for key, bound in BOUNDS.items():
+    with mpmath.workdps(40):
+        want = _mp_values(matrix())
+    for key, bound in bounds.items():
         with mpmath.workdps(40):
             err = abs(float(mpmath.mpf(got[key]) / want[key] - 1))
         assert math.isfinite(got[key]) and err <= bound, (key, err)
+    return gram
+
+
+@pytest.mark.parametrize("ell, n", CELLS)
+def test_core_path_values_within_their_bounds(ell, n):
+    _check_values(ell, n, lambda: _mp_core(ell, C_ELL, n), BOUNDS)
+
+
+@pytest.mark.parametrize("ell, n", [(64, 128), (64, 2 ** 20)])
+def test_core_path_at_degree_64_within_its_bounds(ell, n):
+    gram = _check_values(ell, n, lambda: _mp_core(ell, C_ELL, n), CORE_64_BOUNDS)
+    assert gram.core is not None
+
+
+@pytest.mark.parametrize("ell, n", DENSE_CELLS)
+def test_dense_path_values_within_their_bounds(ell, n):
+    def toeplitz():
+        row = _mp_row(ell, C_ELL, n)
+        return mpmath.matrix([[row[abs(i - j)] for j in range(n)] for i in range(n)])
+
+    gram = _check_values(ell, n, toeplitz, DENSE_BOUNDS)
+    assert gram.core is None

@@ -875,6 +875,92 @@ def test_experiment_strict_fails_a_degenerate_pair(tmp_path, capsys, monkeypatch
     assert "strict mode: 2/3 statistics within 4 SE" in err
 
 
+def test_experiment_strict_passes_with_its_count(tmp_path, capsys):
+    cfg = _write_config(tmp_path)
+    code = main(["experiment", "--config", cfg, "--out",
+                 str(tmp_path / "good"), "--strict", "--threads", "1"])
+    out, err = capsys.readouterr()
+    assert code == 0 and err == ""
+    assert out.splitlines()[-1] == "strict mode: 2/2 statistics within 4 SE"
+
+
+def test_experiment_config_that_is_not_an_object_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "list.json"
+    cfg.write_text("[1, 2]", encoding="utf-8")
+    assert main(["experiment", "--config", str(cfg), "--seed", "3",
+                 "--out", str(tmp_path / "r")]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "config error: config must be a JSON object\n"
+    assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("fault", [AttributeError, ValueError, OSError])
+def test_physical_memory_unknown_when_sysconf_fails(monkeypatch, capsys, fault):
+    def sysconf(name):
+        raise fault(name)
+
+    monkeypatch.setattr(os, "sysconf", sysconf)
+    assert cli._physical_memory() is None
+    # unknown memory skips the check: the cell still prints
+    assert main(["moments", "--ell", "3", "--n", "16", "--cl", "1"]) == 0
+    assert _parse_table(capsys.readouterr().out)["mean"] > 0
+
+
+def test_out_of_memory_exits_1(monkeypatch, capsys):
+    def gram(*args):
+        raise MemoryError("Unable to allocate 8.0 GiB")
+
+    monkeypatch.setattr(cli, "increment_gram_fl", gram)
+    assert main(["moments", "--ell", "3", "--n", "16", "--cl", "1"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: out of memory: Unable to allocate 8.0 GiB\n"
+
+
+def _command_outputs(tmp_path, out):
+    """Each command's argv writing to paths under ``out``, with those paths."""
+    spec = _write_spec(tmp_path, n=16)
+    cfg = _write_config(tmp_path, replications=40)
+    return [(["experiment", "--config", cfg, "--threads", "1", "--out", str(out / "r")],
+             [out / "r.json", out / "r.csv"]),
+            (["simulate", "--spec-file", spec, "--out", str(out / "s.csv")], [out / "s.csv"]),
+            (["moments", "--ell", "3", "--n", "16", "--cl", "1", "--csv", str(out / "m.csv")],
+             [out / "m.csv"])]
+
+
+def test_every_output_file_is_rewritten_to_exactly_its_new_bytes(tmp_path, capsys):
+    # written over in place and cut at the new length: no old tail survives
+    fresh, stale = tmp_path / "fresh", tmp_path / "stale"
+    fresh.mkdir()
+    stale.mkdir()
+    for (argv, paths), (stale_argv, stale_paths) in zip(
+            _command_outputs(tmp_path, fresh), _command_outputs(tmp_path, stale)):
+        assert main(argv) == 0
+        for path in stale_paths:
+            path.write_bytes(b"old,bytes\n" * 5000)
+            path.chmod(0o640)
+        assert main(stale_argv) == 0
+        for path, stale_path in zip(paths, stale_paths):
+            assert stale_path.read_bytes() == path.read_bytes()
+            assert stale_path.stat().st_mode & 0o777 == 0o640
+    capsys.readouterr()
+
+
+def test_output_through_a_symlink_is_written_through(tmp_path, capsys):
+    links, real = tmp_path / "links", tmp_path / "real"
+    links.mkdir()
+    real.mkdir()
+    for argv, paths in _command_outputs(tmp_path, links):
+        for path in paths:
+            (real / path.name).write_text("#" * 20000, encoding="utf-8")
+            path.symlink_to(real / path.name)
+        assert main(argv) == 0
+        for path in paths:
+            assert path.is_symlink()
+            data = (real / path.name).read_bytes()
+            assert data and b"#" not in data and data.endswith(b"\n")
+    capsys.readouterr()
+
+
 def test_experiment_error_exit_codes(tmp_path, capsys):
     assert main(["experiment", "--config", str(tmp_path / "missing.json"),
                  "--out", str(tmp_path / "x")]) == 1
@@ -1174,38 +1260,39 @@ def test_ks_normal_needs_the_replications_of_its_jackknife_se(tmp_path, capsys):
     assert ks and all(math.isfinite(r["se"]) and r["se"] > 0 for r in ks)
 
 
+# a c_ell of 0, a spectrum with no C_l > 0 at l ≥ 1 (degree 0 is constant
+# along the meridian), and an fbm time whose t^(2H) underflows to 0
 _ZERO_LAWS = [
-    ({"target": {"kind": "single_ell", "c_ell": 0.0}, "cells": [[3, 16]],
-      "statistics": ["mean", "var", "k3", "k4", "ks_normal", "estimator_error"]},
-     "c_ell is 0"),
-    ({"target": {"kind": "single_ell", "c_ell": 0.0}, "cells": [[3, 16]],
-      "statistics": ["mean", "var", "k3", "k4", "estimator_error"]}, "c_ell is 0"),
-    ({"target": {"kind": "full_field", "spectrum": {"kind": "explicit", "values": [0.0, 0.0]}}},
-     "the spectrum has no C_l > 0 at l ≥ 1"),
-    ({"target": {"kind": "full_field",
-                 "spectrum": {"kind": "explicit", "values": [1.0, 0.0], "l_min": 0}},
-      "statistics": ["mean", "var", "ks_normal"]}, "the spectrum has no C_l > 0 at l ≥ 1"),
-    ({"target": {"kind": "fbm", "hurst": 0.5, "times": [2.0, 1.0],
-                 "spectrum": {"kind": "explicit", "values": [0.0, 0.0]}},
-      "statistics": ["mean", "var", "hurst"]}, "the spectrum has no C_l > 0 at l ≥ 1"),
-    ({"target": {"kind": "fbm", "hurst": 0.9, "times": [1.0, 1e-300],
-                 "spectrum": {"kind": "explicit", "values": [1.0]}},
-      "statistics": ["mean", "var", "hurst"]}, "fbm time 1e-300 gives t^(2H) = 0"),
+    {"target": {"kind": "single_ell", "c_ell": 0.0}, "cells": [[3, 16]],
+     "statistics": ["mean", "var", "k3", "k4", "ks_normal", "estimator_error"]},
+    {"target": {"kind": "single_ell", "c_ell": 0.0}, "cells": [[3, 16]],
+     "statistics": ["mean", "var", "k3", "k4", "estimator_error"]},
+    {"target": {"kind": "full_field", "spectrum": {"kind": "explicit", "values": [0.0, 0.0]}}},
+    {"target": {"kind": "full_field",
+                "spectrum": {"kind": "explicit", "values": [1.0, 0.0], "l_min": 0}},
+     "statistics": ["mean", "var", "ks_normal"]},
+    {"target": {"kind": "fbm", "hurst": 0.5, "times": [2.0, 1.0],
+                "spectrum": {"kind": "explicit", "values": [0.0, 0.0]}},
+     "statistics": ["mean", "var", "hurst"]},
+    {"target": {"kind": "fbm", "hurst": 0.9, "times": [1.0, 1e-300],
+                "spectrum": {"kind": "explicit", "values": [1.0]}},
+     "statistics": ["mean", "var", "hurst"]},
 ]
 
 
-@pytest.mark.parametrize("over, why", _ZERO_LAWS, ids=[
+@pytest.mark.parametrize("over", _ZERO_LAWS, ids=[
     "c_ell_zero_ks", "c_ell_zero", "full_field_zeros", "full_field_degree_0",
     "fbm_zeros", "fbm_time_underflows"])
 def test_identically_zero_quadratic_variation_exits_2_before_sampling(
-        tmp_path, capsys, monkeypatch, over, why):
+        tmp_path, capsys, monkeypatch, over):
     # V ≡ 0 leaves every standardized statistic undefined: the run used to
-    # sample and then fail, or write NaN rows
+    # sample and then fail, or write NaN rows. Every statistic sums V^p with
+    # p ≥ 2, so the cell rule's underflow clause refuses it at E[V] = 0
     monkeypatch.setattr(cli, "run_experiment", lambda *a, **k: pytest.fail("sampled"))
     cfg = _write_config(tmp_path, replications=200, **over)
     assert main(["experiment", "--config", cfg, "--out", str(tmp_path / "r")]) == 2
     out, err = capsys.readouterr()
-    assert out == "" and err == f"config error: {why}: V is identically zero\n"
+    assert out == "" and err == "config error: E[V] is 0 at N=16: V is identically zero\n"
     assert not (tmp_path / "r.json").exists()
 
 

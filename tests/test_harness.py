@@ -220,7 +220,7 @@ def test_weight_sum_of_a_power_law(l_max):
 
 def test_mean_v_is_the_exact_mean_free_of_cancellation():
     def mean_v(target, n):  # the floor check's mean: the earlier time's kernel
-        spectrum, factors = harness._kernel(target)
+        spectrum, factors = target.kernel
         return harness.mom._mean_v(spectrum, min(factors), n)
 
     grid = covariance.LineGrid(16)
@@ -711,6 +711,26 @@ def test_oracle_check_flags_corrupted_exact_value():
     assert len(failures) == 1
     assert failures[0][0] == victim.stat
     assert ok == checked - 1
+
+
+def test_oracle_check_skips_rows_without_a_finite_se_or_exact_value():
+    rows = tuple(CellStat(ell=2, n=16, regime="fixed_ell", stat="mean", empirical=1.0,
+                          se=se, exact=exact, source_op="exact_mean_vnl", seed=1)
+                 for se, exact in [(math.nan, 1.0), (math.inf, 1.0), (0.1, math.inf),
+                                   (0.1, math.nan)])
+    report = ExperimentReport(rows=rows, slopes={}, seed=1, replications=40)
+    assert check_oracle_agreement(report) == (0, 0, [])
+
+
+def test_slopes_drop_a_fit_that_raises():
+    # divide_by_log needs N > 1, so the variance fits through N = 1 raise
+    # and only the mean's slopes are reported
+    cfg = ExperimentConfig.from_dict({
+        "seed": 3, "replications": 40, "statistics": ["mean", "var"],
+        "target": {"kind": "single_ell", "c_ell": 1.0},
+        "cells": [[1, 1], [1, 2], [1, 4]]})
+    report = run_experiment(cfg, threads=1)
+    assert sorted(report.slopes) == ["empirical_mean", "exact_mean"]
 
 
 def test_report_write_creates_both_files(tmp_path):
