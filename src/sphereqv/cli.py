@@ -38,7 +38,6 @@ from importlib import resources
 import numpy as np
 
 from . import moments as mom
-from ._files import rewrite
 from .covariance import LineGrid, PowerSpectrum, increment_gram_fl
 from .moments import RegimeTag
 
@@ -176,7 +175,7 @@ def _cmd_moments(args):
     for key, val in lines:
         sys.stdout.write(f"{key.ljust(width)}  {_fmt(val)}\n")
     if args.csv:
-        with rewrite(args.csv) as fh:
+        with open(args.csv, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("quantity,value\n")
             for key, val in lines:
                 fh.write(f"{key},{_fmt(val)}\n")
@@ -230,7 +229,7 @@ def _cmd_simulate(args):
     # one column of V, or (V at t, V at s) for a fractional pair
     values = harness._sample_cell(spec, harness._BATCH_SIZE).reshape(spec.replications, -1)
     header = "rep,v,stream" if values.shape[1] == 1 else "rep,v_t,v_s,stream"
-    with rewrite(args.out) as fh:
+    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(header + "\n")
         for rep, row in enumerate(values):
             cols = ",".join(_fmt(v) for v in row)

@@ -38,7 +38,6 @@ from itertools import repeat
 import numpy as np
 
 from . import moments as mom
-from ._files import rewrite
 from .covariance import (IncrementGram, LineGrid, PowerSpectrum, fbm_spatial_row,
                          increment_row_f, increment_row_fl)
 from .estimators import estimate_cl, estimate_hurst
@@ -362,9 +361,9 @@ class ExperimentReport:
         """Write <base>.json and <base>.csv (UTF-8, LF)."""
         base = str(base_path)
         os.makedirs(os.path.dirname(base) or ".", exist_ok=True)
-        with rewrite(base + ".json") as fh:
+        with open(base + ".json", "w", encoding="utf-8", newline="\n") as fh:
             fh.write(self.to_json())
-        with rewrite(base + ".csv") as fh:
+        with open(base + ".csv", "w", encoding="utf-8", newline="\n") as fh:
             fh.write(self.to_csv())
         return base + ".json", base + ".csv"
 

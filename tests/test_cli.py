@@ -927,8 +927,8 @@ def _command_outputs(tmp_path, out):
              [out / "m.csv"])]
 
 
-def test_every_output_file_is_rewritten_to_exactly_its_new_bytes(tmp_path, capsys):
-    # written over in place and cut at the new length: no old tail survives
+def test_every_output_file_over_a_longer_one_holds_exactly_its_new_bytes(tmp_path, capsys):
+    # no tail of the longer file it replaces survives
     fresh, stale = tmp_path / "fresh", tmp_path / "stale"
     fresh.mkdir()
     stale.mkdir()
@@ -945,20 +945,12 @@ def test_every_output_file_is_rewritten_to_exactly_its_new_bytes(tmp_path, capsy
     capsys.readouterr()
 
 
-def test_output_through_a_symlink_is_written_through(tmp_path, capsys):
-    links, real = tmp_path / "links", tmp_path / "real"
-    links.mkdir()
-    real.mkdir()
-    for argv, paths in _command_outputs(tmp_path, links):
-        for path in paths:
-            (real / path.name).write_text("#" * 20000, encoding="utf-8")
-            path.symlink_to(real / path.name)
+def test_output_to_a_device_that_cannot_be_cut_exits_0(tmp_path, capsys):
+    # /dev/null refuses ftruncate: a writer that cuts its file would exit 1
+    for argv, _ in _command_outputs(tmp_path, tmp_path)[1:]:
+        argv[-1] = os.devnull
         assert main(argv) == 0
-        for path in paths:
-            assert path.is_symlink()
-            data = (real / path.name).read_bytes()
-            assert data and b"#" not in data and data.endswith(b"\n")
-    capsys.readouterr()
+    assert capsys.readouterr().err == ""
 
 
 def test_experiment_error_exit_codes(tmp_path, capsys):
