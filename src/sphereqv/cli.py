@@ -19,11 +19,12 @@ help, usage and error bytes are the same either way.
 Units: degrees l are dimensionless integers ≥ 1, angles are radians, seeds
 are unsigned 64-bit integers. Exit codes: 0 success, 1 numeric or I/O
 failure, 2 flag/config validation error (a config or sample spec that is
-not UTF-8 JSON included) or a ``moments`` or ``estimate`` input that the
-function reading it refuses, 3 oracle-agreement failure under ``experiment
---strict``. Worker count: --threads (at most ``_MAX_THREADS``), else
-machine parallelism; outputs are byte-identical for any worker count, for
-one numpy/BLAS build at one BLAS thread count.
+not UTF-8 JSON, or nests too deeply to decode, included) or a ``moments``
+or ``estimate`` input that the function reading it refuses, 3
+oracle-agreement failure under ``experiment --strict``. Worker count:
+--threads (at most ``_MAX_THREADS``), else machine parallelism; outputs are
+byte-identical for any worker count, for one numpy/BLAS build at one BLAS
+thread count.
 """
 
 from __future__ import annotations
@@ -192,7 +193,7 @@ def _sample_target(obj):
     from . import harness
 
     ell = None
-    if isinstance(obj, dict) and obj.get("kind") == "single_ell":
+    if harness._json_object(obj, "target").get("kind") == "single_ell":
         obj = dict(obj)
         ell = obj.pop("ell", None)
         ell = harness._config_int(
@@ -205,15 +206,12 @@ def _cmd_simulate(args):
     from .simulate import SampleSpec, rep_stream_id
 
     with open(args.spec_file, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
-    allowed = {"target", "n", "seed", "replications"}
-    if not isinstance(raw, dict):
-        raise harness.ConfigError("sample spec must be a JSON object")
-    unknown = set(raw) - allowed
-    if unknown:
-        raise harness.ConfigError(f"unknown sample spec keys {sorted(unknown)}")
-    if "target" not in raw or "n" not in raw:
-        raise harness.ConfigError("sample spec needs 'target' and 'n'")
+        try:
+            raw = json.load(fh)
+        except RecursionError:  # one decoder frame per level: too deep to decode
+            raise harness.ConfigError("sample spec is nested too deeply to decode") from None
+    raw = harness._json_object(raw, "sample spec", {"target", "n", "seed", "replications"},
+                               ("target", "n"))
     target = _sample_target(raw["target"])
     # precedence: explicit flags > spec file > defaults
     seed = args.seed if args.seed is not None else raw.get("seed", 0)
@@ -309,9 +307,11 @@ def run_experiment(config, threads=None, partial_flush=None):
 def _cmd_experiment(args):
     from . import harness
 
-    raw = json.loads(_load_config_text(args.config))
-    if not isinstance(raw, dict):
-        raise harness.ConfigError("config must be a JSON object")
+    try:
+        raw = json.loads(_load_config_text(args.config))
+    except RecursionError:  # one decoder frame per level: too deep to decode
+        raise harness.ConfigError("config is nested too deeply to decode") from None
+    raw = harness._json_object(raw, "config")
     # precedence: explicit flags > config file > defaults
     if args.seed is not None:
         raw["seed"] = args.seed

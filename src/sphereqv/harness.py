@@ -93,15 +93,25 @@ _SPECTRUM_KEYS = {"power_law": {"kind", "c0", "epsilon", "l_max"},
                   "explicit": {"kind", "values", "l_min"}}
 
 
-def _parse_spectrum(obj):
+def _json_object(obj, what, allowed=None, required=()):
+    """``obj`` when it is a JSON object with no key outside ``allowed`` (any
+    key when None) and every key in ``required``; else ConfigError. The one
+    shape and key rule of every object a config or sample spec holds."""
     if not isinstance(obj, dict):
-        raise ConfigError("spectrum must be an object")
-    kind = obj.get("kind")
+        raise ConfigError(f"{what} must be a JSON object")
+    if allowed is not None and set(obj) - allowed:
+        raise ConfigError(f"unknown {what} keys {sorted(set(obj) - allowed)}")
+    if missing := [key for key in required if key not in obj]:
+        raise ConfigError(f"missing {what} key '{missing[0]}'")
+    return obj
+
+
+def _parse_spectrum(obj):
+    kind = _json_object(obj, "spectrum").get("kind")
     allowed = _SPECTRUM_KEYS.get(kind) if isinstance(kind, str) else None
     if allowed is None:
         raise ConfigError("spectrum.kind must be 'power_law' or 'explicit'")
-    if set(obj) - allowed:
-        raise ConfigError(f"unknown spectrum keys {sorted(set(obj) - allowed)}")
+    _json_object(obj, "spectrum", allowed)
     if kind == "power_law":
         make, args = PowerSpectrum.power_law, (
             _config_real(obj.get("c0"), "power_law c0 must be a finite number"),
@@ -143,8 +153,7 @@ def _config_real(value, message, lo=-sys.float_info.max):
 def _parse_regime(obj):
     if obj is None:
         return RegimeTag.fixed_ell()
-    if not isinstance(obj, dict) or set(obj) - {"kind", "c"}:
-        raise ConfigError("regime must be {kind, [c]}")
+    _json_object(obj, "regime", {"kind", "c"})
     try:
         return RegimeTag(obj.get("kind"), obj.get("c"))
     except ValueError as exc:
@@ -160,14 +169,11 @@ def _parse_target(obj, ell):
     """The sampler target (SingleEll at degree ``ell``, FullField or FbmTarget)
     of a config's target object; ConfigError for a malformed object, with
     ``bad {kind} target: …`` for values the library refuses."""
-    if not isinstance(obj, dict) or "kind" not in obj:
-        raise ConfigError("target must be an object with a 'kind'")
-    kind = obj["kind"]
+    kind = _json_object(obj, "target", required=("kind",))["kind"]
     allowed = _TARGET_KEYS.get(kind) if isinstance(kind, str) else None
     if allowed is None:
         raise ConfigError(f"unknown target kind {kind!r}")
-    if set(obj) - allowed:
-        raise ConfigError(f"unknown target keys {sorted(set(obj) - allowed)}")
+    _json_object(obj, "target", allowed)
     if kind == "single_ell":
         c_ell = obj.get("c_ell", 1.0)
         make, args = SingleEll, (ell, _config_real(
@@ -209,16 +215,8 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw):
-        allowed = {"seed", "replications", "statistics", "target", "cells",
-                   "regime", "output", "batch_size"}
-        if not isinstance(raw, dict):
-            raise ConfigError("config must be a JSON object")
-        unknown = set(raw) - allowed
-        if unknown:
-            raise ConfigError(f"unknown config keys {sorted(unknown)}")
-        for key in ("seed", "replications", "statistics", "target", "cells"):
-            if key not in raw:
-                raise ConfigError(f"missing config key '{key}'")
+        required = ("seed", "replications", "statistics", "target", "cells")
+        _json_object(raw, "config", {*required, "regime", "output", "batch_size"}, required)
 
         seed = _config_int(raw["seed"], "seed must be an unsigned 64-bit integer",
                            0, 2 ** 64)

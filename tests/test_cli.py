@@ -894,6 +894,74 @@ def test_experiment_config_that_is_not_an_object_exits_2(tmp_path, capsys):
     assert not (tmp_path / "r.json").exists()
 
 
+def _without(raw, key):
+    return {k: v for k, v in raw.items() if k != key}
+
+
+def _field(spectrum):
+    return {"kind": "full_field", "spectrum": spectrum}
+
+
+# (command, the fault applied to its valid config or sample spec, the refusal):
+# each object the rule guards, not an object, with an unknown key and, where
+# it has one, without a required key
+_MALFORMED_OBJECTS = [
+    ("experiment", lambda raw: [raw], "config must be a JSON object"),
+    ("experiment", lambda raw: {**raw, "typo": 1}, "unknown config keys ['typo']"),
+    ("experiment", lambda raw: _without(raw, "cells"), "missing config key 'cells'"),
+    ("experiment", lambda raw: {**raw, "target": _field([1.0])},
+     "spectrum must be a JSON object"),
+    ("experiment", lambda raw: {**raw, "target": _field(
+        {"kind": "explicit", "values": [1.0], "l_max": 1})}, "unknown spectrum keys ['l_max']"),
+    ("experiment", lambda raw: {**raw, "target": "single_ell"}, "target must be a JSON object"),
+    ("experiment", lambda raw: {**raw, "target": {"kind": "single_ell", "ell": 2}},
+     "unknown target keys ['ell']"),
+    ("experiment", lambda raw: {**raw, "target": {"c_ell": 1.0}}, "missing target key 'kind'"),
+    ("experiment", lambda raw: {**raw, "regime": "fixed_ell"}, "regime must be a JSON object"),
+    ("experiment", lambda raw: {**raw, "regime": {"kind": "fixed_ell", "ratio": 1}},
+     "unknown regime keys ['ratio']"),
+    ("simulate", lambda raw: [raw], "sample spec must be a JSON object"),
+    ("simulate", lambda raw: {**raw, "typo": 1}, "unknown sample spec keys ['typo']"),
+    ("simulate", lambda raw: _without(raw, "target"), "missing sample spec key 'target'"),
+    ("simulate", lambda raw: _without(raw, "n"), "missing sample spec key 'n'"),
+    ("simulate", lambda raw: {**raw, "target": 3}, "target must be a JSON object"),
+    ("simulate", lambda raw: {**raw, "target": {"ell": 3}}, "missing target key 'kind'"),
+]
+
+
+@pytest.mark.parametrize("command, fault, message", _MALFORMED_OBJECTS,
+                         ids=[f"{c}-{m}" for c, _, m in _MALFORMED_OBJECTS])
+def test_one_rule_refuses_every_malformed_object(tmp_path, capsys, command, fault, message):
+    path = pathlib.Path(_write_config(tmp_path) if command == "experiment"
+                        else _write_spec(tmp_path))
+    path.write_text(json.dumps(fault(json.loads(path.read_text()))), encoding="utf-8")
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    flag, out = ("--config", "r") if command == "experiment" else ("--spec-file", "s.csv")
+    assert main([command, flag, str(path), "--out", str(out_dir / out)]) == 2
+    assert capsys.readouterr() == ("", f"config error: {message}\n")
+    assert not any(out_dir.iterdir())
+
+
+@pytest.mark.parametrize("command", ["experiment", "simulate"])
+def test_input_nested_too_deeply_to_decode_exits_2(tmp_path, capsys, command):
+    # the decoder takes one frame per level, so 10,000 levels pass the
+    # interpreter's recursion limit inside json.loads
+    deep = "[" * 10_000 + "]" * 10_000
+    path = tmp_path / "deep.json"
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    if command == "experiment":
+        path.write_text(deep, encoding="utf-8")
+        argv, what = ["--config", str(path), "--out", str(out_dir / "r")], "config"
+    else:
+        path.write_text('{"target": %s, "n": 16}' % deep, encoding="utf-8")
+        argv, what = ["--spec-file", str(path), "--out", str(out_dir / "s.csv")], "sample spec"
+    assert main([command, *argv]) == 2
+    assert capsys.readouterr() == ("", f"config error: {what} is nested too deeply to decode\n")
+    assert not any(out_dir.iterdir())
+
+
 @pytest.mark.parametrize("fault", [AttributeError, ValueError, OSError])
 def test_physical_memory_unknown_when_sysconf_fails(monkeypatch, capsys, fault):
     def sysconf(name):
