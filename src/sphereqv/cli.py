@@ -318,7 +318,7 @@ def _cmd_experiment(args):
     if args.reps is not None:
         raw["replications"] = args.reps
     config = harness.ExperimentConfig.from_dict(raw)
-    dense_gram = bool(harness._DENSE_GRAM_STATS & set(config.statistics))
+    dense_gram = any(harness._STATISTICS[s].dense_gram for s in config.statistics)
     for (ell, n), target in zip(config.cells, config.targets):
         # a cell's largest array, checked for every cell before any draw
         arrays = harness._cell_arrays(target, n, config.batch_size, config.replications,

@@ -31,6 +31,7 @@ import numbers
 import os
 import sys
 import warnings
+from collections import namedtuple
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 from itertools import repeat
@@ -57,24 +58,24 @@ __all__ = [
     "check_oracle_agreement",
 ]
 
-_STATISTICS = ("mean", "var", "k3", "k4", "ks_normal", "estimator_error", "hurst")
-
-# fewest replications each statistic accepts: 10·p for the k-statistics up
-# to order p, 20 for the estimator ratios' variance, 200 for the KS distance
-# and its jackknife SE (at ks_normal's own 100, each jackknife sample holds 90)
-_MIN_REPLICATIONS = {"var": 20, "k3": 30, "k4": 40, "estimator_error": 20,
-                     "ks_normal": 200}
-
-# the power of V each statistic's sums reach, else 2 (an SE's squares): k-statistics
-# form V^4 sums and jackknife k3², k4²; the fourth-moment bound sums eigenvalues^4
-_SCALE_POWER = {"var": 4, "k3": 6, "k4": 8, "ks_normal": 4}
-
-# statistics whose exact side decomposes the dense N×N Gram
-_DENSE_GRAM_STATS = frozenset({"k3", "k4", "ks_normal"})
-
-# statistics whose "exact" column is a paired diagnostic, not an oracle value
-_NON_ORACLE_STATS = frozenset({"ks_normal"})
-
+# each report statistic: the target kinds it accepts; its fewest replications
+# (2 for an SE, 10·p for k-statistics to order p, 20 for the estimator ratios'
+# variance, 200 for the KS distance's jackknife SE: at ks_normal's own 100, each
+# jackknife sample holds 90); the highest power of V its sums reach (2 for an
+# SE's squares; k-statistics form V^4 sums and jackknife k3², k4²; the fourth-
+# moment bound sums eigenvalues^4); whether its exact side decomposes the dense
+# N×N Gram; whether its exact column is an oracle value, not a paired diagnostic
+_Statistic = namedtuple("_Statistic", "kinds min_reps power dense_gram oracle")
+_ANY = {"single_ell", "full_field", "fbm"}
+_STATISTICS = {
+    "mean": _Statistic(_ANY, 2, 2, False, True),
+    "var": _Statistic(_ANY, 20, 4, False, True),
+    "k3": _Statistic({"single_ell", "full_field"}, 30, 6, True, True),
+    "k4": _Statistic({"single_ell", "full_field"}, 40, 8, True, True),
+    "ks_normal": _Statistic(_ANY, 200, 4, True, False),
+    "estimator_error": _Statistic({"single_ell"}, 20, 2, False, True),
+    "hurst": _Statistic({"fbm"}, 2, 2, False, True),
+}
 
 # replications per batch unless a config sets batch_size; the partition and
 # the seed fix every sampled bit
@@ -226,10 +227,13 @@ class ExperimentConfig:
         if not isinstance(stats, list) or not stats:
             raise ConfigError("statistics must be a nonempty list of names")
         stats = tuple(stats)
-        bad = [s for s in stats if s not in _STATISTICS]
-        if bad:
+        # a list or dict among the names is unhashable: no table lookup
+        if bad := [s for s in stats if not isinstance(s, str) or s not in _STATISTICS]:
             raise ConfigError(f"unknown statistics {bad}")
-        need = max(_MIN_REPLICATIONS.get(s, 1) for s in stats)
+        # a repeated name writes its rows twice, diluting strict mode's ratio
+        if twice := sorted({s for s in stats if stats.count(s) > 1}):
+            raise ConfigError(f"statistics {twice} are named more than once")
+        need = max(_STATISTICS[s].min_reps for s in stats)
         if reps < need:
             raise ConfigError(f"statistics {list(stats)} need at least {need} "
                               f"replications, got {reps}")
@@ -253,16 +257,11 @@ class ExperimentConfig:
 
         regime = _parse_regime(raw.get("regime"))
         _check_coupling(regime, cells, kind)
-        power = max(_SCALE_POWER.get(s, 2) for s in stats)
+        power = max(_STATISTICS[s].power for s in stats)
         for target, (_, n) in zip(targets, cells):
             _check_cell(target, n, power, reps)
-
-        if "estimator_error" in stats and kind != "single_ell":
-            raise ConfigError("estimator_error requires a single_ell target")
-        if "hurst" in stats and kind != "fbm":
-            raise ConfigError("hurst requires an fbm target")
-        if kind == "fbm" and {"k3", "k4", "estimator_error"} & set(stats):
-            raise ConfigError("fbm targets support mean/var/ks_normal/hurst")
+        if bad := [s for s in stats if kind not in _STATISTICS[s].kinds]:
+            raise ConfigError(f"statistics {bad} do not apply to {kind} targets")
 
         batch = _config_int(raw.get("batch_size", _BATCH_SIZE),
                             "batch_size must be a positive integer")
@@ -554,7 +553,7 @@ def _resolve_threads(threads):
 def _check_cell(target, n, power=1, reps=1):
     """ConfigError when ``moments._cell_error`` refuses the target's kernel on
     an N-increment grid: V, or a sum of V^power over reps replications
-    (``_SCALE_POWER``), could overflow or underflow, or V is identically
+    (``_STATISTICS``' power), could overflow or underflow, or V is identically
     zero. The target, when built, refuses a top degree beyond the sampler's."""
     if why := mom._cell_error(*target.kernel, n, power, reps):
         raise ConfigError(why)
@@ -745,7 +744,7 @@ def check_oracle_agreement(report, band=4.0):
     checked = 0
     failures = []
     for r in report.rows:
-        if r.stat in _NON_ORACLE_STATS:
+        if r.stat in _STATISTICS and not _STATISTICS[r.stat].oracle:
             continue
         if not (math.isfinite(r.exact) and math.isfinite(r.se)):
             continue

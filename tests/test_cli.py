@@ -372,7 +372,7 @@ def test_simulate_draws_an_experiments_default_batches(tmp_path, capsys, monkeyp
     assert main(["simulate", "--spec-file", spec, "--out", str(tmp_path / "v.csv")]) == 0
     capsys.readouterr()
     size = harness.ExperimentConfig.from_dict({
-        "seed": 0, "replications": 1, "statistics": ["mean"],
+        "seed": 0, "replications": 2, "statistics": ["mean"],
         "target": {"kind": "single_ell"}, "cells": [[3, 16]]}).batch_size
     assert seen == [(0, size), (size, size), (2 * size, 2500 - 2 * size)]
 
@@ -1099,6 +1099,11 @@ def test_experiment_bad_c_ell_is_a_config_error(tmp_path, capsys, c_ell):
     {"target": {"kind": "full_field",
                 "spectrum": {"kind": "explicit", "values": [1.0], "l_max": 1}}},
     {"output": 5},
+    {"replications": 1, "statistics": ["mean"]},
+    {"replications": 1, "statistics": ["hurst"], "cells": [[1, 16]],
+     "target": {"kind": "fbm", "hurst": 0.3, "times": [2.0, 1.0],
+                "spectrum": {"kind": "explicit", "values": [1.0, 0.5]}}},
+    {"statistics": ["mean", "mean", "var"]},
 ], ids=["negative_l_min", "cell_not_a_pair", "cell_null_degree", "cell_of_one",
         "cells_string", "replications_null", "regime_c_string", "regime_c_nan",
         "regime_c_inf", "regime_c_overflows", "cell_n_overflows", "seed_string",
@@ -1107,7 +1112,8 @@ def test_experiment_bad_c_ell_is_a_config_error(tmp_path, capsys, c_ell):
         "l_min_null", "l_max_null", "c_ell_overflows", "epsilon_nan", "value_nan",
         "time_nan", "hurst_string", "c0_string", "l_max_fractional", "values_string",
         "l_min_bool", "c_ell_basis_overflows", "fbm_basis_overflows",
-        "spectrum_kind_unknown", "spectrum_key_unknown", "output_number"])
+        "spectrum_kind_unknown", "spectrum_key_unknown", "output_number",
+        "too_few_for_mean", "too_few_for_hurst", "statistic_repeated"])
 def test_experiment_bad_config_exits_2_before_sampling(tmp_path, capsys, over):
     cfg = _write_config(tmp_path, **over)
     assert main(["experiment", "--config", cfg,
@@ -1127,8 +1133,10 @@ _POWER_LAW = {"kind": "power_law", "c0": 1.0, "epsilon": 0.5, "l_max": 200}
     ({"target": {"kind": "fbm", "hurst": 0.3, "times": [2.0, 1.0],
                  "spectrum": {"kind": "explicit", "values": [1.0]}},
       "cells": [[0, 1024]], "statistics": ["mean", "ks_normal"]}, "dense Gram"),
+    ({"target": {"kind": "full_field", "spectrum": {"kind": "explicit", "values": [1.0]}},
+      "cells": [[1, 1024]], "statistics": ["mean", "k4"]}, "dense Gram"),
     ({"replications": 10 ** 6}, "sampled values"),
-], ids=["batch_paths", "basis_chunk", "dense_gram", "values"])
+], ids=["batch_paths", "basis_chunk", "dense_gram", "dense_gram_k4", "values"])
 def test_experiment_cell_beyond_physical_memory_exits_2_before_sampling(
         tmp_path, capsys, monkeypatch, over, what):
     monkeypatch.setattr(cli, "_physical_memory", lambda: 2 ** 20)

@@ -372,19 +372,52 @@ def test_config_regime_coupling():
             _base_config(cells=[[16, 8]], regime={"kind": "ell_slower"}))
 
 
-def test_config_statistic_target_coupling():
-    with pytest.raises(ConfigError):
-        ExperimentConfig.from_dict(_base_config(
-            statistics=["estimator_error"],
-            target={"kind": "full_field",
-                    "spectrum": {"kind": "explicit", "values": [1.0]}}))
-    with pytest.raises(ConfigError):
-        ExperimentConfig.from_dict(_base_config(statistics=["hurst"]))
-    with pytest.raises(ConfigError):
-        ExperimentConfig.from_dict(_base_config(
-            statistics=["k3"],
-            target={"kind": "fbm", "hurst": 0.5, "times": [2.0, 1.0],
-                    "spectrum": {"kind": "explicit", "values": [1.0]}}))
+_TARGETS = {
+    "single_ell": {"kind": "single_ell", "c_ell": 1.0},
+    "full_field": {"kind": "full_field", "spectrum": {"kind": "explicit", "values": [1.0]}},
+    "fbm": {"kind": "fbm", "hurst": 0.5, "times": [2.0, 1.0],
+            "spectrum": {"kind": "explicit", "values": [1.0]}},
+}
+# the target kinds each statistic applies to, and its fewest replications
+_APPLIES = {"mean": ("single_ell", "full_field", "fbm"),
+            "var": ("single_ell", "full_field", "fbm"),
+            "k3": ("single_ell", "full_field"),
+            "k4": ("single_ell", "full_field"),
+            "ks_normal": ("single_ell", "full_field", "fbm"),
+            "estimator_error": ("single_ell",),
+            "hurst": ("fbm",)}
+_MIN_REPS = {"mean": 2, "var": 20, "k3": 30, "k4": 40, "ks_normal": 200,
+             "estimator_error": 20, "hurst": 2}
+
+
+@pytest.mark.parametrize("kind", sorted(_TARGETS))
+@pytest.mark.parametrize("stat", sorted(_APPLIES))
+def test_config_statistic_target_coupling(stat, kind):
+    raw = _base_config(statistics=[stat], target=_TARGETS[kind])
+    if kind in _APPLIES[stat]:
+        assert ExperimentConfig.from_dict(raw).statistics == (stat,)
+    else:
+        with pytest.raises(ConfigError) as err:
+            ExperimentConfig.from_dict(raw)
+        assert str(err.value) == f"statistics ['{stat}'] do not apply to {kind} targets"
+
+
+@pytest.mark.parametrize("stat", sorted(_MIN_REPS))
+def test_config_statistic_minimum_replications(stat):
+    need = _MIN_REPS[stat]
+    target = _TARGETS[_APPLIES[stat][0]]
+    raw = _base_config(statistics=[stat], target=target, replications=need)
+    assert ExperimentConfig.from_dict(raw).replications == need
+    with pytest.raises(ConfigError) as err:
+        ExperimentConfig.from_dict(dict(raw, replications=need - 1))
+    assert str(err.value) == (f"statistics ['{stat}'] need at least {need} "
+                              f"replications, got {need - 1}")
+
+
+@pytest.mark.parametrize("name", [["mean"], {"mean": 1}, 5], ids=["list", "dict", "number"])
+def test_config_non_string_statistic_is_unknown(name):
+    with pytest.raises(ConfigError, match=r"^unknown statistics \["):
+        ExperimentConfig.from_dict(_base_config(statistics=["mean", name]))
 
 
 # JSON values leaning towards the names and edge numbers a config uses, and
