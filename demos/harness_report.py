@@ -1,7 +1,7 @@
 """One full verification experiment, from config dict to checked report.
 
 Builds a small experiment in code (the CLI reads the same shape from JSON),
-runs it on two worker threads, prints the CSV, and then asks the oracle
+runs it on the calling thread, prints the CSV, and then asks the oracle
 checker whether every Monte Carlo column sits within four standard errors
 of its exact counterpart.
 """
@@ -22,7 +22,7 @@ config = ExperimentConfig.from_dict({
     "batch_size": 500,
 })
 
-report = run_experiment(config, threads=2)
+report = run_experiment(config)
 print(report.to_csv(), end="")
 
 ok, checked, failures = check_oracle_agreement(report)

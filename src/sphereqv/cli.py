@@ -21,9 +21,10 @@ are unsigned 64-bit integers. Exit codes: 0 success, 1 numeric or I/O
 failure, 2 flag/config validation error (a config or sample spec that is
 not UTF-8 JSON, or nests too deeply to decode, included) or a ``moments``
 or ``estimate`` input that the function reading it refuses, 3
-oracle-agreement failure under ``experiment --strict``. Worker count:
---threads (at most ``_MAX_THREADS``), else machine parallelism; outputs are
-byte-identical for any worker count, for one numpy/BLAS build at one BLAS
+oracle-agreement failure under ``experiment --strict``, or a strict run
+with no oracle row to check. ``experiment`` samples on the calling thread;
+--threads (at most ``_MAX_THREADS``) is accepted and changes nothing, so
+outputs are the same for any value, for one numpy/BLAS build at one BLAS
 thread count.
 """
 
@@ -45,8 +46,9 @@ from .moments import RegimeTag
 __all__ = ["main"]
 
 
-# each worker is one OS thread, started mid-run as batches are submitted;
-# a larger --threads is refused at the flag, before any thread starts
+# --threads changes nothing (every run samples on the calling thread); it is
+# accepted and bounded so that existing command lines keep parsing, and a
+# larger value exits 2 at the flag
 _MAX_THREADS = 1024
 
 
@@ -299,7 +301,8 @@ def _load_config_text(path):
 def run_experiment(config, threads=None, partial_flush=None):
     """``harness.run_experiment``, looked up when ``experiment`` runs: the
     command's first layer call, which tests and the benchmark's set-up probe
-    replace by this name, with the harness loaded only by the commands it runs."""
+    replace by this name, with the harness loaded only by the commands it runs.
+    ``threads`` is passed on and ignored there, kept for callers that pass it."""
     from .harness import run_experiment
     return run_experiment(config, threads=threads, partial_flush=partial_flush)
 
@@ -332,7 +335,8 @@ def _cmd_experiment(args):
     sys.stdout.write(f"wrote {json_path} and {csv_path}\n")
     if args.strict:
         ok, checked, failures = harness.check_oracle_agreement(report)
-        if checked and ok / checked < 0.95:
+        # a run that checks no row has shown nothing: it fails too
+        if not checked or ok / checked < 0.95:
             for stat, ell, n, gap in failures:
                 sys.stderr.write(
                     f"oracle disagreement: {stat} at (l={ell}, N={n}) off by "
@@ -443,9 +447,11 @@ def _experiment_arguments(p):
     p.add_argument("--reps", type=_positive_int, default=None,
                    help="replication count override")
     p.add_argument("--threads", type=lambda t: _positive_int(t, _MAX_THREADS), default=None,
-                   help=f"worker threads, 1..{_MAX_THREADS} (default: all cores)")
+                   help=f"accepted for older callers, 1..{_MAX_THREADS}; every run "
+                        "samples on one thread")
     p.add_argument("--strict", action="store_true",
-                   help="exit 3 unless ≥95%% of oracle pairs agree within 4 SE")
+                   help="exit 3 unless ≥95%% of oracle pairs agree within 4 SE "
+                        "(and at least one pair is checked)")
 
 
 # name -> (help, description, function adding the command's arguments), in

@@ -1,17 +1,17 @@
-"""Monte Carlo experiment engine with deterministic parallel replication.
+"""Monte Carlo experiment engine with deterministic replication.
 
 An experiment is a sweep over (degree, grid) cells. For each cell the
 harness draws replications of the quadratic variation in fixed-size
-batches, computes the requested empirical statistics with standard errors,
-and pairs every one with its exact counterpart from the moment formulas.
-Replication r of a cell depends only on (seed, r), and batches are reduced
-in submission order, so the emitted report is byte-identical for any worker
-count, for one numpy/BLAS build at one BLAS thread count: the dense
+batches on the calling thread, computes the requested empirical statistics
+with standard errors, and pairs every one with its exact counterpart from
+the moment formulas. Replication r of a cell depends only on (seed, r), and
+batches are joined in order, so the emitted report is a function of the
+config alone, for one numpy/BLAS build at one BLAS thread count: the dense
 ``eigvalsh`` behind the exact k3, k4 and ks_normal columns, and the
 sampler's basis products, change their last bits with either.
 
 Only ``sphereqv simulate`` and ``experiment`` load this module, and with it
-``simulate``, ``estimators``, ``numpy.random`` and ``concurrent.futures``.
+``simulate``, ``estimators`` and ``numpy.random``.
 Its config-time cell check hands each sampler target's ``kernel`` (its
 spectrum and one factor per time) to the exact side's rule
 (``moments._cell_error``), which ``sphereqv moments`` runs without this
@@ -32,7 +32,6 @@ import os
 import sys
 import warnings
 from collections import namedtuple
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 from itertools import repeat
 
@@ -544,12 +543,6 @@ def loglog_slope(xs, ys, log_correction=None):
 # The experiment engine
 # ======================================================================
 
-def _resolve_threads(threads):
-    if threads is not None:
-        return max(1, int(threads))
-    return os.cpu_count() or 1
-
-
 def _check_cell(target, n, power=1, reps=1):
     """ConfigError when ``moments._cell_error`` refuses the target's kernel on
     an N-increment grid: V, or a sum of V^power over reps replications
@@ -677,46 +670,32 @@ def _fit_slopes(config, rows):
     return slopes
 
 
-def _sample_cell(spec, batch, run=map):
+def _sample_cell(spec, batch):
     """The spec's V (or (V_t, V_s)) per replication: batches of ``batch``
-    mapped with ``run`` (``map`` or a pool's) and joined in submission order,
-    so the values are bitwise the same for any ``run`` at one batch size."""
+    drawn in order on the calling thread and joined."""
     starts = range(0, spec.replications, batch)
     counts = [min(batch, spec.replications - s) for s in starts]
     return np.concatenate(
-        list(run(batch_quadratic_variation, repeat(spec), starts, counts)), axis=0)
+        list(map(batch_quadratic_variation, repeat(spec), starts, counts)), axis=0)
 
 
 def run_experiment(config, threads=None, partial_flush=None):
-    """Execute an experiment; deterministic for (config, seed), any workers.
+    """Execute an experiment; deterministic for (config, seed).
 
-    Replications are drawn in fixed batches of ``config.batch_size`` and
-    reduced in submission order. One worker maps them on the calling
-    thread, which also runs the exact side, so both reuse the memory the
-    C allocator keeps per thread; a batch on a pool thread left its freed
-    memory there, about 16 MB at ``l_max`` 512 and N = 1024. A
-    single-degree cell's batches also run on the calling thread at any
-    worker count: each builds its replication streams holding the GIL, and
-    its one product is already BLAS-threaded, so pool workers only queue
-    for the GIL and add allocator arenas. More workers map multi-degree
-    cells over one thread pool that serves every cell: a pool per cell
-    started new worker threads for each cell, and threads starting before
-    the last ones had exited made the allocator open fresh per-thread
-    arenas, a few MB of resident memory each, at random. On
+    Every cell's replications are drawn in fixed batches of
+    ``config.batch_size`` on the calling thread, which also runs the exact
+    side. ``threads`` is ignored, kept for the callers that pass it
+    (acceptance check 10 and ``sphereqv experiment --threads``). On
     KeyboardInterrupt the rows finished so far are flushed through
     ``partial_flush`` (if given) before the interrupt propagates.
     """
-    n_threads = _resolve_threads(threads)
     all_rows = []
     try:
-        # the pool starts no thread until its first submit
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            for (ell, n), target in zip(config.cells, config.targets):
-                run = map if n_threads == 1 or isinstance(target, SingleEll) else pool.map
-                spec = SampleSpec(target=target, grid=LineGrid(n), seed=config.seed,
-                                  replications=config.replications)
-                samples = _sample_cell(spec, config.batch_size, run)
-                all_rows.extend(_cell_rows(config, ell, n, target, samples))
+        for (ell, n), target in zip(config.cells, config.targets):
+            spec = SampleSpec(target=target, grid=LineGrid(n), seed=config.seed,
+                              replications=config.replications)
+            samples = _sample_cell(spec, config.batch_size)
+            all_rows.extend(_cell_rows(config, ell, n, target, samples))
     except KeyboardInterrupt:
         if partial_flush is not None:
             partial_flush(ExperimentReport(rows=tuple(all_rows), slopes={},

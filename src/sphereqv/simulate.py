@@ -49,8 +49,11 @@ Only ``sphereqv simulate`` and ``experiment`` load this module (with
 Threads: a multi-degree batch draws each degree chunk's normals on two
 threads while the chunk's harmonic sweep runs, the batch's own and one
 draw helper that every batch of the process shares; a batch that finds the
-helper busy with another batch draws everything itself. Which thread draws
-a replication never changes its values (see ``_paths_batch``).
+helper busy with another batch draws everything itself. The harness runs
+its batches one after another on the calling thread, so batches overlap
+only when a caller of ``batch_quadratic_variation`` runs them concurrently;
+the helper's busy rule and the basis cache's lock keep that safe. Which
+thread draws a replication never changes its values (see ``_paths_batch``).
 """
 
 from __future__ import annotations

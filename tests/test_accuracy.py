@@ -17,6 +17,11 @@ core's trace, 2·Σ core² and eigenvalues; a full field's and a fractional
 pair's mean and var from ``harness._cell_exact``, against the 40-digit kernel
 row, second-differenced.
 
+At one increment, N = 1, the grid's one increment has the variance
+2u(0) − 2u(π/2) of the degree's kernel u, so every value ``sphereqv
+moments`` prints, the mean included, is a closed form in P_l(cos(π/2)), and
+it is gated at l = 512 and at the degree bound 2^21.
+
 The printed mean is not gated at large N: ``exact_mean_vnl`` cancels in
 1 − P_l(cos(π/2N)) and is 19% low at (3, 2^26). Routing it through the
 cancellation-free ``moments._mean_v`` or the core's trace (ROADMAP item 2's
@@ -25,12 +30,14 @@ first step) is what brings it under a bound like these.
 
 import functools
 import math
+import re
 
 import mpmath
 import numpy as np
 import pytest
 
 from sphereqv import harness
+from sphereqv.cli import main
 from sphereqv.covariance import LineGrid, PowerSpectrum, increment_gram_fl
 from sphereqv.moments import exact_var_vnl, fourth_moment_bound, normalized_cumulant
 from sphereqv.simulate import FbmTarget, FullField
@@ -242,3 +249,38 @@ def test_harness_field_and_pair_exact_columns_within_their_bounds(l_max, n, kind
             target, factor = FbmTarget(0.3, spectrum, (2.0, 1.0)), mpmath.mpf(2) ** (2 * mpmath.mpf(0.3))
         want = _row_moments([factor * r for r in _mp_power_law_row(l_max, n)])
     _within(harness._cell_exact(target, n), want, FIELD_BOUNDS[l_max, n])
+
+
+# every value sphereqv moments prints at one increment, at C_ELL: about 2.5×
+# the larger error measured at (512, 1) and (2^21, 1), 1.5e-16, 3.7e-16,
+# 8.9e-17, 1.5e-16 and 8.9e-17, all but the bound's at (512, 1)
+ONE_INCREMENT_BOUNDS = {"mean": 4e-16, "variance": 1e-15, "normalized_k3": 2.5e-16,
+                        "normalized_k4": 4e-16, "fourth_moment_bound": 2.5e-16}
+
+
+def _mp_legendre_near_zero(ell, x):
+    """P_l(x) for even l and |x| ≲ 1e-16, in the working precision:
+    P_l(0)(1 − l(l+1)x²/2), with P_l(0) = (−1)^(l/2) C(l, l/2)/2^l; the next
+    term is below 1e-38 relative up to l = 2^21, where ``mpmath.legendre``
+    does not converge."""
+    p0 = (-1) ** (ell // 2) * mpmath.binomial(ell, ell // 2) / mpmath.mpf(2) ** ell
+    return p0 * (1 - ell * (ell + 1) * x ** 2 / 2)
+
+
+@pytest.mark.parametrize("ell", [512, 2 ** 21])
+def test_printed_values_at_one_increment_within_their_bounds(ell, capsys):
+    # V = X² with X normal of variance s² = 2c_l(2l+1)/(4π)·(1 − P_l(cos(π/2))),
+    # taken at the float lag, 6.1e-17: mean s², variance 2s⁴, normalized
+    # κ3 2√2, κ4 12 and the bound √2
+    assert main(["moments", "--ell", str(ell), "--n", "1", "--cl", str(C_ELL)]) == 0
+    got = {key: float(value)
+           for key, value in re.findall(r"^(\w+)\s+(\S+)$", capsys.readouterr().out, re.M)}
+    with mpmath.workdps(50):
+        x = mpmath.mpf(math.cos(math.pi / 2))
+        p = _mp_legendre_near_zero(ell, x)
+        if ell <= 512:
+            assert abs(mpmath.legendre(ell, x) / p - 1) < mpmath.mpf(10) ** -45
+        s2 = 2 * mpmath.mpf(C_ELL) * (2 * ell + 1) / (4 * mpmath.pi) * (1 - p)
+        want = {"mean": s2, "variance": 2 * s2 ** 2, "normalized_k3": 2 * mpmath.sqrt(2),
+                "normalized_k4": mpmath.mpf(12), "fourth_moment_bound": mpmath.sqrt(2)}
+        _within(got, want, ONE_INCREMENT_BOUNDS)

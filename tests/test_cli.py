@@ -782,8 +782,8 @@ def test_experiment_worker_invariance(tmp_path, capsys):
 
 
 def test_fbm_experiment_reports_are_worker_invariant(tmp_path, capsys, monkeypatch):
-    # four fractional-pair batches of several degree chunks each: every
-    # batch shares the one draw helper with the others at --threads 2
+    # four fractional-pair batches of several degree chunks each, every one
+    # drawn beside the draw helper thread; the flag changes no byte
     from sphereqv import simulate
     monkeypatch.setattr(simulate, "_CHUNK_ROWS", 200)
     target = {"kind": "fbm", "hurst": 0.3, "times": [2.0, 1.0],
@@ -882,6 +882,20 @@ def test_experiment_strict_passes_with_its_count(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert code == 0 and err == ""
     assert out.splitlines()[-1] == "strict mode: 2/2 statistics within 4 SE"
+
+
+def test_experiment_strict_fails_when_no_row_is_checked(tmp_path, capsys):
+    # ks_normal's exact column is a paired diagnostic, not an oracle: a run
+    # of it alone checks nothing, which must not pass as 0/0; it still
+    # writes its report pair
+    cfg = _write_config(tmp_path, replications=200, statistics=["ks_normal"],
+                        cells=[[3, 16]])
+    base = tmp_path / "ks"
+    code = main(["experiment", "--config", cfg, "--out", str(base), "--strict"])
+    out, err = capsys.readouterr()
+    assert code == 3
+    assert err == "strict mode: 0/0 statistics within 4 SE (threshold 95%)\n"
+    assert (tmp_path / "ks.json").exists() and (tmp_path / "ks.csv").exists()
 
 
 def test_experiment_config_that_is_not_an_object_exits_2(tmp_path, capsys):

@@ -6,6 +6,7 @@ import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from itertools import repeat
 
 import numpy as np
 import pytest
@@ -498,63 +499,42 @@ def test_experiment_output_is_worker_count_invariant():
     assert a.to_json() == b.to_json()
 
 
-def test_one_worker_samples_on_the_calling_thread(monkeypatch):
-    # four fractional-pair batches of several degree chunks each, so the
-    # draw helper thread runs beside every batch; one worker keeps the
-    # batches on the caller, two keep them all off it, and the reports agree
+_FIELD = {"kind": "power_law", "c0": 1.0, "epsilon": 0.2, "l_max": 24}
+
+
+@pytest.mark.parametrize("target, cells, statistics", [
+    ({"kind": "single_ell", "c_ell": 1.1}, [[3, 16], [3, 24]], ["mean", "var"]),
+    ({"kind": "full_field", "spectrum": _FIELD}, [[3, 16], [3, 24]], ["mean", "var"]),
+    ({"kind": "fbm", "hurst": 0.3, "times": [2.0, 1.0], "spectrum": dict(_FIELD, l_max=40)},
+     [[1, 32]], ["mean", "var", "ks_normal", "hurst"]),
+], ids=["single_ell", "full_field", "fbm"])
+def test_every_batch_samples_on_the_calling_thread(monkeypatch, target, cells, statistics):
+    # several degree chunks per multi-degree batch, so the draw helper runs
+    # beside each; at any worker count every batch runs on the caller, no
+    # other thread starts, and the report is one worker's byte for byte
     monkeypatch.setattr(simulate, "_CHUNK_ROWS", 200)
     cfg = ExperimentConfig.from_dict({
-        "seed": 3, "replications": 200, "batch_size": 50,
-        "statistics": ["mean", "var", "ks_normal", "hurst"],
-        "target": {"kind": "fbm", "hurst": 0.3, "times": [2.0, 1.0],
-                   "spectrum": {"kind": "power_law", "c0": 1.0, "epsilon": 0.2,
-                                "l_max": 40}},
-        "cells": [[1, 32]],
-    })
-    batch, seen = harness.batch_quadratic_variation, []
-
-    def record(*args):
-        seen.append(threading.current_thread())
-        return batch(*args)
-
-    monkeypatch.setattr(harness, "batch_quadratic_variation", record)
-    reports = []
-    for threads in (1, 2):
-        seen.clear()
-        reports.append(run_experiment(cfg, threads=threads))
-        on_caller = [t is threading.current_thread() for t in seen]
-        assert len(on_caller) == 4
-        assert all(on_caller) if threads == 1 else not any(on_caller)
-    assert reports[0].to_json() == reports[1].to_json()
-    assert reports[0].to_csv() == reports[1].to_csv()
-
-
-@pytest.mark.parametrize("target, on_caller", [
-    ({"kind": "single_ell", "c_ell": 1.1}, True),
-    ({"kind": "full_field", "spectrum": {"kind": "power_law", "c0": 1.0,
-                                         "epsilon": 0.2, "l_max": 24}}, False),
-])
-def test_only_multi_degree_cells_sample_on_pool_threads(monkeypatch, target, on_caller):
-    # at four workers a single-degree cell's batches stay on the calling
-    # thread and a full field's go to the pool; both reports equal one
-    # worker's byte for byte
-    cfg = ExperimentConfig.from_dict({
         "seed": 9, "replications": 200, "batch_size": 50,
-        "statistics": ["mean", "var"], "target": target, "cells": [[3, 16], [3, 24]],
+        "statistics": statistics, "target": target, "cells": cells,
     })
     want = run_experiment(cfg, threads=1)
-    batch, seen = harness.batch_quadratic_variation, []
+    batch, seen, alive = harness.batch_quadratic_variation, [], set()
 
     def record(*args):
         seen.append(threading.current_thread())
+        alive.update(threading.enumerate())
         return batch(*args)
 
     monkeypatch.setattr(harness, "batch_quadratic_variation", record)
-    got = run_experiment(cfg, threads=4)
-    assert len(seen) == 8
-    assert [t is threading.current_thread() for t in seen] == [on_caller] * 8
-    assert got.to_json() == want.to_json()
-    assert got.to_csv() == want.to_csv()
+    for threads in (1, 2, 4):
+        seen.clear()
+        got = run_experiment(cfg, threads=threads)
+        assert len(seen) == 4 * len(cells)
+        assert all(t is threading.main_thread() for t in seen)
+        assert got.to_json() == want.to_json()
+        assert got.to_csv() == want.to_csv()
+    assert all(t is threading.main_thread() or t.name.startswith("sphereqv-draw")
+               for t in alive)
 
 
 @pytest.mark.parametrize("threads", [1, 2])
@@ -585,15 +565,19 @@ def test_interrupt_flushes_the_finished_cells(monkeypatch, threads):
 
 def _cells_from_threads(cells, c_ell, seed, reps, batch, threads):
     """Each single-degree cell's V, its batches handed to
-    ``batch_quadratic_variation`` from ``threads`` pool threads at once
-    (one thread: in order on the caller)."""
+    ``simulate.batch_quadratic_variation`` from ``threads`` pool threads at
+    once (one thread: in order on the caller)."""
     out = []
     with ThreadPoolExecutor(max_workers=threads) as pool:
+        run = map if threads == 1 else pool.map
         for ell, n in cells:
             spec = simulate.SampleSpec(target=simulate.SingleEll(ell, c_ell),
                                        grid=covariance.LineGrid(n), seed=seed,
                                        replications=reps)
-            out.append(harness._sample_cell(spec, batch, map if threads == 1 else pool.map))
+            starts = range(0, reps, batch)
+            counts = [min(batch, reps - s) for s in starts]
+            out.append(np.concatenate(list(run(simulate.batch_quadratic_variation,
+                                               repeat(spec), starts, counts))))
     return [v.tobytes() for v in out]
 
 
