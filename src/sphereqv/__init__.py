@@ -13,7 +13,7 @@ specfun
     Legendre polynomials (one recurrence sweep, also behind the full-field
     kernel rows), meridian spherical harmonics (one degree-major sweep, also
     behind the samplers), Bessel J0/J2 from scipy.special (loaded on first
-    call).
+    call), and the normal CDF, bitwise scipy's cephes ``ndtr``.
 covariance
     Power spectra, meridian grids, increment covariance (Gram) matrices,
     fractional-Brownian spatial rows and time coupling.

@@ -11,7 +11,7 @@ config alone, for one numpy/BLAS build at one BLAS thread count: the dense
 sampler's basis products, change their last bits with either.
 
 Only ``sphereqv simulate`` and ``experiment`` load this module, and with it
-``simulate``, ``estimators`` and ``numpy.random``.
+``simulate``, ``estimators`` and ``numpy.random``, but no scipy module.
 Its config-time cell check hands each sampler target's ``kernel`` (its
 spectrum and one factor per time) to the exact side's rule
 (``moments._cell_error``), which ``sphereqv moments`` runs without this
@@ -19,8 +19,10 @@ module.
 
 Empirical cumulants use k-statistics (unbiased cumulant estimators) with
 delete-block jackknife standard errors; normality is measured by the exact
-Kolmogorov–Smirnov distance of the standardized statistic to N(0,1);
-scaling laws are checked by least-squares slopes in log-log coordinates.
+Kolmogorov–Smirnov distance of the standardized statistic to N(0,1), whose
+Φ is ``specfun._ndtr``, bitwise ``scipy.special.ndtr`` without loading
+scipy; scaling laws are checked by least-squares slopes in log-log
+coordinates.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ from .estimators import estimate_cl, estimate_hurst
 from .moments import RegimeTag
 from .simulate import (FbmTarget, FullField, SampleSpec, SingleEll, _batch_arrays,
                        batch_quadratic_variation)
+from .specfun import _ndtr
 
 __all__ = [
     "ConfigError",
@@ -475,7 +478,6 @@ def _ks_jackknife_se(samples):
     blocks differ in size by at most one, so the leave-one-out samples
     have at most two sizes, and each size's rank grid is built once.
     """
-    from scipy.special import ndtr  # at first use, as in specfun.bessel_j
     x = np.asarray(samples, dtype=float).ravel()
     bounds = _block_bounds(x.size, _jackknife_groups(x.size))
     # block labels of the sorted sample; ≤ 50 blocks fit in one byte each
@@ -485,7 +487,7 @@ def _ks_jackknife_se(samples):
     order = np.argsort(x)
     phi, block = x[order], block[order]
     del order
-    ndtr(phi, out=phi)
+    _ndtr(phi, out=phi)
     sizes = [x.size - (hi - lo) for lo, hi in bounds]
     grids = {m: _ks_grid(m) for m in set(sizes)}
     return _jackknife_spread([_ks_sorted(phi[block != b], grids[m])
@@ -502,8 +504,7 @@ def ks_normal(samples):
     n = x.size
     if n < 100:
         raise ValueError(f"need at least 100 samples, got {n}")
-    from scipy.special import ndtr  # at first use, as in specfun.bessel_j
-    return _ks_sorted(ndtr(np.sort(x)), _ks_grid(n))
+    return _ks_sorted(_ndtr(np.sort(x)), _ks_grid(n))
 
 
 def loglog_slope(xs, ys, log_correction=None):
@@ -709,15 +710,21 @@ def run_experiment(config, threads=None, partial_flush=None):
     return report
 
 
+# an SE at most this fraction of its row's larger value, 16 ulps, is degenerate
+_SE_FLOOR = 16 * sys.float_info.epsilon
+
+
 def check_oracle_agreement(report, band=4.0):
     """Fraction of empirical/exact pairs agreeing within ``band`` SEs.
 
     Rows whose exact column is a paired diagnostic rather than an oracle
     (ks_normal) are skipped, as are rows without a finite SE. A row whose
-    SE is exactly 0 fails at an infinite gap: configs whose V is
-    identically zero are refused, so such an SE comes only from a
-    degenerate sample. Returns (n_ok, n_checked, failures) with one
-    (stat, ell, n, gap_in_se) tuple per violation.
+    SE is at most 16·ε·max(|empirical|, |exact|), 0 included, fails at an
+    infinite gap: configs whose V is identically zero are refused, so an SE
+    within a few ulps of the values comes only from a degenerate sample,
+    such as a comonotone fractional pair whose every Ĥ is H to rounding.
+    Returns (n_ok, n_checked, failures) with one (stat, ell, n, gap_in_se)
+    tuple per violation.
     """
     ok = 0
     checked = 0
@@ -728,7 +735,8 @@ def check_oracle_agreement(report, band=4.0):
         if not (math.isfinite(r.exact) and math.isfinite(r.se)):
             continue
         checked += 1
-        gap = abs(r.empirical - r.exact) / r.se if r.se else math.inf
+        degenerate = r.se <= _SE_FLOOR * max(abs(r.empirical), abs(r.exact))
+        gap = math.inf if degenerate else abs(r.empirical - r.exact) / r.se
         if gap <= band:
             ok += 1
         else:

@@ -1631,6 +1631,21 @@ def test_import_loads_no_scipy_until_a_call_needs_it():
     assert run.stdout.splitlines()[-1] == "[]"
 
 
+def test_experiment_with_the_ks_row_loads_no_scipy(tmp_path):
+    # the bundled sweep computes ks_normal, whose Φ is specfun._ndtr: a fresh
+    # interpreter holds no scipy module after the run
+    argv = ["experiment", "--config", "regime_sweep", "--reps", "200",
+            "--out", str(tmp_path / "sweep")]
+    code = ("import sys\n"
+            "import sphereqv.cli as cli\n"
+            f"assert cli.main({argv!r}) == 0\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    run = subprocess.run([sys.executable, "-c", code],
+                         capture_output=True, text=True, env=_child_env())
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == "[]"
+
+
 # the layers only the sampling commands need
 _SAMPLER_SIDE = ("sphereqv.harness", "sphereqv.simulate", "numpy.random",
                  "concurrent.futures")

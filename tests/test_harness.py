@@ -5,6 +5,7 @@ import math
 import sys
 import threading
 import time
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from itertools import repeat
 
@@ -114,6 +115,24 @@ def test_ks_jackknife_from_one_sort_is_bitwise_the_generic_one(sample):
     want = harness._jackknife_se(sample, ks_normal)
     got = harness._ks_jackknife_se(sample)
     assert np.float64(got).view(np.uint64) == np.float64(want).view(np.uint64)
+
+
+@pytest.mark.parametrize("statistic, limit_mib", [
+    (ks_normal, 30.6), (harness._ks_jackknife_se, 38.6)], ids=["ks_normal", "jackknife"])
+def test_ks_row_memory_peak_at_a_million_samples(statistic, limit_mib):
+    # Φ runs in fixed-size blocks, so its masks and subsets stay small beside
+    # the sorted copy and the rank grids: the peaks match scipy's ndtr, which
+    # read 30.52 and 38.50 MiB, where one block of all 10⁶ values read 56.8
+    # and 50.1 MiB
+    x = np.random.default_rng(8).standard_normal(10 ** 6)
+    statistic(x[:1000])
+    tracemalloc.start()
+    try:
+        statistic(x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= limit_mib * 2 ** 20
 
 
 def test_ks_normal_needs_enough_samples():
@@ -728,6 +747,23 @@ def test_oracle_check_flags_corrupted_exact_value():
     assert len(failures) == 1
     assert failures[0][0] == victim.stat
     assert ok == checked - 1
+
+
+@pytest.mark.parametrize("hurst, replications", [(0.3, 200), (0.7, 1000)])
+def test_oracle_check_fails_an_se_within_ulps_of_its_value(monkeypatch, hurst, replications):
+    # the comonotone pair fault, r = t^H s^H: every Ĥ is H to rounding, and
+    # the hurst_median SE reads 2.4e-16 and 7.8e-16 here, not 0, so the row
+    # passed at a gap below 1 SE; 16·ε·H flags it as degenerate
+    monkeypatch.setattr(simulate, "rh_cross", lambda h, t, s: (t * s) ** h)
+    cfg = ExperimentConfig.from_dict({
+        "seed": 3, "replications": replications, "statistics": ["mean", "var", "hurst"],
+        "cells": [[1, 128]], "target": {"kind": "fbm", "hurst": hurst, "times": [2.0, 1.0],
+                                        "spectrum": {"kind": "power_law", "c0": 1.0,
+                                                     "epsilon": 0.2, "l_max": 64}}})
+    report = run_experiment(cfg, threads=1)
+    (row,) = [r for r in report.rows if r.stat == "hurst_median"]
+    assert 0 < row.se < 1e-15
+    assert check_oracle_agreement(report) == (2, 3, [("hurst_median", 1, 128, math.inf)])
 
 
 def test_oracle_check_skips_rows_without_a_finite_se_or_exact_value():

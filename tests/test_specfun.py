@@ -1,6 +1,7 @@
 """Special-function layer checked against scipy.special and mpmath references."""
 
 import itertools
+import math
 
 import mpmath
 import numpy as np
@@ -269,3 +270,48 @@ def test_bessel_first_zero_bracketed():
     lo, hi = 2.40482555, 2.40482556
     assert bessel_j(0, lo) > 0.0 > bessel_j(0, hi)
 
+
+
+# ======================================================================
+# The standard normal CDF
+# ======================================================================
+
+def _neighbours(values):
+    """Each value with its np.nextafter neighbours, for both signs."""
+    values = np.asarray(values, dtype=float)
+    values = np.concatenate([values, -values])
+    return np.concatenate([np.nextafter(values, -np.inf), values,
+                           np.nextafter(values, np.inf)])
+
+
+# erfc(|x|/√2) is 0 where x²/2 > MAXLOG = 709.78..., from |x| ≈ 37.68 up:
+# 64 steps of one ulp either side
+_NDTR_CUT = math.sqrt(2 * specfun._MAXLOG) + np.arange(-64, 65) * np.spacing(37.68)
+
+NDTR_INPUTS = {
+    "normals": np.random.default_rng(11).standard_normal(10 ** 6),
+    "uniform_40": np.random.default_rng(12).uniform(-40.0, 40.0, 10 ** 6),
+    # the branch points |x|/√2 = √½, 1 and 8
+    "branch_points": _neighbours([1.0, math.sqrt(2.0), 8 * math.sqrt(2.0)]),
+    "underflow_cut": np.concatenate([_NDTR_CUT, -_NDTR_CUT]),
+    "special": np.array([0.0, -0.0, 5e-324, -5e-324, np.inf, -np.inf, np.nan, 1e300, -1e300]),
+}
+
+
+@pytest.mark.parametrize("x", list(NDTR_INPUTS.values()), ids=list(NDTR_INPUTS))
+def test_ndtr_is_bitwise_scipy(x):
+    _assert_bitwise(specfun._ndtr(x), special.ndtr(x))
+
+
+def test_ndtr_underflow_cut_splits_the_probe():
+    # the probe straddles the cut: Φ is 0 past it and subnormal just inside
+    phi = specfun._ndtr(NDTR_INPUTS["underflow_cut"])
+    assert 0.0 in phi and np.any((0.0 < phi) & (phi < 1e-300))
+
+
+def test_ndtr_writes_into_out_aliasing_its_input():
+    x = NDTR_INPUTS["normals"][:200_000].reshape(400, 500)
+    want = special.ndtr(x)
+    got = x.copy()
+    assert specfun._ndtr(got, out=got) is got
+    _assert_bitwise(got, want)
