@@ -27,7 +27,7 @@ simulate
 estimators
     Angular power spectrum estimators and a Hurst-exponent estimator.
 harness
-    Monte Carlo experiment runner with deterministic parallel streams,
+    Monte Carlo experiment runner with per-replication streams,
     empirical cumulants with jackknife errors, report serialization.
 cli
     Command line entry point (``sphereqv``).

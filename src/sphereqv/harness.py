@@ -4,9 +4,11 @@ An experiment is a sweep over (degree, grid) cells. For each cell the
 harness draws replications of the quadratic variation in fixed-size
 batches on the calling thread, computes the requested empirical statistics
 with standard errors, and pairs every one with its exact counterpart from
-the moment formulas. Replication r of a cell depends only on (seed, r), and
-batches are joined in order, so the emitted report is a function of the
-config alone, for one numpy/BLAS build at one BLAS thread count: the dense
+the moment formulas. Each statistic is one ``_STATISTICS`` record, which
+also writes its rows from the sampled cell, whose inputs are formed on
+first read. Replication r of a cell depends only on (seed, r), and batches
+are joined in order, so the emitted report is a function of the config
+alone, for one numpy/BLAS build at one BLAS thread count: the dense
 ``eigvalsh`` behind the exact k3, k4 and ks_normal columns, and the
 sampler's basis products, change their last bits with either.
 
@@ -35,6 +37,7 @@ import sys
 import warnings
 from collections import namedtuple
 from dataclasses import asdict, dataclass, field, fields
+from functools import cached_property
 from itertools import repeat
 
 import numpy as np
@@ -66,17 +69,33 @@ __all__ = [
 # jackknife sample holds 90); the highest power of V its sums reach (2 for an
 # SE's squares; k-statistics form V^4 sums and jackknife k3², k4²; the fourth-
 # moment bound sums eigenvalues^4); whether its exact side decomposes the dense
-# N×N Gram; whether its exact column is an oracle value, not a paired diagnostic
-_Statistic = namedtuple("_Statistic", "kinds min_reps power dense_gram oracle")
+# N×N Gram; whether its exact column is an oracle value, not a paired diagnostic;
+# and its rows, (label, empirical, se, exact, source_op) from one ``_Cell``.
+# A floor makes a row computable, not its 4-SE check calibrated: strict mode
+# fails a correct single-degree sampler (c_ell 1; mean, var, k3, k4) on 17 of
+# seeds 1–40 at (2, 3) and 23 at (3, 16) with k4's 40 replications, and on 5
+# at (3, 16) with 400, mostly on the k4 and k3 rows (README, strict mode)
+_Statistic = namedtuple("_Statistic", "kinds min_reps power dense_gram oracle rows")
 _ANY = {"single_ell", "full_field", "fbm"}
 _STATISTICS = {
-    "mean": _Statistic(_ANY, 2, 2, False, True),
-    "var": _Statistic(_ANY, 20, 4, False, True),
-    "k3": _Statistic({"single_ell", "full_field"}, 30, 6, True, True),
-    "k4": _Statistic({"single_ell", "full_field"}, 40, 8, True, True),
-    "ks_normal": _Statistic(_ANY, 200, 4, True, False),
-    "estimator_error": _Statistic({"single_ell"}, 20, 2, False, True),
-    "hurst": _Statistic({"fbm"}, 2, 2, False, True),
+    "mean": _Statistic(_ANY, 2, 2, False, True, lambda c: [
+        ("mean", *_mean_se(c.v), c.exact["mean"], c.exact["mean_src"])]),
+    "var": _Statistic(_ANY, 20, 4, False, True, lambda c: [
+        ("var", *c.kstats[0], c.exact["var"], "exact_var_from_row")]),
+    "k3": _Statistic({"single_ell", "full_field"}, 30, 6, True, True, lambda c: [
+        ("k3", *c.kstats[1], mom.trace_cumulant(c.gram, 3), "trace_cumulant")]),
+    "k4": _Statistic({"single_ell", "full_field"}, 40, 8, True, True, lambda c: [
+        ("k4", *c.kstats[2], mom.trace_cumulant(c.gram, 4), "trace_cumulant")]),
+    "ks_normal": _Statistic(_ANY, 200, 4, True, False, lambda c: [
+        ("ks_normal", ks_normal(c.standardized), _ks_jackknife_se(c.standardized),
+         mom.fourth_moment_bound(c.gram), "fourth_moment_bound")]),
+    "estimator_error": _Statistic({"single_ell"}, 20, 2, False, True, lambda c: [
+        ("estimator_mean", *_mean_se(c.ratios), 1.0, "estimate_cl"),
+        ("estimator_var", *empirical_cumulants(c.ratios, p_max=2)[0],
+         c.exact["var"] / c.exact["mean"] ** 2, "exact_var_vnl/exact_mean_vnl")]),
+    "hurst": _Statistic({"fbm"}, 2, 2, False, True, lambda c: [
+        ("hurst_median", float(np.median(c.hurst)), _jackknife_se(c.hurst, np.median),
+         c.target.hurst, "estimate_hurst")]),
 }
 
 # replications per batch unless a config sets batch_size; the partition and
@@ -575,67 +594,47 @@ def _cell_exact(target, n):
     return {"row": row, "mean": mean, "mean_src": mean_src, "var": var}
 
 
+def _mean_se(x):
+    """The sample mean of ``x`` and its standard error."""
+    return float(np.mean(x)), float(np.std(x, ddof=1) / math.sqrt(x.size))
+
+
+class _Cell:
+    """One sampled cell as ``_STATISTICS``' rows read it: V (the first time's,
+    for a pair) and each input of a row, formed on first read only."""
+
+    exact = cached_property(lambda c: _cell_exact(c.target, c.n))
+    gram = cached_property(lambda c: IncrementGram(c.n, row=c.exact["row"]))
+    # k2..k4 read every replication whatever p_max, which bounds R only
+    kstats = cached_property(lambda c: empirical_cumulants(c.v, p_max=min(4, c.v.size // 10)))
+    standardized = cached_property(lambda c: (c.v - c.exact["mean"]) / math.sqrt(c.exact["var"]))
+    ratios = cached_property(lambda c: estimate_cl(c.v, c.ell, c.n).value / c.target.c_ell)
+
+    def __init__(self, ell, n, target, samples):
+        self.ell, self.n, self.target, self.samples = ell, n, target, samples
+        self.v = samples[:, 0] if samples.ndim == 2 else samples
+
+    @cached_property
+    def hurst(self):
+        t, s = self.target.times
+        # per-replication estimates scatter outside (0,1) by design;
+        # the median absorbs them, so the per-value warning is noise here
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            return np.array([estimate_hurst(vt, vs, t, s) for vt, vs in self.samples])
+
+
 def _cell_rows(config, ell, n, target, samples):
-    """Assemble the CellStat rows for one cell."""
-    exact = _cell_exact(target, n)
-    regime_str = config.regime.kind
-    if config.regime.kind == mom.ELL_COMPARABLE:
-        regime_str = f"ell_comparable(c={config.regime.c:g})"
-    seed = config.seed
-    stats = config.statistics
-    v = samples[:, 0] if samples.ndim == 2 else samples
-
-    gram = IncrementGram(n, row=exact["row"])  # dense matrix built on first use
-    kmax = 4 if "k4" in stats else (3 if "k3" in stats else 2)
-    kstats = None
-    if {"var", "k3", "k4"} & set(stats):
-        kstats = empirical_cumulants(v, p_max=max(kmax, 2))
-
-    rows = []
-
-    def add(stat, empirical, se, exact_val, source):
-        rows.append(CellStat(ell=ell, n=n, regime=regime_str, stat=stat,
-                             empirical=float(empirical), se=float(se),
-                             exact=float(exact_val), source_op=source,
-                             seed=seed))
-
-    for stat in stats:
-        if stat == "mean":
-            se = float(np.std(v, ddof=1) / math.sqrt(v.size))
-            add("mean", float(np.mean(v)), se, exact["mean"], exact["mean_src"])
-        elif stat == "var":
-            add("var", kstats[0][0], kstats[0][1], exact["var"],
-                "exact_var_from_row")
-        elif stat == "k3":
-            add("k3", kstats[1][0], kstats[1][1],
-                mom.trace_cumulant(gram, 3), "trace_cumulant")
-        elif stat == "k4":
-            add("k4", kstats[2][0], kstats[2][1],
-                mom.trace_cumulant(gram, 4), "trace_cumulant")
-        elif stat == "ks_normal":
-            f = (v - exact["mean"]) / math.sqrt(exact["var"])
-            ks = ks_normal(f)
-            add("ks_normal", ks, _ks_jackknife_se(f),
-                mom.fourth_moment_bound(gram), "fourth_moment_bound")
-        elif stat == "estimator_error":
-            c_ell = target.c_ell
-            ratios = estimate_cl(v, ell, n).value / c_ell
-            se = float(np.std(ratios, ddof=1) / math.sqrt(ratios.size))
-            add("estimator_mean", float(np.mean(ratios)), se, 1.0, "estimate_cl")
-            kr = empirical_cumulants(ratios, p_max=2)
-            add("estimator_var", kr[0][0], kr[0][1],
-                exact["var"] / exact["mean"] ** 2, "exact_var_vnl/exact_mean_vnl")
-        elif stat == "hurst":
-            t, s = target.times
-            # per-replication estimates scatter outside (0,1) by design;
-            # the median absorbs them, so the per-value warning is noise here
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", UserWarning)
-                h = np.array([estimate_hurst(vt, vs, t, s) for vt, vs in samples])
-            med = float(np.median(h))
-            se = _jackknife_se(h, np.median)
-            add("hurst_median", med, se, target.hurst, "estimate_hurst")
-    return rows
+    """The CellStat rows of one cell: each named statistic's rows, in the
+    config's order."""
+    regime = config.regime
+    regime_str = (f"ell_comparable(c={regime.c:g})" if regime.kind == mom.ELL_COMPARABLE
+                  else regime.kind)
+    cell = _Cell(ell, n, target, samples)
+    return [CellStat(ell=ell, n=n, regime=regime_str, stat=label, empirical=float(empirical),
+                     se=float(se), exact=float(exact), source_op=source, seed=config.seed)
+            for stat in config.statistics
+            for label, empirical, se, exact, source in _STATISTICS[stat].rows(cell)]
 
 
 def _cell_arrays(target, n, batch, replications, dense_gram):

@@ -6,6 +6,7 @@ import sys
 import threading
 import time
 import tracemalloc
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from itertools import repeat
 
@@ -657,6 +658,132 @@ def test_each_cell_decomposes_its_gram_once(monkeypatch):
     got = run_experiment(cfg, threads=1).to_json()
     assert calls == [(12, 12), (20, 20)]
     assert got == want
+
+
+def _frozen_cell_rows(config, ell, n, target, samples):
+    # _cell_rows before each statistic declared its rows in _STATISTICS: an
+    # eager exact side, Gram and k-statistics, and one branch per statistic
+    mom = harness.mom
+    exact = harness._cell_exact(target, n)
+    regime_str = config.regime.kind
+    if config.regime.kind == mom.ELL_COMPARABLE:
+        regime_str = f"ell_comparable(c={config.regime.c:g})"
+    seed = config.seed
+    stats = config.statistics
+    v = samples[:, 0] if samples.ndim == 2 else samples
+
+    gram = covariance.IncrementGram(n, row=exact["row"])
+    kmax = 4 if "k4" in stats else (3 if "k3" in stats else 2)
+    kstats = None
+    if {"var", "k3", "k4"} & set(stats):
+        kstats = empirical_cumulants(v, p_max=max(kmax, 2))
+
+    rows = []
+
+    def add(stat, empirical, se, exact_val, source):
+        rows.append(CellStat(ell=ell, n=n, regime=regime_str, stat=stat,
+                             empirical=float(empirical), se=float(se),
+                             exact=float(exact_val), source_op=source,
+                             seed=seed))
+
+    for stat in stats:
+        if stat == "mean":
+            se = float(np.std(v, ddof=1) / math.sqrt(v.size))
+            add("mean", float(np.mean(v)), se, exact["mean"], exact["mean_src"])
+        elif stat == "var":
+            add("var", kstats[0][0], kstats[0][1], exact["var"],
+                "exact_var_from_row")
+        elif stat == "k3":
+            add("k3", kstats[1][0], kstats[1][1],
+                mom.trace_cumulant(gram, 3), "trace_cumulant")
+        elif stat == "k4":
+            add("k4", kstats[2][0], kstats[2][1],
+                mom.trace_cumulant(gram, 4), "trace_cumulant")
+        elif stat == "ks_normal":
+            f = (v - exact["mean"]) / math.sqrt(exact["var"])
+            ks = ks_normal(f)
+            add("ks_normal", ks, harness._ks_jackknife_se(f),
+                mom.fourth_moment_bound(gram), "fourth_moment_bound")
+        elif stat == "estimator_error":
+            c_ell = target.c_ell
+            ratios = harness.estimate_cl(v, ell, n).value / c_ell
+            se = float(np.std(ratios, ddof=1) / math.sqrt(ratios.size))
+            add("estimator_mean", float(np.mean(ratios)), se, 1.0, "estimate_cl")
+            kr = empirical_cumulants(ratios, p_max=2)
+            add("estimator_var", kr[0][0], kr[0][1],
+                exact["var"] / exact["mean"] ** 2, "exact_var_vnl/exact_mean_vnl")
+        elif stat == "hurst":
+            t, s = target.times
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)
+                h = np.array([harness.estimate_hurst(vt, vs, t, s) for vt, vs in samples])
+            med = float(np.median(h))
+            se = harness._jackknife_se(h, np.median)
+            add("hurst_median", med, se, target.hurst, "estimate_hurst")
+    return rows
+
+
+def _bits(row):
+    """A CellStat's fields, each float as its hex form, so equal means bitwise."""
+    return tuple(x.hex() if isinstance(x, float) else x for x in
+                 (getattr(row, name) for name in harness._CSV_COLUMNS))
+
+
+_SIX = ["mean", "var", "k3", "k4", "ks_normal", "estimator_error"]
+_PAIR = {"kind": "fbm", "hurst": 0.3, "times": [2.0, 1.0], "spectrum": _FIELD}
+
+
+@pytest.mark.parametrize("config", [
+    {"replications": 200, "statistics": _SIX, "cells": [[3, 16]],
+     "target": {"kind": "single_ell", "c_ell": 0.7}},
+    {"replications": 200, "statistics": _SIX, "cells": [[20, 16]],
+     "target": {"kind": "single_ell", "c_ell": 0.7}, "regime": {"kind": "ell_faster"}},
+    {"replications": 200, "statistics": ["mean", "var", "k3", "k4", "ks_normal"],
+     "cells": [[1, 8], [1, 16], [1, 32]], "target": {"kind": "full_field", "spectrum": _FIELD}},
+    {"replications": 200, "statistics": ["mean", "var", "ks_normal", "hurst"],
+     "cells": [[1, 16]], "target": _PAIR},
+    {"replications": 40, "statistics": ["k4", "estimator_error", "mean", "var"],
+     "cells": [[3, 16]], "target": {"kind": "single_ell", "c_ell": 0.7}},
+    {"replications": 20, "statistics": ["var"], "cells": [[3, 16]],
+     "target": {"kind": "single_ell"}},
+    {"replications": 30, "statistics": ["k3"], "cells": [[3, 16]],
+     "target": {"kind": "single_ell"}},
+], ids=["single_ell_core", "single_ell_dense", "full_field", "fbm", "out_of_order",
+        "var_floor", "k3_floor"])
+def test_rows_are_bitwise_the_frozen_chain(config):
+    cfg = ExperimentConfig.from_dict({"seed": 5, **config})
+    for (ell, n), target in zip(cfg.cells, cfg.targets):
+        spec = simulate.SampleSpec(target=target, grid=covariance.LineGrid(n), seed=cfg.seed,
+                                   replications=cfg.replications)
+        samples = harness._sample_cell(spec, cfg.batch_size)
+        want = _frozen_cell_rows(cfg, ell, n, target, samples)
+        got = harness._cell_rows(cfg, ell, n, target, samples)
+        assert [r.stat for r in got] == [r.stat for r in want]
+        assert [_bits(r) for r in got] == [_bits(r) for r in want]
+
+
+@pytest.mark.parametrize("target, statistics, unread", [
+    (_PAIR, ["hurst"], ("_cell_exact", "fbm_spatial_row", "IncrementGram")),
+    ({"kind": "single_ell", "c_ell": 0.7}, ["mean", "var", "estimator_error"],
+     ("IncrementGram",)),
+    ({"kind": "full_field", "spectrum": _FIELD}, ["mean", "var"], ("IncrementGram",)),
+], ids=["fbm_hurst", "single_ell", "full_field"])
+def test_a_cell_forms_only_what_its_statistics_read(monkeypatch, target, statistics, unread):
+    cfg = ExperimentConfig.from_dict({"seed": 5, "replications": 200, "statistics": statistics,
+                                      "target": target, "cells": [[3, 16]]})
+    spec = simulate.SampleSpec(target=cfg.targets[0], grid=covariance.LineGrid(16),
+                               seed=cfg.seed, replications=cfg.replications)
+    samples = harness._sample_cell(spec, cfg.batch_size)
+    want = _frozen_cell_rows(cfg, 3, 16, cfg.targets[0], samples)
+
+    def unexpected(*args, **kwargs):
+        raise AssertionError("formed an input no requested row reads")
+
+    for name in unread:
+        monkeypatch.setattr(harness, name, unexpected)
+    monkeypatch.setattr(np.linalg, "eigvalsh", unexpected)
+    got = harness._cell_rows(cfg, 3, 16, cfg.targets[0], samples)
+    assert [_bits(r) for r in got] == [_bits(r) for r in want]
 
 
 def test_csv_shape_and_float_roundtrip():
