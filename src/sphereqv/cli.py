@@ -1,41 +1,39 @@
 """Command line front end.
 
-Subcommands wrap the library layers one-to-one, and each imports only the
-layers it runs: numpy, specfun, covariance and moments load with this module;
-``estimate`` adds estimators, ``simulate`` and ``experiment`` the sampler and
-the harness:
-
-    moments        exact and asymptotic moments of one (degree, grid) cell
-    simulate       draw quadratic-variation replications to CSV
-    estimate       spectrum / Hurst point estimates from given inputs
-    experiment     run a Monte Carlo experiment config, write JSON + CSV
-    specfun-check  run the special-function invariant suite
-
-A call whose first argument names a command parses with a parser that
-registers that command alone; any other argv gets every command. The
-one-command parser's top-level errors are printed by the full parser, so
-help, usage and error bytes are the same either way.
+Each command is one ``_COMMANDS`` record (help, description, arguments,
+runner) and each ``estimate`` mode one ``_ESTIMATE_MODES`` record. A command
+imports only the layers it runs: numpy, specfun, covariance and moments load
+with this module; ``estimate`` adds estimators, ``simulate`` and
+``experiment`` the sampler and the harness.
 
 Units: degrees l are dimensionless integers ≥ 1, angles are radians, seeds
 are unsigned 64-bit integers. Exit codes: 0 success, 1 numeric or I/O
-failure, 2 flag/config validation error (a config or sample spec that is
-not UTF-8 JSON, or nests too deeply to decode, included) or a ``moments``
-or ``estimate`` input that the function reading it refuses, 3
-oracle-agreement failure under ``experiment --strict``, or a strict run
-with no oracle row to check. ``experiment`` samples on the calling thread;
---threads (at most ``_MAX_THREADS``) is accepted and changes nothing, so
-outputs are the same for any value, for one numpy/BLAS build at one BLAS
-thread count.
+failure (an output that cannot be written exits 1 before any draw or Gram),
+2 flag/config validation error (a config or sample spec that is not UTF-8
+JSON, or nests too deeply to decode, included) or a ``moments`` or
+``estimate`` input that the function reading it refuses, 3 oracle-agreement
+failure under ``experiment --strict``, or a strict run with no oracle row to
+check. ``experiment`` samples on the calling thread; --threads (at most
+``_MAX_THREADS``) is accepted and changes nothing, so outputs are the same
+for any value, for one numpy/BLAS build at one BLAS thread count.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import math
 import os
 import sys
+from collections import namedtuple
 from importlib import resources
+
+# OpenBLAS reads how long an idle worker spins once, when numpy loads it: at
+# its default, 2^28 cycles (about 0.1 s), a worker spins after each product
+# through the sampler's sweep and draws; 2^20 cycles is about 0.5 ms. A value
+# the user set wins, and a library import of the other modules sets nothing
+os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "20")
 
 import numpy as np
 
@@ -46,9 +44,8 @@ from .moments import RegimeTag
 __all__ = ["main"]
 
 
-# --threads changes nothing (every run samples on the calling thread); it is
-# accepted and bounded so that existing command lines keep parsing, and a
-# larger value exits 2 at the flag
+# --threads changes nothing (every run samples on the calling thread): it is
+# accepted, so existing command lines keep parsing, and above this exits 2
 _MAX_THREADS = 1024
 
 
@@ -94,12 +91,6 @@ def _fmt(x):
     return "%.17g" % float(x)
 
 
-def _emit_json(obj):
-    # a non-finite value is a ValueError (numeric error, exit 1), never bare
-    # NaN or Infinity on stdout
-    sys.stdout.write(json.dumps(obj, sort_keys=True, allow_nan=False) + "\n")
-
-
 # ======================================================================
 # moments
 # ======================================================================
@@ -125,6 +116,28 @@ def _memory_error(arrays, where):
     return True
 
 
+def _check_output(*paths, makes_dirs=False):
+    """Raise, before any work, the OSError that writing each of ``paths`` (None
+    skipped) would: a directory, a file this process may not write, a new file
+    in a directory it may not write or that is missing (unless ``makes_dirs``,
+    as the report's writer makes it). Nothing is created, cut or opened: a
+    FIFO opened early hands its reader an EOF, so its write is left to itself."""
+    for path in filter(None, paths):
+        if os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+        target = path
+        try:
+            os.stat(path)  # under a file: NotADirectoryError
+        except FileNotFoundError:
+            target = os.path.dirname(os.path.abspath(path))
+            while makes_dirs and not os.path.exists(target):
+                target = os.path.dirname(target)
+            if not os.path.isdir(target):
+                raise
+        if not os.access(target, os.W_OK):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
+
+
 def _moments_need(ell, n):
     """(bytes, name) the moments command must fit in physical memory: on the
     core path a Gram-row sweep, 5·8(N+1) bytes, and five (l+1)×(l+1) arrays,
@@ -145,8 +158,11 @@ def _moments_need(ell, n):
     return need + 2 ** 18, what
 
 
-def _cmd_moments(args):
+def _cmd_moments(args, parser):
     ell, n, c_ell = args.ell, args.n, args.cl
+    # the one regime rule RegimeTag cannot see: with no regime it is never built
+    if args.regime_c is not None and args.regime is None:
+        parser.error("--regime-c is read by --regime ell_comparable only")
     # the chosen path's memory bound must fit, checked before allocating
     if _memory_error([_moments_need(ell, n)], f"l={ell}, N={n}"):
         return 2
@@ -164,6 +180,7 @@ def _cmd_moments(args):
             a_var = mom.asymptotic_var(regime, ell, c_ell, n)
     except ValueError as exc:
         return _input_error(exc)
+    _check_output(args.csv)
     gram = increment_gram_fl(ell, c_ell, LineGrid(n))
     mean = mom.exact_mean_vnl(ell, c_ell, n)
     var = mom.exact_var_vnl(gram)
@@ -203,17 +220,13 @@ def _sample_target(obj):
     return harness._parse_target(obj, ell)
 
 
-def _cmd_simulate(args):
+def _cmd_simulate(args, _parser):
     from . import harness
     from .simulate import SampleSpec, rep_stream_id
 
     with open(args.spec_file, "r", encoding="utf-8") as fh:
-        try:
-            raw = json.load(fh)
-        except RecursionError:  # one decoder frame per level: too deep to decode
-            raise harness.ConfigError("sample spec is nested too deeply to decode") from None
-    raw = harness._json_object(raw, "sample spec", {"target", "n", "seed", "replications"},
-                               ("target", "n"))
+        raw = _json_object(fh.read(), "sample spec", {"target", "n", "seed", "replications"},
+                           ("target", "n"))
     target = _sample_target(raw["target"])
     # precedence: explicit flags > spec file > defaults
     seed = args.seed if args.seed is not None else raw.get("seed", 0)
@@ -225,6 +238,7 @@ def _cmd_simulate(args):
     arrays = harness._cell_arrays(target, n, harness._BATCH_SIZE, reps, dense_gram=False)
     if _memory_error(arrays, f"sample spec (N={n}, replications={reps})"):
         return 2
+    _check_output(args.out)
     spec = SampleSpec(target=target, grid=LineGrid(n), seed=seed, replications=reps)
     # one column of V, or (V at t, V at s) for a fractional pair
     values = harness._sample_cell(spec, harness._BATCH_SIZE).reshape(spec.replications, -1)
@@ -242,10 +256,17 @@ def _cmd_simulate(args):
 # estimate
 # ======================================================================
 
-# the flags each estimate mode reads: all required, every other one refused
-_ESTIMATE_FLAGS = {"cl": ("v", "ell", "n"), "cl1": ("v", "ell", "n"), "cl3": ("v", "ell", "n"),
-                   "cl2": ("v", "ell", "n", "c"), "classical": ("coeffs", "ell"),
-                   "hurst": ("vt", "vs", "t", "s")}
+# mode -> (the flags it reads, all required and every other one refused, its
+# estimate from the estimators module and those flags), in --mode's order
+_ESTIMATE_MODES = {
+    "cl": (("v", "ell", "n"), lambda est, *a: est.estimate_cl(*a).as_dict()),
+    "cl1": (("v", "ell", "n"), lambda est, *a: est.estimate_cl_variant(*a, 1).as_dict()),
+    "cl2": (("v", "ell", "n", "c"), lambda est, *a: est.estimate_cl_variant(
+        *a[:3], 2, c=a[3]).as_dict()),
+    "cl3": (("v", "ell", "n"), lambda est, *a: est.estimate_cl_variant(*a, 3).as_dict()),
+    "classical": (("coeffs", "ell"), lambda est, *a: est.estimate_cl_classical(*a).as_dict()),
+    "hurst": (("vt", "vs", "t", "s"), lambda est, *a: {"value": est.estimate_hurst(*a)}),
+}
 
 
 def _input_error(message):
@@ -255,11 +276,11 @@ def _input_error(message):
 
 
 def _cmd_estimate(args, parser):
-    from .estimators import (estimate_cl, estimate_cl_classical,
-                             estimate_cl_variant, estimate_hurst)
+    from . import estimators
 
-    mode, reads = args.mode, _ESTIMATE_FLAGS[args.mode]
-    given = {f for f in set().union(*_ESTIMATE_FLAGS.values()) if getattr(args, f) is not None}
+    mode, (reads, estimate) = args.mode, _ESTIMATE_MODES[args.mode]
+    flags = set().union(*(f for f, _ in _ESTIMATE_MODES.values()))
+    given = {f for f in flags if getattr(args, f) is not None}
     if missing := [f for f in reads if f not in given]:
         parser.error(f"mode {mode} requires --" + " --".join(missing))
     if extra := sorted(given - set(reads)):
@@ -267,23 +288,28 @@ def _cmd_estimate(args, parser):
     # each estimator refuses its own inputs with a ValueError; arithmetic
     # that fails on valid inputs raises an ArithmeticError, exit 1 in main
     try:
-        if mode == "cl":
-            res = estimate_cl(args.v, args.ell, args.n).as_dict()
-        elif mode == "classical":
-            res = estimate_cl_classical(args.coeffs, args.ell).as_dict()
-        elif mode == "hurst":
-            res = {"value": estimate_hurst(args.vt, args.vs, args.t, args.s)}
-        else:
-            res = estimate_cl_variant(args.v, args.ell, args.n, int(mode[2]), c=args.c).as_dict()
+        res = estimate(estimators, *(getattr(args, f) for f in reads))
     except ValueError as exc:
         return _input_error(exc)
-    _emit_json(res)
+    # a non-finite value is a ValueError (numeric error, exit 1), never bare
+    # NaN or Infinity on stdout
+    sys.stdout.write(json.dumps(res, sort_keys=True, allow_nan=False) + "\n")
     return 0
 
 
 # ======================================================================
 # experiment
 # ======================================================================
+
+def _json_object(text, what, *keys):
+    """``text``, a config or sample spec, decoded and checked by ``harness._json_object``."""
+    from . import harness
+
+    try:
+        return harness._json_object(json.loads(text), what, *keys)
+    except RecursionError:  # one decoder frame per level: too deep to decode
+        raise harness.ConfigError(f"{what} is nested too deeply to decode") from None
+
 
 def _load_config_text(path):
     if os.path.exists(path):
@@ -299,27 +325,21 @@ def _load_config_text(path):
 
 
 def run_experiment(config, threads=None, partial_flush=None):
-    """``harness.run_experiment``, looked up when ``experiment`` runs: the
-    command's first layer call, which tests and the benchmark's set-up probe
-    replace by this name, with the harness loaded only by the commands it runs.
-    ``threads`` is passed on and ignored there, kept for callers that pass it."""
+    """``harness.run_experiment``, looked up by this name when ``experiment``
+    runs, so tests and the benchmark's set-up probe can replace it; the harness
+    loads only with the commands it runs. ``threads`` is passed on, ignored."""
     from .harness import run_experiment
     return run_experiment(config, threads=threads, partial_flush=partial_flush)
 
 
-def _cmd_experiment(args):
+def _cmd_experiment(args, _parser):
     from . import harness
 
-    try:
-        raw = json.loads(_load_config_text(args.config))
-    except RecursionError:  # one decoder frame per level: too deep to decode
-        raise harness.ConfigError("config is nested too deeply to decode") from None
-    raw = harness._json_object(raw, "config")
+    raw = _json_object(_load_config_text(args.config), "config")
     # precedence: explicit flags > config file > defaults
-    if args.seed is not None:
-        raw["seed"] = args.seed
-    if args.reps is not None:
-        raw["replications"] = args.reps
+    for key, flag in (("seed", args.seed), ("replications", args.reps)):
+        if flag is not None:
+            raw[key] = flag
     config = harness.ExperimentConfig.from_dict(raw)
     dense_gram = any(harness._STATISTICS[s].dense_gram for s in config.statistics)
     for (ell, n), target in zip(config.cells, config.targets):
@@ -329,6 +349,7 @@ def _cmd_experiment(args):
         if _memory_error(arrays, f"cell (l={ell}, N={n})"):
             return 2
     base = args.out or config.output or "experiment_report"
+    _check_output(base + ".json", base + ".csv", makes_dirs=True)
     report = run_experiment(config, threads=args.threads,
                             partial_flush=lambda rep: rep.write(base))
     json_path, csv_path = report.write(base)
@@ -338,12 +359,10 @@ def _cmd_experiment(args):
         # a run that checks no row has shown nothing: it fails too
         if not checked or ok / checked < 0.95:
             for stat, ell, n, gap in failures:
-                sys.stderr.write(
-                    f"oracle disagreement: {stat} at (l={ell}, N={n}) off by "
-                    f"{gap:.2f} SE\n")
-            sys.stderr.write(
-                f"strict mode: {ok}/{checked} statistics within 4 SE "
-                f"(threshold 95%)\n")
+                sys.stderr.write(f"oracle disagreement: {stat} at (l={ell}, N={n}) off by "
+                                 f"{gap:.2f} SE\n")
+            sys.stderr.write(f"strict mode: {ok}/{checked} statistics within 4 SE "
+                             f"(threshold 95%)\n")
             return 3
         sys.stdout.write(f"strict mode: {ok}/{checked} statistics within 4 SE\n")
     return 0
@@ -353,7 +372,7 @@ def _cmd_experiment(args):
 # specfun-check
 # ======================================================================
 
-def _cmd_specfun_check(_args):
+def _cmd_specfun_check(_args, _parser):
     from scipy.special import eval_legendre
 
     from .specfun import _SWEEP_MAX_DEGREE, harmonic_meridian_table, legendre_p
@@ -386,12 +405,10 @@ def _cmd_specfun_check(_args):
     checks.append((f"addition theorem at degree {top}, relative",
                    float(np.max(np.abs(diag - 1.0))), 1e-10))
 
-    failed = 0
     for name, err, tol in checks:
-        status = "PASS" if err <= tol else "FAIL"
-        failed += status == "FAIL"
-        sys.stdout.write(f"{status}  {name}: max error {err:.3e} (tol {tol:g})\n")
-    return 1 if failed else 0
+        sys.stdout.write(f"{'PASS' if err <= tol else 'FAIL'}  {name}: max error {err:.3e} "
+                         f"(tol {tol:g})\n")
+    return 0 if all(err <= tol for _, err, tol in checks) else 1
 
 
 # ======================================================================
@@ -424,8 +441,7 @@ def _simulate_arguments(p):
 
 
 def _estimate_arguments(p):
-    p.add_argument("--mode", required=True,
-                   choices=["cl", "cl1", "cl2", "cl3", "classical", "hurst"])
+    p.add_argument("--mode", required=True, choices=list(_ESTIMATE_MODES))
     p.add_argument("--v", type=_finite, help="observed quadratic variation")
     p.add_argument("--ell", type=_positive_int, help="degree l (integer ≥ 1)")
     p.add_argument("--n", type=_positive_int, help="grid increments N")
@@ -454,43 +470,44 @@ def _experiment_arguments(p):
                         "(and at least one pair is checked)")
 
 
-# name -> (help, description, function adding the command's arguments), in
-# the order the top-level usage lists them
+# name -> (help, description, function adding the command's arguments, its
+# runner run(args, parser) returning the exit status), in usage order
+_Command = namedtuple("_Command", "help description arguments run")
 _COMMANDS = {
-    "moments": (
+    "moments": _Command(
         "exact (and asymptotic) moments of one (degree, grid) cell",
         "Exact mean/variance/cumulants of the quadratic variation. Degree l is a "
         "dimensionless integer ≥ 1; the grid has N increments over [0, π/2] (radians).",
-        _moments_arguments),
-    "simulate": (
+        _moments_arguments, _cmd_moments),
+    "simulate": _Command(
         "draw quadratic-variation replications to CSV",
         "Sample quadratic variations per a JSON sample spec. Seeds are unsigned 64-bit "
         "integers; one derived stream per replication.",
-        _simulate_arguments),
-    "estimate": (
+        _simulate_arguments, _cmd_simulate),
+    "estimate": _Command(
         "spectrum / Hurst point estimates from given inputs",
         "Point estimates. Modes cl/cl1/cl2/cl3 need --v --ell --n (cl2 also --c); "
         "classical needs --coeffs --ell; hurst needs --vt --vs --t --s (times in the "
         "same units, any). A mode refuses every other flag.",
-        _estimate_arguments),
-    "experiment": (
+        _estimate_arguments, _cmd_estimate),
+    "experiment": _Command(
         "run a Monte Carlo experiment config, write JSON + CSV",
         "Run an experiment described by a JSON config (path or bundled name, e.g. "
         "regime_sweep.json). Flags override config values; unknown config keys are "
         "rejected.",
-        _experiment_arguments),
-    "specfun-check": (
+        _experiment_arguments, _cmd_experiment),
+    "specfun-check": _Command(
         "run the special-function invariant suite",
         "Evaluates the special-function layer against reference implementations and "
         "closed forms; prints one PASS/FAIL line per invariant.",
-        lambda p: None),
+        lambda p: None, _cmd_specfun_check),
 }
 
 
 def _build_parser(*commands):
     """The parser with the commands named in ``commands`` registered, each
     with its help, description and arguments, or with every command when
-    ``commands`` names none of them.
+    ``commands`` names none of them (no argv, a flag first, an unknown command).
 
     A parser that registers fewer than every command hands each top-level
     error (an unrecognized argument, or a ``parser.error`` after parsing) to
@@ -505,43 +522,26 @@ def _build_parser(*commands):
     sub = parser.add_subparsers(dest="command", required=True)
     names = [name for name in _COMMANDS if name in commands] or list(_COMMANDS)
     for name in names:
-        help_, description, add_arguments = _COMMANDS[name]
-        add_arguments(sub.add_parser(name, help=help_, description=description))
+        cmd = _COMMANDS[name]
+        cmd.arguments(sub.add_parser(name, help=cmd.help, description=cmd.description))
     if len(names) < len(_COMMANDS):
         parser.error = lambda message: _build_parser().error(message)
     return parser
 
 
 def main(argv=None):
-    """Run the command ``argv`` names (``sys.argv[1:]`` by default) and
-    return its exit status. A call whose first token names a command parses
-    with a parser that registers that command alone; any other argv (none,
-    a flag first, an unknown command) gets every command. Either way help,
-    usage and error bytes are the full parser's: the one-command parser's
-    top-level errors are printed by the full parser."""
+    """Run the command ``argv`` names (``sys.argv[1:]`` by default), parsed
+    by ``_build_parser`` with that command alone, and return its exit status."""
     argv = sys.argv[1:] if argv is None else argv
     parser = _build_parser(*argv[:1])
     args = parser.parse_args(argv)
-    # a config or sample spec whose bytes are not UTF-8 JSON is a config
-    # error; ConfigError is the harness's, which only these two commands load
-    config_errors = (json.JSONDecodeError, UnicodeDecodeError)
-    if args.command in ("simulate", "experiment"):
-        from .harness import ConfigError
-        config_errors += (ConfigError,)
     try:
-        if args.command == "moments":
-            # the one regime rule RegimeTag cannot see: with no regime it is never built
-            if args.regime_c is not None and args.regime is None:
-                parser.error("--regime-c is read by --regime ell_comparable only")
-            return _cmd_moments(args)
-        if args.command == "simulate":
-            return _cmd_simulate(args)
-        if args.command == "estimate":
-            return _cmd_estimate(args, parser)
-        if args.command == "experiment":
-            return _cmd_experiment(args)
-        return _cmd_specfun_check(args)
-    except config_errors as exc:
+        return _COMMANDS[args.command].run(args, parser)
+    # a config or sample spec whose bytes are not UTF-8 JSON is a config error,
+    # as is the harness's ConfigError: the tuple is built when an exception
+    # reaches it, after a command that raises one has loaded the harness
+    except (json.JSONDecodeError, UnicodeDecodeError, getattr(
+            sys.modules.get(f"{__package__}.harness"), "ConfigError", UnicodeDecodeError)) as exc:
         sys.stderr.write(f"config error: {exc}\n")
         return 2
     except OSError as exc:

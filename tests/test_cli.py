@@ -1035,6 +1035,48 @@ def test_output_to_a_device_that_cannot_be_cut_exits_0(tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
+@pytest.mark.parametrize("where", ["under_a_file", "missing", "directories", "denied"])
+def test_an_unwritable_output_exits_1_before_any_draw_or_gram(
+        tmp_path, capsys, monkeypatch, where):
+    # the outputs are checked first: simulate sampled an fbm-size spec for
+    # seconds, and moments printed its whole table, before exiting 1; the
+    # check creates nothing (experiment makes a missing directory, so a
+    # missing one is writable there)
+    monkeypatch.setattr(harness, "_sample_cell", lambda *a, **k: pytest.fail("sampled"))
+    monkeypatch.setattr(cli, "run_experiment", lambda *a, **k: pytest.fail("ran"))
+    monkeypatch.setattr(cli, "increment_gram_fl", lambda *a, **k: pytest.fail("Gram built"))
+    out = tmp_path / where
+    if where == "under_a_file":
+        out.write_bytes(b"a file\n")
+    if where in ("directories", "denied"):
+        out.mkdir()
+    commands = _command_outputs(tmp_path, out)
+    if where == "directories":
+        for _, paths in commands:
+            for path in paths:
+                path.mkdir()
+    if where == "denied":
+        access = os.access
+        monkeypatch.setattr(os, "access", lambda path, mode, **kw: (
+            not str(path).startswith(str(out)) and access(path, mode, **kw)))
+    before = sorted(tmp_path.rglob("*"))
+    for argv, paths in commands[where == "missing":]:
+        assert main(argv) == 1
+        stdout, err = capsys.readouterr()
+        assert stdout == "" and err.count("\n") == 1
+        assert err.startswith("error: ") and f"'{paths[0]}'" in err
+    assert sorted(tmp_path.rglob("*")) == before
+    if where == "under_a_file":
+        assert out.read_bytes() == b"a file\n"
+
+
+def test_experiment_makes_its_reports_missing_directories(tmp_path, capsys):
+    argv, paths = _command_outputs(tmp_path, tmp_path / "new" / "deeper")[0]
+    assert main(argv) == 0
+    assert all(path.is_file() for path in paths)
+    capsys.readouterr()
+
+
 def test_experiment_error_exit_codes(tmp_path, capsys):
     assert main(["experiment", "--config", str(tmp_path / "missing.json"),
                  "--out", str(tmp_path / "x")]) == 1
@@ -1557,6 +1599,34 @@ def test_one_command_parser_equals_the_full_parser(monkeypatch, capsys, command)
     assert one.parse_args(_FULL_ARGV[command]) == full.parse_args(_FULL_ARGV[command])
 
 
+@pytest.mark.parametrize("command", list(_COMMANDS))
+def test_main_runs_the_command_records_runner(monkeypatch, command):
+    # main names no command: each record's runner is the one it calls
+    calls = []
+    monkeypatch.setitem(cli._COMMANDS, command, cli._COMMANDS[command]._replace(
+        run=lambda args, parser: calls.append(args.command) or 42))
+    assert main(_FULL_ARGV[command]) == 42
+    assert calls == [command]
+
+
+def test_mode_choices_are_the_mode_table_in_order():
+    (mode,) = [a for a in _subparsers(_build_parser("estimate"))["estimate"]._actions
+               if a.dest == "mode"]
+    assert list(mode.choices) == list(cli._ESTIMATE_MODES)
+    assert list(mode.choices) == ["cl", "cl1", "cl2", "cl3", "classical", "hurst"]
+
+
+def test_estimate_reads_a_modes_flags_and_call_from_its_record(monkeypatch, capsys):
+    monkeypatch.setitem(cli._ESTIMATE_MODES, "hurst",
+                        (("vt", "vs"), lambda est, vt, vs: {"value": vt + vs}))
+    assert main(["estimate", "--mode", "hurst", "--vt", "2", "--vs", "1"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"value": 3.0}
+    assert _exit_code(["estimate", "--mode", "hurst", "--vt", "2", "--vs", "1",
+                       "--v", "2"]) == 2
+    assert capsys.readouterr().err.endswith(
+        "error: mode hurst reads only --vt --vs, not --v\n")
+
+
 @pytest.mark.parametrize("argv", [
     [], ["--help"], ["bogus"], ["bogus", "--ell", "3"], ["--foo"],
     ["--foo", "moments", "--ell", "3", "--n", "4", "--cl", "1"],
@@ -1589,7 +1659,7 @@ def test_usage_and_errors_match_the_full_parser(monkeypatch, argv):
     ["moments", "--ell", "3", "--n", "16", "--cl", "1", "--regime-c", "3"],
 ], ids=" ".join)
 def test_errors_after_parsing_print_the_full_usage(monkeypatch, capsys, argv):
-    # main and _cmd_estimate raise these through the one-command parser; the
+    # _cmd_estimate and _cmd_moments raise these through the one-command parser; the
     # full parser prints them, under a usage line that names every command
     monkeypatch.setenv("COLUMNS", "80")
     assert _exit_code(argv) == 2
@@ -1597,6 +1667,59 @@ def test_errors_after_parsing_print_the_full_usage(monkeypatch, capsys, argv):
     usage = _build_parser(*_COMMANDS).format_usage()
     assert "{" + ",".join(_COMMANDS) + "}" in usage
     assert out == "" and err.startswith(usage) and err.count("error:") == 1
+
+
+_NUMPY_SPY = """
+import os, sys
+
+class Spy:
+    seen = []
+
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" and not Spy.seen:
+            Spy.seen.append(os.environ.get("OPENBLAS_THREAD_TIMEOUT"))
+
+sys.meta_path.insert(0, Spy())
+import {module}
+print(Spy.seen)
+"""
+
+
+def _blas_env(timeout):
+    """_child_env() with OPENBLAS_THREAD_TIMEOUT at ``timeout``, or unset at None."""
+    env = _child_env()
+    env.pop("OPENBLAS_THREAD_TIMEOUT", None)
+    return env if timeout is None else dict(env, OPENBLAS_THREAD_TIMEOUT=timeout)
+
+
+@pytest.mark.parametrize("module, timeout, seen", [
+    ("sphereqv.cli", None, "20"), ("sphereqv.cli", "7", "7"),
+    ("sphereqv.simulate", None, None), ("sphereqv.harness", None, None),
+])
+def test_the_command_sets_openblas_idle_timeout_before_numpy_loads(module, timeout, seen):
+    # OpenBLAS reads the variable once, when numpy loads it; a user's value
+    # wins, and a library import sets nothing
+    run = subprocess.run([sys.executable, "-c", _NUMPY_SPY.format(module=module)],
+                         capture_output=True, text=True, env=_blas_env(timeout))
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == f"{[seen]}\n"
+
+
+def test_report_bytes_do_not_depend_on_openblas_idle_timeout(tmp_path):
+    cfg = _write_config(tmp_path, replications=200, cells=[[1, 128]],
+                        statistics=["mean", "var", "ks_normal", "hurst"],
+                        target={"kind": "fbm", "hurst": 0.3, "times": [2.0, 1.0],
+                                "spectrum": {"kind": "power_law", "c0": 1.0,
+                                             "epsilon": 0.2, "l_max": 64}})
+    reports = []
+    for timeout in (None, "28"):
+        base = tmp_path / f"report-{timeout}"
+        run = subprocess.run([sys.executable, "-m", "sphereqv.cli", "experiment",
+                              "--config", cfg, "--out", str(base)],
+                             capture_output=True, text=True, env=_blas_env(timeout))
+        assert run.returncode == 0, run.stderr
+        reports.append([pathlib.Path(f"{base}{ext}").read_bytes() for ext in (".json", ".csv")])
+    assert reports[0] == reports[1]
 
 
 def test_console_entry_point_runs(tmp_path):
