@@ -24,23 +24,27 @@ default_rng of SeedSequence([seed, rep, l]) for single-degree targets and
 of SeedSequence([seed, rep]) for multi-degree targets (full field,
 fractional pair), whose draws follow a fixed degree-ascending layout.
 ``rep_seed_sequence`` is that definition. The batch sampler builds no
-SeedSequence: it derives the identical PCG64 seed words for a whole batch
-by one vectorized pass of numpy's SeedSequence hash, so its streams are
-bitwise those of default_rng(rep_seed_sequence(spec, rep)). The coefficients
-of a replication are therefore a pure function of (spec, rep). Evaluated
-paths are bitwise reproducible for a fixed batch partition (different
-partitions can move the last ulp through BLAS reduction order), which is
-why consumers that promise byte-identical output pin their batch
+SeedSequence and no per-replication PCG64: it derives a whole batch's PCG64
+seed words by one vectorized pass of numpy's SeedSequence hash, turns them
+into each replication's seeded 128-bit (state, inc) by one vectorized pass
+of PCG64's seeding step, and draws every replication through one reusable
+Generator per drawing thread by writing that state into its PCG64. So its
+streams are bitwise those of default_rng(rep_seed_sequence(spec, rep)),
+and the coefficients of a replication are a pure function of (spec, rep).
+Evaluated paths are bitwise reproducible for a fixed batch partition
+(different partitions can move the last ulp through BLAS reduction order),
+which is why consumers that promise byte-identical output pin their batch
 boundaries and let only the scheduling vary. The same holds only for one
 numpy/BLAS build at one BLAS thread count, which can also split a product.
 
-Stream lifetime: a single-degree batch makes each replication's stream,
-draws from it once and frees it before making the next, so at most one is
-alive per batch thread; a full-field or fractional-pair batch keeps all
-its streams for the whole batch, as each advances chunk by chunk. Why it
-matters: a live stream is four objects that Python's cyclic GC tracks, so
-a batch that held its streams would trigger collections walking all of
-them (see ``_paths_batch``).
+Streams: a batch builds one PCG64 and Generator per drawing thread (the
+batch thread's, and the draw helper's for a multi-degree target) and
+writes each replication's state into it through a view of its 32-byte
+state block (``_stream``). A multi-degree replication's stream advances
+chunk by chunk, so its state is read back after each chunk's draw. Where
+numpy keeps the block's four words is probed once per process, through
+the public ``state`` setter (``_STATE_ORDER``); an import that finds
+another layout raises.
 
 Only ``sphereqv simulate`` and ``experiment`` load this module (with
 ``numpy.random`` and ``concurrent.futures``); ``moments``, ``estimate`` and
@@ -52,12 +56,14 @@ draw helper that every batch of the process shares; a batch that finds the
 helper busy with another batch draws everything itself. The harness runs
 its batches one after another on the calling thread, so batches overlap
 only when a caller of ``batch_quadratic_variation`` runs them concurrently;
-the helper's busy rule and the basis cache's lock keep that safe. Which
-thread draws a replication never changes its values (see ``_paths_batch``).
+the helper's busy rule, each batch's own streams and the basis cache's lock
+keep that safe. Which thread draws a replication never changes its values
+(see ``_paths_batch``).
 """
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import itertools
 import math
@@ -288,21 +294,84 @@ def _rep_seed_words(spec, rep_start, rep_count):
     return np.concatenate(out)
 
 
-class _SeedWords(np.random.bit_generator.ISeedSequence):
-    """A seed sequence that hands PCG64 its precomputed state words.
+# PCG64's 128-bit LCG multiplier (numpy's PCG_DEFAULT_MULTIPLIER_128),
+# as its low and high 64-bit words
+_PCG_MULT_LO, _PCG_MULT_HI = np.uint64(0x4385DF649FCCF645), np.uint64(0x2360ED051FC65DA4)
+_LOW32 = np.uint64(0xFFFFFFFF)
 
-    PCG64 asks for exactly generate_state(4, np.uint64), the shape of a row
-    of ``_rep_seed_words``; a test pins that request, so no replication
-    pays for checking it.
+
+def _mul_hi(a, b):
+    """High 64 bits of each 128-bit product a·b of uint64 arrays, by 32-bit limbs."""
+    a0, a1, b0, b1 = a & _LOW32, a >> 32, b & _LOW32, b >> 32
+    mid = (a0 * b0 >> 32) + (a1 * b0 & _LOW32) + (a0 * b1 & _LOW32)
+    return a1 * b1 + (a1 * b0 >> 32) + (a0 * b1 >> 32) + (mid >> 32)
+
+
+def _pcg64_states(words):
+    """Each replication's seeded PCG64 state from its seed words.
+
+    ``words`` is ``_rep_seed_words``' (B, 4) uint64; returns (B, 4) uint64
+    rows (state_lo, state_hi, inc_lo, inc_hi), bitwise what numpy's
+    pcg64_srandom_r makes of initstate = w0·2⁶⁴ + w1 and initseq =
+    w2·2⁶⁴ + w3: inc = (initseq << 1) | 1, state = ((initstate + inc)·M + inc)
+    mod 2¹²⁸. The uint64 arithmetic wraps mod 2⁶⁴, and every comparison
+    below is a carry out of a low-word sum.
     """
+    w0, w1, w2, w3 = words.T
+    inc_lo = w3 << 1 | 1
+    inc_hi = w2 << 1 | w3 >> 63
+    s_lo = w1 + inc_lo
+    s_hi = w0 + inc_hi + (s_lo < w1)
+    lo = s_lo * _PCG_MULT_LO
+    hi = _mul_hi(s_lo, _PCG_MULT_LO) + s_lo * _PCG_MULT_HI + s_hi * _PCG_MULT_LO
+    state_lo = lo + inc_lo
+    state_hi = hi + inc_hi + (state_lo < lo)
+    return np.stack([state_lo, state_hi, inc_lo, inc_hi], axis=1)
 
-    __slots__ = ("words",)
 
-    def __init__(self, words):
-        self.words = words
+def _state_view(bit_generator):
+    """A writable uint64 view of a PCG64's 32-byte (state, inc) block.
 
-    def generate_state(self, n_words, dtype=np.uint32):
-        return self.words
+    The first field of the struct at ``ctypes.state_address`` (numpy's
+    pcg64_state) points at the block. The view holds the bit generator, so
+    the block lives as long as the view.
+    """
+    address = ctypes.c_void_p.from_address(bit_generator.ctypes.state_address).value
+    block = (ctypes.c_uint64 * 4).from_address(address)
+    block.owner = bit_generator
+    return np.frombuffer(block, np.uint64)
+
+
+def _state_word_order():
+    """The column order that puts ``_pcg64_states``' rows in the block's
+    memory order: four distinct words written through the public ``state``
+    setter, then found in the block."""
+    probe = [0x0123456789ABCDEF, 0x1032547698BADCFE, 0x2301674589EFCDAB, 0x3210765498FEDCBB]
+    bit_generator = np.random.PCG64(0)
+    value = bit_generator.state
+    value["state"] = {"state": probe[0] | probe[1] << 64, "inc": probe[2] | probe[3] << 64}
+    bit_generator.state = value
+    block = _state_view(bit_generator).tolist()
+    if sorted(block) != probe:
+        raise RuntimeError("PCG64's state block does not hold (state, inc) as four "
+                           f"uint64 words: wrote {probe}, found {block}")
+    return [probe.index(w) for w in block]
+
+
+# probed once per process: numpy lays the 128-bit words out per platform
+_STATE_ORDER = _state_word_order()
+
+
+def _stream():
+    """A drawing thread's Generator and the view of its PCG64's state block.
+
+    Writing a row of ``_pcg64_states`` (in ``_STATE_ORDER``) into the view
+    makes the Generator draw that replication's stream: ``standard_normal``
+    consumes whole 64-bit words only, so its PCG64 keeps no buffered
+    half-word and (state, inc) is the whole of its state.
+    """
+    bit_generator = np.random.PCG64(0)
+    return np.random.Generator(bit_generator), _state_view(bit_generator)
 
 
 # ======================================================================
@@ -382,22 +451,21 @@ def _scaled_chunks(spectrum, theta, factor):
         yield basis
 
 
-def _paths_batch(target, grid, gens, b=None):
-    """Meridian paths of a batch of B generators, shape (times, B, N+1).
+def _paths_batch(target, grid, states):
+    """Meridian paths of a batch of B replications, shape (times, B, N+1).
 
-    ``gens`` is a list of the B streams; a single degree also takes any
-    iterable that makes them one at a time, with ``b`` = B.
+    ``states`` holds each replication's seeded PCG64 state, the (B, 4) rows
+    of :func:`_pcg64_states`. Each drawing thread has one ``_stream``: it
+    writes a replication's row into that stream's state block and draws, so
+    no PCG64 or Generator is built per replication, and the bits are those
+    of a PCG64 seeded to the row.
 
     A single degree (times = 1) draws only its l+1 cosine-channel normals
-    per replication stream, straight into that replication's row of the
+    per replication, straight into that replication's row of the
     coefficient matrix: the l sine channels multiply sin(mφ) = 0 on the
     meridian, and as they come last in the stream's 2l+1 draws, which the
     ziggurat consumes in order with no buffered state, the l+1 drawn are
-    bitwise the leading l+1 of a full draw. It reads each stream once, so
-    it takes the next stream only after dropping the last: at most one is
-    alive per batch thread. Every live stream is four objects that Python's
-    cyclic GC tracks (seed words, PCG64, its lock, Generator), so a batch
-    that held all B of them would trigger collections that walk them all.
+    bitwise the leading l+1 of a full draw. It reads each stream once.
 
     A full field (times = 1) draws l+1 normals per degree, l_min..l_max
     ascending; the draw layout is part of the determinism contract. The
@@ -406,7 +474,10 @@ def _paths_batch(target, grid, gens, b=None):
     factor of [[t^{2H}, r], [r, s^{2H}]] with r = ½(t^{2H}+s^{2H}−|t−s|^{2H}),
     the channel's exact joint law at the two times. Its spatial convention
     Σ A_l (2l+1) P_l (no 1/(4π)) makes the per-degree scale √(4π A_l)
-    against the normalized harmonics.
+    against the normalized harmonics. Each replication's stream advances
+    chunk by chunk: the thread that draws it writes its state, draws the
+    chunk's normals and reads the advanced state back into its row of a
+    batch-local copy of ``states``.
 
     The multi-degree draws go through buffers allocated once per batch and
     sized for the largest degree chunk: each replication's times·rows
@@ -420,23 +491,25 @@ def _paths_batch(target, grid, gens, b=None):
     The draws do not depend on the basis, so each chunk hands the module's
     draw helper a task that pulls replication indices from a source it
     shares with the batch thread; the batch thread runs the chunk's harmonic
-    sweep, then pulls the indices left, each thread drawing into its own
-    scratch vector. Before the gemms the batch thread waits for the helper,
-    or cancels its task if another batch still holds the helper, and has
-    then drawn every replication itself. Bits cannot move: each replication
-    is drawn by exactly one thread, with the same operations; its stream
-    advances chunk by chunk in ascending order, as no chunk starts before
-    the last one's draws are done; and the gemms are unchanged. So the
-    multi-degree targets keep all B streams alive for the whole batch.
+    sweep, then pulls the indices left, each thread drawing through its own
+    stream into its own scratch vector. Before the gemms the batch thread
+    waits for the helper, or cancels its task if another batch still holds
+    the helper, and has then drawn every replication itself. Bits cannot
+    move: each replication is drawn by exactly one thread, with the same
+    operations; its stream advances chunk by chunk in ascending order, as
+    no chunk starts before the last one's draws are done; and the gemms are
+    unchanged.
     """
-    b = len(gens) if b is None else b
+    b = len(states)
+    states = states[:, _STATE_ORDER]  # a copy, in the state block's word order
     if isinstance(target, SingleEll):
         ell = target.ell
         z = np.empty((b, ell + 1))
-        gens = iter(gens)
-        for row in z:
-            # the stream is a temporary: freed before next() makes the next one
-            next(gens).standard_normal(out=row)
+        gen, block = _stream()
+        draw = gen.standard_normal
+        for state, row in zip(states, z):
+            block[:] = state
+            draw(out=row)
         with _BASIS_LOCK:
             basis = _meridian_basis(ell, target.c_ell, grid)
         return (z @ basis)[None]
@@ -449,17 +522,20 @@ def _paths_batch(target, grid, gens, b=None):
         l11 = math.sqrt(max(factors[1] - l10 * l10, 0.0))
         factor = 4.0 * math.pi
 
-    def fill(pending, z, zi):
+    def fill(pending, z, zi, stream):
         # draw (and couple) every replication left in ``pending`` into z
+        gen, block = stream
         for i in pending:
+            block[:] = states[i]
             if times == 1:
-                gens[i].standard_normal(out=z[0][i])
+                gen.standard_normal(out=z[0][i])
             else:
-                gens[i].standard_normal(out=zi)
+                gen.standard_normal(out=zi)
                 np.multiply(l11, zi[1::2], out=z[1][i])
                 np.multiply(l10, zi[0::2], out=z[0][i])
                 z[1][i] += z[0][i]  # l10·z0 + l11·z1, rounded as one expression
                 np.multiply(l00, zi[0::2], out=z[0][i])
+            states[i] = block
 
     chunks = _degree_chunks(spectrum.l_min, spectrum.l_max)
     rows_max = max(_chunk_rows(lo, hi) for lo, hi in chunks)
@@ -467,6 +543,7 @@ def _paths_batch(target, grid, gens, b=None):
     draws = [np.empty(2 * rows_max) for _ in range(2)] if times == 2 else None
     out = np.zeros((times, b, grid.n + 1))
     sweep = _scaled_chunks(spectrum, grid.points, factor)
+    helper_stream, own_stream = _stream(), _stream()
     for lo, hi in chunks:
         rows = _chunk_rows(lo, hi)
         z = [c[:b * rows].reshape(b, rows) for c in coef]
@@ -474,10 +551,10 @@ def _paths_batch(target, grid, gens, b=None):
         # next() on a range iterator runs in C under the GIL, so the two
         # threads pulling from it each take a replication the other never sees
         pending = iter(range(b))
-        task = _DRAW_HELPER.submit(fill, pending, z, zi[0])
+        task = _DRAW_HELPER.submit(fill, pending, z, zi[0], helper_stream)
         try:
             basis = next(sweep)
-            fill(pending, z, zi[1])
+            fill(pending, z, zi[1], own_stream)
         finally:
             if not task.cancel():
                 task.result()
@@ -519,10 +596,7 @@ def batch_quadratic_variation(spec, rep_start, rep_count):
     """
     if rep_count < 1:
         raise ValueError("rep_count must be positive")
-    gens = (np.random.Generator(np.random.PCG64(_SeedWords(w)))
-            for w in _rep_seed_words(spec, rep_start, rep_count))
-    if not isinstance(spec.target, SingleEll):
-        gens = list(gens)  # each stream advances chunk by chunk
-    paths = _paths_batch(spec.target, spec.grid, gens, rep_count)
+    states = _pcg64_states(_rep_seed_words(spec, rep_start, rep_count))
+    paths = _paths_batch(spec.target, spec.grid, states)
     v = [np.einsum("ij,ij->i", d, d) for d in np.diff(paths, axis=2)]
     return v[0] if len(v) == 1 else np.stack(v, axis=1)

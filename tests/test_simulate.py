@@ -36,6 +36,16 @@ def _spec(target, n=16, seed=123, reps=1):
                       replications=reps)
 
 
+def _states(gens):
+    # each generator's PCG64 (state, inc) as _pcg64_states' rows, read
+    # through numpy's public state
+    rows = []
+    for g in gens:
+        st = g.bit_generator.state["state"]
+        rows.append([w >> s & (2 ** 64 - 1) for w in (st["state"], st["inc"]) for s in (0, 64)])
+    return np.array(rows, dtype=np.uint64)
+
+
 # ======================================================================
 # Determinism contract
 # ======================================================================
@@ -98,7 +108,7 @@ def test_chunked_sweep_is_bitwise_the_per_chunk_stacks(monkeypatch):
         return [np.random.default_rng(rep_seed_sequence(_spec(FullField(sp)), r))
                 for r in range(3)]
 
-    (got,) = simulate._paths_batch(FullField(sp), grid, gens())
+    (got,) = simulate._paths_batch(FullField(sp), grid, _states(gens()))
     (want,) = _chunked_reference(sp, theta, lambda l: math.sqrt(sp.cl(l)), gens(), None)
     assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
@@ -106,7 +116,7 @@ def test_chunked_sweep_is_bitwise_the_per_chunk_stacks(monkeypatch):
     fsp = PowerSpectrum.explicit(np.linspace(1.0, 0.1, 30), l_min=7)
     fspec = FbmTarget(hurst=0.35, spectrum=fsp, times=(2.0, 1.0))
     assert len(simulate._degree_chunks(fsp.l_min, fsp.l_max)) >= 3
-    gt, gs = simulate._paths_batch(fspec, grid, gens())
+    gt, gs = simulate._paths_batch(fspec, grid, _states(gens()))
     h = fspec.hurst
     l00 = 2.0 ** h
     l10 = rh_cross(h, 2.0, 1.0) / l00
@@ -139,13 +149,13 @@ def test_reused_draw_buffers_are_bitwise_the_per_chunk_draws(monkeypatch, chunk_
         return [np.random.default_rng(rep_seed_sequence(_spec(FullField(spectrum)), r))
                 for r in range(4)]
 
-    (got,) = simulate._paths_batch(FullField(spectrum), grid, gens())
+    (got,) = simulate._paths_batch(FullField(spectrum), grid, _states(gens()))
     (want,) = _chunked_reference(spectrum, theta, lambda l: math.sqrt(spectrum.cl(l)),
                                  gens(), None)
     assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
     fspec = FbmTarget(hurst=0.7, spectrum=spectrum, times=(0.5, 3.0))
-    gt, gs = simulate._paths_batch(fspec, grid, gens())
+    gt, gs = simulate._paths_batch(fspec, grid, _states(gens()))
     l00 = 0.5 ** 0.7
     l10 = rh_cross(0.7, 0.5, 3.0) / l00
     l11 = math.sqrt(max(3.0 ** 1.4 - l10 * l10, 0.0))
@@ -301,6 +311,38 @@ def test_concurrent_batches_share_the_draw_helper(monkeypatch):
                                want[k][j].view(np.uint64))
 
 
+def test_concurrent_batches_draw_through_their_own_streams(monkeypatch):
+    # every batch rewrites the state block of its own PCG64s; a block shared
+    # between two batch threads would hand one batch the other's states
+    monkeypatch.setattr(simulate, "_CHUNK_ROWS", 60)
+    specs = [_spec(SingleEll(4, 1.3), n=12, seed=2 ** 33 + 1, reps=400),
+             _multi_degree_specs(reps=24)[1]]
+    want = [batch_quadratic_variation(spec, 0, spec.replications) for spec in specs]
+    got = [[], []]
+    barrier = threading.Barrier(2, timeout=30)
+
+    def run(k):
+        barrier.wait()
+        for _ in range(5):
+            got[k].append(batch_quadratic_variation(specs[k], 0, specs[k].replications))
+
+    threads = [threading.Thread(target=run, args=(k,)) for k in range(2)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for k in range(2):
+        assert len(got[k]) == 5
+        for v in got[k]:
+            assert_array_equal(v.view(np.uint64), want[k].view(np.uint64))
+
+
 def test_single_degree_cell_builds_its_basis_once(monkeypatch):
     # a cell's batches share one read-only basis; values are those of a
     # basis built afresh for every batch
@@ -350,31 +392,18 @@ def test_single_degree_is_bitwise_the_frozen_bodies(ell, n):
         assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
-def test_pcg64_asks_seed_words_for_four_uint64(monkeypatch):
-    requests = []
-
-    class Recording(simulate._SeedWords):
-        def generate_state(self, n_words, dtype=np.uint32):
-            requests.append((n_words, np.dtype(dtype)))
-            return super().generate_state(n_words, dtype)
-
-    monkeypatch.setattr(simulate, "_SeedWords", Recording)
-    batch_quadratic_variation(_spec(SingleEll(3, 1.0)), 0, 3)
-    assert requests == [(4, np.dtype(np.uint64))] * 3
-
-
-@pytest.mark.parametrize("kind, count, peak", [
-    ("single_ell", 1024, 1), ("full_field", 12, 12), ("fbm", 12, 12)])
-def test_stream_lifetime_per_target_kind(monkeypatch, kind, count, peak):
-    # a single degree reads each stream once and frees it before making the
-    # next; the multi-degree targets advance every stream chunk by chunk, so
-    # they hold all B of them. Counting the streams leaves the values alone.
+@pytest.mark.parametrize("kind, count, streams", [
+    ("single_ell", 1024, 1), ("full_field", 12, 2), ("fbm", 12, 2)])
+def test_stream_lifetime_per_target_kind(monkeypatch, kind, count, streams):
+    # a batch builds one PCG64 per drawing thread, however many replications
+    # it draws: the batch thread's, and for the multi-degree targets the draw
+    # helper's. Counting the streams leaves the values alone.
     sp = PowerSpectrum.power_law(0.9, 0.3, l_max=12)
     target = {"single_ell": SingleEll(3, 1.0), "full_field": FullField(sp),
               "fbm": FbmTarget(hurst=0.35, spectrum=sp, times=(2.0, 1.0))}[kind]
     spec = _spec(target, seed=2 ** 32 + 5)
     want = batch_quadratic_variation(spec, 5, count)
-    live, seen = [0], [0]
+    live, seen, made = [0], [0], [0]
 
     def dropped():
         live[0] -= 1
@@ -382,13 +411,14 @@ def test_stream_lifetime_per_target_kind(monkeypatch, kind, count, peak):
     class Counted(np.random.PCG64):
         def __init__(self, seed=None):
             super().__init__(seed)
+            made[0] += 1
             live[0] += 1
             seen[0] = max(seen[0], live[0])
             weakref.finalize(self, dropped)
 
     monkeypatch.setattr(np.random, "PCG64", Counted)
     got = batch_quadratic_variation(spec, 5, count)
-    assert seen[0] == peak
+    assert made[0] == seen[0] == streams
     assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
@@ -435,12 +465,33 @@ def test_seed_words_are_numpys_seed_sequence(seed, ell):
         assert_array_equal(got, want)
 
 
+@pytest.mark.parametrize("seed", _SEED_EDGES)
+@pytest.mark.parametrize("ell", [5, None])
+def test_pcg64_states_are_numpys_seeded_states(seed, ell):
+    # the first rep, the reps where rep's entropy grows from one word to
+    # two, and the last; 48 pseudo-random rows take each carry both ways
+    target = FullField(PowerSpectrum.single(2, 1.0)) if ell is None else SingleEll(ell, 1.0)
+    spec = _spec(target, seed=seed)
+    gen, block = simulate._stream()
+    for start, count in ((0, 1), (2 ** 32 - 2, 4), (2 ** 64 - 1, 1)):
+        got = simulate._pcg64_states(simulate._rep_seed_words(spec, start, count))
+        want = _states(np.random.Generator(np.random.PCG64(rep_seed_sequence(spec, r)))
+                       for r in range(start, start + count))
+        assert got.dtype == np.uint64 and got.shape == (count, 4)
+        assert_array_equal(got, want)
+        # a row written through the state block reads back unchanged
+        # through numpy's public state
+        for row in got:
+            block[:] = row[simulate._STATE_ORDER]
+            assert_array_equal(_states([gen]), row[None])
+
+
 def _default_rng_v(spec, rep_start, rep_count):
     # V from numpy's own per-replication streams, the construction the
     # batch's vectorized seed hash replaced
     gens = [np.random.default_rng(rep_seed_sequence(spec, r))
             for r in range(rep_start, rep_start + rep_count)]
-    paths = simulate._paths_batch(spec.target, spec.grid, gens)
+    paths = simulate._paths_batch(spec.target, spec.grid, _states(gens))
     v = [np.einsum("ij,ij->i", d, d) for d in np.diff(paths, axis=2)]
     return v[0] if len(v) == 1 else np.stack(v, axis=1)
 
@@ -475,7 +526,7 @@ def test_draw_layout_is_degree_ascending():
     # √(2 C_l) (m ≥ 1) against the normalized harmonics
     sp = PowerSpectrum.power_law(0.7, 0.4, l_max=200)  # spans a chunk boundary
     grid = LineGrid(4)
-    (path,) = simulate._paths_batch(FullField(sp), grid, [np.random.default_rng(314)])
+    (path,) = simulate._paths_batch(FullField(sp), grid, _states([np.random.default_rng(314)]))
 
     rng2 = np.random.default_rng(314)
     want = np.zeros(grid.n + 1)
@@ -492,7 +543,8 @@ def test_draw_layout_is_degree_ascending():
 # ======================================================================
 
 def test_zero_spectrum_gives_zero_path():
-    (path,) = simulate._paths_batch(SingleEll(3, 0.0), LineGrid(8), [np.random.default_rng(0)])
+    (path,) = simulate._paths_batch(SingleEll(3, 0.0), LineGrid(8),
+                                     _states([np.random.default_rng(0)]))
     assert_array_equal(path, np.zeros((1, 9)))
 
 
@@ -542,7 +594,7 @@ def test_full_field_pointwise_variance_law():
     spec = _spec(FullField(sp), n=16, seed=3030, reps=1)
     b = 30000
     gens = [np.random.default_rng(rep_seed_sequence(spec, r)) for r in range(b)]
-    (paths,) = simulate._paths_batch(FullField(sp), spec.grid, gens)
+    (paths,) = simulate._paths_batch(FullField(sp), spec.grid, _states(gens))
     ells = sp.degrees()
     want = float(np.sum(sp.cl(ells) * (2 * ells + 1) / (4 * math.pi)))
     emp = paths.var(axis=0, ddof=1)
