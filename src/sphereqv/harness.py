@@ -87,7 +87,7 @@ _STATISTICS = {
     "k4": _Statistic({"single_ell", "full_field"}, 40, 8, True, True, lambda c: [
         ("k4", *c.kstats[2], mom.trace_cumulant(c.gram, 4), "trace_cumulant")]),
     "ks_normal": _Statistic(_ANY, 200, 4, True, False, lambda c: [
-        ("ks_normal", ks_normal(c.standardized), _ks_jackknife_se(c.standardized),
+        ("ks_normal", _ks_sorted(c.ks_sort[0], _ks_grid(c.v.size)), _ks_jackknife_se(*c.ks_sort),
          mom.fourth_moment_bound(c.gram), "fourth_moment_bound")]),
     "estimator_error": _Statistic({"single_ell"}, 20, 2, False, True, lambda c: [
         ("estimator_mean", *_mean_se(c.ratios), 1.0, "estimate_cl"),
@@ -487,27 +487,36 @@ def _ks_sorted(phi, grid):
     return float(max(np.max(upper - phi), np.max(phi - lower)))
 
 
-def _ks_jackknife_se(samples):
-    """Bitwise ``_jackknife_se(samples, ks_normal)``, from one sort.
-
-    Sorts once and evaluates Φ once; each leave-one-block-out distance then
-    drops that block's members from the sorted Φ by mask. Equal values
-    give equal Φ, so every distance sees the same sorted array as a fresh
-    sort of its subsample, and goes through the same elementwise ops. The
-    blocks differ in size by at most one, so the leave-one-out samples
-    have at most two sizes, and each size's rank grid is built once.
-    """
+def _ks_sort(samples):
+    """Φ of the sorted sample, and each sorted value's jackknife block: what
+    the KS distance (``_ks_sorted``) and its SE (``_ks_jackknife_se``) both
+    read, from one sort and one Φ. ``x[argsort(x)]`` is bitwise
+    ``np.sort(x)``, so the distance is bitwise ``ks_normal``'s."""
     x = np.asarray(samples, dtype=float).ravel()
     bounds = _block_bounds(x.size, _jackknife_groups(x.size))
     # block labels of the sorted sample; ≤ 50 blocks fit in one byte each
     block = np.repeat(np.arange(len(bounds), dtype=np.uint8), [hi - lo for lo, hi in bounds])
-    # the loop below is the row's memory peak: Φ overwrites the sorted copy
-    # and the permutation is dropped first, keeping it near the generic one's
+    # the row's memory peak: Φ overwrites the sorted copy and the permutation
+    # is dropped first, keeping it near the generic jackknife's
     order = np.argsort(x)
     phi, block = x[order], block[order]
     del order
     _ndtr(phi, out=phi)
-    sizes = [x.size - (hi - lo) for lo, hi in bounds]
+    return phi, block
+
+
+def _ks_jackknife_se(phi, block):
+    """Bitwise ``_jackknife_se(samples, ks_normal)``, from ``_ks_sort(samples)``.
+
+    Each leave-one-block-out distance drops that block's members from the
+    sorted Φ by mask. Equal values give equal Φ, so every distance sees the
+    same sorted array as a fresh sort of its subsample, and goes through the
+    same elementwise ops. The blocks differ in size by at most one, so the
+    leave-one-out samples have at most two sizes, and each size's rank grid
+    is built once.
+    """
+    bounds = _block_bounds(phi.size, _jackknife_groups(phi.size))
+    sizes = [phi.size - (hi - lo) for lo, hi in bounds]
     grids = {m: _ks_grid(m) for m in set(sizes)}
     return _jackknife_spread([_ks_sorted(phi[block != b], grids[m])
                               for b, m in enumerate(sizes)])
@@ -609,6 +618,7 @@ class _Cell:
     kstats = cached_property(lambda c: empirical_cumulants(c.v, p_max=min(4, c.v.size // 10)))
     standardized = cached_property(lambda c: (c.v - c.exact["mean"]) / math.sqrt(c.exact["var"]))
     ratios = cached_property(lambda c: estimate_cl(c.v, c.ell, c.n).value / c.target.c_ell)
+    ks_sort = cached_property(lambda c: _ks_sort(c.standardized))
 
     def __init__(self, ell, n, target, samples):
         self.ell, self.n, self.target, self.samples = ell, n, target, samples

@@ -28,9 +28,13 @@ SeedSequence and no per-replication PCG64: it derives a whole batch's PCG64
 seed words by one vectorized pass of numpy's SeedSequence hash, turns them
 into each replication's seeded 128-bit (state, inc) by one vectorized pass
 of PCG64's seeding step, and draws every replication through one reusable
-Generator per drawing thread by writing that state into its PCG64. So its
-streams are bitwise those of default_rng(rep_seed_sequence(spec, rep)),
-and the coefficients of a replication are a pure function of (spec, rep).
+Generator per drawing thread by writing that state into its PCG64. A
+single-degree batch of at least 512 replications at degree ≤ 8 instead
+runs numpy's ziggurat across all of them with array operations
+(``_ziggurat_normals``) and hands each draw that leaves its fast path back
+to that Generator. So its streams are bitwise those of
+default_rng(rep_seed_sequence(spec, rep)), whichever path draws them, and
+the coefficients of a replication are a pure function of (spec, rep).
 Evaluated paths are bitwise reproducible for a fixed batch partition
 (different partitions can move the last ulp through BLAS reduction order),
 which is why consumers that promise byte-identical output pin their batch
@@ -44,7 +48,10 @@ state block (``_stream``). A multi-degree replication's stream advances
 chunk by chunk, so its state is read back after each chunk's draw. Where
 numpy keeps the block's four words is probed once per process, through
 the public ``state`` setter (``_STATE_ORDER``); an import that finds
-another layout raises.
+another layout raises. The vectorized draw steps the LCG itself and
+writes a replication into the block only to finish a rejected draw, from
+the state before that draw; its tables live in ``_ziggurat``, imported on
+the first batch that takes it.
 
 Only ``sphereqv simulate`` and ``experiment`` load this module (with
 ``numpy.random`` and ``concurrent.futures``); ``moments``, ``estimate`` and
@@ -303,8 +310,9 @@ _LOW32 = np.uint64(0xFFFFFFFF)
 def _mul_hi(a, b):
     """High 64 bits of each 128-bit product a·b of uint64 arrays, by 32-bit limbs."""
     a0, a1, b0, b1 = a & _LOW32, a >> 32, b & _LOW32, b >> 32
-    mid = (a0 * b0 >> 32) + (a1 * b0 & _LOW32) + (a0 * b1 & _LOW32)
-    return a1 * b1 + (a1 * b0 >> 32) + (a0 * b1 >> 32) + (mid >> 32)
+    cross0, cross1 = a1 * b0, a0 * b1
+    mid = (a0 * b0 >> 32) + (cross0 & _LOW32) + (cross1 & _LOW32)
+    return a1 * b1 + (cross0 >> 32) + (cross1 >> 32) + (mid >> 32)
 
 
 def _pcg64_states(words):
@@ -322,11 +330,16 @@ def _pcg64_states(words):
     inc_hi = w2 << 1 | w3 >> 63
     s_lo = w1 + inc_lo
     s_hi = w0 + inc_hi + (s_lo < w1)
-    lo = s_lo * _PCG_MULT_LO
-    hi = _mul_hi(s_lo, _PCG_MULT_LO) + s_lo * _PCG_MULT_HI + s_hi * _PCG_MULT_LO
-    state_lo = lo + inc_lo
-    state_hi = hi + inc_hi + (state_lo < lo)
-    return np.stack([state_lo, state_hi, inc_lo, inc_hi], axis=1)
+    return np.stack([*_pcg64_step(s_lo, s_hi, inc_lo, inc_hi), inc_lo, inc_hi], axis=1)
+
+
+def _pcg64_step(lo, hi, inc_lo, inc_hi):
+    """One step state·M + inc mod 2¹²⁸ of PCG64's LCG, on uint64 word arrays:
+    the new (state_lo, state_hi)."""
+    prod_lo = lo * _PCG_MULT_LO
+    prod_hi = _mul_hi(lo, _PCG_MULT_LO) + lo * _PCG_MULT_HI + hi * _PCG_MULT_LO
+    new_lo = prod_lo + inc_lo
+    return new_lo, prod_hi + inc_hi + (new_lo < prod_lo)
 
 
 def _state_view(bit_generator):
@@ -372,6 +385,58 @@ def _stream():
     """
     bit_generator = np.random.PCG64(0)
     return np.random.Generator(bit_generator), _state_view(bit_generator)
+
+
+# replications per sub-block of ``_ziggurat_normals``, which bounds its
+# uint64 temporaries whatever the batch size
+_ZIGGURAT_BLOCK = 4096
+# a single-degree batch draws through ``_ziggurat_normals`` from this many
+# replications and up to this degree; beyond either the per-stream loop is
+# faster (array-call overhead per batch, and work per normal drawn)
+_ZIGGURAT_MIN_BATCH, _ZIGGURAT_MAX_DEGREE = 512, 8
+_RABS_MASK = np.uint64(2 ** 52 - 1)
+
+
+def _ziggurat_normals(states, z, stream):
+    """Fill z (B, k) with each replication's first k standard normals,
+    bitwise the rows ``stream`` draws after each row of ``states`` (in
+    ``_pcg64_states``' word order) is written into it.
+
+    Numpy's ziggurat, run across replications: k steps advance every
+    replication's 128-bit LCG, and each position's PCG64 XSL-RR output r
+    gives ±rabs·WI[idx] with idx = r & 0xFF, the sign from bit 8 and rabs
+    the 52 bits above it, accepted iff rabs < KI[idx] (``_ziggurat``'s
+    tables). 1.5% of draws fail that test (the mean of 1 − KI/2⁵²), so at
+    l = 3 about 6% of replications do; such a replication's row is
+    finished from its first rejected position by ``stream`` itself, from
+    its state before that draw, so numpy runs the wedge and the tail and
+    no table beyond KI and WI is needed.
+    """
+    from ._ziggurat import KI, WI
+    gen, block = stream
+    k = z.shape[1]
+    for start in range(0, len(states), _ZIGGURAT_BLOCK):
+        lo, hi, inc_lo, inc_hi = states[start:start + _ZIGGURAT_BLOCK].T
+        los, his = [lo], [hi]
+        for _ in range(k):
+            lo, hi = _pcg64_step(lo, hi, inc_lo, inc_hi)
+            los.append(lo)
+            his.append(hi)
+        # (n, k + 1): column j is the state before draw j, column j+1 after it
+        los, his = np.stack(los, axis=1), np.stack(his, axis=1)
+        word, rot = his[:, 1:] ^ los[:, 1:], his[:, 1:] >> 58
+        r = word >> rot | word << (-rot & 63)
+        idx, rabs = r.view(np.int64) & 0xFF, r >> 9 & _RABS_MASK
+        fast = rabs < KI.take(idx)
+        x = z[start:start + lo.size]
+        np.multiply(rabs, WI.take(idx), out=x)
+        x.view(np.uint64)[...] ^= r >> 8 << 63  # negative iff bit 8
+        bad = np.flatnonzero(~fast.all(axis=1))
+        first = fast[bad].argmin(axis=1)
+        rows = np.stack([los[bad, first], his[bad, first], inc_lo[bad], inc_hi[bad]], axis=1)
+        for i, j, row in zip(bad, first, rows[:, _STATE_ORDER]):
+            block[:] = row
+            gen.standard_normal(out=x[i, j:])
 
 
 # ======================================================================
@@ -465,7 +530,11 @@ def _paths_batch(target, grid, states):
     coefficient matrix: the l sine channels multiply sin(mφ) = 0 on the
     meridian, and as they come last in the stream's 2l+1 draws, which the
     ziggurat consumes in order with no buffered state, the l+1 drawn are
-    bitwise the leading l+1 of a full draw. It reads each stream once.
+    bitwise the leading l+1 of a full draw. It reads each stream once. A
+    batch of at least ``_ZIGGURAT_MIN_BATCH`` replications at degree ≤
+    ``_ZIGGURAT_MAX_DEGREE`` draws every row at once through
+    :func:`_ziggurat_normals`, the rest one stream at a time; the bits are
+    the same.
 
     A full field (times = 1) draws l+1 normals per degree, l_min..l_max
     ascending; the draw layout is part of the determinism contract. The
@@ -501,18 +570,21 @@ def _paths_batch(target, grid, states):
     unchanged.
     """
     b = len(states)
-    states = states[:, _STATE_ORDER]  # a copy, in the state block's word order
     if isinstance(target, SingleEll):
         ell = target.ell
         z = np.empty((b, ell + 1))
-        gen, block = _stream()
-        draw = gen.standard_normal
-        for state, row in zip(states, z):
-            block[:] = state
-            draw(out=row)
+        stream = _stream()
+        if b >= _ZIGGURAT_MIN_BATCH and ell <= _ZIGGURAT_MAX_DEGREE:
+            _ziggurat_normals(states, z, stream)
+        else:
+            gen, block = stream
+            for state, row in zip(states[:, _STATE_ORDER], z):
+                block[:] = state
+                gen.standard_normal(out=row)
         with _BASIS_LOCK:
             basis = _meridian_basis(ell, target.c_ell, grid)
         return (z @ basis)[None]
+    states = states[:, _STATE_ORDER]  # a copy, in the state block's word order
     spectrum, factors = target.kernel
     factor, times = 1.0, len(factors)
     if times == 2:

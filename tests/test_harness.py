@@ -104,6 +104,10 @@ def test_ks_normal_matches_reference():
     assert_allclose(ks_normal(x), stats.kstest(x, "norm").statistic, rtol=1e-9)
 
 
+def _ks_jackknife_se(sample):
+    return harness._ks_jackknife_se(*harness._ks_sort(sample))
+
+
 @pytest.mark.parametrize("sample", [
     # one decimal: hundreds of ties, some of them across block boundaries
     np.round(np.random.default_rng(3).standard_normal(1000), 1),
@@ -114,12 +118,39 @@ def test_ks_normal_matches_reference():
 ], ids=["ties", "fifty_thousand", "uneven_blocks", "fifty_uneven_blocks"])
 def test_ks_jackknife_from_one_sort_is_bitwise_the_generic_one(sample):
     want = harness._jackknife_se(sample, ks_normal)
-    got = harness._ks_jackknife_se(sample)
+    got = _ks_jackknife_se(sample)
     assert np.float64(got).view(np.uint64) == np.float64(want).view(np.uint64)
+    # the distance read from the same sort is bitwise ks_normal's
+    phi, _ = harness._ks_sort(sample)
+    got = harness._ks_sorted(phi, harness._ks_grid(phi.size))
+    assert np.float64(got).view(np.uint64) == np.float64(ks_normal(sample)).view(np.uint64)
+
+
+def test_the_ks_row_sorts_and_evaluates_phi_once(monkeypatch):
+    # one cell's distance and its SE share one argsort and one Φ pass
+    calls = {"argsort": 0, "sort": 0, "ndtr": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(harness.np, "argsort", counted("argsort", np.argsort))
+    monkeypatch.setattr(harness.np, "sort", counted("sort", np.sort))
+    monkeypatch.setattr(harness, "_ndtr", counted("ndtr", harness._ndtr))
+    cell = harness._Cell(3, 16, harness.SingleEll(3, 1.0), np.random.default_rng(9).gamma(4.0, size=500))
+    cell.exact = {"mean": 4.0, "var": 4.0}
+    cell.gram = None
+    monkeypatch.setattr(harness.mom, "fourth_moment_bound", lambda gram: 0.0)
+    (row,) = harness._STATISTICS["ks_normal"].rows(cell)
+    assert calls == {"argsort": 1, "sort": 0, "ndtr": 1}
+    assert row[1] == ks_normal(cell.standardized)
+    assert row[2] == harness._jackknife_se(cell.standardized, ks_normal)
 
 
 @pytest.mark.parametrize("statistic, limit_mib", [
-    (ks_normal, 30.6), (harness._ks_jackknife_se, 38.6)], ids=["ks_normal", "jackknife"])
+    (ks_normal, 30.6), (_ks_jackknife_se, 38.6)], ids=["ks_normal", "jackknife"])
 def test_ks_row_memory_peak_at_a_million_samples(statistic, limit_mib):
     # Φ runs in fixed-size blocks, so its masks and subsets stay small beside
     # the sorted copy and the rank grids: the peaks match scipy's ndtr, which
@@ -702,7 +733,7 @@ def _frozen_cell_rows(config, ell, n, target, samples):
         elif stat == "ks_normal":
             f = (v - exact["mean"]) / math.sqrt(exact["var"])
             ks = ks_normal(f)
-            add("ks_normal", ks, harness._ks_jackknife_se(f),
+            add("ks_normal", ks, harness._jackknife_se(f, ks_normal),
                 mom.fourth_moment_bound(gram), "fourth_moment_bound")
         elif stat == "estimator_error":
             c_ell = target.c_ell
