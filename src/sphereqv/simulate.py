@@ -29,8 +29,8 @@ seed words by one vectorized pass of numpy's SeedSequence hash, turns them
 into each replication's seeded 128-bit (state, inc) by one vectorized pass
 of PCG64's seeding step, and draws every replication through one reusable
 Generator per drawing thread by writing that state into its PCG64. A
-single-degree batch of at least 512 replications at degree ≤ 8 instead
-runs numpy's ziggurat across all of them with array operations
+single-degree batch at degree ≤ 8 instead runs numpy's ziggurat across
+all its replications with array operations
 (``_ziggurat_normals``) and hands each draw that leaves its fast path back
 to that Generator. So its streams are bitwise those of
 default_rng(rep_seed_sequence(spec, rep)), whichever path draws them, and
@@ -390,10 +390,9 @@ def _stream():
 # replications per sub-block of ``_ziggurat_normals``, which bounds its
 # uint64 temporaries whatever the batch size
 _ZIGGURAT_BLOCK = 4096
-# a single-degree batch draws through ``_ziggurat_normals`` from this many
-# replications and up to this degree; beyond either the per-stream loop is
-# faster (array-call overhead per batch, and work per normal drawn)
-_ZIGGURAT_MIN_BATCH, _ZIGGURAT_MAX_DEGREE = 512, 8
+# a single-degree batch draws through ``_ziggurat_normals`` up to this
+# degree; beyond it the per-stream loop is faster (work per normal drawn)
+_ZIGGURAT_MAX_DEGREE = 8
 _RABS_MASK = np.uint64(2 ** 52 - 1)
 
 
@@ -531,10 +530,9 @@ def _paths_batch(target, grid, states):
     meridian, and as they come last in the stream's 2l+1 draws, which the
     ziggurat consumes in order with no buffered state, the l+1 drawn are
     bitwise the leading l+1 of a full draw. It reads each stream once. A
-    batch of at least ``_ZIGGURAT_MIN_BATCH`` replications at degree ≤
-    ``_ZIGGURAT_MAX_DEGREE`` draws every row at once through
-    :func:`_ziggurat_normals`, the rest one stream at a time; the bits are
-    the same.
+    degree ≤ ``_ZIGGURAT_MAX_DEGREE`` draws every row at once through
+    :func:`_ziggurat_normals`, a larger one one stream at a time; the bits
+    are the same.
 
     A full field (times = 1) draws l+1 normals per degree, l_min..l_max
     ascending; the draw layout is part of the determinism contract. The
@@ -574,7 +572,7 @@ def _paths_batch(target, grid, states):
         ell = target.ell
         z = np.empty((b, ell + 1))
         stream = _stream()
-        if b >= _ZIGGURAT_MIN_BATCH and ell <= _ZIGGURAT_MAX_DEGREE:
+        if ell <= _ZIGGURAT_MAX_DEGREE:
             _ziggurat_normals(states, z, stream)
         else:
             gen, block = stream
