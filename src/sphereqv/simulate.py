@@ -50,8 +50,8 @@ numpy keeps the block's four words is probed once per process, through
 the public ``state`` setter (``_STATE_ORDER``); an import that finds
 another layout raises. The vectorized draw steps the LCG itself and
 writes a replication into the block only to finish a rejected draw, from
-the state before that draw; its tables live in ``_ziggurat``, imported on
-the first batch that takes it.
+the state before that draw; its tables are read from the installed numpy
+through the same block, and checked, by the first batch that takes it.
 
 Only ``sphereqv simulate`` and ``experiment`` load this module (with
 ``numpy.random`` and ``concurrent.futures``); ``moments``, ``estimate`` and
@@ -211,6 +211,8 @@ class SampleSpec:
 
 def _rep_entropy(spec, rep):
     """A replication's stream entropy: [seed, rep], plus l for a single degree."""
+    if int(rep) != rep or rep < 0:  # the contract defines no stream for these
+        raise ValueError(f"rep must be a non-negative integer, got {rep!r}")
     entropy = [spec.seed, int(rep)]
     if isinstance(spec.target, SingleEll):
         entropy.append(spec.target.ell)
@@ -304,6 +306,7 @@ def _rep_seed_words(spec, rep_start, rep_count):
 # PCG64's 128-bit LCG multiplier (numpy's PCG_DEFAULT_MULTIPLIER_128),
 # as its low and high 64-bit words
 _PCG_MULT_LO, _PCG_MULT_HI = np.uint64(0x4385DF649FCCF645), np.uint64(0x2360ED051FC65DA4)
+_PCG_MULT_INV = pow(int(_PCG_MULT_HI) << 64 | int(_PCG_MULT_LO), -1, 2 ** 128)  # mod 2¹²⁸
 _LOW32 = np.uint64(0xFFFFFFFF)
 
 
@@ -396,7 +399,7 @@ _ZIGGURAT_MAX_DEGREE = 8
 _RABS_MASK = np.uint64(2 ** 52 - 1)
 
 
-def _ziggurat_normals(states, z, stream):
+def _ziggurat_normals(states, z, stream, ki, wi):
     """Fill z (B, k) with each replication's first k standard normals,
     bitwise the rows ``stream`` draws after each row of ``states`` (in
     ``_pcg64_states``' word order) is written into it.
@@ -404,14 +407,13 @@ def _ziggurat_normals(states, z, stream):
     Numpy's ziggurat, run across replications: k steps advance every
     replication's 128-bit LCG, and each position's PCG64 XSL-RR output r
     gives ±rabs·WI[idx] with idx = r & 0xFF, the sign from bit 8 and rabs
-    the 52 bits above it, accepted iff rabs < KI[idx] (``_ziggurat``'s
-    tables). 1.5% of draws fail that test (the mean of 1 − KI/2⁵²), so at
-    l = 3 about 6% of replications do; such a replication's row is
-    finished from its first rejected position by ``stream`` itself, from
-    its state before that draw, so numpy runs the wedge and the tail and
-    no table beyond KI and WI is needed.
+    the 52 bits above it, accepted iff rabs < KI[idx] (``ki`` and ``wi``,
+    from :func:`_ziggurat_tables`). 1.5% of draws fail that test (the
+    mean of 1 − KI/2⁵²), so at l = 3 about 6% of replications do; such a
+    replication's row is finished from its first rejected position by
+    ``stream`` itself, from its state before that draw, so numpy runs the
+    wedge and the tail and no table beyond KI and WI is needed.
     """
-    from ._ziggurat import KI, WI
     gen, block = stream
     k = z.shape[1]
     for start in range(0, len(states), _ZIGGURAT_BLOCK):
@@ -426,9 +428,9 @@ def _ziggurat_normals(states, z, stream):
         word, rot = his[:, 1:] ^ los[:, 1:], his[:, 1:] >> 58
         r = word >> rot | word << (-rot & 63)
         idx, rabs = r.view(np.int64) & 0xFF, r >> 9 & _RABS_MASK
-        fast = rabs < KI.take(idx)
+        fast = rabs < ki.take(idx)
         x = z[start:start + lo.size]
-        np.multiply(rabs, WI.take(idx), out=x)
+        np.multiply(rabs, wi.take(idx), out=x)
         x.view(np.uint64)[...] ^= r >> 8 << 63  # negative iff bit 8
         bad = np.flatnonzero(~fast.all(axis=1))
         first = fast[bad].argmin(axis=1)
@@ -436,6 +438,68 @@ def _ziggurat_normals(states, z, stream):
         for i, j, row in zip(bad, first, rows[:, _STATE_ORDER]):
             block[:] = row
             gen.standard_normal(out=x[i, j:])
+
+
+@functools.cache
+def _ziggurat_tables():
+    """The installed numpy's ziggurat tables (KI, WI), read from its
+    ``standard_normal`` at crafted outputs r = rabs·2⁹ + idx by the first
+    batch that draws through :func:`_ziggurat_normals`, never at import.
+
+    WI[idx] is the value drawn at rabs = 1; KI[idx] is the least rabs whose
+    draw reads more than r, bracketed from the guess 2⁵²·WI[idx−1]/WI[idx]
+    (2⁵¹ at idx 0 and 1) and bisected, in about 920 draws (the guess cannot
+    change KI). Then replications crafted at rabs = 1 (exactly ±WI), KI − 1
+    and KI, either sign, must draw two normals each through
+    ``_ziggurat_normals`` bitwise as numpy does, or RuntimeError is raised:
+    a fault in the tables fails loudly instead of changing bytes.
+    """
+    gen, block = _stream()
+
+    def crafted(r):
+        # a row of _pcg64_states with increment 1 (any odd one would do) whose
+        # state steps to r < 2⁶⁴, which XSL-RR outputs as is (zero high word)
+        state = (r - 1) * _PCG_MULT_INV % 2 ** 128
+        return [state & 2 ** 64 - 1, state >> 64, 1, 0]
+
+    def draw(r):
+        # the value drawn from output r, and whether it read r alone
+        row = crafted(r)
+        block[:] = [row[c] for c in _STATE_ORDER]
+        x = gen.standard_normal()
+        row[:2] = r, 0
+        return x, block.tolist() == [row[c] for c in _STATE_ORDER]
+
+    wi = np.array([draw(1 << 9 | idx)[0] for idx in range(256)])
+    ki = np.empty(256, np.uint64)
+    for idx in range(256):
+        # rabs −1 and 2⁵², outside the draw's range, end the brackets
+        fast = functools.cache(lambda x: x < 0 or x < 2 ** 52 and draw(x << 9 | idx)[1])
+        lo = hi = 2 ** 51 if idx < 2 else int(2 ** 52 * wi[idx - 1] / wi[idx])
+        step = 1
+        while fast(hi):
+            lo, hi, step = hi, min(hi + step, 2 ** 52), 2 * step
+        while not fast(lo):
+            hi, lo, step = lo, max(lo - step, -1), 2 * step
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if fast(mid) else (lo, mid)
+        ki[idx] = hi
+    outputs = [rabs << 9 | sign << 8 | idx for idx, k in enumerate(ki.tolist())
+               for rabs in (1, k - 1, k) if 0 <= rabs < 2 ** 52 for sign in (0, 1)]
+    states = np.array([crafted(r) for r in outputs], np.uint64)
+    got, want = np.empty((len(states), 2)), np.empty((len(states), 2))
+    _ziggurat_normals(states, got, (gen, block), ki, wi)
+    for state, row in zip(states[:, _STATE_ORDER], want):
+        block[:] = state
+        gen.standard_normal(out=row)
+    same = got.view(np.uint64) == want.view(np.uint64)
+    bad = {outputs[i] & 0xFF for i in np.flatnonzero(~same.all(axis=1))}
+    if bad:
+        raise RuntimeError(f"numpy {np.__version__}'s standard_normal departs from the ziggurat"
+                           f" tables read from it at idx {sorted(bad)}")
+    ki.flags.writeable = wi.flags.writeable = False  # shared by every batch
+    return ki, wi
 
 
 # ======================================================================
@@ -573,7 +637,7 @@ def _paths_batch(target, grid, states):
         z = np.empty((b, ell + 1))
         stream = _stream()
         if ell <= _ZIGGURAT_MAX_DEGREE:
-            _ziggurat_normals(states, z, stream)
+            _ziggurat_normals(states, z, stream, *_ziggurat_tables())
         else:
             gen, block = stream
             for state, row in zip(states[:, _STATE_ORDER], z):
@@ -664,8 +728,9 @@ def batch_quadratic_variation(spec, rep_start, rep_count):
     reproduces values bitwise, and different batch splits agree to
     floating-point reduction order.
     """
-    if rep_count < 1:
-        raise ValueError("rep_count must be positive")
+    if not (int(rep_start) == rep_start >= 0 and int(rep_count) == rep_count >= 1):
+        raise ValueError("rep_start must be an integer ≥ 0 and rep_count one ≥ 1,"
+                         f" got {rep_start!r} and {rep_count!r}")
     states = _pcg64_states(_rep_seed_words(spec, rep_start, rep_count))
     paths = _paths_batch(spec.target, spec.grid, states)
     v = [np.einsum("ij,ij->i", d, d) for d in np.diff(paths, axis=2)]

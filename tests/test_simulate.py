@@ -675,3 +675,21 @@ def test_batch_rejects_empty_range():
     spec = _spec(SingleEll(1, 1.0))
     with pytest.raises(ValueError):
         batch_quadratic_variation(spec, 0, 0)
+
+
+@pytest.mark.parametrize("start, count", [(-1, 2), (1.5, 2), (0, 2.5), (0, -1)])
+def test_batch_and_stream_id_refuse_undefined_replications(start, count):
+    # the determinism contract defines a stream for rep = 0, 1, 2, ... only;
+    # (-1, 2) sampled two values while rep_seed_sequence refused rep -1,
+    # 1.5 sampled reps 1 and 2, and a count of 2.5 returned two values
+    spec = _spec(SingleEll(3, 1.0))
+    with pytest.raises(ValueError):
+        batch_quadratic_variation(spec, start, count)
+    if start != 0:
+        for refuse in (rep_stream_id, rep_seed_sequence):
+            with pytest.raises(ValueError):
+                refuse(spec, start)
+    # numpy integers, as a caller's arange or sum yields them, still pass
+    assert_array_equal(batch_quadratic_variation(spec, np.int64(1), np.uint32(2)),
+                       batch_quadratic_variation(spec, 1, 2))
+    assert rep_stream_id(spec, np.int64(1)) == rep_stream_id(spec, 1) == "123:1:3"

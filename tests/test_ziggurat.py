@@ -1,5 +1,6 @@
-"""The vectorized single-degree draw: numpy's ziggurat tables, and bitwise
-agreement with the per-stream loop it replaces for small degrees."""
+"""The vectorized single-degree draw: numpy's ziggurat tables as read from
+the installed numpy, the check that guards them, and bitwise agreement with
+the per-stream loop it replaces for small degrees."""
 
 import os
 import subprocess
@@ -10,8 +11,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
-from sphereqv import _ziggurat, simulate
-from sphereqv._ziggurat import KI, WI, _before_output
+from sphereqv import simulate
 from sphereqv.covariance import LineGrid
 from sphereqv.simulate import SampleSpec, SingleEll, batch_quadratic_variation
 
@@ -53,22 +53,70 @@ def _draw_one(state, inc):
     raise AssertionError("the draw consumed more than 1000 outputs")
 
 
+KI, WI = simulate._ziggurat_tables()
+
+
 def test_tables_are_the_installed_numpys():
-    assert KI.dtype == np.uint64 and KI.shape == WI.shape == (256,)
-    assert int(KI[0]) == 0xEF33D8025EF6A and int(KI[1]) == 0
-    assert _ziggurat._table_faults(KI, WI) == []
+    # an independent reading through the public ``state`` setter: WI[idx] is
+    # the value drawn at rabs = 1, and KI[idx] the first rabs whose draw
+    # reads more than one output, by bisection over all of [0, 2⁵²]
+    assert KI.dtype == np.uint64 and WI.dtype == np.float64 and KI.shape == WI.shape == (256,)
+    inc = 2 ** 127 + 1
+
+    def steps(rabs, idx):
+        return _draw_one(_back(rabs << 9 | idx, inc), inc)
+
+    for idx in range(256):
+        assert steps(1, idx)[0] == WI[idx]
+        lo, hi = -1, 2 ** 52
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if steps(mid, idx)[1] == 1 else (lo, mid)
+        assert int(KI[idx]) == hi
 
 
-@pytest.mark.parametrize("idx, delta", [(0, 1), (0, -1), (1, 1), (2, -1), (128, 1), (255, -1)])
-def test_the_table_probe_sees_one_entry_off_by_one(idx, delta):
-    ki = KI.copy()
-    ki[idx] = int(ki[idx]) + delta
-    assert _ziggurat._table_faults(ki, WI) == [(idx, "ki - 1 rejected" if delta > 0 else "ki accepted")]
+@pytest.fixture
+def first_use(monkeypatch):
+    """Runs the first l ≤ 8 batch of a process whose ``_ziggurat_normals``
+    draws with ``ki`` and ``wi`` in place of the tables read from numpy."""
+    real = simulate._ziggurat_normals
+
+    def run(ki, wi):
+        monkeypatch.setattr(simulate, "_ziggurat_normals",
+                            lambda states, z, stream, *tables: real(states, z, stream, ki, wi))
+        simulate._ziggurat_tables.cache_clear()
+        try:
+            return batch_quadratic_variation(_spec(3, 1), 0, 64)
+        finally:
+            simulate._ziggurat_tables.cache_clear()
+            monkeypatch.setattr(simulate, "_ziggurat_normals", real)
+
+    return run
+
+
+@pytest.mark.parametrize("idx, delta", [(i, d) for i in (0, 1, 2, 128, 255) for d in (1, -1)])
+def test_the_table_probe_sees_one_entry_off_by_one(first_use, idx, delta):
+    # one entry off by one (KI) or one ulp (WI) fails the first batch wherever
+    # it would move a bit. Two faults move none, and pass: a KI one too small
+    # only hands the draw at its edge to numpy's own slow path, and WI[1] is
+    # never read, as KI[1] = 0 sends every idx-1 draw there
+    want = batch_quadratic_variation(_spec(3, 1), 0, 64)
+    named = rf"at idx \[(.*, )?{idx}(, .*)?\]"  # a draw at another idx may use the entry too
+    if int(KI[idx]) + delta >= 0:  # KI[1] is 0
+        ki = KI.copy()
+        ki[idx] = int(KI[idx]) + delta
+        if delta > 0:
+            with pytest.raises(RuntimeError, match=named):
+                first_use(ki, WI)
+        else:
+            assert_array_equal(first_use(ki, WI), want)
     wi = WI.copy()
     wi[idx] = np.nextafter(wi[idx], np.inf if delta > 0 else 0.0)
-    assert _ziggurat._table_faults(KI, wi) == [(idx, "wi")]
-    with pytest.raises(RuntimeError, match=rf"\({idx}, 'ki"):
-        _ziggurat._check_tables(ki, WI)
+    if idx == 1:
+        assert_array_equal(first_use(KI, wi), want)
+    else:
+        with pytest.raises(RuntimeError, match=named):
+            first_use(KI, wi)
 
 
 def _spec(ell, seed):
@@ -88,7 +136,7 @@ def _per_stream(states, k):
 
 def _vectorized(states, k):
     z = np.empty((len(states), k))
-    simulate._ziggurat_normals(states, z, simulate._stream())
+    simulate._ziggurat_normals(states, z, simulate._stream(), KI, WI)
     return z
 
 
@@ -153,7 +201,7 @@ def _crafted(idx, rabs, outcome, position, sign):
     fewest = 3 if idx == 0 else 2
     for t in range(1, 100_000):
         inc = 2 * t + 1
-        state = _before_output(r, inc)
+        state = _back(r, inc)
         _, steps = _draw_one(state, inc)
         if (steps == fewest) != (outcome == "accept"):
             continue
@@ -186,15 +234,19 @@ def test_a_rejected_draw_is_finished_by_its_stream(idx, rabs, outcome, position)
     _assert_bitwise(_vectorized(states, 5), want)
 
 
-def test_importing_the_cli_and_harness_leaves_the_tables_unloaded():
-    code = ("import sys\n"
-            "import sphereqv.cli, sphereqv.harness\n"
-            "print('sphereqv._ziggurat' in sys.modules)\n")
+def test_importing_the_cli_harness_and_sampler_derives_no_table():
+    # in a fresh interpreter, as this one has read the tables; the first
+    # l ≤ 8 batch reads them, so the count can move
+    code = ("import sphereqv.cli, sphereqv.harness, sphereqv.simulate as s\n"
+            "from sphereqv.covariance import LineGrid\n"
+            "print(s._ziggurat_tables.cache_info().misses)\n"
+            "s.batch_quadratic_variation(s.SampleSpec(s.SingleEll(3, 1.0), LineGrid(16), 1), 0, 1)\n"
+            "print(s._ziggurat_tables.cache_info().misses)\n")
     src = os.path.dirname(os.path.dirname(simulate.__file__))
     run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": src})
     assert run.returncode == 0, run.stderr
-    assert run.stdout.split() == ["False"]
+    assert run.stdout.split() == ["0", "1"]
 
 
 def test_a_million_replication_batch_peaks_within_2_mb_of_the_loops(monkeypatch):
@@ -215,5 +267,5 @@ def test_a_million_replication_batch_peaks_within_2_mb_of_the_loops(monkeypatch)
             tracemalloc.stop()
 
     vectorized = peak()
-    monkeypatch.setattr(simulate, "_ziggurat_normals", lambda states, z, stream: z.fill(0.0))
+    monkeypatch.setattr(simulate, "_ziggurat_normals", lambda states, z, *args: z.fill(0.0))
     assert vectorized <= peak() + 2 * 2 ** 20
